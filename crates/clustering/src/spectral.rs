@@ -59,6 +59,24 @@ pub fn spectral_clustering<R: Rng + ?Sized>(
     embed_and_cluster(&eig, n, k, opts, rng)
 }
 
+/// [`spectral_clustering`] on an eigendecomposition the caller already
+/// holds: the full spectrum of the graph's normalized Laplacian, as
+/// `fedsc_graph::laplacian::laplacian_spectrum` returns it. A caller that
+/// reads its cluster count off that spectrum thus solves the Laplacian
+/// once. Below the dense cutover [`spectral_clustering`] embeds with
+/// exactly these eigenvectors, so the labels are bitwise the same.
+pub fn spectral_clustering_from_eig<R: Rng + ?Sized>(
+    eig: &SymmetricEig,
+    opts: &SpectralOptions,
+    rng: &mut R,
+) -> Result<Vec<usize>> {
+    let n = eig.eigenvectors.rows();
+    if n == 0 {
+        return Ok(vec![]);
+    }
+    embed_and_cluster(eig, n, opts.k.clamp(1, n), opts, rng)
+}
+
 /// [`spectral_clustering`] over a CSR affinity — the subquadratic pipeline's
 /// segmentation step. The Laplacian stays in CSR and the eigenpairs come
 /// from the matrix-free thick-restart block Lanczos solver, so no `n x n`

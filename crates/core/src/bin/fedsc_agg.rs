@@ -3,12 +3,11 @@
 //!
 //! Binds a listener for its children (devices or lower aggregators),
 //! prints `listening <addr>` (flushed), collects `--children` uplinks
-//! under the tier policy, pools them in ascending child order, merges
-//! them with the eigengap-capped central clustering under the shared
-//! `agg_seed(--seed, --tier, --node)` stream, forwards one representative
-//! sample per merged cluster to the parent at `--addr` (as child
-//! `--node` on the parent's fan-in), awaits the parent's labels, and
-//! relays one composed downlink per included child:
+//! under the tier policy, runs the shared `merge_step` as the aggregator
+//! at `(--tier, --node)` (eigengap count capped at `L`), forwards its
+//! representatives to the parent at `--addr` (as child `--node` on
+//! the parent's fan-in), awaits the parent's labels, and relays the
+//! composed downlink of every included child:
 //!
 //! ```text
 //! listening 127.0.0.1:40124
@@ -24,17 +23,13 @@
 //! transitively, so the root receives root-clock timestamps directly.
 
 use bytes::Bytes;
-use fedsc::central::central_cluster_auto;
 use fedsc::demo::{demo_fixture, demo_hier_fixture};
-use fedsc::{agg_seed, collect_uplinks_fleet, pool_uplinks, RoundPolicy};
+use fedsc::{collect_uplinks, merge_step, MergeAt, RoundPolicy};
 use fedsc_federated::channel::{DownlinkMessage, UplinkMessage};
-use fedsc_linalg::Matrix;
 use fedsc_obs::{FleetCollector, TraceContext};
 use fedsc_transport::{
     with_retry, DeviceTransport, ServerTransport, TcpDevice, TcpOptions, TcpServer,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::io::Write;
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -167,42 +162,28 @@ fn run(args: &Args) -> Result<(), String> {
         .field("children", args.children);
     let agg_span_id = agg_span.id();
     let mut fleet = FleetCollector::new();
-    let payloads = collect_uplinks_fleet(
+    let uplinks = collect_uplinks(
         &mut server,
         args.children,
         policy.deadline,
         Some(&mut fleet),
     )
     .map_err(|e| format!("{e}"))?;
-    let received = payloads.iter().filter(|m| m.is_some()).count();
+    let received = uplinks.iter().filter(|m| m.is_some()).count();
     drop(agg_span.field("received", received));
     if received < policy.required(args.children) {
         return Err("quorum not met before the tier deadline".into());
     }
-    let (included, counts, pooled) = pool_uplinks(payloads).map_err(|e| format!("{e}"))?;
-    if pooled.cols() == 0 {
+    if uplinks.iter().flatten().all(|m| m.cols() == 0) {
         return Err("no samples to merge".into());
     }
-    let mut rng = StdRng::seed_from_u64(agg_seed(args.seed, args.tier, args.node));
-    let (central, l_merge) = central_cluster_auto(
-        &pooled,
-        cfg.num_clusters.min(pooled.cols()),
-        included.len(),
-        cfg.central,
-        cfg.candidate_threshold,
-        &mut rng,
-    )
-    .map_err(|e| format!("{e}"))?;
-    let mut rep_slot = vec![usize::MAX; l_merge];
-    let mut rep_cols: Vec<&[f64]> = Vec::with_capacity(l_merge);
-    for (s, &m) in central.assignments.iter().enumerate() {
-        if rep_slot[m] == usize::MAX {
-            rep_slot[m] = rep_cols.len();
-            rep_cols.push(pooled.col(s));
-        }
-    }
-    let reps = rep_cols.len();
-    let rep_mat = Matrix::from_columns(&rep_cols).map_err(|e| format!("{e}"))?;
+    let at = MergeAt::Aggregator {
+        tier: args.tier,
+        node: args.node,
+    };
+    let (merge, pooled, _) = merge_step(uplinks, &cfg, at).map_err(|e| format!("{e}"))?;
+    let rep_mat = merge.representatives(&pooled);
+    let reps = rep_mat.cols();
     let inner = UplinkMessage {
         dim: rep_mat.rows(),
         samples: rep_mat,
@@ -239,17 +220,8 @@ fn run(args: &Args) -> Result<(), String> {
         .recv_downlink(policy.downlink_wait())
         .map_err(|e| format!("downlink from parent: {e}"))?;
     let down = DownlinkMessage::decode(reply).ok_or("malformed downlink from parent")?;
-    if down.assignments.len() != reps {
-        return Err("downlink assignment count mismatch at the aggregator".into());
-    }
-    let mut offset = 0usize;
-    for (&c, &r) in included.iter().zip(counts.iter()) {
-        let assignments: Vec<u32> = central.assignments[offset..offset + r]
-            .iter()
-            .map(|&m| down.assignments[rep_slot[m]])
-            .collect();
-        offset += r;
-        let child_reply = DownlinkMessage { assignments }.encode();
+    for (c, child_reply) in merge.compose(&down).map_err(|e| format!("{e}"))? {
+        let child_reply = child_reply.encode();
         with_retry(policy.max_retries, policy.retry_backoff, || {
             server.send_downlink(c, &child_reply)
         })
@@ -261,7 +233,7 @@ fn run(args: &Args) -> Result<(), String> {
         "agg {} reps {} included {}",
         args.node,
         reps,
-        included.len()
+        merge.included.len()
     );
     println!(
         "uplink_bytes {} downlink_bytes {} envelope_bytes {}",

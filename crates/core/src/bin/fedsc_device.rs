@@ -25,7 +25,7 @@
 //! `--parent` names that parent node in the trace context.
 
 use fedsc::demo::{demo_fixture, demo_hier_fixture};
-use fedsc::{device_round_traced, RoundPolicy, WireTelemetry};
+use fedsc::{device_round, RoundPolicy, WireTelemetry};
 use fedsc_obs::TraceContext;
 use fedsc_transport::{TcpDevice, TcpOptions};
 use std::net::SocketAddr;
@@ -151,7 +151,7 @@ fn run(args: &Args) -> Result<(), String> {
         WireTelemetry::default()
     };
     let mut link = TcpDevice::new(args.addr, link_id, TcpOptions::default());
-    let predictions = device_round_traced(
+    let predictions = device_round(
         &fed.devices[args.device].data,
         args.device,
         &cfg,

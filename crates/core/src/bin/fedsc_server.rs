@@ -32,7 +32,7 @@
 //! nothing).
 
 use fedsc::demo::{demo_fixture, demo_hier_fixture};
-use fedsc::{server_round_fleet, RoundPolicy};
+use fedsc::{server_round, RoundPolicy};
 use fedsc_obs::FleetCollector;
 use fedsc_transport::{ServerTransport, TcpOptions, TcpServer};
 use std::io::Write;
@@ -181,7 +181,7 @@ fn run(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("stdout flush failed: {e}"))?;
 
     let mut fleet = FleetCollector::new();
-    let excluded = server_round_fleet(&mut server, args.devices, &cfg, &policy, Some(&mut fleet))
+    let excluded = server_round(&mut server, args.devices, &cfg, &policy, Some(&mut fleet))
         .map_err(|e| format!("{e}"))?;
     let stats = server.stats();
     drop(server); // closes links so excluded devices stop waiting

@@ -6,10 +6,10 @@
 //! The TSC neighbor count defaults to the paper's rule
 //! `q = max(3, ceil(Z / L))`.
 
-use crate::config::CentralBackend;
+use crate::config::{CentralBackend, ClusterCountPolicy};
 use fedsc_clustering::spectral::{spectral_clustering, SpectralOptions};
-use fedsc_clustering::spectral_clustering_sparse;
-use fedsc_graph::laplacian::{laplacian_spectrum, relative_eigengap_cluster_count};
+use fedsc_clustering::{spectral_clustering_from_eig, spectral_clustering_sparse};
+use fedsc_graph::laplacian::laplacian_spectrum;
 use fedsc_graph::AffinityGraph;
 use fedsc_linalg::{Matrix, Result};
 use fedsc_subspace::{CandidateOptions, Ssc, SubspaceClusterer, Tsc};
@@ -23,9 +23,21 @@ pub struct CentralOutput {
     /// The affinity graph the server built over the samples (used for the
     /// induced global graph and the CONN diagnostics).
     pub graph: AffinityGraph,
+    /// Number of clusters the samples were segmented into; every
+    /// assignment is below it.
+    pub clusters: usize,
 }
 
-/// Clusters the pooled samples into `l` global clusters.
+/// Clusters the pooled samples, with the cluster count set by `count`.
+///
+/// * `Fixed(L)` — the root and the flat server: segment into `L` groups.
+/// * `Eigengap { max, .. }` — an aggregator, whose subtree may cover only
+///   some of the `L` global clusters: forcing `L` partitions onto fewer
+///   natural groups makes spectral k-means split, and worse, mix
+///   subspaces. The count is read off the affinity Laplacian's spectrum,
+///   floored at the affinity's connected-component count and capped at
+///   `max`; the segmentation embeds with the eigenvectors of that same
+///   decomposition, so each graph gets one spectral solve.
 ///
 /// `num_devices` feeds the TSC `q` rule; it is ignored by the SSC backend.
 /// `candidate_threshold` is the pooled-sample count at or above which the
@@ -34,17 +46,23 @@ pub struct CentralOutput {
 /// clustering through the kernel-seeded thick-restart block Lanczos on
 /// the CSR Laplacian (DESIGN.md §13; the dense `tred2`/`tql2` still runs
 /// below the measured `lanczos_beats_dense` cutover inside that path).
-/// Below the threshold (and for TSC) the dense path runs
+/// That route never forms the dense spectrum an eigengap reads, so it
+/// segments at the cap directly; pools that large cover nearly every
+/// cluster anyway. Below the threshold (and for TSC) the dense path runs
 /// bitwise-unchanged.
 pub fn central_cluster<R: Rng + ?Sized>(
     samples: &Matrix,
-    l: usize,
+    count: ClusterCountPolicy,
     num_devices: usize,
     backend: CentralBackend,
     candidate_threshold: usize,
     rng: &mut R,
 ) -> Result<CentralOutput> {
-    let opts = SpectralOptions::new(l);
+    let n = samples.cols();
+    let l_max = match count {
+        ClusterCountPolicy::Fixed(l) => l,
+        ClusterCountPolicy::Eigengap { max, .. } => max.map_or(n, |m| m.min(n)),
+    };
     let graph = match backend {
         CentralBackend::Ssc => {
             let ssc = Ssc {
@@ -54,67 +72,18 @@ pub fn central_cluster<R: Rng + ?Sized>(
                 }),
                 ..Ssc::default()
             };
-            if ssc.uses_candidates(samples.cols()) {
+            if ssc.uses_candidates(n) {
                 // Subquadratic route: certified sparse codes -> CSR
                 // affinity -> CSR spectral. The dense graph is kept only
                 // for the CONN diagnostics downstream.
                 let w = ssc.sparse_affinity(samples)?;
-                let assignments = spectral_clustering_sparse(&w, &opts, rng)?;
+                let assignments =
+                    spectral_clustering_sparse(&w, &SpectralOptions::new(l_max), rng)?;
                 return Ok(CentralOutput {
                     assignments,
                     graph: w.to_graph(),
+                    clusters: l_max.clamp(1, n.max(1)),
                 });
-            }
-            ssc.affinity(samples)?
-        }
-        CentralBackend::Tsc { q } => {
-            let q = q.unwrap_or_else(|| Tsc::fed_sc_q(num_devices, l));
-            Tsc::new(q).affinity(samples)?
-        }
-    };
-    let assignments = spectral_clustering(&graph, &opts, rng)?;
-    Ok(CentralOutput { assignments, graph })
-}
-
-/// Like [`central_cluster`], but **estimates** the cluster count by the
-/// relative eigengap of the affinity Laplacian, capped at `l_max`,
-/// instead of taking it as given. This is the aggregation-tree variant:
-/// an intermediate aggregator's subtree may cover only a subset of the
-/// `L` global clusters, and forcing `L` partitions onto fewer natural
-/// groups makes spectral k-means split — and worse, mix — subspaces.
-///
-/// Returns the output together with the estimated count. Above
-/// `candidate_threshold` the subquadratic route runs with `l_max`
-/// directly: the dense spectrum the eigengap needs is exactly what that
-/// route avoids, and tiers pooling thousands of samples cover nearly
-/// every cluster anyway.
-pub fn central_cluster_auto<R: Rng + ?Sized>(
-    samples: &Matrix,
-    l_max: usize,
-    num_devices: usize,
-    backend: CentralBackend,
-    candidate_threshold: usize,
-    rng: &mut R,
-) -> Result<(CentralOutput, usize)> {
-    let graph = match backend {
-        CentralBackend::Ssc => {
-            let ssc = Ssc {
-                candidates: Some(CandidateOptions {
-                    min_points: candidate_threshold,
-                    ..CandidateOptions::default()
-                }),
-                ..Ssc::default()
-            };
-            if ssc.uses_candidates(samples.cols()) {
-                let out = central_cluster(
-                    samples,
-                    l_max,
-                    num_devices,
-                    backend,
-                    candidate_threshold,
-                    rng,
-                )?;
-                return Ok((out, l_max));
             }
             ssc.affinity(samples)?
         }
@@ -123,20 +92,34 @@ pub fn central_cluster_auto<R: Rng + ?Sized>(
             Tsc::new(q).affinity(samples)?
         }
     };
-    let spec = laplacian_spectrum(&graph)?;
-    let gap = relative_eigengap_cluster_count(&spec.eigenvalues, Some(l_max));
-    // Floor the estimate at the affinity's connected-component count: the
-    // components are a hard lower bound on the natural cluster count, and
-    // under-estimating merges subspaces — unrecoverable downstream, while
-    // over-splitting merely costs the parent an extra representative.
-    let comps = graph
-        .connected_components(1e-9)
-        .iter()
-        .max()
-        .map_or(1, |&m| m + 1);
-    let l = gap.max(comps).clamp(1, l_max.min(samples.cols()).max(1));
-    let assignments = spectral_clustering(&graph, &SpectralOptions::new(l), rng)?;
-    Ok((CentralOutput { assignments, graph }, l))
+    let (k, spectrum) = match count {
+        ClusterCountPolicy::Fixed(l) => (l, None),
+        ClusterCountPolicy::Eigengap { .. } => {
+            let spec = laplacian_spectrum(&graph)?;
+            // Floor the estimate at the affinity's connected-component
+            // count: the components are a hard lower bound on the natural
+            // cluster count, and under-estimating merges subspaces —
+            // unrecoverable downstream, while over-splitting merely costs
+            // the parent an extra representative.
+            let comps = graph
+                .connected_components(1e-9)
+                .iter()
+                .max()
+                .map_or(1, |&m| m + 1);
+            let k = count.count(&spec.eigenvalues).max(comps);
+            (k.clamp(1, l_max.max(1)), Some(spec))
+        }
+    };
+    let opts = SpectralOptions::new(k);
+    let assignments = match &spectrum {
+        Some(spec) => spectral_clustering_from_eig(spec, &opts, rng)?,
+        None => spectral_clustering(&graph, &opts, rng)?,
+    };
+    Ok(CentralOutput {
+        assignments,
+        graph,
+        clusters: k.clamp(1, n.max(1)),
+    })
 }
 
 #[cfg(test)]
@@ -175,7 +158,15 @@ mod tests {
     fn ssc_backend_clusters_semi_random_samples() {
         let mut rng = StdRng::seed_from_u64(1);
         let (samples, truth) = semi_random_samples(&mut rng, 25, 3, 3, 15);
-        let out = central_cluster(&samples, 3, 45, CentralBackend::Ssc, 2048, &mut rng).unwrap();
+        let out = central_cluster(
+            &samples,
+            ClusterCountPolicy::Fixed(3),
+            45,
+            CentralBackend::Ssc,
+            2048,
+            &mut rng,
+        )
+        .unwrap();
         let acc = clustering_accuracy(&truth, &out.assignments);
         assert!(acc > 95.0, "accuracy {acc}");
     }
@@ -186,7 +177,7 @@ mod tests {
         let (samples, truth) = semi_random_samples(&mut rng, 25, 3, 3, 20);
         let out = central_cluster(
             &samples,
-            3,
+            ClusterCountPolicy::Fixed(3),
             60,
             CentralBackend::Tsc { q: None },
             2048,
@@ -203,7 +194,7 @@ mod tests {
         let (samples, truth) = semi_random_samples(&mut rng, 25, 3, 2, 15);
         let out = central_cluster(
             &samples,
-            2,
+            ClusterCountPolicy::Fixed(2),
             30,
             CentralBackend::Tsc { q: Some(5) },
             2048,
@@ -225,7 +216,7 @@ mod tests {
         let mut dense_rng = StdRng::seed_from_u64(77);
         let dense = central_cluster(
             &samples,
-            3,
+            ClusterCountPolicy::Fixed(3),
             45,
             CentralBackend::Ssc,
             usize::MAX,
@@ -233,7 +224,15 @@ mod tests {
         )
         .unwrap();
         let mut cand_rng = StdRng::seed_from_u64(77);
-        let cand = central_cluster(&samples, 3, 45, CentralBackend::Ssc, 2, &mut cand_rng).unwrap();
+        let cand = central_cluster(
+            &samples,
+            ClusterCountPolicy::Fixed(3),
+            45,
+            CentralBackend::Ssc,
+            2,
+            &mut cand_rng,
+        )
+        .unwrap();
         assert_eq!(cand.assignments, dense.assignments);
         let acc = clustering_accuracy(&truth, &cand.assignments);
         assert!(acc > 95.0, "accuracy {acc}");
@@ -257,8 +256,15 @@ mod tests {
         let n = samples.cols();
         let route = |threshold: usize| {
             let mut rng = StdRng::seed_from_u64(55);
-            central_cluster(&samples, 3, 45, CentralBackend::Ssc, threshold, &mut rng)
-                .expect("central clustering at the threshold boundary")
+            central_cluster(
+                &samples,
+                ClusterCountPolicy::Fixed(3),
+                45,
+                CentralBackend::Ssc,
+                threshold,
+                &mut rng,
+            )
+            .expect("central clustering at the threshold boundary")
         };
         let dense = route(n + 1);
         let at = route(n);
@@ -273,7 +279,15 @@ mod tests {
     fn graph_is_returned_for_diagnostics() {
         let mut rng = StdRng::seed_from_u64(4);
         let (samples, _) = semi_random_samples(&mut rng, 10, 2, 2, 5);
-        let out = central_cluster(&samples, 2, 10, CentralBackend::Ssc, 2048, &mut rng).unwrap();
+        let out = central_cluster(
+            &samples,
+            ClusterCountPolicy::Fixed(2),
+            10,
+            CentralBackend::Ssc,
+            2048,
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(out.graph.len(), 10);
         assert_eq!(out.assignments.len(), 10);
     }

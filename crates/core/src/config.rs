@@ -2,6 +2,7 @@
 
 use fedsc_federated::channel::ChannelConfig;
 use fedsc_federated::privacy::DpConfig;
+use fedsc_graph::laplacian::{eigengap_cluster_count, relative_eigengap_cluster_count};
 use fedsc_sparse::lasso::LassoOptions;
 
 /// How a device estimates its local cluster count `r^(z)` (paper Remark 1:
@@ -23,6 +24,24 @@ pub enum ClusterCountPolicy {
     /// Fixed count on every device — the paper's real-data choice
     /// `r^(z) = max_z L^(z)`.
     Fixed(usize),
+}
+
+impl ClusterCountPolicy {
+    /// The count this policy reads off an ascending normalized-Laplacian
+    /// spectrum; a fixed count ignores it.
+    pub fn count(&self, eigenvalues: &[f64]) -> usize {
+        match *self {
+            Self::Eigengap {
+                max,
+                relative: true,
+            } => relative_eigengap_cluster_count(eigenvalues, max),
+            Self::Eigengap {
+                max,
+                relative: false,
+            } => eigengap_cluster_count(eigenvalues, max),
+            Self::Fixed(r) => r,
+        }
+    }
 }
 
 /// How a device picks the dimension `d_t` of each local-cluster basis.
@@ -137,7 +156,7 @@ impl FedScConfig {
             local: LocalBackend::Ssc,
             channel: ChannelConfig::default(),
             dp: None,
-            threads: fedsc_federated::parallel::default_threads(),
+            threads: fedsc_linalg::par::default_threads(),
             kernel_threads: 1,
             seed: 0xfed5c,
             candidate_threshold: fedsc_subspace::CandidateOptions::default().min_points,

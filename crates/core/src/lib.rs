@@ -15,8 +15,12 @@
 //! 2. **Central clustering** ([`central`]): the server pools the samples —
 //!    which satisfy the semi-random model by construction — and clusters
 //!    them with SSC or TSC into `L` global groups.
-//! 3. **Local update** ([`scheme`]): devices relabel their partitions by
-//!    their samples' global assignments.
+//! 3. **Local update** ([`round::relabel`]): devices relabel their
+//!    partitions by their samples' global assignments.
+//!
+//! [`round`] holds the three steps; [`FedSc::run`], the wire round
+//! ([`wire`]), the aggregation tree and the processes are transport loops
+//! over them.
 //!
 //! ## Quick start
 //!
@@ -47,14 +51,15 @@ pub mod central;
 pub mod config;
 pub mod demo;
 pub mod local;
+pub mod round;
 pub mod scheme;
 pub mod wire;
 
 pub use assign::ClusterAssigner;
 pub use config::{BasisDim, CentralBackend, ClusterCountPolicy, FedScConfig, LocalBackend};
+pub use round::{device_step, merge_step, relabel, DeviceStep, Merge, MergeAt, SERVER_RNG_SALT};
 pub use scheme::{FedSc, FedScOutput};
 pub use wire::{
-    agg_seed, collect_uplinks, collect_uplinks_fleet, device_local_output, device_round,
-    device_round_traced, majority_relabel, pool_uplinks, run_over_wire, run_round, server_round,
-    server_round_fleet, wire_err, RoundPolicy, WireRunOutput, WireTelemetry, SERVER_RNG_SALT,
+    collect_uplinks, device_round, run_over_wire, run_round, server_round, wire_err, RoundPolicy,
+    WireRunOutput, WireTelemetry,
 };

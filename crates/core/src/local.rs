@@ -10,10 +10,10 @@
 //!    `theta = U alpha / ||U alpha||`, `alpha ~ N(0, I)` (Eq. (5)).
 
 use crate::config::{BasisDim, ClusterCountPolicy, FedScConfig, LocalBackend};
-use fedsc_clustering::spectral::{spectral_clustering, SpectralOptions};
-use fedsc_graph::laplacian::{
-    eigengap_cluster_count, laplacian_spectrum, relative_eigengap_cluster_count,
+use fedsc_clustering::spectral::{
+    spectral_clustering, spectral_clustering_from_eig, SpectralOptions,
 };
+use fedsc_graph::laplacian::laplacian_spectrum;
 use fedsc_linalg::random::sample_on_subspace;
 use fedsc_linalg::svd::truncated_svd;
 use fedsc_linalg::{par, Matrix, Result};
@@ -84,25 +84,24 @@ pub fn local_cluster_and_sample<R: Rng + ?Sized>(
     };
     drop(affinity_span);
 
-    // Step 3: estimate r^(z).
+    // Step 3: estimate r^(z). The eigengap reads the Laplacian spectrum
+    // whose eigenvectors step 4 then embeds with: one solve per graph.
     let eigengap_span = fedsc_obs::span("fedsc", "local.eigengap");
-    let r = match cfg.cluster_count {
-        ClusterCountPolicy::Eigengap { max, relative } => {
-            let spec = laplacian_spectrum(&graph)?;
-            if relative {
-                relative_eigengap_cluster_count(&spec.eigenvalues, max)
-            } else {
-                eigengap_cluster_count(&spec.eigenvalues, max)
-            }
-        }
-        ClusterCountPolicy::Fixed(r) => r,
-    }
-    .clamp(1, n_points);
+    let spectrum = match cfg.cluster_count {
+        ClusterCountPolicy::Eigengap { .. } => Some(laplacian_spectrum(&graph)?),
+        ClusterCountPolicy::Fixed(_) => None,
+    };
+    let eigenvalues = spectrum.as_ref().map_or(&[][..], |s| &s.eigenvalues);
+    let r = cfg.cluster_count.count(eigenvalues).clamp(1, n_points);
     drop(eigengap_span.field("clusters", r));
 
     // Step 4: spectral clustering into r partitions.
     let spectral_span = fedsc_obs::span("fedsc", "local.spectral").field("clusters", r);
-    let local_labels = spectral_clustering(&graph, &SpectralOptions::new(r), rng)?;
+    let opts = SpectralOptions::new(r);
+    let local_labels = match &spectrum {
+        Some(spec) => spectral_clustering_from_eig(spec, &opts, rng)?,
+        None => spectral_clustering(&graph, &opts, rng)?,
+    };
     drop(spectral_span);
 
     // Steps 5-8: per-partition basis estimation and sampling.

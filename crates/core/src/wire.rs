@@ -4,14 +4,14 @@
 //! [`Transport`] — the deployment shape of Algorithm 1, as opposed to the
 //! in-process orchestration of [`crate::scheme::FedSc`].
 //!
-//! Every device runs Algorithm 2 on its shard, serializes its samples into
-//! an [`UplinkMessage`] payload, and sends the bytes to the server; the
-//! server decodes and pools the payloads, runs the central clustering, and
-//! answers each included device with an encoded [`DownlinkMessage`] of
-//! assignments; devices decode and perform the local update. With a
-//! lossless link the result is **bit-identical** to `FedSc::run` under the
-//! same seeds (tested), so the in-process scheme and the wire protocol
-//! cannot drift apart.
+//! Every device runs [`device_step`] on its shard (Algorithm 2, DP, the
+//! channel model), serializes its uplink samples into an [`UplinkMessage`]
+//! payload, and sends the bytes to the server; the server decodes the
+//! payloads, runs [`merge_step`], and answers each included device with an
+//! encoded [`DownlinkMessage`] of assignments; devices decode and
+//! [`relabel`]. These are the very steps `FedSc::run` loops over, so with a
+//! lossless link the result is **bit-identical** to it under the same
+//! seeds — DP and channel noise included (tested).
 //!
 //! The round is one-shot, which makes straggler handling simple: the
 //! server collects uplinks until all devices report or the
@@ -24,9 +24,8 @@
 //! [`UplinkMessage`]: fedsc_federated::channel::UplinkMessage
 //! [`DownlinkMessage`]: fedsc_federated::channel::DownlinkMessage
 
-use crate::central::central_cluster;
 use crate::config::FedScConfig;
-use crate::local::{local_cluster_and_sample, LocalOutput};
+use crate::round::{device_step, merge_step, relabel, MergeAt};
 use bytes::Bytes;
 use fedsc_federated::channel::{DownlinkMessage, UplinkMessage};
 use fedsc_federated::partition::FederatedDataset;
@@ -36,8 +35,6 @@ use fedsc_transport::{
     with_retry, Deadline, DeviceTransport, InMemoryTransport, LinkStats, ServerTransport,
     Transport, TransportError,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Duration;
 
 /// Device rounds completed (uplink sent, downlink applied).
@@ -53,26 +50,6 @@ static WIRE_DEVICE_ROUND_MS: LazyHistogram = LazyHistogram::new(
         1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 30_000, 60_000,
     ],
 );
-
-/// Salt XORed into [`FedScConfig::seed`] to derive the server's
-/// central-clustering rng stream. Exported so the hierarchical aggregation
-/// tree (`fedsc-hier`) can seed its root *exactly* like [`server_round`]
-/// does — the degenerate single-tier tree is bit-identical to
-/// [`run_over_wire`] only because both sides share this constant.
-pub const SERVER_RNG_SALT: u64 = 0x0ce2_74a1;
-
-/// Rng seed for the aggregator at tier `tier`, node `node` of an
-/// aggregation tree — the root's salt stream mixed with a per-node offset
-/// so sibling aggregators draw independent spectral-clustering
-/// initializations. The root itself uses the unmixed
-/// `seed ^ SERVER_RNG_SALT`, which is what keeps the degenerate
-/// single-tier tree bit-identical to the flat round. Lives here (not in
-/// `fedsc-hier`) so the real-process `fedsc-agg` binary and the
-/// in-process tree driver seed identically.
-pub fn agg_seed(seed: u64, tier: usize, node: usize) -> u64 {
-    (seed ^ SERVER_RNG_SALT)
-        ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul((((tier as u64) + 1) << 32) | ((node as u64) + 1))
-}
 
 /// Telemetry posture of one sending round: what (if anything) rides
 /// in-band on the uplink. The default attaches nothing, keeping the
@@ -176,66 +153,19 @@ pub fn wire_err(e: TransportError) -> LinalgError {
     })
 }
 
-/// Runs Algorithm 2 for device `z` under the round's deterministic seeding
-/// (`cfg.seed + z`). This is the *computation* half of [`device_round`],
-/// shared with the hierarchical tree driver so both execution shapes derive
-/// the same local clusters and uplink samples bit for bit.
-pub fn device_local_output(data: &Matrix, z: usize, cfg: &FedScConfig) -> Result<LocalOutput> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(z as u64));
-    local_cluster_and_sample(data, cfg, &mut rng)
-}
-
-/// Phase 3 vote: maps each of `num_local_clusters` local clusters to the
-/// majority global assignment of its uploaded samples (ties break toward
-/// the lower global id; clusters whose samples were all dropped keep the
-/// fallback label 0). Mirrors `FedSc::run` exactly.
-pub fn majority_relabel(
-    sample_cluster: &[usize],
-    num_local_clusters: usize,
-    assignments: &[u32],
-    num_global: usize,
-) -> Vec<usize> {
-    let mut cluster_to_global = vec![0usize; num_local_clusters.max(1)];
-    let mut votes = vec![vec![0usize; num_global.max(1)]; num_local_clusters.max(1)];
-    for (s, &t) in sample_cluster.iter().enumerate() {
-        votes[t][assignments[s] as usize] += 1;
-    }
-    for (t, vote) in votes.iter().enumerate() {
-        if let Some((best, _)) = vote
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &c)| c)
-            .filter(|&(_, &c)| c > 0)
-        {
-            cluster_to_global[t] = best;
-        }
-    }
-    cluster_to_global
-}
-
-/// Runs one device's side of the round over `link`: Algorithm 2 on `data`,
-/// uplink, await assignments, local relabel. Returns the device-local
-/// predictions (one global cluster id per local point).
+/// Runs one device's side of the round over `link`:
+/// [`device_step`], uplink, await assignments, [`relabel`]. Returns the
+/// device-local predictions (one global cluster id per local point).
+///
+/// `telemetry` sets what rides in-band on the uplink: the default posture
+/// attaches nothing; otherwise the payload is prefixed with an
+/// [`Envelope`] carrying the round's [`TraceContext`] and — in
+/// real-process mode — the device's completed spans (shifted into the
+/// server's clock) and metrics snapshot.
 ///
 /// Deterministic given `(cfg.seed, z)` — the transport carries opaque
 /// bytes and cannot perturb the clustering.
 pub fn device_round<D: DeviceTransport>(
-    data: &Matrix,
-    z: usize,
-    cfg: &FedScConfig,
-    link: &mut D,
-    policy: &RoundPolicy,
-) -> Result<Vec<usize>> {
-    device_round_traced(data, z, cfg, link, policy, &WireTelemetry::default())
-}
-
-/// [`device_round`] with an explicit telemetry posture: the uplink
-/// payload is prefixed with an in-band [`Envelope`] carrying the round's
-/// [`TraceContext`] and — in real-process mode — the device's completed
-/// spans (shifted into the server's clock) and metrics snapshot. The
-/// default posture attaches nothing and is byte-identical to
-/// [`device_round`].
-pub fn device_round_traced<D: DeviceTransport>(
     data: &Matrix,
     z: usize,
     cfg: &FedScConfig,
@@ -250,11 +180,11 @@ pub fn device_round_traced<D: DeviceTransport>(
     // payload ships, so it cannot serve as the cross-process parent.
     let local_span = fedsc_obs::span("wire", "wire.local_output").field("device", z);
     let local_span_id = local_span.id();
-    let out = device_local_output(data, z, cfg)?;
+    let step = device_step(data, z, cfg)?;
     drop(local_span);
     let msg = UplinkMessage {
-        dim: out.samples.rows(),
-        samples: out.samples.clone(),
+        dim: step.uplink.rows(),
+        samples: step.uplink,
     };
     let payload = wrap_uplink(msg.encode(), link, telemetry, local_span_id)?;
     with_retry(policy.max_retries, policy.retry_backoff, || {
@@ -266,26 +196,10 @@ pub fn device_round_traced<D: DeviceTransport>(
         .map_err(wire_err)?;
     let down =
         DownlinkMessage::decode(reply).ok_or(LinalgError::InvalidArgument("malformed downlink"))?;
-    if down.assignments.len() != out.sample_cluster.len() {
-        return Err(LinalgError::InvalidArgument(
-            "downlink assignment count mismatch",
-        ));
-    }
-    // Phase 3: relabel local clusters by their samples' majority global
-    // assignment, mirroring FedSc::run.
-    let cluster_to_global = majority_relabel(
-        &out.sample_cluster,
-        out.num_local_clusters,
-        &down.assignments,
-        cfg.num_clusters,
-    );
+    let labels = relabel(&step.local, &down.assignments, cfg.num_clusters)?;
     WIRE_DEVICE_ROUNDS.inc();
     WIRE_DEVICE_ROUND_MS.observe(sw.elapsed_ns() / 1_000_000);
-    Ok(out
-        .local_labels
-        .iter()
-        .map(|&t| cluster_to_global[t])
-        .collect())
+    Ok(labels)
 }
 
 /// Prefixes an encoded uplink with the round's telemetry envelope. With
@@ -324,9 +238,14 @@ fn wrap_uplink<D: DeviceTransport>(
 }
 
 /// Runs the server's side of the round over `link`: collect uplinks until
-/// every device reports or the policy deadline expires, pool in ascending
-/// device order, cluster centrally, answer each included device. Returns
-/// the devices excluded as stragglers (empty on a clean run).
+/// every device reports or the policy deadline expires, [`merge_step`]
+/// into `L` clusters, answer each included device. Returns the devices
+/// excluded as stragglers (empty on a clean run).
+///
+/// With a `fleet` collector, every uplink envelope's context, spans, and
+/// metrics land in it (and its `envelope_bytes` tallies the exact payload
+/// overhead), ready to export at the root; `None` strips and discards
+/// envelopes.
 ///
 /// Fails if fewer than [`RoundPolicy::quorum`] devices report in time.
 pub fn server_round<S: ServerTransport>(
@@ -334,61 +253,31 @@ pub fn server_round<S: ServerTransport>(
     z_count: usize,
     cfg: &FedScConfig,
     policy: &RoundPolicy,
-) -> Result<Vec<usize>> {
-    server_round_fleet(link, z_count, cfg, policy, None)
-}
-
-/// [`server_round`] absorbing in-band telemetry into `fleet`: every
-/// uplink envelope's context, spans, and metrics land in the collector
-/// (and its `envelope_bytes` tallies the exact payload overhead), ready
-/// to export at the root or forward from an aggregator. Passing `None`
-/// strips and discards envelopes, which is [`server_round`] exactly.
-pub fn server_round_fleet<S: ServerTransport>(
-    link: &mut S,
-    z_count: usize,
-    cfg: &FedScConfig,
-    policy: &RoundPolicy,
     fleet: Option<&mut FleetCollector>,
 ) -> Result<Vec<usize>> {
     let _span = fedsc_obs::span("wire", "wire.server_round").field("devices", z_count);
-    let payloads = collect_uplinks_fleet(link, z_count, policy.deadline, fleet)?;
-    let received = payloads.iter().filter(|p| p.is_some()).count();
-
-    let excluded: Vec<usize> = payloads
+    let uplinks = collect_uplinks(link, z_count, policy.deadline, fleet)?;
+    let excluded: Vec<usize> = uplinks
         .iter()
         .enumerate()
         .filter_map(|(z, p)| p.is_none().then_some(z))
         .collect();
-    if received < policy.required(z_count) {
+    if z_count - excluded.len() < policy.required(z_count) {
         return Err(LinalgError::InvalidArgument(
             "quorum not met before the round deadline",
         ));
     }
 
-    let (included, counts, pooled) = pool_uplinks(payloads)?;
-    let central_span = fedsc_obs::span("fedsc", "phase2.central").field("samples", pooled.cols());
-    let mut server_rng = StdRng::seed_from_u64(cfg.seed ^ SERVER_RNG_SALT);
-    let central = central_cluster(
-        &pooled,
-        cfg.num_clusters,
-        included.len(),
-        cfg.central,
-        cfg.candidate_threshold,
-        &mut server_rng,
-    )?;
+    let pooled: usize = uplinks.iter().flatten().map(Matrix::cols).sum();
+    let central_span = fedsc_obs::span("fedsc", "phase2.central").field("samples", pooled);
+    let (merge, _, _) = merge_step(uplinks, cfg, MergeAt::Root)?;
     drop(central_span);
 
     let _broadcast_span =
-        fedsc_obs::span("fedsc", "phase3.broadcast").field("devices", included.len());
-    let mut offset = 0usize;
-    for (&z, &r) in included.iter().zip(counts.iter()) {
+        fedsc_obs::span("fedsc", "phase3.broadcast").field("devices", merge.included.len());
+    for (z, down) in merge.downlinks() {
         let _downlink_span = fedsc_obs::span("wire", "wire.downlink").field("device", z);
-        let assignments: Vec<u32> = central.assignments[offset..offset + r]
-            .iter()
-            .map(|&a| a as u32)
-            .collect();
-        offset += r;
-        let reply = DownlinkMessage { assignments }.encode();
+        let reply = down.encode();
         with_retry(policy.max_retries, policy.retry_backoff, || {
             link.send_downlink(z, &reply)
         })
@@ -400,34 +289,25 @@ pub fn server_round_fleet<S: ServerTransport>(
 }
 
 /// Collects uplinks from `expected` children over `link` until all report
-/// or `deadline` expires, decoding each payload. Slot `z` of the returned
-/// vector holds child `z`'s message, `None` if it never arrived — quorum
-/// policy is the *caller's* decision, so the hierarchical tree can treat a
-/// failed aggregator as a straggler where the flat round treats it as
-/// fatal. Stray child ids and duplicate deliveries are ignored, exactly as
-/// in [`server_round`].
+/// or `deadline` expires. Slot `z` of the returned vector holds child
+/// `z`'s decoded samples, `None` if they never arrived — quorum policy is
+/// the *caller's* decision, so the hierarchical tree can treat a failed
+/// aggregator as a straggler where the flat round treats it as fatal.
+/// Stray child ids and duplicate deliveries are ignored.
+///
+/// Each payload's optional [`Envelope`] prefix is stripped before the
+/// uplink decoder sees it, the per-uplink span records the sender's span
+/// as its remote parent, and — when a `fleet` collector is given — the
+/// envelope's spans, metrics, and context are absorbed. A payload carrying
+/// the envelope magic but failing to decode is an error (never fed to the
+/// inner decoder); a payload without the magic passes through untouched.
 pub fn collect_uplinks<S: ServerTransport>(
     link: &mut S,
     expected: usize,
     deadline: Duration,
-) -> Result<Vec<Option<UplinkMessage>>> {
-    collect_uplinks_fleet(link, expected, deadline, None)
-}
-
-/// [`collect_uplinks`] absorbing in-band telemetry: each payload's
-/// optional [`Envelope`] prefix is stripped before the uplink decoder
-/// sees it, the per-uplink span records the sender's span as its remote
-/// parent, and — when a collector is given — the envelope's spans,
-/// metrics, and context are absorbed. A payload carrying the envelope
-/// magic but failing to decode is an error (never fed to the inner
-/// decoder); a payload without the magic passes through untouched.
-pub fn collect_uplinks_fleet<S: ServerTransport>(
-    link: &mut S,
-    expected: usize,
-    deadline: Duration,
     mut fleet: Option<&mut FleetCollector>,
-) -> Result<Vec<Option<UplinkMessage>>> {
-    let mut payloads: Vec<Option<UplinkMessage>> = (0..expected).map(|_| None).collect();
+) -> Result<Vec<Option<Matrix>>> {
+    let mut payloads: Vec<Option<Matrix>> = (0..expected).map(|_| None).collect();
     let deadline = Deadline::after(deadline);
     let mut received = 0usize;
     // Server-side view of Phase 1: the window in which the children's local
@@ -463,7 +343,7 @@ pub fn collect_uplinks_fleet<S: ServerTransport>(
                 };
                 let msg = UplinkMessage::decode(inner)
                     .ok_or(LinalgError::InvalidArgument("malformed uplink"))?;
-                payloads[z] = Some(msg);
+                payloads[z] = Some(msg.samples);
                 received += 1;
             }
             Err(TransportError::Timeout(_)) => break,
@@ -474,34 +354,13 @@ pub fn collect_uplinks_fleet<S: ServerTransport>(
     Ok(payloads)
 }
 
-/// Pools the children that reported, in ascending child order — the same
-/// order `FedSc::run` pools in, which keeps clean runs bit-identical.
-/// Returns the included child ids, each included child's sample count (in
-/// that order), and the pooled sample matrix.
-pub fn pool_uplinks(
-    payloads: Vec<Option<UplinkMessage>>,
-) -> Result<(Vec<usize>, Vec<usize>, Matrix)> {
-    let mut included = Vec::new();
-    let mut mats = Vec::new();
-    let mut counts = Vec::new();
-    for (z, p) in payloads.into_iter().enumerate() {
-        if let Some(msg) = p {
-            included.push(z);
-            counts.push(msg.samples.cols());
-            mats.push(msg.samples);
-        }
-    }
-    let refs: Vec<&Matrix> = mats.iter().collect();
-    let pooled = Matrix::hcat(&refs)?;
-    Ok((included, counts, pooled))
-}
-
 /// Runs the Fed-SC round over `transport` with per-device threads and
 /// encoded messages, under the given straggler `policy`.
 ///
-/// Noise/quantization modelling lives in [`crate::scheme::FedSc`]; here the
-/// link itself may be unreliable (see `fedsc_transport::fault`) and the
-/// policy decides how much unreliability the round absorbs. Errors from
+/// The channel model and DP run inside each device's [`device_step`],
+/// exactly as in [`crate::scheme::FedSc`]; on top of that the link itself
+/// may be unreliable (see `fedsc_transport::fault`) and the policy decides
+/// how much unreliability the round absorbs. Errors from
 /// any included device or the server are propagated; excluded stragglers
 /// are reported, not fatal.
 pub fn run_round<T: Transport>(
@@ -542,13 +401,13 @@ pub fn run_round<T: Transport>(
                 };
                 let _ = result_tx.send((
                     z,
-                    device_round_traced(&device.data, z, cfg, &mut link, policy, &telemetry),
+                    device_round(&device.data, z, cfg, &mut link, policy, &telemetry),
                 ));
             });
         }
         drop(result_tx);
 
-        let served = server_round_fleet(&mut server_link, z_count, cfg, policy, Some(&mut fleet))
+        let served = server_round(&mut server_link, z_count, cfg, policy, Some(&mut fleet))
             .map(|excluded| (excluded, server_link.stats()));
         // Dropping the server endpoint closes every link: excluded devices
         // still blocked in recv_downlink observe closure instead of
@@ -609,6 +468,8 @@ mod tests {
     use fedsc_federated::partition::{partition_dataset, Partition};
     use fedsc_subspace::SubspaceModel;
     use fedsc_transport::{FaultConfig, FaultyInMemoryTransport, TcpTransport};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn fixture(seed: u64) -> (FederatedDataset, FedScConfig) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -630,6 +491,80 @@ mod tests {
         // bit for bit.
         assert_eq!(wire.predictions, in_process.predictions);
         assert!(wire.excluded.is_empty());
+    }
+
+    /// Runs `cfg` in process and over the wire; both must agree exactly,
+    /// and differ from the clean run so the comparison can fail.
+    fn assert_wire_matches_perturbed_run(fed: &FederatedDataset, cfg: &FedScConfig) {
+        let clean = FedSc::new(FedScConfig {
+            dp: None,
+            channel: Default::default(),
+            ..cfg.clone()
+        })
+        .run(fed)
+        .expect("clean in-process run");
+        let in_process = FedSc::new(cfg.clone())
+            .run(fed)
+            .expect("perturbed in-process run");
+        let wire = run_over_wire(fed, cfg).expect("perturbed wire round");
+        assert_eq!(wire.predictions, in_process.predictions);
+        assert_ne!(in_process.predictions, clean.predictions);
+    }
+
+    #[test]
+    fn wire_run_matches_in_process_run_under_dp() {
+        let (fed, mut cfg) = fixture(1);
+        cfg.dp = Some(fedsc_federated::privacy::DpConfig::new(2.0, 1e-5));
+        assert_wire_matches_perturbed_run(&fed, &cfg);
+    }
+
+    #[test]
+    fn wire_run_matches_in_process_run_over_noisy_quantized_channel() {
+        // Four 3-dimensional subspaces in R^10 sit close enough that the
+        // channel's small perturbation moves a few samples across them.
+        let mut rng = StdRng::seed_from_u64(4);
+        let model = SubspaceModel::random(&mut rng, 10, 3, 4);
+        let ds = model.sample_dataset(&mut rng, &[40; 4], 0.0);
+        let fed = partition_dataset(&ds, 12, Partition::NonIid { l_prime: 2 }, &mut rng);
+        let mut cfg = FedScConfig::new(4, CentralBackend::Ssc);
+        cfg.channel.noise_delta = 0.01;
+        cfg.channel.bits_per_scalar = 8;
+        assert_wire_matches_perturbed_run(&fed, &cfg);
+    }
+
+    #[test]
+    fn out_of_range_downlink_assignment_fails_the_device() {
+        let (fed, cfg) = fixture(1);
+        let (mut server, mut devices) = InMemoryTransport
+            .open(1)
+            .expect("open an in-memory link for the bogus downlink");
+        let mut link = devices.remove(0);
+        let policy = RoundPolicy::default();
+        let device = crossbeam::thread::scope(|scope| {
+            let handle = scope.spawn(|_| {
+                device_round(
+                    &fed.devices[0].data,
+                    0,
+                    &cfg,
+                    &mut link,
+                    &policy,
+                    &WireTelemetry::default(),
+                )
+            });
+            let (_, bytes) = server
+                .recv_uplink(Duration::from_secs(60))
+                .expect("the device uplinks");
+            let up = UplinkMessage::decode(bytes).expect("well-formed uplink");
+            let bogus = DownlinkMessage {
+                assignments: vec![cfg.num_clusters as u32; up.samples.cols()],
+            };
+            server
+                .send_downlink(0, &bogus.encode())
+                .expect("send the bogus downlink");
+            handle.join().expect("the device must not panic")
+        })
+        .expect("bogus-downlink scope should not leak a panic");
+        assert!(device.is_err(), "out-of-range label was accepted");
     }
 
     #[test]
@@ -735,10 +670,19 @@ mod tests {
                 let (cfg, policy) = (&cfg, &policy);
                 handles.push((
                     z,
-                    scope.spawn(move |_| device_round(&device.data, z, cfg, &mut link, policy)),
+                    scope.spawn(move |_| {
+                        device_round(
+                            &device.data,
+                            z,
+                            cfg,
+                            &mut link,
+                            policy,
+                            &WireTelemetry::default(),
+                        )
+                    }),
                 ));
             }
-            excluded = server_round(&mut server_link, z_count, &cfg, &policy)
+            excluded = server_round(&mut server_link, z_count, &cfg, &policy, None)
                 .expect("server round should proceed at quorum Z-1 with one straggler");
             drop(server_link);
             for (z, h) in handles {
@@ -775,7 +719,7 @@ mod tests {
             deadline: Duration::from_millis(50),
             ..RoundPolicy::default()
         };
-        assert!(server_round(&mut server_link, z_count, &cfg, &policy).is_err());
+        assert!(server_round(&mut server_link, z_count, &cfg, &policy, None).is_err());
     }
 
     #[test]
@@ -806,13 +750,12 @@ mod tests {
         devices[1].send_uplink(&inner).expect("plain uplink");
 
         let mut fleet = FleetCollector::new();
-        let payloads =
-            collect_uplinks_fleet(&mut server, 2, Duration::from_secs(5), Some(&mut fleet))
-                .expect("collect the two uplinks");
+        let payloads = collect_uplinks(&mut server, 2, Duration::from_secs(5), Some(&mut fleet))
+            .expect("collect the two uplinks");
         for (z, p) in payloads.iter().enumerate() {
             let m = p.as_ref().unwrap_or_else(|| panic!("uplink {z} missing"));
-            assert_eq!(m.samples.col(0), &[1.0, 2.0], "uplink {z} col 0");
-            assert_eq!(m.samples.col(1), &[3.0, 4.0], "uplink {z} col 1");
+            assert_eq!(m.col(0), &[1.0, 2.0], "uplink {z} col 0");
+            assert_eq!(m.col(1), &[3.0, 4.0], "uplink {z} col 1");
         }
         assert_eq!(fleet.contexts, vec![ctx]);
         assert_eq!(fleet.envelope_bytes, env.encoded_len());
@@ -830,7 +773,7 @@ mod tests {
         devices[0]
             .send_uplink(&Bytes::from(bogus))
             .expect("send the corrupt payload");
-        assert!(collect_uplinks_fleet(&mut server, 1, Duration::from_secs(5), None).is_err());
+        assert!(collect_uplinks(&mut server, 1, Duration::from_secs(5), None).is_err());
     }
 
     #[test]
@@ -863,13 +806,12 @@ mod tests {
                             }),
                             ..WireTelemetry::default()
                         };
-                        device_round_traced(&device.data, z, cfg, &mut link, policy, &telemetry)
+                        device_round(&device.data, z, cfg, &mut link, policy, &telemetry)
                     }),
                 ));
             }
-            let excluded =
-                server_round_fleet(&mut server_link, z_count, &cfg, &policy, Some(&mut fleet))
-                    .expect("ctx round server side");
+            let excluded = server_round(&mut server_link, z_count, &cfg, &policy, Some(&mut fleet))
+                .expect("ctx round server side");
             assert!(excluded.is_empty());
             // The envelope overhead is exactly accounted: observed uplink
             // bytes are the untraced payload plus the absorbed envelopes.
@@ -935,10 +877,19 @@ mod tests {
                 let (cfg, policy) = (&cfg, &policy);
                 handles.push((
                     z,
-                    scope.spawn(move |_| device_round(&device.data, z, cfg, &mut link, policy)),
+                    scope.spawn(move |_| {
+                        device_round(
+                            &device.data,
+                            z,
+                            cfg,
+                            &mut link,
+                            policy,
+                            &WireTelemetry::default(),
+                        )
+                    }),
                 ));
             }
-            server_out = Some(server_round(&mut server_link, z_count, cfg, policy));
+            server_out = Some(server_round(&mut server_link, z_count, cfg, policy, None));
             // Closing the server links unblocks devices a failed round
             // never answered.
             drop(server_link);

@@ -15,9 +15,10 @@
 //! reports for k-FED + PCA on high-dimensional data.
 
 use crate::channel::{account_downlink, ChannelConfig, CommStats};
-use crate::parallel::{par_map_timed, time_phase, PhaseTiming};
+use crate::parallel::{time_phase, PhaseTiming};
 use crate::partition::FederatedDataset;
 use fedsc_clustering::kmeans::{kmeans, KMeansInit, KMeansOptions};
+use fedsc_linalg::par::par_map_timed;
 use fedsc_linalg::svd::truncated_svd;
 use fedsc_linalg::{Matrix, Result};
 use rand::rngs::StdRng;
@@ -51,7 +52,7 @@ impl KFedConfig {
             local_clusters,
             pca_dim: None,
             channel: ChannelConfig::default(),
-            threads: crate::parallel::default_threads(),
+            threads: fedsc_linalg::par::default_threads(),
             seed: 0x5eed,
         }
     }

@@ -1,12 +1,11 @@
-//! Parallel per-device execution.
+//! Phase timing for the per-device fan-out.
 //!
 //! Device-local clustering dominates every federated run and devices are
-//! independent, so the simulator fans the per-device work out over the
-//! shared work-stealing pool in [`fedsc_linalg::par`] (scoped threads + an
-//! atomic work queue + write-once result slots, so result collection never
-//! serializes workers behind a lock). Results come back in device order.
-//! The same helper reports the *parallel* wall time the paper's scalability
-//! analysis quotes (`max_z T^(z)` instead of `sum_z T^(z)`).
+//! independent, so the simulator fans the per-device work out with
+//! `fedsc_linalg::par::par_map_timed` over the shared work-stealing pool.
+//! [`PhaseTiming`] folds its per-item times into the sequential sum and
+//! the *parallel* wall time the paper's scalability analysis quotes
+//! (`max_z T^(z)` instead of `sum_z T^(z)`).
 //!
 //! Ownership rule (DESIGN.md §9): this device-level fan-out owns
 //! `FedScConfig::threads`; the numerical kernels inside a device own
@@ -15,34 +14,14 @@
 use fedsc_obs::Stopwatch;
 use std::time::Duration;
 
-/// Maps `f` over `0..count` in parallel, returning results in index order
-/// together with each item's wall time.
-///
-/// `f` must be deterministic per index if reproducibility is required —
-/// callers derive per-device RNGs from a base seed, never share one.
-/// Worker panics resurface on the calling thread with their original
-/// payload.
-pub fn par_map_timed<T, F>(count: usize, threads: usize, f: F) -> Vec<(T, Duration)>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    fedsc_linalg::par::par_map_timed(count, threads, f)
-}
-
 /// Times one closure, returning its result and wall time. Together with
-/// [`par_map_timed`] this is the sanctioned way to observe the clock in
-/// library code: the actual clock read lives in `fedsc_obs` (`cargo xtask
+/// `fedsc_linalg::par::par_map_timed` this is the sanctioned way to
+/// observe the clock in library code: the actual clock read lives in `fedsc_obs` (`cargo xtask
 /// check` confines `Instant`/`SystemTime` to that crate).
 pub fn time_phase<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let sw = Stopwatch::start();
     let r = f();
     (r, sw.elapsed())
-}
-
-/// Default worker count: available parallelism, floor 1.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Wall-time summary of a federated phase.
@@ -75,26 +54,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn results_in_index_order() {
-        let r = par_map_timed(16, 4, |i| i * i);
-        let vals: Vec<usize> = r.into_iter().map(|(v, _)| v).collect();
-        assert_eq!(vals, (0..16).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_thread_path() {
-        let r = par_map_timed(3, 1, |i| i + 1);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r[2].0, 3);
-    }
-
-    #[test]
-    fn empty_input() {
-        let r = par_map_timed(0, 8, |i| i);
-        assert!(r.is_empty());
-    }
-
-    #[test]
     fn timing_aggregation() {
         let t = PhaseTiming::from_durations([
             Duration::from_millis(10),
@@ -103,48 +62,6 @@ mod tests {
         ]);
         assert_eq!(t.sequential, Duration::from_millis(60));
         assert_eq!(t.parallel, Duration::from_millis(30));
-    }
-
-    #[test]
-    fn more_threads_than_items() {
-        let r = par_map_timed(2, 64, |i| i);
-        assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn index_order_is_invariant_to_thread_count() {
-        // The caller contract: results come back in index order regardless
-        // of how the work queue interleaves across workers.
-        let expected: Vec<usize> = (0..33).map(|i| i * 7 + 1).collect();
-        for threads in [1, 2, 8] {
-            let r = par_map_timed(33, threads, |i| i * 7 + 1);
-            let vals: Vec<usize> = r.into_iter().map(|(v, _)| v).collect();
-            assert_eq!(vals, expected, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn empty_input_under_many_threads() {
-        for threads in [1, 2, 8] {
-            assert!(par_map_timed(0, threads, |i| i).is_empty());
-        }
-    }
-
-    #[test]
-    fn worker_panic_propagates_to_caller() {
-        // A panic inside `f` must resurface on the calling thread with its
-        // original payload, not abort the process or hang the scope.
-        let caught = std::panic::catch_unwind(|| {
-            par_map_timed(8, 4, |i| {
-                if i == 5 {
-                    panic!("worker 5 exploded");
-                }
-                i
-            })
-        });
-        let payload = caught.expect_err("panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "worker 5 exploded");
     }
 
     #[test]

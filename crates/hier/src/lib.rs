@@ -21,10 +21,15 @@
 //!
 //! Guarantees:
 //!
+//! * **One code path.** Every node runs the flat round's three steps:
+//!   devices [`fedsc::device_step`] and [`fedsc::relabel`]; the root and
+//!   each aggregator [`fedsc::merge_step`] — the root into `L` clusters,
+//!   an aggregator into an eigengap-estimated count of at most `L`, after
+//!   which it forwards [`fedsc::Merge::representatives`] and relays
+//!   [`fedsc::Merge::compose`]. The `fedsc-agg` process is the same
+//!   aggregator over TCP.
 //! * **Degenerate tree ≡ flat round.** [`HierTopology::flat`] (no
-//!   aggregator tier) reuses the exact flat-round helpers
-//!   ([`fedsc::collect_uplinks`], [`fedsc::pool_uplinks`],
-//!   [`fedsc::device_local_output`], [`fedsc::majority_relabel`]) and the
+//!   aggregator tier) runs exactly the flat server's `merge_step`, and the
 //!   root seeds its rng with [`fedsc::SERVER_RNG_SALT`], so its output is
 //!   bit-identical to [`fedsc::run_over_wire`] (tested).
 //! * **Byte-exact per-tier accounting.** [`HierRunOutput`] extends

@@ -2,19 +2,18 @@
 //!
 //! One hierarchical round is two sweeps over the tree:
 //!
-//! 1. **Uplink sweep (bottom-up).** Every device runs Algorithm 2 and
-//!    sends its encoded samples; then tier by tier each parent collects
-//!    its children's uplinks under the tier's [`RoundPolicy`], pools them
-//!    in ascending child order, runs the Phase-2 central clustering on the
-//!    pooled samples (into `min(L, pooled)` merged clusters), and — unless
-//!    it is the root — forwards one representative sample per non-empty
-//!    merged cluster to its own parent.
-//! 2. **Downlink sweep (top-down).** The root broadcasts global
-//!    assignments for the top tier's representatives; each aggregator
-//!    receives the labels of *its* representatives, composes them through
-//!    its merged-cluster assignment (`child sample → merged cluster →
-//!    global label`), and relays one downlink per included child. Devices
-//!    finish with the flat round's majority relabel.
+//! 1. **Uplink sweep (bottom-up).** Every device runs [`device_step`] and
+//!    sends its encoded uplink; then tier by tier each parent collects its
+//!    children's uplinks under the tier's [`fedsc::RoundPolicy`] and runs
+//!    [`merge_step`] on them (the root into `L` clusters, an aggregator
+//!    into an eigengap-estimated count of at most `L`). Every aggregator
+//!    forwards [`Merge::representatives`] — one sample per non-empty
+//!    merged cluster — to its own parent.
+//! 2. **Downlink sweep (top-down).** The root answers with
+//!    [`Merge::downlinks`]; each aggregator receives the labels of *its*
+//!    representatives and relays [`Merge::compose`] (`child sample →
+//!    merged cluster → global label`), one downlink per included child.
+//!    Devices finish with the flat round's [`relabel`].
 //!
 //! The sweeps are sequential on the calling thread: every send at tier
 //! `t` completes before any tier-`t` parent starts collecting, which all
@@ -26,25 +25,21 @@
 //! straggler; a parent that misses its quorum (or cannot reach its own
 //! parent within the retry budget) fails its whole subtree — those
 //! devices keep the fallback label 0 and are reported in
-//! [`WireRunOutput::excluded`]. A quorum miss *at the root* fails the
+//! [`fedsc::WireRunOutput::excluded`]. A quorum miss *at the root* fails the
 //! round, exactly like the flat server.
 
 use crate::output::{HierRunOutput, TierTraffic};
 use crate::topology::{HierPolicy, HierTopology};
 use bytes::Bytes;
-use fedsc::central::{central_cluster, central_cluster_auto};
 use fedsc::local::LocalOutput;
 use fedsc::{
-    agg_seed, collect_uplinks_fleet, device_local_output, majority_relabel, pool_uplinks, wire_err,
-    FedScConfig, SERVER_RNG_SALT,
+    collect_uplinks, device_step, merge_step, relabel, wire_err, FedScConfig, Merge, MergeAt,
 };
 use fedsc_federated::channel::{DownlinkMessage, UplinkMessage};
 use fedsc_federated::partition::FederatedDataset;
-use fedsc_linalg::{LinalgError, Matrix, Result};
+use fedsc_linalg::{LinalgError, Result};
 use fedsc_obs::{Envelope, FleetCollector, LazyCounter, Stopwatch, TraceContext};
 use fedsc_transport::{with_retry, DeviceTransport, LinkStats, ServerTransport, Transport};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Device rounds completed (uplink sent, downlink applied).
 static HIER_DEVICE_ROUNDS: LazyCounter = LazyCounter::new("hier.device_rounds");
@@ -77,20 +72,6 @@ fn wrap_ctx(payload: Bytes, traced: bool, ctx: TraceContext) -> Bytes {
         }
         .wrap(payload.as_slice()),
     )
-}
-
-/// What an aggregator remembers between the uplink and downlink sweeps.
-struct AggState {
-    /// Local (in-group) indices of the children that reported.
-    included: Vec<usize>,
-    /// Sample count per included child, in `included` order.
-    counts: Vec<usize>,
-    /// Merged-cluster assignment per pooled sample.
-    assignments: Vec<usize>,
-    /// Merged cluster → upload slot of its representative.
-    rep_slot: Vec<usize>,
-    /// Number of representatives uploaded.
-    reps: usize,
 }
 
 /// Runs one hierarchical Fed-SC round over `transport` with the given
@@ -182,11 +163,11 @@ pub fn run_hier_round_with_dead<T: Transport>(
         }
         let dev_span = fedsc_obs::span("hier", "hier.device_uplink").field("device", z);
         let dev_span_id = dev_span.id();
-        let out = device_local_output(&fed.devices[z].data, z, cfg)?;
+        let step = device_step(&fed.devices[z].data, z, cfg)?;
         let payload = wrap_ctx(
             UplinkMessage {
-                dim: out.samples.rows(),
-                samples: out.samples.clone(),
+                dim: step.uplink.rows(),
+                samples: step.uplink,
             }
             .encode(),
             traced,
@@ -212,14 +193,14 @@ pub fn run_hier_round_with_dead<T: Transport>(
             // parent's quorum policy will account for, not a fatal error.
             continue;
         }
-        local_outs[z] = Some(out);
+        local_outs[z] = Some(step.local);
     }
     tier_wall_ns[0] += stage0_sw.elapsed_ns();
 
     // ---- Uplink sweep, stages 1..: tier-by-tier aggregation. ----
     // `agg_states[t][p]`: what parent `p` of tier `t` remembers for the
     // downlink sweep (None = failed subtree, or the root which needs none).
-    let mut agg_states: Vec<Vec<Option<AggState>>> = (0..num_tiers)
+    let mut agg_states: Vec<Vec<Option<Merge>>> = (0..num_tiers)
         .map(|t| (0..widths[t + 1]).map(|_| None).collect())
         .collect();
     // `answered[t][c]`: node `c` at level `t` was sent a downlink.
@@ -249,14 +230,14 @@ pub fn run_hier_round_with_dead<T: Transport>(
             .field("node", p)
             .field("children", n_children);
             let agg_span_id = agg_span.id();
-            let payloads = collect_uplinks_fleet(
+            let uplinks = collect_uplinks(
                 &mut servers[t][p],
                 n_children,
                 tier_policy.deadline,
                 Some(&mut tier_fleet),
             )?;
-            let received = payloads.iter().filter(|m| m.is_some()).count();
-            for (local, m) in payloads.iter().enumerate() {
+            let received = uplinks.iter().filter(|m| m.is_some()).count();
+            for (local, m) in uplinks.iter().enumerate() {
                 if m.is_none() {
                     excluded_at[t].push(range.start + local);
                 }
@@ -271,8 +252,7 @@ pub fn run_hier_round_with_dead<T: Transport>(
                 HIER_SUBTREES_FAILED.inc();
                 continue;
             }
-            let (included, counts, pooled) = pool_uplinks(payloads)?;
-            if pooled.cols() == 0 {
+            if uplinks.iter().flatten().all(|m| m.cols() == 0) {
                 // Quorum of empty uploads (all included devices hold zero
                 // points): nothing to cluster, nothing to forward.
                 if is_root {
@@ -284,26 +264,16 @@ pub fn run_hier_round_with_dead<T: Transport>(
                 continue;
             }
 
+            let at = if is_root {
+                MergeAt::Root
+            } else {
+                MergeAt::Aggregator { tier: t, node: p }
+            };
+            let (merge, pooled, _) = merge_step(uplinks, cfg, at)?;
             if is_root {
-                // The root is the flat server: cluster into L under the
-                // flat rng stream, answer every included child.
-                let mut rng = StdRng::seed_from_u64(cfg.seed ^ SERVER_RNG_SALT);
-                let central = central_cluster(
-                    &pooled,
-                    cfg.num_clusters,
-                    included.len(),
-                    cfg.central,
-                    cfg.candidate_threshold,
-                    &mut rng,
-                )?;
-                let mut offset = 0usize;
-                for (&c, &r) in included.iter().zip(counts.iter()) {
-                    let assignments: Vec<u32> = central.assignments[offset..offset + r]
-                        .iter()
-                        .map(|&a| a as u32)
-                        .collect();
-                    offset += r;
-                    let reply = DownlinkMessage { assignments }.encode();
+                // The root is the flat server: answer every included child.
+                for (c, down) in merge.downlinks() {
+                    let reply = down.encode();
                     with_retry(tier_policy.max_retries, tier_policy.retry_backoff, || {
                         servers[t][p].send_downlink(c, &reply)
                     })
@@ -312,30 +282,8 @@ pub fn run_hier_round_with_dead<T: Transport>(
                 }
                 HIER_ROOT_ROUNDS.inc();
             } else {
-                // Merge the children's clusters and forward one
-                // representative per non-empty merged cluster. The merged
-                // count is eigengap-estimated (capped at L): a subtree
-                // may cover only a few of the global clusters, and
-                // forcing L partitions onto fewer natural groups makes
-                // spectral k-means mix subspaces.
-                let mut rng = StdRng::seed_from_u64(agg_seed(cfg.seed, t, p));
-                let (central, l_merge) = central_cluster_auto(
-                    &pooled,
-                    cfg.num_clusters.min(pooled.cols()),
-                    included.len(),
-                    cfg.central,
-                    cfg.candidate_threshold,
-                    &mut rng,
-                )?;
-                let mut rep_slot = vec![usize::MAX; l_merge];
-                let mut rep_cols: Vec<&[f64]> = Vec::with_capacity(l_merge);
-                for (s, &m) in central.assignments.iter().enumerate() {
-                    if rep_slot[m] == usize::MAX {
-                        rep_slot[m] = rep_cols.len();
-                        rep_cols.push(pooled.col(s));
-                    }
-                }
-                let reps = Matrix::from_columns(&rep_cols)?;
+                // Forward one representative per non-empty merged cluster.
+                let reps = merge.representatives(&pooled);
                 let payload = wrap_ctx(
                     UplinkMessage {
                         dim: reps.rows(),
@@ -365,13 +313,7 @@ pub fn run_hier_round_with_dead<T: Transport>(
                     continue;
                 }
                 HIER_AGG_ROUNDS.inc();
-                agg_states[t][p] = Some(AggState {
-                    reps: rep_cols.len(),
-                    included,
-                    counts,
-                    assignments: central.assignments,
-                    rep_slot,
-                });
+                agg_states[t][p] = Some(merge);
             }
         }
         tier_env_bytes[t] = tier_fleet.envelope_bytes;
@@ -399,22 +341,9 @@ pub fn run_hier_round_with_dead<T: Transport>(
                 .map_err(wire_err)?;
             let down = DownlinkMessage::decode(reply)
                 .ok_or(LinalgError::InvalidArgument("malformed downlink"))?;
-            if down.assignments.len() != state.reps {
-                return Err(LinalgError::InvalidArgument(
-                    "downlink assignment count mismatch at an aggregator",
-                ));
-            }
-            // Compose: child sample → merged cluster → representative
-            // slot → global label.
             let range = topology.children_range(t, p);
-            let mut offset = 0usize;
-            for (&c, &r) in state.included.iter().zip(state.counts.iter()) {
-                let assignments: Vec<u32> = state.assignments[offset..offset + r]
-                    .iter()
-                    .map(|&m| down.assignments[state.rep_slot[m]])
-                    .collect();
-                offset += r;
-                let child_reply = DownlinkMessage { assignments }.encode();
+            for (c, child_reply) in state.compose(&down)? {
+                let child_reply = child_reply.encode();
                 if with_retry(tier_policy.max_retries, tier_policy.retry_backoff, || {
                     servers[t][p].send_downlink(c, &child_reply)
                 })
@@ -445,23 +374,7 @@ pub fn run_hier_round_with_dead<T: Transport>(
         let out = local_outs[z]
             .take()
             .ok_or(LinalgError::InvalidArgument("answered device never ran"))?;
-        if down.assignments.len() != out.sample_cluster.len() {
-            return Err(LinalgError::InvalidArgument(
-                "downlink assignment count mismatch",
-            ));
-        }
-        let cluster_to_global = majority_relabel(
-            &out.sample_cluster,
-            out.num_local_clusters,
-            &down.assignments,
-            cfg.num_clusters,
-        );
-        gathered.push(
-            out.local_labels
-                .iter()
-                .map(|&c| cluster_to_global[c])
-                .collect(),
-        );
+        gathered.push(relabel(&out, &down.assignments, cfg.num_clusters)?);
         HIER_DEVICE_ROUNDS.inc();
     }
     tier_wall_ns[0] += finish_sw.elapsed_ns();

@@ -4,7 +4,7 @@
 //! byte-exact per-tier accounting, and per-tier quorum failures must fail
 //! whole subtrees without failing the round.
 
-use fedsc::{device_local_output, run_over_wire, CentralBackend, FedScConfig, RoundPolicy};
+use fedsc::{device_step, run_over_wire, CentralBackend, FedScConfig, RoundPolicy};
 use fedsc_clustering::clustering_accuracy;
 use fedsc_federated::channel::UplinkMessage;
 use fedsc_federated::partition::{partition_dataset, FederatedDataset, Partition};
@@ -184,11 +184,11 @@ fn tier_zero_accounting_is_byte_exact() {
     // payload is deterministic — recompute the exact tier-0 ingress.
     let expected_up: usize = (0..12)
         .map(|z| {
-            let out = device_local_output(&fed.devices[z].data, z, &cfg)
-                .expect("device local output is deterministic");
+            let step =
+                device_step(&fed.devices[z].data, z, &cfg).expect("device step is deterministic");
             UplinkMessage {
-                dim: out.samples.rows(),
-                samples: out.samples,
+                dim: step.uplink.rows(),
+                samples: step.uplink,
             }
             .encode()
             .len()

@@ -748,6 +748,21 @@ mod tests {
     }
 
     #[test]
+    fn par_map_timed_index_order_is_thread_invariant() {
+        // The per-device fan-out contract: results come back in index
+        // order however the pool interleaves the work, and empty or
+        // oversubscribed fan-outs are fine.
+        let expected: Vec<usize> = (0..33).map(|i| i * 7 + 1).collect();
+        for threads in [1, 2, 8] {
+            let r = par_map_timed(33, threads, |i| i * 7 + 1);
+            let vals: Vec<usize> = r.into_iter().map(|(v, _)| v).collect();
+            assert_eq!(vals, expected, "threads = {threads}");
+            assert!(par_map_timed(0, threads, |i| i).is_empty());
+        }
+        assert_eq!(par_map_timed(2, 64, |i| i).len(), 2);
+    }
+
+    #[test]
     fn par_chunks_mut_writes_every_chunk_once() {
         for threads in [1, 2, 3, 8] {
             let mut data = vec![0.0f64; 23];
