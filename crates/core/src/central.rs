@@ -50,6 +50,11 @@ pub struct CentralOutput {
 /// segments at the cap directly; pools that large cover nearly every
 /// cluster anyway. Below the threshold (and for TSC) the dense path runs
 /// bitwise-unchanged.
+///
+/// Clusters are numbered by first appearance over the pooled samples, so
+/// two routes that reach the same partition return the same labels even
+/// when their spectral embeddings differ by a rotation (a disconnected
+/// affinity has a multi-dimensional zero eigenspace).
 pub fn central_cluster<R: Rng + ?Sized>(
     samples: &Matrix,
     count: ClusterCountPolicy,
@@ -80,7 +85,7 @@ pub fn central_cluster<R: Rng + ?Sized>(
                 let assignments =
                     spectral_clustering_sparse(&w, &SpectralOptions::new(l_max), rng)?;
                 return Ok(CentralOutput {
-                    assignments,
+                    assignments: by_first_appearance(assignments),
                     graph: w.to_graph(),
                     clusters: l_max.clamp(1, n.max(1)),
                 });
@@ -116,10 +121,24 @@ pub fn central_cluster<R: Rng + ?Sized>(
         None => spectral_clustering(&graph, &opts, rng)?,
     };
     Ok(CentralOutput {
-        assignments,
+        assignments: by_first_appearance(assignments),
         graph,
         clusters: k.clamp(1, n.max(1)),
     })
+}
+
+/// Renumbers cluster labels in order of first appearance.
+fn by_first_appearance(labels: Vec<usize>) -> Vec<usize> {
+    let mut seen: Vec<usize> = Vec::new();
+    labels
+        .into_iter()
+        .map(|label| {
+            seen.iter().position(|&s| s == label).unwrap_or_else(|| {
+                seen.push(label);
+                seen.len() - 1
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -273,6 +292,31 @@ mod tests {
         assert_eq!(below.assignments, dense.assignments, "threshold == n - 1");
         let acc = clustering_accuracy(&truth, &dense.assignments);
         assert!(acc > 95.0, "accuracy {acc}");
+    }
+
+    #[test]
+    fn clusters_are_numbered_by_first_appearance() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let (samples, _) = semi_random_samples(&mut rng, 25, 3, 3, 15);
+        for threshold in [2, 2048] {
+            let out = central_cluster(
+                &samples,
+                ClusterCountPolicy::Fixed(3),
+                45,
+                CentralBackend::Ssc,
+                threshold,
+                &mut rng,
+            )
+            .unwrap();
+            let mut next = 0;
+            for &label in &out.assignments {
+                assert!(
+                    label <= next,
+                    "threshold {threshold}: label {label} before {next}"
+                );
+                next = next.max(label + 1);
+            }
+        }
     }
 
     #[test]

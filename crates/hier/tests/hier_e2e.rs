@@ -4,7 +4,8 @@
 //! byte-exact per-tier accounting, and per-tier quorum failures must fail
 //! whole subtrees without failing the round.
 
-use fedsc::{device_step, run_over_wire, CentralBackend, FedScConfig, RoundPolicy};
+use fedsc::demo::demo_hier_fixture;
+use fedsc::{device_step, run_over_wire, CentralBackend, FedSc, FedScConfig, RoundPolicy};
 use fedsc_clustering::clustering_accuracy;
 use fedsc_federated::channel::UplinkMessage;
 use fedsc_federated::partition::{partition_dataset, FederatedDataset, Partition};
@@ -326,4 +327,35 @@ fn topology_mismatch_is_rejected() {
         &HierPolicy::default(),
     );
     assert!(err.is_err(), "device-count mismatch must be rejected");
+}
+
+#[test]
+fn rank_one_fixture_clusters_exactly_on_every_seed() {
+    // Points on a line are exactly parallel atoms: the Lasso optimum is a
+    // whole face, and a solver that returns one vertex links each point to
+    // a single peer, splitting the graph into more components than
+    // clusters. Every seed must cluster exactly, flat and through an
+    // 8-device / 2-aggregator tree, not just the lucky ones.
+    let topo = HierTopology::new(8, vec![2]).expect("8→2→root tree");
+    for seed in 1..=16u64 {
+        let (fed, cfg) = demo_hier_fixture(seed, 8, 3);
+        let truth = fed.global_truth();
+        let flat = FedSc::new(cfg.clone())
+            .run(&fed)
+            .expect("flat round on the rank-1 fixture");
+        let flat_acc = clustering_accuracy(&truth, &flat.predictions);
+        let tree = run_hier_round(
+            &fed,
+            &cfg,
+            &topo,
+            &InMemoryTransport,
+            &HierPolicy::default(),
+        )
+        .expect("two-tier round on the rank-1 fixture");
+        let tree_acc = clustering_accuracy(&truth, &tree.wire.predictions);
+        assert!(
+            flat_acc >= 99.0 && tree_acc >= 99.0,
+            "seed {seed}: flat {flat_acc}%, tree {tree_acc}%"
+        );
+    }
 }

@@ -8,7 +8,7 @@
 //! `fedsc_linalg::sketch`): the `k x k` Gram and `b_C = X_C^T x_i` are
 //! computed on the *exact* data, the per-point lambda rule uses the exact
 //! restricted correlation maximum, and the solve itself is the standard
-//! gap-safe screened coordinate descent ([`crate::lasso::LassoSolver`]) on
+//! gap-safe screened Lasso solver ([`crate::lasso::LassoSolver`]) on
 //! the restricted problem — PR 6's sphere test runs unchanged on the exact
 //! restricted Gram.
 //!
@@ -287,7 +287,7 @@ pub fn solve_candidates(
 type RestrictedSolve = (Vec<(usize, f64)>, f64, f64);
 
 /// One restricted solve: exact `b_C` / `G_C` / restricted lambda rule plus
-/// the gap-safe screened coordinate descent.
+/// the gap-safe screened Lasso solve.
 fn solve_restricted(
     x: &Matrix,
     i: usize,
