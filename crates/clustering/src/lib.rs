@@ -24,5 +24,6 @@ pub mod spectral;
 pub use kmeans::{kmeans, KMeansInit, KMeansOptions, KMeansResult};
 pub use metrics::{adjusted_rand_index, clustering_accuracy, normalized_mutual_information};
 pub use spectral::{
-    spectral_clustering, spectral_clustering_from_eig, spectral_clustering_sparse, SpectralOptions,
+    full_spectrum, spectral_clustering, spectral_clustering_from_eig, spectral_clustering_sparse,
+    SpectralOptions,
 };

@@ -8,7 +8,7 @@ use crate::kmeans::{kmeans, KMeansOptions};
 use fedsc_graph::laplacian::normalized_laplacian;
 use fedsc_graph::sparse::sparse_normalized_laplacian;
 use fedsc_graph::{AffinityGraph, SparseAffinity};
-use fedsc_linalg::eigh::{k_smallest, lanczos_beats_dense, SymmetricEig};
+use fedsc_linalg::eigh::{eigh, k_smallest, lanczos_beats_dense, SymmetricEig};
 use fedsc_linalg::thick_restart::{thick_restart_smallest, ThickRestartOptions};
 use fedsc_linalg::{vector, Matrix, Result};
 use rand::Rng;
@@ -43,7 +43,11 @@ impl SpectralOptions {
 
 /// Clusters the nodes of an affinity graph into `opts.k` groups.
 ///
-/// Returns one label in `0..k` per node.
+/// Returns one label in `0..k` per node. Below the `lanczos_beats_dense`
+/// cutover the dense Laplacian goes through the full `tred2`/`tql2`
+/// factorization; above it the graph is handed to
+/// [`spectral_clustering_sparse`], so every graph that large gets the same
+/// kernel-seeded CSR solve whichever representation it arrived in.
 pub fn spectral_clustering<R: Rng + ?Sized>(
     g: &AffinityGraph,
     opts: &SpectralOptions,
@@ -54,17 +58,44 @@ pub fn spectral_clustering<R: Rng + ?Sized>(
         return Ok(vec![]);
     }
     let k = opts.k.clamp(1, n);
-    let lap = normalized_laplacian(g);
-    let eig = k_smallest(&lap, k)?;
+    if lanczos_beats_dense(n, k) {
+        return spectral_clustering_sparse(&SparseAffinity::from_graph(g), opts, rng);
+    }
+    let _span = spectral_span(n, k);
+    let lap = {
+        let _s = fedsc_obs::span("fedsc", "spectral.laplacian");
+        normalized_laplacian(g)
+    };
+    let eig = {
+        let _s = fedsc_obs::span("fedsc", "spectral.eigensolve");
+        k_smallest(&lap, k)?
+    };
     embed_and_cluster(&eig, n, k, opts, rng)
+}
+
+/// The full spectrum of `g`'s normalized Laplacian (ascending), bitwise
+/// `fedsc_graph::laplacian::laplacian_spectrum`: what an eigengap reads
+/// its cluster count off before [`spectral_clustering_from_eig`] embeds
+/// with it. Recorded as a `spectral` span (`k = n`) with its
+/// `spectral.laplacian` and `spectral.eigensolve` layers; the embedding
+/// records its own `spectral` span, since the count is read in between.
+pub fn full_spectrum(g: &AffinityGraph) -> Result<SymmetricEig> {
+    let n = g.len();
+    let _span = spectral_span(n, n);
+    let lap = {
+        let _s = fedsc_obs::span("fedsc", "spectral.laplacian");
+        normalized_laplacian(g)
+    };
+    let _s = fedsc_obs::span("fedsc", "spectral.eigensolve");
+    eigh(&lap)
 }
 
 /// [`spectral_clustering`] on an eigendecomposition the caller already
 /// holds: the full spectrum of the graph's normalized Laplacian, as
-/// `fedsc_graph::laplacian::laplacian_spectrum` returns it. A caller that
-/// reads its cluster count off that spectrum thus solves the Laplacian
-/// once. Below the dense cutover [`spectral_clustering`] embeds with
-/// exactly these eigenvectors, so the labels are bitwise the same.
+/// [`full_spectrum`] returns it. A caller that reads its cluster
+/// count off that spectrum thus solves the Laplacian once. Below the dense
+/// cutover [`spectral_clustering`] embeds with exactly these eigenvectors,
+/// so the labels are bitwise the same.
 pub fn spectral_clustering_from_eig<R: Rng + ?Sized>(
     eig: &SymmetricEig,
     opts: &SpectralOptions,
@@ -74,10 +105,12 @@ pub fn spectral_clustering_from_eig<R: Rng + ?Sized>(
     if n == 0 {
         return Ok(vec![]);
     }
-    embed_and_cluster(eig, n, opts.k.clamp(1, n), opts, rng)
+    let k = opts.k.clamp(1, n);
+    let _span = spectral_span(n, k);
+    embed_and_cluster(eig, n, k, opts, rng)
 }
 
-/// [`spectral_clustering`] over a CSR affinity — the subquadratic pipeline's
+/// [`spectral_clustering`] over a CSR affinity — the server's
 /// segmentation step. The Laplacian stays in CSR and the eigenpairs come
 /// from the matrix-free thick-restart block Lanczos solver, so no `n x n`
 /// dense array is ever materialized at scale.
@@ -109,15 +142,27 @@ pub fn spectral_clustering_sparse<R: Rng + ?Sized>(
     if !lanczos_beats_dense(n, k) {
         return spectral_clustering(&w.to_graph(), opts, rng);
     }
-    let _span = fedsc_obs::span("fedsc", "spectral")
-        .field("n", n as u64)
-        .field("k", k as u64);
-    let lap = sparse_normalized_laplacian(w);
+    let _span = spectral_span(n, k);
+    let eig = sparse_spectrum(w, k, opts.threads)?;
+    embed_and_cluster(&eig, n, k, opts, rng)
+}
+
+/// The `k` smallest eigenpairs of `w`'s normalized Laplacian from the
+/// kernel-seeded thick-restart block Lanczos on the CSR Laplacian — the
+/// solve [`spectral_clustering_sparse`] embeds with above the cutover.
+/// `threads` is a parallelism hint; the result is bitwise identical for
+/// every value.
+pub fn sparse_spectrum(w: &SparseAffinity, k: usize, threads: usize) -> Result<SymmetricEig> {
+    let lap = {
+        let _s = fedsc_obs::span("fedsc", "spectral.laplacian");
+        sparse_normalized_laplacian(w)
+    };
+    let _s = fedsc_obs::span("fedsc", "spectral.eigensolve");
     let seeds = kernel_seeds(w);
     let zero_mult = seeds.len().min(k);
     let tr_opts = ThickRestartOptions {
         seeds,
-        threads: opts.threads.max(1),
+        threads: threads.max(1),
         ..ThickRestartOptions::default()
     };
     let eig = thick_restart_smallest(&lap, k, &tr_opts)?;
@@ -126,20 +171,26 @@ pub fn spectral_clustering_sparse<R: Rng + ?Sized>(
     // keep identity rows, eigenvalue 1). Kernel seeding makes recovering
     // all copies structural, so fewer zeros than components is a solver
     // bug, not an input condition — assert instead of erroring.
+    let zeros = eig
+        .eigenvalues
+        .iter()
+        .filter(|&&v| v.abs() <= ZERO_EIGENVALUE_TOL)
+        .count();
     debug_assert!(
-        eig.eigenvalues
-            .iter()
-            .filter(|&&v| v.abs() <= ZERO_EIGENVALUE_TOL)
-            .count()
-            >= zero_mult,
+        zeros >= zero_mult,
         "seeded solver returned fewer zero eigenvalues than edged components \
-         ({} < {zero_mult})",
-        eig.eigenvalues
-            .iter()
-            .filter(|&&v| v.abs() <= ZERO_EIGENVALUE_TOL)
-            .count(),
+         ({zeros} < {zero_mult})"
     );
-    embed_and_cluster(&eig, n, k, opts, rng)
+    Ok(eig)
+}
+
+/// The span every spectral clustering call records, parent of its
+/// `spectral.laplacian`, `spectral.eigensolve` and `spectral.kmeans`
+/// layers.
+fn spectral_span(n: usize, k: usize) -> fedsc_obs::Span {
+    fedsc_obs::span("fedsc", "spectral")
+        .field("n", n as u64)
+        .field("k", k as u64)
 }
 
 /// Exact kernel vectors of `w`'s normalized Laplacian, one per **edged**
@@ -197,6 +248,7 @@ fn embed_and_cluster<R: Rng + ?Sized>(
     opts: &SpectralOptions,
     rng: &mut R,
 ) -> Result<Vec<usize>> {
+    let _s = fedsc_obs::span("fedsc", "spectral.kmeans");
     let mut emb = Matrix::zeros(k, n);
     for node in 0..n {
         for c in 0..k {

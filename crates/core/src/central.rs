@@ -7,10 +7,9 @@
 //! `q = max(3, ceil(Z / L))`.
 
 use crate::config::{CentralBackend, ClusterCountPolicy};
-use fedsc_clustering::spectral::{spectral_clustering, SpectralOptions};
-use fedsc_clustering::{spectral_clustering_from_eig, spectral_clustering_sparse};
-use fedsc_graph::laplacian::laplacian_spectrum;
-use fedsc_graph::AffinityGraph;
+use fedsc_clustering::spectral::SpectralOptions;
+use fedsc_clustering::{full_spectrum, spectral_clustering_from_eig, spectral_clustering_sparse};
+use fedsc_graph::{AffinityGraph, SparseAffinity};
 use fedsc_linalg::{Matrix, Result};
 use fedsc_subspace::{CandidateOptions, Ssc, SubspaceClusterer, Tsc};
 use rand::Rng;
@@ -37,19 +36,20 @@ pub struct CentralOutput {
 ///   subspaces. The count is read off the affinity Laplacian's spectrum,
 ///   floored at the affinity's connected-component count and capped at
 ///   `max`; the segmentation embeds with the eigenvectors of that same
-///   decomposition, so each graph gets one spectral solve.
+///   decomposition, so each graph gets one spectral solve. That spectrum is
+///   a dense `n x n` decomposition, so the SSC backend's pools of
+///   `candidate_threshold` or more samples skip it and segment at the cap;
+///   pools that large cover nearly every cluster anyway.
 ///
+/// The affinity is built sparse and stays sparse: the SSC backend's
+/// per-point codes (exact solves below `candidate_threshold`, sketched
+/// certified candidates at or above it) go straight into a CSR affinity,
+/// and a fixed count segments it with `spectral_clustering_sparse` — the
+/// kernel-seeded thick-restart block Lanczos on the CSR Laplacian above
+/// the `lanczos_beats_dense` cutover, the dense `tred2`/`tql2` below it
+/// (DESIGN.md §13). Below that cutover every step is bitwise the dense
+/// pipeline. The TSC backend's k-NN graph takes the same route.
 /// `num_devices` feeds the TSC `q` rule; it is ignored by the SSC backend.
-/// `candidate_threshold` is the pooled-sample count at or above which the
-/// SSC backend switches to the subquadratic sketched-candidate pipeline:
-/// sparse CSR affinity straight from the certified codes, spectral
-/// clustering through the kernel-seeded thick-restart block Lanczos on
-/// the CSR Laplacian (DESIGN.md §13; the dense `tred2`/`tql2` still runs
-/// below the measured `lanczos_beats_dense` cutover inside that path).
-/// That route never forms the dense spectrum an eigengap reads, so it
-/// segments at the cap directly; pools that large cover nearly every
-/// cluster anyway. Below the threshold (and for TSC) the dense path runs
-/// bitwise-unchanged.
 ///
 /// Clusters are numbered by first appearance over the pooled samples, so
 /// two routes that reach the same partition return the same labels even
@@ -68,57 +68,47 @@ pub fn central_cluster<R: Rng + ?Sized>(
         ClusterCountPolicy::Fixed(l) => l,
         ClusterCountPolicy::Eigengap { max, .. } => max.map_or(n, |m| m.min(n)),
     };
-    let graph = match backend {
-        CentralBackend::Ssc => {
-            let ssc = Ssc {
-                candidates: Some(CandidateOptions {
-                    min_points: candidate_threshold,
-                    ..CandidateOptions::default()
-                }),
-                ..Ssc::default()
-            };
-            if ssc.uses_candidates(n) {
-                // Subquadratic route: certified sparse codes -> CSR
-                // affinity -> CSR spectral. The dense graph is kept only
-                // for the CONN diagnostics downstream.
-                let w = ssc.sparse_affinity(samples)?;
-                let assignments =
-                    spectral_clustering_sparse(&w, &SpectralOptions::new(l_max), rng)?;
-                return Ok(CentralOutput {
-                    assignments: by_first_appearance(assignments),
-                    graph: w.to_graph(),
-                    clusters: l_max.clamp(1, n.max(1)),
-                });
-            }
-            ssc.affinity(samples)?
+    let w = match backend {
+        CentralBackend::Ssc => Ssc {
+            candidates: Some(CandidateOptions {
+                min_points: candidate_threshold,
+                ..CandidateOptions::default()
+            }),
+            ..Ssc::default()
         }
+        .sparse_affinity(samples)?,
         CentralBackend::Tsc { q } => {
             let q = q.unwrap_or_else(|| Tsc::fed_sc_q(num_devices, l_max));
-            Tsc::new(q).affinity(samples)?
+            SparseAffinity::from_graph(&Tsc::new(q).affinity(samples)?)
         }
     };
+    // The dense graph serves the induced global graph and the CONN
+    // diagnostics downstream, and the eigengap's full spectrum.
+    let graph = w.to_graph();
+    // The SSC backend's candidate-sized pools stay subquadratic, so they
+    // form no dense spectrum and segment at the cap.
+    let reads_count = match backend {
+        CentralBackend::Ssc => n < candidate_threshold,
+        CentralBackend::Tsc { .. } => true,
+    };
     let (k, spectrum) = match count {
-        ClusterCountPolicy::Fixed(l) => (l, None),
-        ClusterCountPolicy::Eigengap { .. } => {
-            let spec = laplacian_spectrum(&graph)?;
+        ClusterCountPolicy::Eigengap { .. } if reads_count => {
+            let spec = full_spectrum(&graph)?;
             // Floor the estimate at the affinity's connected-component
             // count: the components are a hard lower bound on the natural
             // cluster count, and under-estimating merges subspaces —
             // unrecoverable downstream, while over-splitting merely costs
             // the parent an extra representative.
-            let comps = graph
-                .connected_components(1e-9)
-                .iter()
-                .max()
-                .map_or(1, |&m| m + 1);
+            let comps = w.connected_components(1e-9);
             let k = count.count(&spec.eigenvalues).max(comps);
             (k.clamp(1, l_max.max(1)), Some(spec))
         }
+        _ => (l_max, None),
     };
     let opts = SpectralOptions::new(k);
     let assignments = match &spectrum {
         Some(spec) => spectral_clustering_from_eig(spec, &opts, rng)?,
-        None => spectral_clustering(&graph, &opts, rng)?,
+        None => spectral_clustering_sparse(&w, &opts, rng)?,
     };
     Ok(CentralOutput {
         assignments: by_first_appearance(assignments),
@@ -317,6 +307,66 @@ mod tests {
                 next = next.max(label + 1);
             }
         }
+    }
+
+    #[test]
+    fn ssc_backend_above_the_spectral_cutover() {
+        // 25 five-dimensional subspaces in R^20, 20 samples each: n = 500
+        // pooled samples with k = 25 takes the kernel-seeded CSR
+        // eigensolve. Its eigenvalues must be the dense decomposition's.
+        use fedsc_clustering::spectral::sparse_spectrum;
+        use fedsc_graph::laplacian::normalized_laplacian;
+        use fedsc_linalg::eigh::{eigh, lanczos_beats_dense};
+        let mut rng = StdRng::seed_from_u64(15);
+        let (samples, truth) = semi_random_samples(&mut rng, 20, 5, 25, 20);
+        let n = samples.cols();
+        assert!(lanczos_beats_dense(n, 25));
+        let out = central_cluster(
+            &samples,
+            ClusterCountPolicy::Fixed(25),
+            160,
+            CentralBackend::Ssc,
+            2048,
+            &mut rng,
+        )
+        .unwrap();
+        let acc = clustering_accuracy(&truth, &out.assignments);
+        assert!(acc >= 99.0, "accuracy {acc}");
+        let eig = sparse_spectrum(&SparseAffinity::from_graph(&out.graph), 25, 1).unwrap();
+        let dense = eigh(&normalized_laplacian(&out.graph)).unwrap();
+        for (j, (&got, &want)) in eig.eigenvalues.iter().zip(&dense.eigenvalues).enumerate() {
+            assert!(
+                (got - want).abs() <= 1e-8,
+                "eigenvalue {j}: {got} vs dense {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_ssc_pools_at_the_candidate_threshold_segment_at_the_cap() {
+        // An aggregator pool of 60 samples from 3 subspaces, at or above a
+        // candidate threshold of 8: TSC still reads its count off the
+        // eigengap, SSC's subquadratic route segments at the cap.
+        let mut rng = StdRng::seed_from_u64(6);
+        let (samples, truth) = semi_random_samples(&mut rng, 25, 3, 3, 20);
+        let count = ClusterCountPolicy::Eigengap {
+            max: Some(6),
+            relative: true,
+        };
+        let tsc = central_cluster(
+            &samples,
+            count,
+            60,
+            CentralBackend::Tsc { q: None },
+            8,
+            &mut rng,
+        )
+        .unwrap();
+        assert_eq!(tsc.clusters, 3);
+        let acc = clustering_accuracy(&truth, &tsc.assignments);
+        assert!(acc > 90.0, "accuracy {acc}");
+        let ssc = central_cluster(&samples, count, 60, CentralBackend::Ssc, 8, &mut rng).unwrap();
+        assert_eq!(ssc.clusters, 6);
     }
 
     #[test]

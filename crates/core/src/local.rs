@@ -11,9 +11,8 @@
 
 use crate::config::{BasisDim, ClusterCountPolicy, FedScConfig, LocalBackend};
 use fedsc_clustering::spectral::{
-    spectral_clustering, spectral_clustering_from_eig, SpectralOptions,
+    full_spectrum, spectral_clustering, spectral_clustering_from_eig, SpectralOptions,
 };
-use fedsc_graph::laplacian::laplacian_spectrum;
 use fedsc_linalg::random::sample_on_subspace;
 use fedsc_linalg::svd::truncated_svd;
 use fedsc_linalg::{par, Matrix, Result};
@@ -88,7 +87,7 @@ pub fn local_cluster_and_sample<R: Rng + ?Sized>(
     // whose eigenvectors step 4 then embeds with: one solve per graph.
     let eigengap_span = fedsc_obs::span("fedsc", "local.eigengap");
     let spectrum = match cfg.cluster_count {
-        ClusterCountPolicy::Eigengap { .. } => Some(laplacian_spectrum(&graph)?),
+        ClusterCountPolicy::Eigengap { .. } => Some(full_spectrum(&graph)?),
         ClusterCountPolicy::Fixed(_) => None,
     };
     let eigenvalues = spectrum.as_ref().map_or(&[][..], |s| &s.eigenvalues);

@@ -57,6 +57,24 @@ impl SparseAffinity {
         }
     }
 
+    /// The CSR form of a dense affinity: its nonzero weights, bitwise.
+    /// `W` is symmetric, so row `i` is read off column `i` of the
+    /// column-major store.
+    pub fn from_graph(g: &AffinityGraph) -> Self {
+        let n = g.len();
+        let mut triplets = Vec::new();
+        for i in 0..n {
+            for (j, &v) in g.matrix().col(i).iter().enumerate() {
+                if v != 0.0 {
+                    triplets.push((i, j, v));
+                }
+            }
+        }
+        Self {
+            w: CsrMatrix::from_triplets(n, n, &triplets),
+        }
+    }
+
     /// Sparse counterpart of `AffinityGraph::from_knn_similarity_threaded`:
     /// node `i` keeps edges to its `q` most similar peers, symmetrized by
     /// max, stored in CSR. The per-node scans fan out over `threads`; the
@@ -285,6 +303,19 @@ mod tests {
         for i in 0..6 {
             for j in 0..6 {
                 assert_eq!(g.weight(i, j).to_bits(), sparse.weight(i, j).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn from_graph_round_trips_bitwise() {
+        let (_, dense) = sample_codes();
+        let g = AffinityGraph::from_coefficients(&dense);
+        let sparse = SparseAffinity::from_graph(&g);
+        assert_eq!(sparse.matrix().nnz(), 12);
+        for i in 0..6 {
+            for j in 0..6 {
+                assert_eq!(sparse.weight(i, j).to_bits(), g.weight(i, j).to_bits());
             }
         }
     }

@@ -36,9 +36,10 @@ pub struct Ssc {
     pub normalize: bool,
     /// Subquadratic candidate pipeline (sketch → restricted solve → exact
     /// certificate). Engages only at `min_points` and above, so small
-    /// problems keep the dense path bit for bit; `None` disables it
-    /// entirely. Candidate codes are certified/escalated against the full
-    /// dictionary, so accuracy matches the dense path either way.
+    /// problems keep the exact full-dictionary solves bit for bit; `None`
+    /// disables it entirely. Candidate codes are certified/escalated
+    /// against the full dictionary, so accuracy matches the exact path
+    /// either way.
     pub candidates: Option<CandidateOptions>,
 }
 
@@ -54,8 +55,19 @@ impl Default for Ssc {
 }
 
 impl Ssc {
-    /// Computes the full self-expression coefficient matrix `C`
-    /// (column `i` is the sparse code of point `i`; diagonal is zero).
+    /// Per-point sparse self-expression codes: `codes[i]` is column `i` of
+    /// `C` (no entry at `i`). Below `CandidateOptions::min_points` each
+    /// point is solved exactly against the full dictionary; at and above it
+    /// the subquadratic candidate pipeline runs ([`Self::candidate_codes`]),
+    /// whose certified codes land on the same optimum.
+    pub fn codes(&self, data: &Matrix) -> Result<Vec<SparseVec>> {
+        if self.uses_candidates(data.cols()) {
+            return Ok(self.candidate_codes(data)?.codes);
+        }
+        self.exact_codes(data)
+    }
+
+    /// The exact route: one full-dictionary Lasso per point.
     ///
     /// The `N` per-point Lasso problems are independent, so they fan out
     /// over `self.lasso.threads` workers (the Phase-1 hot path of the
@@ -64,9 +76,9 @@ impl Ssc {
     /// scratch buffers, no per-point allocation), and each solve runs the
     /// gap-safe screened path — `||x_i||^2` is just `gram[(i, i)]`. Each
     /// point's solve is untouched by the fan-out and fully re-initializes
-    /// its workspace values, so the coefficients are bitwise identical for
-    /// every thread count.
-    pub fn coefficients(&self, data: &Matrix) -> Result<Matrix> {
+    /// its workspace values, so the codes are bitwise identical for every
+    /// thread count.
+    fn exact_codes(&self, data: &Matrix) -> Result<Vec<SparseVec>> {
         let x = if self.normalize {
             normalize_data(data)
         } else {
@@ -76,18 +88,13 @@ impl Ssc {
         let threads = self.lasso.threads.max(1);
         let gram = x.gram_threaded(threads);
         let solver = LassoSolver::new(&gram, self.lasso.clone());
-        let codes = par::par_map_with(n, threads, LassoWorkspace::new, |ws, i| {
+        par::par_map_with(n, threads, LassoWorkspace::new, |ws, i| {
             let b = gram.col(i);
             let lambda = ssc_lambda(b, i, self.alpha);
             solver.solve_screened(b, lambda, i, gram[(i, i)], ws)
-        });
-        let mut c = Matrix::zeros(n, n);
-        for (i, code) in codes.into_iter().enumerate() {
-            for (j, v) in code?.iter() {
-                c[(j, i)] = v;
-            }
-        }
-        Ok(c)
+        })
+        .into_iter()
+        .collect()
     }
 
     /// `true` when the candidate pipeline would handle `n` points.
@@ -102,7 +109,7 @@ impl Ssc {
     /// default) exact certification/escalation — and returns the per-point
     /// codes plus certification stats. Ignores `min_points`: this is the
     /// explicit entry point (used by benches and the parity tests);
-    /// [`Self::affinity`] applies the threshold.
+    /// [`Self::codes`] applies the threshold.
     pub fn candidate_codes(&self, data: &Matrix) -> Result<CandidateOutcome> {
         let x = if self.normalize {
             normalize_data(data)
@@ -115,18 +122,12 @@ impl Ssc {
         solve_candidates(&x, &cands, self.alpha, &self.lasso, copts.verify)
     }
 
-    /// Per-point sparse self-expression codes (column `i` of `C`) via the
-    /// candidate pipeline.
-    pub fn sparse_codes(&self, data: &Matrix) -> Result<Vec<SparseVec>> {
-        Ok(self.candidate_codes(data)?.codes)
-    }
-
-    /// CSR affinity `|C| + |C|^T` via the candidate pipeline — the
-    /// subquadratic counterpart of [`SubspaceClusterer::affinity`], feeding
-    /// `fedsc_clustering::spectral_clustering_sparse` without ever
-    /// materializing an `n x n` dense matrix.
+    /// CSR affinity `|C| + |C|^T` straight from [`Self::codes`] — what the
+    /// server's Phase 2 feeds `fedsc_clustering::spectral_clustering_sparse`
+    /// without ever materializing an `n x n` dense matrix. Entry for entry
+    /// it is bitwise `AffinityGraph::from_coefficients` of the same codes.
     pub fn sparse_affinity(&self, data: &Matrix) -> Result<SparseAffinity> {
-        Ok(SparseAffinity::from_codes(&self.sparse_codes(data)?))
+        Ok(SparseAffinity::from_codes(&self.codes(data)?))
     }
 }
 
@@ -135,15 +136,11 @@ impl SubspaceClusterer for Ssc {
         "SSC"
     }
 
+    /// [`Ssc::sparse_affinity`], densified (`to_graph` is lossless): the
+    /// devices' dense `|C| + |C|^T`, bitwise
+    /// `AffinityGraph::from_coefficients` of the scattered codes.
     fn affinity(&self, data: &Matrix) -> Result<AffinityGraph> {
-        // Above the candidate threshold the subquadratic pipeline produces
-        // the (exact, certified) codes; `to_graph` is bitwise lossless, so
-        // consumers of the dense graph see the same affinity the CSR path
-        // serves. Below it, the dense path is bitwise what it always was.
-        if self.uses_candidates(data.cols()) {
-            return Ok(self.sparse_affinity(data)?.to_graph());
-        }
-        Ok(AffinityGraph::from_coefficients(&self.coefficients(data)?))
+        Ok(self.sparse_affinity(data)?.to_graph())
     }
 }
 
@@ -155,15 +152,44 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The dense coefficient matrix `C` of `codes`: column `i` is the code
+    /// of point `i`.
+    fn dense_coefficients(codes: &[SparseVec]) -> Matrix {
+        let n = codes.len();
+        let mut c = Matrix::zeros(n, n);
+        for (i, code) in codes.iter().enumerate() {
+            for (j, v) in code.iter() {
+                c[(j, i)] = v;
+            }
+        }
+        c
+    }
+
     #[test]
     fn codes_have_zero_diagonal() {
         let mut rng = StdRng::seed_from_u64(1);
         let model = SubspaceModel::random(&mut rng, 10, 2, 2);
         let ds = model.sample_dataset(&mut rng, &[8, 8], 0.0);
-        let c = Ssc::default().coefficients(&ds.data).unwrap();
+        let c = dense_coefficients(&Ssc::default().codes(&ds.data).unwrap());
         for i in 0..16 {
             assert_eq!(c[(i, i)], 0.0);
         }
+    }
+
+    #[test]
+    fn exact_route_sparse_affinity_is_bitwise_the_dense_one() {
+        // Below the candidate threshold the CSR affinity, built from the
+        // exact per-point codes, is the dense `|C| + |C|^T` of the same
+        // codes, bit for bit.
+        let mut rng = StdRng::seed_from_u64(8);
+        let model = SubspaceModel::random(&mut rng, 20, 3, 3);
+        let ds = model.sample_dataset(&mut rng, &[14, 14, 14], 0.01);
+        let ssc = Ssc::default();
+        assert!(!ssc.uses_candidates(42));
+        let sparse = ssc.sparse_affinity(&ds.data).unwrap().to_graph();
+        let c = dense_coefficients(&ssc.codes(&ds.data).unwrap());
+        let dense = AffinityGraph::from_coefficients(&c);
+        assert_eq!(sparse.matrix().as_slice(), dense.matrix().as_slice());
     }
 
     #[test]
@@ -303,7 +329,8 @@ mod tests {
             });
             let out = ssc.candidate_codes(&ds.data).unwrap();
             proptest::prelude::prop_assert_eq!(out.certified.len(), n);
-            let dense = ssc.coefficients(&ds.data).unwrap();
+            let exact = Ssc { candidates: None, ..ssc.clone() };
+            let dense = dense_coefficients(&exact.codes(&ds.data).unwrap());
             let x = crate::algo::normalize_data(&ds.data);
             for (i, code) in out.codes.iter().enumerate() {
                 let col = code.to_dense();
