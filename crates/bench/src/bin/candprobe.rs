@@ -111,8 +111,7 @@ fn main() {
         "lasso.candidates_per_point",
         "lasso.escalations",
         "lasso.sweeps",
-        "lasso.atoms_screened",
-        "lasso.ws_rounds",
+        "lasso.homotopy_steps",
     ] {
         eprintln!("{key} = {}", snap.counters.get(key).copied().unwrap_or(0));
     }
@@ -137,9 +136,7 @@ fn dense_kkt_audit(data: &Matrix, n_audit: usize) {
     for i in 0..n_audit {
         let b = gram.col(i);
         let lambda = ssc_lambda(b, i, 50.0);
-        let code = solver
-            .solve_screened(b, lambda, i, gram[(i, i)], &mut ws)
-            .expect("screened solve");
+        let code = solver.solve_in(b, lambda, i, &mut ws).expect("lasso solve");
         let mut f = vec![0.0f64; x.rows()];
         for (j, v) in code.iter() {
             vector::axpy(v, x.col(j), &mut f);

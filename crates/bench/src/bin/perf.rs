@@ -6,7 +6,7 @@
 //! the upper point with `--max-threads <n>`):
 //! - `gram` — the blocked `X^T X` product behind every SSC run.
 //! - `matmul` — the blocked general product.
-//! - `lasso_batch` — N screened self-expression solves over one shared
+//! - `lasso_batch` — N self-expression solves over one shared
 //!   Gram, the unit of work behind `ssc_affinity`.
 //! - `ssc_affinity` — the per-point Lasso sweep (Phase 1's hot path).
 //! - `pool_overhead` — many tiny `par_map` calls; below the
@@ -215,7 +215,7 @@ fn main() {
     let model = fedsc_subspace::SubspaceModel::random(&mut rng, sd, 3, 3);
     let ds = model.sample_dataset(&mut rng, &[spts, spts, spts], 0.01);
 
-    // Lasso batch: the N screened self-expression solves behind one
+    // Lasso batch: the N self-expression solves behind one
     // affinity computation, over a Gram precomputed outside the timer —
     // this isolates the solver from the `gram` kernel above.
     let lasso_gram = ds.data.gram_threaded(1);
@@ -230,9 +230,7 @@ fn main() {
             let codes = fedsc_linalg::par::par_map_with(npts, t, LassoWorkspace::new, |ws, i| {
                 let b = lasso_gram.col(i);
                 let lambda = ssc_lambda(b, i, 50.0);
-                solver
-                    .solve_screened(b, lambda, i, lasso_gram[(i, i)], ws)
-                    .expect("lasso solve")
+                solver.solve_in(b, lambda, i, ws).expect("lasso solve")
             });
             std::hint::black_box(codes);
         },
@@ -706,13 +704,17 @@ fn main() {
         spawned <= tmax as u64,
         "pool spawned {spawned} workers; configured thread count is {tmax}"
     );
-    // Solver-counter contract: the screened Lasso hot path must have been
-    // exercised and exported (CI's bench-smoke job checks the same keys in
-    // the written JSON).
+    // Solver-counter contract: the Lasso homotopy must have been exercised
+    // and exported (CI's bench-smoke job checks the same keys in the
+    // written JSON).
+    assert!(
+        snap.counters
+            .get("lasso.homotopy_steps")
+            .is_some_and(|&s| s > 0),
+        "lasso.homotopy_steps never incremented"
+    );
     for key in [
         "lasso.sweeps",
-        "lasso.atoms_screened",
-        "lasso.ws_rounds",
         // The candidate pipeline's own contract: the sketch kernel and the
         // restricted solver must have run and exported their counters.
         "sketch.calls",

@@ -54,4 +54,9 @@ pub mod thick_restart;
 pub mod vector;
 
 pub use error::{LinalgError, Result};
+/// Span guard of `fedsc_obs::trace`, for dependents that time their own
+/// layers without depending on `fedsc-obs` themselves (adding that
+/// dependency would change the dependency lists `roundbench/Cargo.lock`
+/// pins).
+pub use fedsc_obs::span;
 pub use matrix::Matrix;

@@ -1,6 +1,6 @@
-//! Lasso solver: exact homotopy on compact working-set panels, a
-//! coordinate-descent polish, gap-safe atom screening, and reusable
-//! per-thread workspaces.
+//! Lasso solver: one exact homotopy path per problem over the live
+//! dictionary, a coordinate-descent certificate, and reusable per-thread
+//! workspaces.
 //!
 //! Solves the paper's Eq. (2), the noisy-SSC self-expression problem
 //!
@@ -21,40 +21,26 @@
 //!
 //! ## Solver structure (DESIGN.md §9.3)
 //!
-//! Each working-set round copies the active atoms into a compact `m x m`
-//! sub-Gram panel and solves the panel Lasso exactly by following its
-//! piecewise-linear regularization path (Osborne, Presnell & Turlach 2000;
-//! the Lasso variant of LARS, Efron et al. 2004) from `c = 0` down to
-//! `1/lambda`, with an `O(k^2)`-updated Cholesky factor of the active
-//! sub-Gram. One cyclic CD sweep over the panel then polishes the path
-//! solution and applies the coordinate stopping test. Between rounds the
-//! full residual `r = b - G c` is rebuilt from the (small) support, KKT
-//! violators re-enter in a batch, and — when the caller supplies `||x||^2`
-//! via [`LassoSolver::solve_screened`] — a gap-safe sphere test permanently
-//! discards atoms that provably cannot enter any optimal support at this
-//! `lambda`. Screening is exact: it only removes atoms whose optimal
-//! coefficient is zero, so screened and unscreened solves agree within the
-//! coordinate tolerance.
+//! Each solve follows the Lasso's piecewise-linear regularization path
+//! (Osborne, Presnell & Turlach 2000; the Lasso variant of LARS, Efron et
+//! al. 2004) once, from `c = 0` down to `1/lambda`, over every live atom.
+//! A step reads the active atoms' contiguous Gram columns for the slope of
+//! the correlations and keeps an `O(k^2)`-updated Cholesky factor of the
+//! active sub-Gram, whose size follows the active set (at most the
+//! dictionary's rank), not `n`. One cyclic CD sweep over the live atoms
+//! then certifies the path solution with the coordinate stopping test; it
+//! only sweeps again when the path stopped early at its step cap.
 
 use crate::vec::SparseVec;
 use fedsc_linalg::{vector, LinalgError, Matrix, Result};
 use fedsc_obs::LazyCounter;
 
-/// Coordinate-descent sweeps executed (one panel pass each).
+/// Coordinate-descent sweeps executed (one pass over the live atoms each).
 static LASSO_SWEEPS: LazyCounter = LazyCounter::new("lasso.sweeps");
-/// Breakpoints followed by the panel homotopy (one entry or drop each).
+/// Breakpoints followed by the homotopy (one entry or drop each).
 static LASSO_HOMOTOPY_STEPS: LazyCounter = LazyCounter::new("lasso.homotopy_steps");
 /// Path entries refused because the atom lies in the active atoms' span.
 static LASSO_HOMOTOPY_SINGULAR: LazyCounter = LazyCounter::new("lasso.homotopy_singular");
-/// Atoms permanently discarded by the gap-safe screening rule.
-static LASSO_ATOMS_SCREENED: LazyCounter = LazyCounter::new("lasso.atoms_screened");
-/// Working-set growth rounds across all solves.
-static LASSO_WS_ROUNDS: LazyCounter = LazyCounter::new("lasso.ws_rounds");
-
-/// Relative slack that makes the screening inequality strictly conservative
-/// under floating-point evaluation: an atom is only discarded when its bound
-/// clears the threshold by this margin.
-const SCREEN_SLACK: f64 = 1e-9;
 
 /// An atom joins the homotopy's active set only when its Schur complement
 /// against the active sub-Gram exceeds this fraction of its own `G_pp`;
@@ -69,33 +55,27 @@ const PARALLEL_TOL: f64 = 1e-12;
 
 /// Options for the Lasso solver.
 ///
-/// Each working-set panel is solved exactly by the homotopy, so the CD
-/// polish normally stops after one sweep. Cyclic CD alone would not: on the
-/// self-expression workloads this solver serves (unit-norm samples from
-/// low-dimensional subspaces, nearly basis pursuit at the paper's lambda)
-/// it was measured at ~860 sweeps per point. `max_iters` bounds the polish
-/// for the rare panel whose path ends early (step cap or a numerically
-/// singular active set); callers that need worst-case KKT optimality there
-/// should raise it explicitly (the property tests do).
+/// The homotopy solves each problem exactly, so the CD certificate normally
+/// stops after one sweep. Cyclic CD alone would not: on the self-expression
+/// workloads this solver serves (unit-norm samples from low-dimensional
+/// subspaces, nearly basis pursuit at the paper's lambda) it was measured
+/// at ~860 sweeps per point. `max_iters` bounds the sweeps for the rare
+/// path that ends early (step cap); callers that need worst-case KKT
+/// optimality there should raise it explicitly (the property tests do).
 #[derive(Debug, Clone)]
 pub struct LassoOptions {
-    /// Maximum coordinate-descent polish sweeps per working-set round.
+    /// Maximum coordinate-descent sweeps per solve.
     pub max_iters: usize,
     /// Stop when the largest coordinate change in a sweep falls below this.
     pub tol: f64,
     /// Entries with `|c_j|` below this are dropped from the reported support.
     pub support_tol: f64,
-    /// Initial working-set size (most-correlated atoms). The working set
-    /// grows with KKT violators until optimality, so this only tunes speed.
-    pub working_set: usize,
-    /// Maximum working-set growth rounds.
-    pub max_rounds: usize,
     /// Worker threads for *batches* of independent solves (one per point in
     /// SSC's self-expression sweep). A single `solve` call is always
-    /// sequential; batch drivers such as `Ssc::coefficients` fan the
-    /// per-point problems out over `fedsc_linalg::par` with this many
-    /// workers. `1` (the default) keeps everything on the caller's thread.
-    /// Results are index-ordered and bitwise independent of this knob.
+    /// sequential; batch drivers such as `Ssc::codes` fan the per-point
+    /// problems out over `fedsc_linalg::par` with this many workers. `1`
+    /// (the default) keeps everything on the caller's thread. Results are
+    /// index-ordered and bitwise independent of this knob.
     pub threads: usize,
 }
 
@@ -105,8 +85,6 @@ impl Default for LassoOptions {
             max_iters: 2000,
             tol: 1e-6,
             support_tol: 1e-8,
-            working_set: 48,
-            max_rounds: 20,
             threads: 1,
         }
     }
@@ -116,67 +94,57 @@ impl Default for LassoOptions {
 /// (possibly varying) size.
 ///
 /// Batch drivers keep one workspace per worker thread and pass it to every
-/// [`LassoSolver::solve_in`] / [`LassoSolver::solve_screened`] call: the
-/// allocations persist, while every value is re-initialized per solve, so
-/// results never depend on what the workspace previously computed (this is
-/// what keeps batch solves bitwise thread-invariant).
+/// [`LassoSolver::solve_in`] call: the allocations persist, while every
+/// value is re-initialized per solve, so results never depend on what the
+/// workspace previously computed (this is what keeps batch solves bitwise
+/// thread-invariant).
 #[derive(Debug, Default)]
 pub struct LassoWorkspace {
     /// Dense coefficients, length `n`.
     c: Vec<f64>,
-    /// Residual correlations `r = b - G c`, length `n` (exact on all live
-    /// atoms at round boundaries; maintained only on the panel inside a
-    /// round).
+    /// Residual correlations `r = b - G c`, length `n`.
     r: Vec<f64>,
-    /// Unscreened candidate atoms (global indices).
-    live: Vec<usize>,
-    /// Working set (global indices).
+    /// Path state per atom, length `n`.
+    state: Vec<PathAtom>,
+    /// The homotopy's active atoms, in factor order.
     active: Vec<usize>,
-    /// Membership mask for `active`, length `n`.
-    in_active: Vec<bool>,
-    /// Column-major `m x m` sub-Gram over the active atoms.
-    panel: Vec<f64>,
-    /// Residual restricted to the active atoms.
-    rc: Vec<f64>,
-    /// Coefficients restricted to the active atoms.
-    cc: Vec<f64>,
-    /// Gram diagonal restricted to the active atoms.
-    diag: Vec<f64>,
-    /// KKT violators found in the current round; reused as the parallel
-    /// group buffer once the rounds are over.
-    violators: Vec<usize>,
-    /// Homotopy path state per panel atom.
-    path: Vec<PathAtom>,
-    /// Panel positions of the homotopy's active atoms, in factor order.
-    path_set: Vec<usize>,
     /// Signs of the active atoms' correlations, in factor order.
     signs: Vec<f64>,
-    /// Row-major lower Cholesky factor of the active sub-Gram, stride `m`.
+    /// Packed row-major lower Cholesky factor of the active sub-Gram: row
+    /// `i` holds `i + 1` entries from offset `i (i + 1) / 2`.
     chol: Vec<f64>,
     /// Path direction of the active coefficients, in factor order.
     dir: Vec<f64>,
-    /// Rate of change of the panel correlations along the path.
+    /// Rate of change of the correlations along the path, length `n`.
     slope: Vec<f64>,
+    /// Atoms refused as singular since the last drop; reused as the
+    /// parallel group buffer once the path is over.
+    held: Vec<usize>,
     /// Atoms already covered by a parallel group, length `n`.
     grouped: Vec<bool>,
 }
 
-/// Where a panel atom stands on the homotopy path.
+/// Where an atom stands on the homotopy path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PathAtom {
+    /// The excluded coordinate or a zero-curvature atom: never moves.
+    Dead,
     /// Zero coefficient, free to enter.
     Free,
     /// In the active set.
     Active,
     /// Refused entry: in the span of the active set until an atom drops.
     Singular,
+    /// Just dropped: still on the boundary it left, so for one step it may
+    /// only cross to the other side.
+    Left,
 }
 
 /// The breakpoint that ends a homotopy step.
 enum Breakpoint {
     /// The path reached `1/lambda`.
     End,
-    /// Panel atom `p` joins with correlation sign `s`.
+    /// Atom `p` joins with correlation sign `s`.
     Enter(usize, f64),
     /// The `i`-th active atom's coefficient crosses zero.
     Drop(usize),
@@ -187,21 +155,11 @@ impl LassoWorkspace {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Re-initializes every per-solve value for a problem of size `n`.
-    fn reset(&mut self, n: usize, b: &[f64]) {
-        self.c.clear();
-        self.c.resize(n, 0.0);
-        self.r.clear();
-        self.r.extend_from_slice(b);
-        self.live.clear();
-        self.active.clear();
-        self.in_active.clear();
-        self.in_active.resize(n, false);
-        self.violators.clear();
-        self.grouped.clear();
-        self.grouped.resize(n, false);
-    }
+/// Offset of row `i` in a packed lower-triangular factor.
+fn row_start(i: usize) -> usize {
+    i * (i + 1) / 2
 }
 
 /// A Lasso solver bound to one dictionary Gram matrix.
@@ -210,6 +168,8 @@ impl LassoWorkspace {
 /// then used for every column's self-expression problem.
 pub struct LassoSolver<'a> {
     gram: &'a Matrix,
+    /// `G_jj`, read contiguously by every solve.
+    diag: Vec<f64>,
     opts: LassoOptions,
 }
 
@@ -217,7 +177,8 @@ impl<'a> LassoSolver<'a> {
     /// Creates a solver over a Gram matrix (must be square; checked).
     pub fn new(gram: &'a Matrix, opts: LassoOptions) -> Self {
         assert_eq!(gram.rows(), gram.cols(), "Gram matrix must be square");
-        Self { gram, opts }
+        let diag = (0..gram.cols()).map(|j| gram[(j, j)]).collect();
+        Self { gram, diag, opts }
     }
 
     /// Solves `min (lambda/2)||X c - x||^2 + ||c||_1` given `b = X^T x`,
@@ -227,8 +188,7 @@ impl<'a> LassoSolver<'a> {
     /// Returns the solution as a sparse vector. Errors on a correlation
     /// vector of the wrong length or a non-positive `lambda`.
     pub fn solve(&self, b: &[f64], lambda: f64, excluded: usize) -> Result<SparseVec> {
-        let mut ws = LassoWorkspace::new();
-        self.solve_impl(b, lambda, excluded, None, &mut ws)
+        self.solve_in(b, lambda, excluded, &mut LassoWorkspace::new())
     }
 
     /// [`LassoSolver::solve`] with caller-owned scratch buffers, the
@@ -240,42 +200,6 @@ impl<'a> LassoSolver<'a> {
         b: &[f64],
         lambda: f64,
         excluded: usize,
-        ws: &mut LassoWorkspace,
-    ) -> Result<SparseVec> {
-        self.solve_impl(b, lambda, excluded, None, ws)
-    }
-
-    /// [`LassoSolver::solve_in`] plus gap-safe atom screening.
-    ///
-    /// `x_norm_sq` must be `||x||^2` for the target `x` behind
-    /// `b = X^T x` — for SSC self-expression of point `i` that is simply
-    /// `gram[(i, i)]`. Knowing `||x||^2` lets the solver evaluate the duality
-    /// gap in Gram form and permanently discard atoms that provably take no
-    /// part in any optimal support at this `lambda` (DESIGN.md §9 has the
-    /// exactness argument), which shrinks every later KKT scan and keeps the
-    /// working set small. Errors when `x_norm_sq` is negative or non-finite.
-    pub fn solve_screened(
-        &self,
-        b: &[f64],
-        lambda: f64,
-        excluded: usize,
-        x_norm_sq: f64,
-        ws: &mut LassoWorkspace,
-    ) -> Result<SparseVec> {
-        if !x_norm_sq.is_finite() || x_norm_sq < 0.0 {
-            return Err(LinalgError::InvalidArgument(
-                "lasso x_norm_sq must be finite and non-negative",
-            ));
-        }
-        self.solve_impl(b, lambda, excluded, Some(x_norm_sq), ws)
-    }
-
-    fn solve_impl(
-        &self,
-        b: &[f64],
-        lambda: f64,
-        excluded: usize,
-        x_norm_sq: Option<f64>,
         ws: &mut LassoWorkspace,
     ) -> Result<SparseVec> {
         let n = self.gram.cols();
@@ -291,120 +215,190 @@ impl<'a> LassoSolver<'a> {
             ));
         }
         let thresh = 1.0 / lambda;
-        ws.reset(n, b);
 
-        // Candidate atoms: everything with a usable curvature, minus the
-        // excluded coordinate. Zero-diagonal atoms can never move off zero,
-        // so dropping them up front is exact.
-        ws.live
-            .extend((0..n).filter(|&j| j != excluded && self.gram[(j, j)] > 0.0));
-
-        // Working-set seeding (ORGEN-style): the most-correlated atoms — the
-        // Lasso support is contained in high-correlation atoms for the
-        // self-expression problems this solver serves — converge there, then
-        // grow with KKT violators until none remain. Starting small avoids
-        // the first-sweep blowup where every coordinate above the threshold
-        // goes transiently nonzero.
-        let seed = self.opts.working_set.max(1).min(ws.live.len());
-        ws.active.extend_from_slice(&ws.live);
-        let by_corr_desc = |&i: &usize, &j: &usize| b[j].abs().total_cmp(&b[i].abs());
-        if seed < ws.active.len() {
-            ws.active.select_nth_unstable_by(seed - 1, by_corr_desc);
-            ws.active.truncate(seed);
-        }
-        ws.active.sort_unstable_by(by_corr_desc);
-        for &j in &ws.active {
-            ws.in_active[j] = true;
-        }
-
-        let mut rounds = 0u64;
-        for _round in 0..self.opts.max_rounds.max(1) {
-            rounds += 1;
-            self.solve_panel(b, thresh, ws);
-
-            // Rebuild the exact residual from the support: `r = b - G c`,
-            // one contiguous column axpy per nonzero coefficient.
-            ws.r.copy_from_slice(b);
-            for p in 0..ws.active.len() {
-                let cj = ws.cc[p];
-                if cj != 0.0 {
-                    vector::axpy(-cj, self.gram.col(ws.active[p]), &mut ws.r);
-                }
+        ws.c.clear();
+        ws.c.resize(n, 0.0);
+        ws.r.clear();
+        ws.r.extend_from_slice(b);
+        // Zero-diagonal atoms can never move off zero, so leaving them out
+        // of the path is exact.
+        ws.state.clear();
+        ws.state.extend(self.diag.iter().enumerate().map(|(j, &g)| {
+            if j == excluded || g <= 0.0 {
+                PathAtom::Dead
+            } else {
+                PathAtom::Free
             }
+        }));
+        ws.grouped.clear();
+        ws.grouped.resize(n, false);
 
-            if let Some(x_sq) = x_norm_sq {
-                self.screen(b, thresh, x_sq, ws);
-            }
-
-            // Batched KKT re-entry: every remaining dormant atom whose
-            // gradient escapes the subdifferential joins the working set at
-            // once.
-            ws.violators.clear();
-            for &j in &ws.live {
-                if !ws.in_active[j] && ws.r[j].abs() > thresh * (1.0 + 1e-9) {
-                    ws.violators.push(j);
-                }
-            }
-            if ws.violators.is_empty() {
-                break;
-            }
-            for i in 0..ws.violators.len() {
-                let j = ws.violators[i];
-                ws.in_active[j] = true;
-                ws.active.push(j);
-            }
-        }
-        LASSO_WS_ROUNDS.add(rounds);
+        self.homotopy(thresh, ws);
+        self.certify(thresh, ws);
         self.spread_parallel(ws);
         Ok(SparseVec::from_dense(&ws.c, self.opts.support_tol))
     }
 
-    /// Copies the active atoms into a compact column-major panel, solves
-    /// the panel Lasso along its homotopy path, then runs cyclic CD sweeps
-    /// from that solution until the largest coordinate change falls below
-    /// `tol` (one sweep when the path was followed to the end). Inside the
-    /// panel every residual update is a contiguous length-`m` axpy;
-    /// converged coefficients are scattered back to `ws.c`.
-    fn solve_panel(&self, b: &[f64], thresh: f64, ws: &mut LassoWorkspace) {
-        let m = ws.active.len();
-        ws.panel.resize(m * m, 0.0);
-        ws.rc.resize(m, 0.0);
-        ws.cc.resize(m, 0.0);
-        ws.diag.resize(m, 0.0);
-        for q in 0..m {
-            let col = self.gram.col(ws.active[q]);
-            let dst = &mut ws.panel[q * m..(q + 1) * m];
-            for (p, slot) in dst.iter_mut().enumerate() {
-                *slot = col[ws.active[p]];
+    /// Follows the solution path of `min 0.5 c^T G c - b^T c + t ||c||_1`
+    /// over the live atoms from `t = max |b_j|` (where `c = 0`) down to
+    /// `t = thresh`, leaving the solution in `ws.c` and its residual
+    /// correlations in `ws.r`.
+    ///
+    /// Along the path the active atoms keep `r_j = t s_j` with `r = b - G c`,
+    /// so the active coefficients move along `d = G_AA^{-1} s` and every
+    /// correlation along `G_{:,A} d`. Each step runs to the next breakpoint:
+    /// a free atom's correlation reaching `±t` (it enters), or an active
+    /// coefficient crossing zero (it drops). The Cholesky factor of `G_AA`
+    /// is updated in `O(k^2)` on each entry and drop. An atom whose Schur
+    /// complement shows it in the active span is refused
+    /// (`PathAtom::Singular`) until the next drop shrinks the span; it stays
+    /// on the boundary with a zero coefficient, which is optimal there. A
+    /// step cap of `4 |live| + 8` guards against degenerate cycling.
+    fn homotopy(&self, thresh: f64, ws: &mut LassoWorkspace) {
+        ws.active.clear();
+        ws.signs.clear();
+        ws.chol.clear();
+        ws.held.clear();
+        ws.slope.resize(ws.r.len(), 0.0);
+        let (mut t, mut live) = (0.0f64, 0u64);
+        let mut entering = None;
+        for (j, (&r, &state)) in ws.r.iter().zip(&ws.state).enumerate() {
+            if state == PathAtom::Free {
+                live += 1;
+                if r.abs() > t {
+                    t = r.abs();
+                    entering = Some((j, r.signum()));
+                }
             }
         }
-        for p in 0..m {
-            let j = ws.active[p];
-            ws.diag[p] = self.gram[(j, j)];
+        if t <= thresh {
+            return;
         }
 
-        homotopy(b, thresh, ws);
-        // Exact panel residual of the path solution for the polish.
-        for p in 0..m {
-            ws.rc[p] = b[ws.active[p]];
-        }
-        for &p in &ws.path_set {
-            vector::axpy(-ws.cc[p], &ws.panel[p * m..(p + 1) * m], &mut ws.rc);
-        }
+        let (mut steps, mut singular) = (0u64, 0u64);
+        let cap = 4 * live + 8;
+        // The atom that just dropped (`PathAtom::Left`) and the side it left.
+        let mut dropped: Option<(usize, f64)> = None;
+        while steps < cap {
+            steps += 1;
+            if let Some((p, sign)) = entering.take() {
+                let col = self.gram.col(p);
+                if chol_append(col, self.diag[p], &ws.active, &mut ws.chol) {
+                    ws.state[p] = PathAtom::Active;
+                    ws.active.push(p);
+                    ws.signs.push(sign);
+                } else {
+                    ws.state[p] = PathAtom::Singular;
+                    ws.held.push(p);
+                    singular += 1;
+                }
+            }
+            let k = ws.active.len();
+            if k == 0 {
+                break;
+            }
 
+            // d = G_AA^{-1} s: forward substitution along the factor's rows,
+            // then back substitution as row-wise axpys.
+            ws.dir.clear();
+            for i in 0..k {
+                let row = &ws.chol[row_start(i)..row_start(i + 1)];
+                let y = (ws.signs[i] - vector::dot(&row[..i], &ws.dir)) / row[i];
+                ws.dir.push(y);
+            }
+            for i in (0..k).rev() {
+                let row = &ws.chol[row_start(i)..row_start(i + 1)];
+                let y = ws.dir[i] / row[i];
+                ws.dir[i] = y;
+                vector::axpy(-y, &row[..i], &mut ws.dir[..i]);
+            }
+            combine_columns(self.gram, &ws.active, &ws.dir, &mut ws.slope);
+
+            let mut gamma = t - thresh;
+            let mut next = Breakpoint::End;
+            let atoms = ws.state.iter().zip(&ws.r).zip(&ws.slope).enumerate();
+            for (j, ((&state, &r), &a)) in atoms {
+                // Either side is reached within `gamma` only if
+                // `|r - gamma a| > t - gamma`: one test screens both signs.
+                if state != PathAtom::Free || (r - gamma * a).abs() <= t - gamma {
+                    continue;
+                }
+                for sign in [1.0, -1.0] {
+                    if let Some(g) = entry_step(t, r, a, sign, gamma) {
+                        gamma = g;
+                        next = Breakpoint::Enter(j, sign);
+                    }
+                }
+            }
+            if let Some((q, left)) = dropped.take() {
+                ws.state[q] = PathAtom::Free;
+                if let Some(g) = entry_step(t, ws.r[q], ws.slope[q], -left, gamma) {
+                    gamma = g;
+                    next = Breakpoint::Enter(q, -left);
+                }
+            }
+            for (i, (&p, &d)) in ws.active.iter().zip(&ws.dir).enumerate() {
+                if ws.c[p] * d < 0.0 {
+                    let g = -ws.c[p] / d;
+                    if g < gamma {
+                        gamma = g;
+                        next = Breakpoint::Drop(i);
+                    }
+                }
+            }
+
+            for (&p, &d) in ws.active.iter().zip(&ws.dir) {
+                ws.c[p] += gamma * d;
+            }
+            vector::axpy(-gamma, &ws.slope, &mut ws.r);
+            t -= gamma;
+            match next {
+                Breakpoint::End => break,
+                Breakpoint::Enter(p, sign) => entering = Some((p, sign)),
+                Breakpoint::Drop(i) => {
+                    let p = ws.active.remove(i);
+                    dropped = Some((p, ws.signs.remove(i)));
+                    chol_drop(i, k, &mut ws.chol);
+                    ws.c[p] = 0.0;
+                    ws.state[p] = PathAtom::Left;
+                    for &q in &ws.held {
+                        ws.state[q] = PathAtom::Free;
+                    }
+                    ws.held.clear();
+                }
+            }
+        }
+        LASSO_HOMOTOPY_STEPS.add(steps);
+        LASSO_HOMOTOPY_SINGULAR.add(singular);
+    }
+
+    /// Cyclic CD sweeps over the live atoms from the path solution until
+    /// the largest coordinate change falls below `tol`: after a complete
+    /// path this is one sweep, a KKT certificate that moves no coefficient
+    /// beyond round-off. A path stopped at its step cap keeps sweeping, up
+    /// to `max_iters`, from where it stopped.
+    fn certify(&self, thresh: f64, ws: &mut LassoWorkspace) {
+        let n = ws.c.len();
         let mut sweeps = 0u64;
-        for _ in 0..self.opts.max_iters {
+        for _ in 0..self.opts.max_iters.max(1) {
             sweeps += 1;
             let mut max_delta = 0.0f64;
-            for p in 0..m {
-                let old = ws.cc[p];
-                // Correlation with atom p excluding its own contribution.
-                let rho = ws.rc[p] + ws.diag[p] * old;
-                let new = vector::soft_threshold(rho, thresh) / ws.diag[p];
+            for j in 0..n {
+                if ws.state[j] == PathAtom::Dead {
+                    continue;
+                }
+                let (old, g) = (ws.c[j], self.diag[j]);
+                // Correlation with atom j excluding its own contribution.
+                let rho = ws.r[j] + g * old;
+                // A zero coefficient inside the threshold stays zero.
+                if old == 0.0 && rho.abs() <= thresh {
+                    continue;
+                }
+                let new = vector::soft_threshold(rho, thresh) / g;
                 let delta = new - old;
                 if delta != 0.0 {
-                    ws.cc[p] = new;
-                    vector::axpy(-delta, &ws.panel[p * m..(p + 1) * m], &mut ws.rc);
+                    ws.c[j] = new;
+                    vector::axpy(-delta, self.gram.col(j), &mut ws.r);
                     max_delta = max_delta.max(delta.abs());
                 }
             }
@@ -413,10 +407,6 @@ impl<'a> LassoSolver<'a> {
             }
         }
         LASSO_SWEEPS.add(sweeps);
-
-        for p in 0..m {
-            ws.c[ws.active[p]] = ws.cc[p];
-        }
     }
 
     /// Makes the solution canonical on exactly parallel atoms.
@@ -427,83 +417,38 @@ impl<'a> LassoSolver<'a> {
     /// Each support atom's group of parallel, equal-norm live atoms gets
     /// its signed mass spread evenly instead. The fit, the ℓ1 norm and
     /// every residual correlation are unchanged, so the result is still an
-    /// exact optimum; screening never removes such atoms, since they are
-    /// nonzero in some optimum.
+    /// exact optimum.
     fn spread_parallel(&self, ws: &mut LassoWorkspace) {
-        for a in 0..ws.active.len() {
-            let p = ws.active[a];
+        let near = (1.0 - PARALLEL_TOL) * (1.0 - PARALLEL_TOL);
+        for p in 0..ws.c.len() {
             if ws.c[p] == 0.0 || ws.grouped[p] {
                 continue;
             }
             let col = self.gram.col(p);
-            let gpp = col[p];
-            ws.violators.clear();
+            let gpp = self.diag[p];
+            // `|G_pq| >= (1 - tol)^2 G_pp` follows from both tests below, so
+            // it filters candidates before the squared comparison.
+            let floor = near * gpp;
+            ws.held.clear();
             let mut mass = 0.0;
-            for &q in &ws.live {
-                let gqq = self.gram[(q, q)];
-                if (gqq - gpp).abs() <= PARALLEL_TOL * gpp
-                    && col[q].abs() >= (1.0 - PARALLEL_TOL) * (gpp * gqq).sqrt()
-                {
-                    ws.violators.push(q);
-                    mass += col[q].signum() * ws.c[q];
+            for (q, &gpq) in col.iter().enumerate() {
+                if gpq.abs() < floor || ws.state[q] == PathAtom::Dead {
+                    continue;
+                }
+                let gqq = self.diag[q];
+                if (gqq - gpp).abs() <= PARALLEL_TOL * gpp && gpq * gpq >= near * gpp * gqq {
+                    ws.held.push(q);
+                    mass += gpq.signum() * ws.c[q];
                 }
             }
-            if ws.violators.len() > 1 {
-                let share = mass / ws.violators.len() as f64;
-                for &q in &ws.violators {
+            if ws.held.len() > 1 {
+                let share = mass / ws.held.len() as f64;
+                for &q in &ws.held {
                     ws.c[q] = col[q].signum() * share;
                     ws.grouped[q] = true;
                 }
             }
         }
-    }
-
-    /// Gap-safe sphere screening over the dormant live atoms.
-    ///
-    /// In the standard Lasso scaling (`min 0.5||x - Xc||^2 + t||c||_1` with
-    /// `t = 1/lambda`) the dual point `theta = (x - Xc)/s` with
-    /// `s = max(1, ||r||_inf / t)` over the live atoms is feasible for the
-    /// reduced problem, and strong concavity of the dual gives
-    /// `||theta - theta*|| <= sqrt(2 * gap)`. Any dormant atom `j` with
-    ///
-    /// ```text
-    ///   |r_j| / s + sqrt(G_jj) * sqrt(2 * gap)  <  t
-    /// ```
-    ///
-    /// therefore satisfies `|x_j^T theta*| < t` strictly, which forces
-    /// `c*_j = 0` in every optimum — the atom is removed from `live` for
-    /// good. All quantities are computed in Gram form:
-    /// `||x - Xc||^2 = ||x||^2 - b.c - r.c` and `(x - Xc).x = ||x||^2 - b.c`.
-    fn screen(&self, b: &[f64], thresh: f64, x_sq: f64, ws: &mut LassoWorkspace) {
-        let mut b_dot_c = 0.0;
-        let mut r_dot_c = 0.0;
-        let mut l1 = 0.0;
-        for p in 0..ws.active.len() {
-            let cj = ws.cc[p];
-            if cj != 0.0 {
-                let j = ws.active[p];
-                b_dot_c += b[j] * cj;
-                r_dot_c += ws.r[j] * cj;
-                l1 += cj.abs();
-            }
-        }
-        let rho_sq = (x_sq - b_dot_c - r_dot_c).max(0.0);
-        let r_inf = ws
-            .live
-            .iter()
-            .fold(0.0f64, |acc, &j| acc.max(ws.r[j].abs()));
-        let s = (r_inf / thresh).max(1.0);
-        let gap =
-            (0.5 * rho_sq * (1.0 + 1.0 / (s * s)) + thresh * l1 - (x_sq - b_dot_c) / s).max(0.0);
-        let radius = (2.0 * gap).sqrt();
-
-        let before = ws.live.len();
-        let (gram, in_active, r) = (self.gram, &ws.in_active, &ws.r);
-        ws.live.retain(|&j| {
-            in_active[j]
-                || r[j].abs() / s + gram[(j, j)].sqrt() * radius >= thresh * (1.0 - SCREEN_SLACK)
-        });
-        LASSO_ATOMS_SCREENED.add((before - ws.live.len()) as u64);
     }
 
     /// Maximum absolute KKT violation of a candidate solution — `0` at the
@@ -561,181 +506,80 @@ pub fn ssc_lambda(b: &[f64], excluded: usize, alpha: f64) -> f64 {
     alpha / mu
 }
 
-/// Solves the panel Lasso `min 0.5 c^T P c - b_A^T c + t ||c||_1` exactly
-/// by following its solution path from `t = max |b_A|` (where `c = 0`) down
-/// to `t = thresh`, leaving the solution in `ws.cc`.
-///
-/// Along the path the active atoms keep `r_j = t s_j` with `r = b_A - P c`,
-/// so the active coefficients move along `d = P_AA^{-1} s` and every
-/// correlation along `P d`. Each step runs to the next breakpoint: a free
-/// atom's correlation reaching `±t` (it enters), or an active coefficient
-/// crossing zero (it drops). The Cholesky factor of `P_AA` is updated in
-/// `O(k^2)` on each entry and drop. An atom whose Schur complement shows it
-/// in the active span is refused (`PathAtom::Singular`) until the next drop
-/// shrinks the span; it stays on the boundary with a zero coefficient,
-/// which is optimal there. A step cap guards against degenerate cycling;
-/// the caller's CD polish finishes any path that stops early.
-fn homotopy(b: &[f64], thresh: f64, ws: &mut LassoWorkspace) {
-    let m = ws.active.len();
-    ws.path.clear();
-    ws.path.resize(m, PathAtom::Free);
-    ws.path_set.clear();
-    ws.signs.clear();
-    ws.chol.resize(m * m, 0.0);
-    ws.slope.resize(m, 0.0);
-    let mut t = 0.0f64;
-    let mut entering = None;
-    for p in 0..m {
-        ws.cc[p] = 0.0;
-        ws.rc[p] = b[ws.active[p]];
-        if ws.rc[p].abs() > t {
-            t = ws.rc[p].abs();
-            entering = Some((p, ws.rc[p].signum()));
-        }
+/// The step length at which a free atom's correlation `r - g a` meets the
+/// boundary `sign (t - g)`, when that is shorter than `gamma`. The
+/// division-free pre-test rejects almost every atom of a step.
+#[inline]
+fn entry_step(t: f64, r: f64, a: f64, sign: f64, gamma: f64) -> Option<f64> {
+    let (num, den) = (t - sign * r, 1.0 - sign * a);
+    if den <= 0.0 || num >= gamma * den {
+        return None;
     }
-    if t <= thresh {
-        return;
-    }
-
-    let (mut steps, mut singular) = (0u64, 0u64);
-    // The atom that just dropped still sits on the boundary it left; it
-    // may cross to the other side on the next step, but not re-enter here.
-    let mut dropped = (usize::MAX, 0.0);
-    while steps < 4 * m as u64 + 8 {
-        steps += 1;
-        if let Some((p, sign)) = entering.take() {
-            if chol_append(p, ws) {
-                ws.path[p] = PathAtom::Active;
-                ws.path_set.push(p);
-                ws.signs.push(sign);
-            } else {
-                ws.path[p] = PathAtom::Singular;
-                singular += 1;
-            }
-        }
-        let k = ws.path_set.len();
-        if k == 0 {
-            break;
-        }
-
-        // d = P_AA^{-1} s by forward then back substitution, in place.
-        ws.dir.clear();
-        for i in 0..k {
-            let row = &ws.chol[i * m..i * m + i + 1];
-            let y = (ws.signs[i] - vector::dot(&row[..i], &ws.dir[..i])) / row[i];
-            ws.dir.push(y);
-        }
-        for i in (0..k).rev() {
-            let mut y = ws.dir[i];
-            for j in i + 1..k {
-                y -= ws.chol[j * m + i] * ws.dir[j];
-            }
-            ws.dir[i] = y / ws.chol[i * m + i];
-        }
-        ws.slope.fill(0.0);
-        for (i, &p) in ws.path_set.iter().enumerate() {
-            vector::axpy(ws.dir[i], &ws.panel[p * m..(p + 1) * m], &mut ws.slope);
-        }
-
-        let mut gamma = t - thresh;
-        let mut next = Breakpoint::End;
-        for p in 0..m {
-            if ws.path[p] != PathAtom::Free {
-                continue;
-            }
-            let (r, a) = (ws.rc[p], ws.slope[p]);
-            if a < 1.0 && dropped != (p, 1.0) {
-                let g = ((t - r) / (1.0 - a)).max(0.0);
-                if g < gamma {
-                    gamma = g;
-                    next = Breakpoint::Enter(p, 1.0);
-                }
-            }
-            if a > -1.0 && dropped != (p, -1.0) {
-                let g = ((t + r) / (1.0 + a)).max(0.0);
-                if g < gamma {
-                    gamma = g;
-                    next = Breakpoint::Enter(p, -1.0);
-                }
-            }
-        }
-        for (i, &p) in ws.path_set.iter().enumerate() {
-            if ws.cc[p] * ws.dir[i] < 0.0 {
-                let g = -ws.cc[p] / ws.dir[i];
-                if g < gamma {
-                    gamma = g;
-                    next = Breakpoint::Drop(i);
-                }
-            }
-        }
-
-        for (i, &p) in ws.path_set.iter().enumerate() {
-            ws.cc[p] += gamma * ws.dir[i];
-        }
-        vector::axpy(-gamma, &ws.slope, &mut ws.rc);
-        t -= gamma;
-        dropped = (usize::MAX, 0.0);
-        match next {
-            Breakpoint::End => break,
-            Breakpoint::Enter(p, sign) => entering = Some((p, sign)),
-            Breakpoint::Drop(i) => {
-                let p = ws.path_set.remove(i);
-                dropped = (p, ws.signs.remove(i));
-                chol_drop(i, k, m, &mut ws.chol);
-                ws.cc[p] = 0.0;
-                for state in ws.path.iter_mut() {
-                    if *state == PathAtom::Singular {
-                        *state = PathAtom::Free;
-                    }
-                }
-                ws.path[p] = PathAtom::Free;
-            }
-        }
-    }
-    LASSO_HOMOTOPY_STEPS.add(steps);
-    LASSO_HOMOTOPY_SINGULAR.add(singular);
+    let g = (num / den).max(0.0);
+    (g < gamma).then_some(g)
 }
 
-/// Appends panel atom `p` to the Cholesky factor of the active sub-Gram:
-/// one forward substitution for the new row, `O(k^2)`. Returns `false`,
-/// leaving the factor unchanged, when the Schur complement shows `p` in
-/// the span of the active atoms.
-fn chol_append(p: usize, ws: &mut LassoWorkspace) -> bool {
-    let m = ws.active.len();
-    let k = ws.path_set.len();
-    let col = &ws.panel[p * m..(p + 1) * m];
-    let (done, rest) = ws.chol.split_at_mut(k * m);
-    let new_row = &mut rest[..k + 1];
-    for i in 0..k {
-        let row = &done[i * m..i * m + i + 1];
-        new_row[i] = (col[ws.path_set[i]] - vector::dot(&row[..i], &new_row[..i])) / row[i];
+/// `out = G[:, cols] w`, four contiguous Gram columns per pass over `out`.
+fn combine_columns(gram: &Matrix, cols: &[usize], w: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    let mut blocks = cols.chunks_exact(4).zip(w.chunks_exact(4));
+    for (c, w) in &mut blocks {
+        let [c0, c1, c2, c3] = [c[0], c[1], c[2], c[3]].map(|j| gram.col(j));
+        for ((((o, &x0), &x1), &x2), &x3) in out.iter_mut().zip(c0).zip(c1).zip(c2).zip(c3) {
+            *o += w[0] * x0 + w[1] * x1 + w[2] * x2 + w[3] * x3;
+        }
     }
-    let gpp = col[p];
-    let schur = gpp - vector::dot(&new_row[..k], &new_row[..k]);
+    let tail = cols.len() / 4 * 4;
+    for (&c, &wc) in cols[tail..].iter().zip(&w[tail..]) {
+        vector::axpy(wc, gram.col(c), out);
+    }
+}
+
+/// Appends atom `p` (Gram column `col`, diagonal `gpp`) to the packed
+/// Cholesky factor of the `active` atoms' sub-Gram: one forward
+/// substitution for the new row, `O(k^2)`. Returns `false`, leaving the
+/// factor unchanged, when the Schur complement shows `p` in the span of the
+/// active atoms.
+fn chol_append(col: &[f64], gpp: f64, active: &[usize], chol: &mut Vec<f64>) -> bool {
+    let start = chol.len();
+    for (i, &q) in active.iter().enumerate() {
+        let (done, new_row) = chol.split_at(start);
+        let row = &done[row_start(i)..row_start(i + 1)];
+        let v = (col[q] - vector::dot(&row[..i], new_row)) / row[i];
+        chol.push(v);
+    }
+    let new_row = &chol[start..];
+    let schur = gpp - vector::dot(new_row, new_row);
     if schur <= SINGULAR_SCHUR * gpp {
+        chol.truncate(start);
         return false;
     }
-    new_row[k] = schur.sqrt();
+    chol.push(schur.sqrt());
     true
 }
 
-/// Removes row and column `i` from the `k x k` Cholesky factor (row-major,
-/// stride `m`) in `O(k^2)`: drop row `i`, then Givens rotations on column
-/// pairs `(j, j+1)` restore the lower-triangular shape of the rows below.
-fn chol_drop(i: usize, k: usize, m: usize, chol: &mut [f64]) {
-    for r in i + 1..k {
-        chol.copy_within(r * m..r * m + r + 1, (r - 1) * m);
-    }
+/// Removes row and column `i` from the packed `k x k` Cholesky factor in
+/// `O(k^2)`. Without row `i` the rows below reach one column past the
+/// diagonal; Givens rotations on column pairs `(j, j + 1)` zero that entry
+/// row by row, then the rows shift up one slot.
+fn chol_drop(i: usize, k: usize, chol: &mut Vec<f64>) {
     for j in i..k - 1 {
-        let (a, b) = (chol[j * m + j], chol[j * m + j + 1]);
+        let lead = row_start(j + 1);
+        let (a, b) = (chol[lead + j], chol[lead + j + 1]);
         let h = a.hypot(b);
         let (c, s) = (a / h, b / h);
-        for r in j..k - 1 {
-            let (x, y) = (chol[r * m + j], chol[r * m + j + 1]);
-            chol[r * m + j] = c * x + s * y;
-            chol[r * m + j + 1] = c * y - s * x;
+        for r in j + 1..k {
+            let at = row_start(r) + j;
+            let (x, y) = (chol[at], chol[at + 1]);
+            chol[at] = c * x + s * y;
+            chol[at + 1] = c * y - s * x;
         }
     }
+    for r in i + 1..k {
+        let from = row_start(r);
+        chol.copy_within(from..from + r, row_start(r - 1));
+    }
+    chol.truncate(row_start(k - 1));
 }
 
 #[cfg(test)]
@@ -887,93 +731,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn screened_solve_matches_unscreened() {
-        // Self-expression over a small dictionary: screening must not move
-        // a single coefficient beyond the coordinate tolerance.
-        let x = Matrix::from_rows(&[
-            &[1.0, 0.9, 0.1, -0.4, 0.3, 0.2],
-            &[0.0, 0.3, 1.0, 0.5, -0.2, -0.7],
-            &[0.2, -0.1, 0.0, 0.8, 0.9, 0.4],
-        ])
-        .unwrap();
-        let g = x.gram();
-        let solver = LassoSolver::new(&g, LassoOptions::default());
-        let mut ws = LassoWorkspace::new();
-        for i in 0..g.cols() {
-            let b = g.col(i);
-            for factor in [0.5, 1.0, 2.0] {
-                let lambda = ssc_lambda(b, i, 50.0) * factor;
-                let plain = solver.solve(b, lambda, i).unwrap().to_dense();
-                let screened = solver
-                    .solve_screened(b, lambda, i, g[(i, i)], &mut ws)
-                    .unwrap()
-                    .to_dense();
-                for (j, (p, s)) in plain.iter().zip(&screened).enumerate() {
-                    assert!(
-                        (p - s).abs() < 1e-6,
-                        "point {i} lambda x{factor} coef {j}: {p} vs {s}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn screening_fires_on_self_expression() {
-        // A deterministic 40-atom self-expression instance must actually
-        // discard atoms (the exactness tests alone would pass even if the
-        // screening rule never fired). Counters are global and monotone, so
-        // a strict increase is safe to assert under parallel test threads.
-        let mut x = Matrix::zeros(8, 40);
-        for j in 0..40 {
-            for i in 0..8 {
-                x[(i, j)] = ((i * 13 + j * 5 + 1) % 11) as f64 - 5.0;
-            }
-        }
-        x.normalize_columns(1e-12);
-        let g = x.gram();
-        // Seed below the atom count so dormant atoms exist: only dormant
-        // atoms are screening candidates (active ones stay live).
-        let opts = LassoOptions {
-            working_set: 8,
-            ..Default::default()
-        };
-        let solver = LassoSolver::new(&g, opts);
-        let mut ws = LassoWorkspace::new();
-        let before = fedsc_obs::metrics::snapshot()
-            .counters
-            .get("lasso.atoms_screened")
-            .copied()
-            .unwrap_or(0);
-        let b = g.col(0);
-        let lambda = ssc_lambda(b, 0, 50.0);
-        let _ = solver
-            .solve_screened(b, lambda, 0, g[(0, 0)], &mut ws)
-            .unwrap();
-        let after = fedsc_obs::metrics::snapshot()
-            .counters
-            .get("lasso.atoms_screened")
-            .copied()
-            .unwrap_or(0);
-        assert!(after > before, "screening never fired: {before} -> {after}");
-    }
-
-    #[test]
-    fn solve_screened_rejects_bad_norm() {
-        let x = simple_dictionary();
-        let g = x.gram();
-        let solver = LassoSolver::new(&g, LassoOptions::default());
-        let b = vec![0.0; g.cols()];
-        let mut ws = LassoWorkspace::new();
-        assert!(solver
-            .solve_screened(&b, 1.0, usize::MAX, -1.0, &mut ws)
-            .is_err());
-        assert!(solver
-            .solve_screened(&b, 1.0, usize::MAX, f64::NAN, &mut ws)
-            .is_err());
-    }
-
     /// Plain cyclic CD over the full Gram, independent of the panel code:
     /// the reference optimum for the homotopy tests.
     fn reference_cd(g: &Matrix, b: &[f64], lambda: f64, excluded: usize) -> Vec<f64> {
@@ -1077,6 +834,71 @@ mod tests {
         }
     }
 
+    /// A coherent, unit-norm, rank-deficient dictionary in R^30: each
+    /// column is a point of one of four subspaces of dimension 2 to 4 plus
+    /// `shared` times one common direction plus Gaussian noise of scale
+    /// `noise`, and the last tenth of the columns repeat earlier ones, every
+    /// other one negated.
+    fn coherent_dictionary(seed: u64, n: usize, shared: f64, noise: f64) -> Matrix {
+        use fedsc_linalg::random::{
+            gaussian_vector, random_orthonormal_basis, sample_on_subspace, unit_sphere,
+        };
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let dim = 30;
+        let common = unit_sphere(&mut rng, dim);
+        let bases: Vec<Matrix> = (0..4)
+            .map(|s| random_orthonormal_basis(&mut rng, dim, 2 + s % 3))
+            .collect();
+        let fresh = n - n / 10;
+        let mut x = Matrix::zeros(dim, n);
+        for j in 0..fresh {
+            let mut col = sample_on_subspace(&mut rng, &bases[j % bases.len()]);
+            vector::axpy(shared, &common, &mut col);
+            vector::axpy(noise, &gaussian_vector(&mut rng, dim), &mut col);
+            x.col_mut(j).copy_from_slice(&col);
+        }
+        for j in fresh..n {
+            let sign = if j % 2 == 0 { 1.0 } else { -1.0 };
+            let src: Vec<f64> = x.col((j * 7) % fresh).iter().map(|v| sign * v).collect();
+            x.col_mut(j).copy_from_slice(&src);
+        }
+        x.normalize_columns(1e-12);
+        x
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn one_path_is_optimal_on_coherent_dictionaries(
+            seed in 0u64..5000,
+            n in 60usize..200,
+            shared in 0.2f64..1.5,
+            noise in 0.0f64..0.2,
+            point in 0usize..60,
+            alpha in 5.0f64..100.0,
+        ) {
+            // Self-expression over many coherent atoms: the regime where a
+            // small working set had to grow for several rounds.
+            let x = coherent_dictionary(seed, n, shared, noise);
+            let g = x.gram();
+            let b = g.col(point);
+            let lambda = ssc_lambda(b, point, alpha);
+            let solver = LassoSolver::new(&g, LassoOptions::default());
+            let c = solver.solve(b, lambda, point).unwrap();
+            let viol = solver.kkt_violation(b, lambda, point, &c).unwrap();
+            prop_assert!(viol <= 1e-9 * lambda, "KKT violation {viol} at lambda {lambda}");
+            let reference = reference_cd(&g, b, lambda, point);
+            let (ours, theirs) = (
+                objective(&g, b, g[(point, point)], lambda, &c.to_dense()),
+                objective(&g, b, g[(point, point)], lambda, &reference),
+            );
+            let slack = 1e-9 * theirs.abs().max(1.0);
+            prop_assert!(ours <= theirs + slack, "objective {ours} above reference {theirs}");
+        }
+    }
+
     #[test]
     fn singular_entry_is_skipped_and_still_optimal() {
         // Two unit atoms 4.5e-7 rad apart (G_01 = 1 - 1e-13): atom 1's
@@ -1120,7 +942,7 @@ mod tests {
 
     #[test]
     fn cholesky_drop_matches_the_reduced_gram() {
-        // Factor a 5x5 SPD panel through appends, drop a middle atom, and
+        // Factor a 5x5 SPD Gram through appends, drop a middle atom, and
         // check L L^T against the Gram with that row and column removed.
         let x = Matrix::from_rows(&[
             &[1.0, 0.9, 0.1, -0.4, 0.3],
@@ -1132,20 +954,22 @@ mod tests {
         .unwrap();
         let g = x.gram();
         let m = g.cols();
-        let mut ws = LassoWorkspace::new();
-        ws.active.extend(0..m);
-        ws.panel = (0..m).flat_map(|q| g.col(q).to_vec()).collect();
-        ws.chol.resize(m * m, 0.0);
+        let mut chol = Vec::new();
+        let mut active = Vec::new();
         for p in 0..m {
-            assert!(chol_append(p, &mut ws), "atom {p} refused");
-            ws.path_set.push(p);
+            assert!(
+                chol_append(g.col(p), g[(p, p)], &active, &mut chol),
+                "atom {p} refused"
+            );
+            active.push(p);
         }
-        chol_drop(2, m, m, &mut ws.chol);
+        chol_drop(2, m, &mut chol);
         let kept = [0, 1, 3, 4];
+        assert_eq!(chol.len(), row_start(kept.len()));
         for (i, &gi) in kept.iter().enumerate() {
             for (j, &gj) in kept.iter().enumerate() {
                 let llt: f64 = (0..=i.min(j))
-                    .map(|t| ws.chol[i * m + t] * ws.chol[j * m + t])
+                    .map(|t| chol[row_start(i) + t] * chol[row_start(j) + t])
                     .sum();
                 assert!(
                     (llt - g[(gi, gj)]).abs() < 1e-12,

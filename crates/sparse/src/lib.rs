@@ -5,8 +5,9 @@
 //!
 //! * [`vec::SparseVec`] — sparse self-expression codes.
 //! * [`csr::CsrMatrix`] — compressed sparse row storage for affinity graphs.
-//! * [`lasso`] — working-set homotopy with a coordinate-descent polish for
-//!   the SSC Lasso (paper Eq. (2)), plus the paper's `lambda` selection rule.
+//! * [`lasso`] — one LARS-Lasso homotopy path per problem with a
+//!   coordinate-descent certificate for the SSC Lasso (paper Eq. (2)), plus
+//!   the paper's `lambda` selection rule.
 //! * [`admm`] — ADMM Lasso backend (cross-check oracle / ablation).
 //! * [`omp`] — Orthogonal Matching Pursuit for SSC-OMP.
 //! * [`elastic_net`] — elastic-net coordinate descent with ORGEN-style

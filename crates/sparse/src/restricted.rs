@@ -8,8 +8,7 @@
 //! `fedsc_linalg::sketch`): the `k x k` Gram and `b_C = X_C^T x_i` are
 //! computed on the *exact* data, the per-point lambda rule uses the exact
 //! restricted correlation maximum, and the solve itself is the standard
-//! gap-safe screened Lasso solver ([`crate::lasso::LassoSolver`]) on
-//! the restricted problem — PR 6's sphere test runs unchanged on the exact
+//! homotopy Lasso solver ([`crate::lasso::LassoSolver`]) on the exact
 //! restricted Gram.
 //!
 //! ## Why the certificate must scan the full dictionary
@@ -96,7 +95,7 @@ pub struct CandidateOutcome {
     /// codes are the restricted optima over the offered candidates.
     pub codes: Vec<SparseVec>,
     /// Per point: `true` when the first verification pass was already clean
-    /// (gap-safe restricted solve + exact full-dictionary scan found no
+    /// (restricted solve + exact full-dictionary scan found no
     /// violator and the restricted lambda was exact). `false` means the
     /// point escalated — its code is still exact, it just took extra rounds.
     pub certified: Vec<bool>,
@@ -165,7 +164,7 @@ pub fn solve_candidates(
     let threads = opts.threads.max(1);
     let slack = escalate_slack(opts.tol);
 
-    // Round 0: restricted gap-safe solves over the candidate sets.
+    // Round 0: restricted solves over the candidate sets.
     let solved = par::par_map_with(n, threads, LassoWorkspace::new, |ws, i| {
         solve_restricted(x, i, &candidates[i], alpha, None, opts, ws)
     });
@@ -287,7 +286,7 @@ pub fn solve_candidates(
 type RestrictedSolve = (Vec<(usize, f64)>, f64, f64);
 
 /// One restricted solve: exact `b_C` / `G_C` / restricted lambda rule plus
-/// the gap-safe screened Lasso solve.
+/// the Lasso solve.
 fn solve_restricted(
     x: &Matrix,
     i: usize,
@@ -313,7 +312,7 @@ fn solve_restricted(
         }
     }
     let solver = LassoSolver::new(&gram, opts.clone());
-    let code = solver.solve_screened(&b, lambda, usize::MAX, vector::dot(xi, xi), ws)?;
+    let code = solver.solve_in(&b, lambda, usize::MAX, ws)?;
     let mut local: Vec<(usize, f64)> = code.iter().collect();
     local.sort_unstable_by_key(|&(p, _)| p);
     Ok((local, lambda, mu))
@@ -416,9 +415,7 @@ mod tests {
             .map(|i| {
                 let b = gram.col(i);
                 let lambda = ssc_lambda(b, i, alpha);
-                solver
-                    .solve_screened(b, lambda, i, gram[(i, i)], &mut ws)
-                    .unwrap()
+                solver.solve_in(b, lambda, i, &mut ws).unwrap()
             })
             .collect()
     }

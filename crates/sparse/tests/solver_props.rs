@@ -9,7 +9,7 @@ use fedsc_linalg::random::gaussian_matrix;
 use fedsc_linalg::Matrix;
 use fedsc_sparse::admm::{AdmmLasso, AdmmOptions};
 use fedsc_sparse::elastic_net::{ElasticNetOptions, ElasticNetSolver};
-use fedsc_sparse::lasso::{ssc_lambda, LassoOptions, LassoSolver, LassoWorkspace};
+use fedsc_sparse::lasso::{LassoOptions, LassoSolver};
 use fedsc_sparse::omp::{omp, OmpOptions};
 use fedsc_sparse::SparseVec;
 use proptest::prelude::*;
@@ -37,47 +37,6 @@ proptest! {
         let viol = solver.kkt_violation(b, lambda, 0, &c).unwrap();
         prop_assert!(viol < 1e-4 * lambda.max(1.0), "violation {viol}");
         prop_assert_eq!(c.to_dense()[0], 0.0);
-    }
-
-    #[test]
-    fn gap_safe_screening_is_exact(
-        seed in 0u64..2000,
-        cols in 4usize..12,
-        factor_idx in 0usize..3,
-    ) {
-        // Screening must be invisible in the result: for random unit-norm
-        // dictionaries (the SSC convention) and lambdas bracketing the
-        // ssc_lambda rule, the screened and unscreened solvers return the
-        // same support and the same coefficients within support_tol.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut x = gaussian_matrix(&mut rng, 5, cols);
-        x.normalize_columns(1e-12);
-        let gram = x.gram();
-        let b = gram.col(0);
-        let lambda = ssc_lambda(b, 0, 50.0) * [0.5, 1.0, 2.0][factor_idx];
-        // Tight tolerance so both solve paths land on the optimum rather
-        // than on path-dependent approximations of it.
-        let opts = LassoOptions { max_iters: 200_000, tol: 1e-12, ..Default::default() };
-        let support_tol = opts.support_tol;
-        let solver = LassoSolver::new(&gram, opts);
-        let plain = solver.solve(b, lambda, 0).unwrap().to_dense();
-        let mut ws = LassoWorkspace::new();
-        let screened = solver
-            .solve_screened(b, lambda, 0, gram[(0, 0)], &mut ws)
-            .unwrap()
-            .to_dense();
-        for (j, (p, s)) in plain.iter().zip(&screened).enumerate() {
-            prop_assert!(
-                (p - s).abs() <= support_tol,
-                "coef {j}: unscreened {p} vs screened {s}"
-            );
-            prop_assert_eq!(
-                p.abs() > support_tol,
-                s.abs() > support_tol,
-                "support mismatch at atom {}: unscreened {} vs screened {}",
-                j, p, s
-            );
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::algo::{normalize_data, SubspaceClusterer};
 use crate::candidates::{select_candidates, CandidateOptions};
 use fedsc_graph::{AffinityGraph, SparseAffinity};
-use fedsc_linalg::{par, Matrix, Result};
+use fedsc_linalg::{par, span, Matrix, Result};
 use fedsc_sparse::lasso::{ssc_lambda, LassoOptions, LassoSolver, LassoWorkspace};
 use fedsc_sparse::restricted::{solve_candidates, CandidateOutcome};
 use fedsc_sparse::SparseVec;
@@ -73,11 +73,11 @@ impl Ssc {
     /// over `self.lasso.threads` workers (the Phase-1 hot path of the
     /// paper's complexity analysis). Each worker carries one
     /// [`LassoWorkspace`] reused across all the points it solves (warm
-    /// scratch buffers, no per-point allocation), and each solve runs the
-    /// gap-safe screened path — `||x_i||^2` is just `gram[(i, i)]`. Each
-    /// point's solve is untouched by the fan-out and fully re-initializes
-    /// its workspace values, so the codes are bitwise identical for every
-    /// thread count.
+    /// scratch buffers, no per-point allocation). Each point's solve is
+    /// untouched by the fan-out and fully re-initializes its workspace
+    /// values, so the codes are bitwise identical for every thread count.
+    /// The Gram product and the solves record the `ssc.gram` and
+    /// `ssc.lasso` spans.
     fn exact_codes(&self, data: &Matrix) -> Result<Vec<SparseVec>> {
         let x = if self.normalize {
             normalize_data(data)
@@ -86,12 +86,16 @@ impl Ssc {
         };
         let n = x.cols();
         let threads = self.lasso.threads.max(1);
-        let gram = x.gram_threaded(threads);
+        let gram = {
+            let _s = span("fedsc", "ssc.gram");
+            x.gram_threaded(threads)
+        };
+        let _s = span("fedsc", "ssc.lasso");
         let solver = LassoSolver::new(&gram, self.lasso.clone());
         par::par_map_with(n, threads, LassoWorkspace::new, |ws, i| {
             let b = gram.col(i);
             let lambda = ssc_lambda(b, i, self.alpha);
-            solver.solve_screened(b, lambda, i, gram[(i, i)], ws)
+            solver.solve_in(b, lambda, i, ws)
         })
         .into_iter()
         .collect()
