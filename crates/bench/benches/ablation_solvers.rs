@@ -3,8 +3,8 @@
 //! * Lasso backend — working-set coordinate descent vs ADMM (same Eq. (2)
 //!   objective; the paper swapped SPAMS CD in for ADMM for exactly this
 //!   reason).
-//! * Spectral solver — dense `tred2`/`tql2` vs deflated Lanczos at the
-//!   pooled-sample sizes the central server actually sees.
+//! * Spectral solver — the full dense eigendecomposition vs deflated
+//!   Lanczos at the pooled-sample sizes the central server actually sees.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fedsc_graph::laplacian::normalized_laplacian;

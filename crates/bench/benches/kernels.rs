@@ -43,7 +43,7 @@ fn bench_eig(c: &mut Criterion) {
     let a800 = symmetric_matrix(800, 2);
     let mut g = c.benchmark_group("eig");
     g.sample_size(10);
-    g.bench_function("dense_tred2_tql2_n200", |b| {
+    g.bench_function("dense_eigh_n200", |b| {
         b.iter(|| black_box(eigh(&a200).expect("bench setup")))
     });
     g.bench_function("lanczos_k10_n800", |b| {

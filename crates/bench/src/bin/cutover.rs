@@ -1,6 +1,7 @@
 //! Spectral cutover measurement: where does the seeded thick-restart block
-//! Lanczos solver on the CSR normalized Laplacian start beating a full
-//! dense `tred2`/`tql2` factorization of the same Laplacian?
+//! Lanczos solver on the CSR normalized Laplacian start beating the dense
+//! arm of `k_smallest` — `eigh_partial` forming only the `k` wanted
+//! eigenvectors — on the same Laplacian?
 //!
 //! This is the measurement behind `fedsc_linalg::eigh::lanczos_beats_dense`
 //! (methodology in DESIGN.md §13). For each grid point `(n, k)` it builds
@@ -16,7 +17,7 @@ use fedsc_bench::instances::ring_block_affinity;
 use fedsc_clustering::spectral::kernel_seeds;
 use fedsc_graph::laplacian::normalized_laplacian;
 use fedsc_graph::sparse::sparse_normalized_laplacian;
-use fedsc_linalg::eigh::{eigh, lanczos_beats_dense};
+use fedsc_linalg::eigh::{eigh_partial, lanczos_beats_dense};
 use fedsc_linalg::thick_restart::{thick_restart_smallest, ThickRestartOptions};
 use fedsc_obs::Stopwatch;
 
@@ -53,7 +54,7 @@ fn main() {
             let dense_lap = normalized_laplacian(&w.to_graph());
             let csr_lap = sparse_normalized_laplacian(&w);
             let t_dense = median3(|| {
-                let _ = std::hint::black_box(eigh(&dense_lap).expect("dense eigh"));
+                let _ = std::hint::black_box(eigh_partial(&dense_lap, k).expect("dense eigh"));
             });
             let t_iter = median3(|| {
                 let opts = ThickRestartOptions {

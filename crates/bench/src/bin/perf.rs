@@ -25,6 +25,11 @@
 //! - `fedsc_e2e` — a full seeded Fed-SC run over a partitioned dataset.
 //! - `fedsc_e2e_cand` — the same run with `candidate_threshold` dropped so
 //!   every SSC (local and central) routes through the candidate pipeline.
+//! - `eigh_dense` — the dense eigensolver at its call-site shapes: the
+//!   `k` smallest eigenpairs of a seeded SSC affinity's normalized
+//!   Laplacian at (n, k) = (50, 5), a device's local graph, and
+//!   (160, 12), the `table3_emnist` server pool (single-threaded rows;
+//!   the solver has no threaded path).
 //! - `spectral_sparse` / `spectral_sparse_old` — the sparse spectral
 //!   stage head-to-head: thick-restart block Lanczos (kernel-seeded) vs
 //!   the legacy lock-and-restart deflation on the same CSR normalized
@@ -51,7 +56,9 @@ use fedsc_bench::instances::block_affinity;
 use fedsc_clustering::spectral::kernel_seeds;
 use fedsc_data::synthetic::{generate, SyntheticConfig};
 use fedsc_federated::partition::{partition_dataset, Partition};
+use fedsc_graph::laplacian::normalized_laplacian;
 use fedsc_graph::sparse::sparse_normalized_laplacian;
+use fedsc_linalg::eigh::eigh_partial;
 use fedsc_linalg::lanczos::deflated_lanczos_smallest_op;
 use fedsc_linalg::par::default_threads;
 use fedsc_linalg::thick_restart::{thick_restart_smallest, ThickRestartOptions};
@@ -505,6 +512,37 @@ fn main() {
         },
     ));
 
+    // Dense eigensolver at the shapes its callers use: k eigenvectors of
+    // an n-node Laplacian. The graphs are SSC affinities of seeded
+    // subspace mixtures with k subspaces, so the spectra carry the near-
+    // degenerate bottom clusters real rounds hand the solver. Same shapes
+    // in the smoke grid: they take milliseconds.
+    for (en, ek) in [(50usize, 5usize), (160, 12)] {
+        let mut rng = StdRng::seed_from_u64(17);
+        let model = fedsc_subspace::SubspaceModel::random(&mut rng, 30, 3, ek);
+        let sizes: Vec<usize> = (0..ek)
+            .map(|c| en / ek + usize::from(c < en % ek))
+            .collect();
+        let pts = model.sample_dataset(&mut rng, &sizes, 0.01);
+        let lap = normalized_laplacian(&Ssc::default().affinity(&pts.data).expect("affinity"));
+        let t = median_ns(reps, || {
+            let _ = std::hint::black_box(eigh_partial(&lap, ek).expect("dense eigh"));
+        });
+        eprintln!(
+            "{:>14} {:>24}  1t {t:>12} ns",
+            "eigh_dense",
+            format!("n={en},k={ek}")
+        );
+        entries.push(Entry {
+            kernel: "eigh_dense",
+            size: format!("n={en},k={ek}"),
+            threads: 1,
+            median_ns: t,
+            speedup: 1.0,
+            extra: String::new(),
+        });
+    }
+
     // Sparse spectral stage (the PR 10 tentpole): thick-restart block
     // Lanczos with kernel-aware seeding vs the legacy lock-and-restart
     // deflation, on the same CSR normalized Laplacian of the deterministic
@@ -727,6 +765,9 @@ fn main() {
         "spectral.restarts",
         "spectral.reorth_passes",
         "spectral.ritz_locked",
+        // The dense eigensolver's inverse iteration.
+        "eigh.inverse_iterations",
+        "eigh.unconverged",
     ] {
         assert!(
             snap.counters.contains_key(key),

@@ -8,9 +8,9 @@ use crate::kmeans::{kmeans, KMeansOptions};
 use fedsc_graph::laplacian::normalized_laplacian;
 use fedsc_graph::sparse::sparse_normalized_laplacian;
 use fedsc_graph::{AffinityGraph, SparseAffinity};
-use fedsc_linalg::eigh::{eigh, k_smallest, lanczos_beats_dense, SymmetricEig};
+use fedsc_linalg::eigh::{eigh_partial, k_smallest, lanczos_beats_dense, SymmetricEig};
 use fedsc_linalg::thick_restart::{thick_restart_smallest, ThickRestartOptions};
-use fedsc_linalg::{vector, Matrix, Result};
+use fedsc_linalg::{vector, LinalgError, Matrix, Result};
 use rand::Rng;
 
 /// Options for spectral clustering.
@@ -44,8 +44,8 @@ impl SpectralOptions {
 /// Clusters the nodes of an affinity graph into `opts.k` groups.
 ///
 /// Returns one label in `0..k` per node. Below the `lanczos_beats_dense`
-/// cutover the dense Laplacian goes through the full `tred2`/`tql2`
-/// factorization; above it the graph is handed to
+/// cutover the dense solver computes the `k` eigenvectors the embedding
+/// reads; above it the graph is handed to
 /// [`spectral_clustering_sparse`], so every graph that large gets the same
 /// kernel-seeded CSR solve whichever representation it arrived in.
 pub fn spectral_clustering<R: Rng + ?Sized>(
@@ -73,29 +73,33 @@ pub fn spectral_clustering<R: Rng + ?Sized>(
     embed_and_cluster(&eig, n, k, opts, rng)
 }
 
-/// The full spectrum of `g`'s normalized Laplacian (ascending), bitwise
-/// `fedsc_graph::laplacian::laplacian_spectrum`: what an eigengap reads
-/// its cluster count off before [`spectral_clustering_from_eig`] embeds
-/// with it. Recorded as a `spectral` span (`k = n`) with its
-/// `spectral.laplacian` and `spectral.eigensolve` layers; the embedding
-/// records its own `spectral` span, since the count is read in between.
-pub fn full_spectrum(g: &AffinityGraph) -> Result<SymmetricEig> {
+/// The full spectrum of `g`'s normalized Laplacian (ascending; its
+/// eigenvalues bitwise `fedsc_graph::laplacian::laplacian_spectrum`) with
+/// the eigenvectors of its `vectors` smallest eigenvalues: what an eigengap
+/// reads its cluster count off, capped at `vectors`, before
+/// [`spectral_clustering_from_eig`] embeds with it. Recorded as a
+/// `spectral` span (`k = vectors`) with its `spectral.laplacian` and
+/// `spectral.eigensolve` layers; the embedding records its own `spectral`
+/// span, since the count is read in between.
+pub fn full_spectrum(g: &AffinityGraph, vectors: usize) -> Result<SymmetricEig> {
     let n = g.len();
-    let _span = spectral_span(n, n);
+    let _span = spectral_span(n, vectors.min(n));
     let lap = {
         let _s = fedsc_obs::span("fedsc", "spectral.laplacian");
         normalized_laplacian(g)
     };
     let _s = fedsc_obs::span("fedsc", "spectral.eigensolve");
-    eigh(&lap)
+    eigh_partial(&lap, vectors)
 }
 
 /// [`spectral_clustering`] on an eigendecomposition the caller already
-/// holds: the full spectrum of the graph's normalized Laplacian, as
-/// [`full_spectrum`] returns it. A caller that reads its cluster
-/// count off that spectrum thus solves the Laplacian once. Below the dense
-/// cutover [`spectral_clustering`] embeds with exactly these eigenvectors,
-/// so the labels are bitwise the same.
+/// holds: the spectrum of the graph's normalized Laplacian with at least
+/// `opts.k` eigenvectors, as [`full_spectrum`] returns it. A caller that
+/// reads its cluster count off that spectrum thus solves the Laplacian
+/// once. Below the dense cutover [`spectral_clustering`] embeds with
+/// exactly these eigenvectors — the dense solver's first `k` columns do
+/// not depend on how many were asked for — so the labels are bitwise the
+/// same.
 pub fn spectral_clustering_from_eig<R: Rng + ?Sized>(
     eig: &SymmetricEig,
     opts: &SpectralOptions,
@@ -106,6 +110,11 @@ pub fn spectral_clustering_from_eig<R: Rng + ?Sized>(
         return Ok(vec![]);
     }
     let k = opts.k.clamp(1, n);
+    if eig.eigenvectors.cols() < k {
+        return Err(LinalgError::InvalidArgument(
+            "fewer eigenvectors than clusters",
+        ));
+    }
     let _span = spectral_span(n, k);
     embed_and_cluster(eig, n, k, opts, rng)
 }
@@ -116,7 +125,7 @@ pub fn spectral_clustering_from_eig<R: Rng + ?Sized>(
 /// dense array is ever materialized at scale.
 ///
 /// Below the dense eigensolver cutover (where `k_smallest` would run the
-/// full `tred2`/`tql2` factorization anyway) the graph is densified and the
+/// dense solver anyway) the graph is densified and the
 /// call is **bitwise** the dense [`spectral_clustering`] — the CSR
 /// round trip and Laplacian mirror the dense arithmetic exactly.
 ///
@@ -302,6 +311,44 @@ mod tests {
         assert!(labels[..5].iter().all(|&l| l == labels[0]));
         assert!(labels[5..].iter().all(|&l| l == labels[5]));
         assert_ne!(labels[0], labels[5]);
+    }
+
+    #[test]
+    fn eigengap_spectrum_is_bitwise_the_fixed_count_solve() {
+        // Below the cutover an eigengap caller asks for vectors up to its
+        // cap, a fixed-count caller for exactly `k`; both must embed with
+        // the same bits, so the two routes label identically.
+        let g = block_graph(&[6, 5, 7, 4], 1.0, 0.03);
+        let lap = normalized_laplacian(&g);
+        let cap = 10;
+        let spec = full_spectrum(&g, cap).unwrap();
+        assert_eq!(spec.eigenvalues.len(), g.len());
+        assert_eq!(spec.eigenvectors.cols(), cap);
+        for k in 1..=cap {
+            let fixed = k_smallest(&lap, k).unwrap();
+            for j in 0..k {
+                assert_eq!(
+                    fixed.eigenvalues[j].to_bits(),
+                    spec.eigenvalues[j].to_bits()
+                );
+                assert!(fixed
+                    .eigenvectors
+                    .col(j)
+                    .iter()
+                    .zip(spec.eigenvectors.col(j))
+                    .all(|(x, y)| x.to_bits() == y.to_bits()));
+            }
+        }
+        let opts = SpectralOptions::new(4);
+        let fixed = spectral_clustering(&g, &opts, &mut StdRng::seed_from_u64(5)).unwrap();
+        let from_eig =
+            spectral_clustering_from_eig(&spec, &opts, &mut StdRng::seed_from_u64(5)).unwrap();
+        assert_eq!(fixed, from_eig);
+        // Fewer eigenvectors than clusters is a caller error, not a panic.
+        let short = full_spectrum(&g, 2).unwrap();
+        assert!(
+            spectral_clustering_from_eig(&short, &opts, &mut StdRng::seed_from_u64(5)).is_err()
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub struct CentralOutput {
 /// certified candidates at or above it) go straight into a CSR affinity,
 /// and a fixed count segments it with `spectral_clustering_sparse` — the
 /// kernel-seeded thick-restart block Lanczos on the CSR Laplacian above
-/// the `lanczos_beats_dense` cutover, the dense `tred2`/`tql2` below it
+/// the `lanczos_beats_dense` cutover, the dense solver below it
 /// (DESIGN.md §13). Below that cutover every step is bitwise the dense
 /// pipeline. The TSC backend's k-NN graph takes the same route.
 /// `num_devices` feeds the TSC `q` rule; it is ignored by the SSC backend.
@@ -93,7 +93,7 @@ pub fn central_cluster<R: Rng + ?Sized>(
     };
     let (k, spectrum) = match count {
         ClusterCountPolicy::Eigengap { .. } if reads_count => {
-            let spec = full_spectrum(&graph)?;
+            let spec = full_spectrum(&graph, l_max.max(1))?;
             // Floor the estimate at the affinity's connected-component
             // count: the components are a hard lower bound on the natural
             // cluster count, and under-estimating merges subspaces —

@@ -86,8 +86,12 @@ pub fn local_cluster_and_sample<R: Rng + ?Sized>(
     // Step 3: estimate r^(z). The eigengap reads the Laplacian spectrum
     // whose eigenvectors step 4 then embeds with: one solve per graph.
     let eigengap_span = fedsc_obs::span("fedsc", "local.eigengap");
+    // The count never exceeds the policy's cap, so only that many
+    // eigenvectors are formed.
     let spectrum = match cfg.cluster_count {
-        ClusterCountPolicy::Eigengap { .. } => Some(full_spectrum(&graph)?),
+        ClusterCountPolicy::Eigengap { max, .. } => {
+            Some(full_spectrum(&graph, max.unwrap_or(n_points).max(1))?)
+        }
         ClusterCountPolicy::Fixed(_) => None,
     };
     let eigenvalues = spectrum.as_ref().map_or(&[][..], |s| &s.eigenvalues);
@@ -158,14 +162,17 @@ pub fn local_cluster_and_sample<R: Rng + ?Sized>(
 }
 
 /// Footnote 3: estimate the basis of `span(cluster)` with a truncated SVD.
+/// Under [`BasisDim::Auto`] one SVD both probes the rank and supplies the
+/// basis: its leading `d` left singular vectors are bitwise the ones a
+/// `d`-truncated SVD returns.
 fn estimate_basis(cluster: &Matrix, policy: BasisDim) -> Result<Matrix> {
     let max_rank = cluster.rows().min(cluster.cols());
-    let d = match policy {
-        BasisDim::Fixed(d) => d.clamp(1, max_rank),
+    let u = match policy {
+        BasisDim::Fixed(d) => truncated_svd(cluster, d.clamp(1, max_rank))?.u,
         BasisDim::Auto { rel_tol, max_dim } => {
             let probe = truncated_svd(cluster, max_rank.min(max_dim.max(1)))?;
             let smax = probe.s.first().copied().unwrap_or(0.0);
-            if smax <= 0.0 {
+            let d = if smax <= 0.0 {
                 1
             } else {
                 probe
@@ -174,10 +181,11 @@ fn estimate_basis(cluster: &Matrix, policy: BasisDim) -> Result<Matrix> {
                     .take_while(|&&s| s > rel_tol.max(f64::EPSILON) * smax)
                     .count()
                     .clamp(1, max_rank)
-            }
+            };
+            let cols: Vec<usize> = (0..d).collect();
+            probe.u.select_columns(&cols)
         }
     };
-    let u = truncated_svd(cluster, d)?.u;
     // Phase 1 invariant: everything downstream (uniform-on-subspace sampling,
     // the theory diagnostics) assumes U_{d_t} has orthonormal columns.
     debug_assert!(
@@ -344,5 +352,28 @@ mod tests {
         assert_eq!(out.samples.cols(), 1);
         // The only possible unit sample is +-x itself.
         assert!((out.samples[(0, 0)].abs() - 1.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn auto_basis_is_bitwise_the_fixed_basis_at_its_dimension() {
+        // One probe SVD serves `Auto`; its leading columns must be exactly
+        // what a separate SVD truncated at the chosen dimension returns.
+        let mut rng = StdRng::seed_from_u64(31);
+        let model = SubspaceModel::random(&mut rng, 40, 4, 1);
+        let ds = model.sample_dataset(&mut rng, &[25], 0.01);
+        let auto = BasisDim::Auto {
+            rel_tol: 0.1,
+            max_dim: 10,
+        };
+        let u_auto = estimate_basis(&ds.data, auto).unwrap();
+        let d = u_auto.cols();
+        assert!((1..10).contains(&d), "auto dimension {d}");
+        let u_fixed = estimate_basis(&ds.data, BasisDim::Fixed(d)).unwrap();
+        assert_eq!(u_fixed.shape(), u_auto.shape());
+        assert!(u_auto
+            .as_slice()
+            .iter()
+            .zip(u_fixed.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 }

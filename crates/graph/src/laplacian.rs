@@ -7,7 +7,7 @@
 //! eigenvalue per ground-truth cluster).
 
 use crate::affinity::AffinityGraph;
-use fedsc_linalg::eigh::{eigh, SymmetricEig};
+use fedsc_linalg::eigh::{eigh_partial, SymmetricEig};
 use fedsc_linalg::{Matrix, Result};
 
 /// Builds the normalized Laplacian `I - D^{-1/2} W D^{-1/2}`.
@@ -47,9 +47,10 @@ pub fn unnormalized_laplacian(g: &AffinityGraph) -> Matrix {
     l
 }
 
-/// Full spectrum of the normalized Laplacian (ascending).
+/// Full spectrum of the normalized Laplacian (ascending), eigenvalues
+/// only: the returned decomposition holds no eigenvector columns.
 pub fn laplacian_spectrum(g: &AffinityGraph) -> Result<SymmetricEig> {
-    eigh(&normalized_laplacian(g))
+    eigh_partial(&normalized_laplacian(g), 0)
 }
 
 /// The paper's Eq. (3): estimates the number of clusters as the position of

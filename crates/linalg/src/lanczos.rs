@@ -2,8 +2,8 @@
 //!
 //! Spectral clustering only needs the `k` smallest eigenvectors of the
 //! (dense, PSD) normalized Laplacian; for the pooled-sample graphs of large
-//! federated runs (`N` in the thousands) the full `tred2`/`tql2` path costs
-//! `O(N^3)` while Lanczos costs `O(m N^2)` for a Krylov dimension `m` far
+//! federated runs (`N` in the thousands) the dense path's Householder
+//! reduction costs `O(N^3)` while Lanczos costs `O(m N^2)` for a Krylov dimension `m` far
 //! below `N`.
 //!
 //! The production entry points ([`lanczos_smallest`] /

@@ -16,7 +16,9 @@
 //!   on.
 //! * [`qr`] — Householder QR, least squares, rank-revealing orthonormal
 //!   bases.
-//! * [`eigh`] — symmetric eigendecomposition (tred2/tql2), ascending order.
+//! * [`eigh`] — dense symmetric eigendecomposition, ascending order, forming
+//!   only the eigenvectors a caller asks for (Householder reduction, QL
+//!   eigenvalues, inverse iteration).
 //! * [`lanczos`] — the `SymOp` operator abstraction (single and blocked
 //!   applies) plus the legacy lock-and-restart Lanczos baseline.
 //! * [`thick_restart`] — thick-restart block Lanczos, the production

@@ -15,7 +15,7 @@
 //! [`truncated_svd`] implements the paper's footnote 3: local subspace bases
 //! are estimated with a *truncated* SVD to keep the per-device cost low.
 
-use crate::eigh::eigh;
+use crate::eigh::eigh_largest;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::vector;
@@ -67,6 +67,13 @@ impl Svd {
 /// the roles are swapped. Zero singular directions get zero-padded singular
 /// vectors (they never contribute to a basis).
 pub fn svd_gram(a: &Matrix) -> Result<Svd> {
+    top_svd_gram(a, a.rows().min(a.cols()))
+}
+
+/// The top `k` singular triplets by [`svd_gram`]'s route. The dense solver
+/// forms only the Gram's `k` largest eigenvectors, so the first `j`
+/// triplets are bitwise the same for every `k >= j`.
+fn top_svd_gram(a: &Matrix, k: usize) -> Result<Svd> {
     let (m, n) = a.shape();
     if m == 0 || n == 0 {
         return Ok(Svd {
@@ -77,15 +84,14 @@ pub fn svd_gram(a: &Matrix) -> Result<Svd> {
     }
     if m >= n {
         let g = a.gram(); // n x n
-        let eig = eigh(&g)?;
-        let k = n;
-        // eigh returns ascending; we want descending singular values.
-        let mut s = Vec::with_capacity(k);
-        let order: Vec<usize> = (0..k).rev().collect();
-        let v = eig.eigenvectors.select_columns(&order);
-        for &i in &order {
-            s.push(eig.eigenvalues[i].max(0.0).sqrt());
-        }
+        let eig = eigh_largest(&g, k)?;
+        // Descending singular values from the ascending eigenvalues.
+        let s: Vec<f64> = eig.eigenvalues[n - k..]
+            .iter()
+            .rev()
+            .map(|&l| l.max(0.0).sqrt())
+            .collect();
+        let v = eig.eigenvectors;
         let mut u = a.matmul(&v)?;
         for (j, &sv) in s.iter().enumerate() {
             let col = u.col_mut(j);
@@ -97,8 +103,7 @@ pub fn svd_gram(a: &Matrix) -> Result<Svd> {
         }
         Ok(Svd { u, s, v })
     } else {
-        let at = a.transpose();
-        let sw = svd_gram(&at)?;
+        let sw = top_svd_gram(&a.transpose(), k)?;
         Ok(Svd {
             u: sw.v,
             s: sw.s,
@@ -204,7 +209,9 @@ fn split_two_cols(m: &mut Matrix, p: usize, q: usize, rows: usize) -> (&mut [f64
 
 /// Truncated SVD keeping the top `k` singular triplets (paper footnote 3:
 /// "we use truncate SVD instead of standard SVD to reduce the computational
-/// complexity"). Returns an error when `k` exceeds `min(rows, cols)`.
+/// complexity"). Only the `k` wanted triplets are formed, and the first
+/// `j` are bitwise the same for every `k >= j`. Returns an error when `k`
+/// exceeds `min(rows, cols)`.
 pub fn truncated_svd(a: &Matrix, k: usize) -> Result<Svd> {
     let kmax = a.rows().min(a.cols());
     if k > kmax {
@@ -212,14 +219,9 @@ pub fn truncated_svd(a: &Matrix, k: usize) -> Result<Svd> {
             "truncation k exceeds min(rows, cols)",
         ));
     }
-    let full = svd_gram(a)?;
-    crate::vector::debug_assert_finite(&full.s, "truncated_svd singular values");
-    let cols: Vec<usize> = (0..k).collect();
-    Ok(Svd {
-        u: full.u.select_columns(&cols),
-        s: full.s[..k].to_vec(),
-        v: full.v.select_columns(&cols),
-    })
+    let svd = top_svd_gram(a, k)?;
+    crate::vector::debug_assert_finite(&svd.s, "truncated_svd singular values");
+    Ok(svd)
 }
 
 /// Orthonormal basis of the dominant `dim`-dimensional column space of `a`

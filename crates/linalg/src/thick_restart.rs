@@ -34,7 +34,7 @@
 //! bitwise thread-invariant: `threads` only flows into kernels that are
 //! themselves thread-invariant (`matmul_threaded`, the CSR SpMM).
 
-use crate::eigh::{eigh, SymmetricEig};
+use crate::eigh::{eigh_partial, SymmetricEig};
 use crate::error::{LinalgError, Result};
 use crate::lanczos::{start_vector, SymOp};
 use crate::matrix::Matrix;
@@ -267,7 +267,9 @@ pub fn thick_restart_smallest<A: SymOp + ?Sized>(
                 hm[(i, j)] = solver.h[(i, j)];
             }
         }
-        let he = eigh(&hm)?;
+        // Only the pairs this pass reads: the `k` wanted ones and the `l`
+        // a restart keeps.
+        let he = eigh_partial(&hm, k.min(m).max(solver.kept(m)))?;
 
         // Residual estimates: for Ritz pair (θ_i, s_i) the residual factors
         // through the frontier block, ||A y_i - θ_i y_i|| = ||R s_i[F]||.
@@ -277,7 +279,7 @@ pub fn thick_restart_smallest<A: SymOp + ?Sized>(
             .blocks
             .last()
             .expect("basis always holds at least one block");
-        let mut resid = vec![0.0f64; m];
+        let mut resid = vec![0.0f64; k.min(m)];
         if !fp.is_empty() {
             for (i, r) in resid.iter_mut().enumerate() {
                 let mut acc = 0.0f64;
@@ -291,7 +293,7 @@ pub fn thick_restart_smallest<A: SymOp + ?Sized>(
                 *r = acc.sqrt();
             }
         }
-        let nconv = (0..k.min(m)).filter(|&i| resid[i] <= inner_tol).count();
+        let nconv = resid.iter().filter(|&&r| r <= inner_tol).count();
 
         let exhausted = fp.is_empty();
         if nconv >= k || exhausted || attempt == max_restarts {
@@ -688,6 +690,15 @@ impl<A: SymOp + ?Sized> Solver<'_, A> {
         ))
     }
 
+    /// Ritz pairs a thick restart of an `m`-vector basis retains: the `k`
+    /// wanted plus one block, leaving room for a frontier block.
+    fn kept(&self, m: usize) -> usize {
+        (self.k + self.b_eff)
+            .min(self.m_max.saturating_sub(self.b_eff))
+            .min(m)
+            .max(1)
+    }
+
     /// Thick restart: retain the `l` smallest Ritz pairs plus the frontier
     /// block. The new basis is `[Y_l | P]` with
     /// `H = [[Θ, B^T], [B, ·]]`, `B = R S_l` restricted to the frontier
@@ -702,10 +713,7 @@ impl<A: SymOp + ?Sized> Solver<'_, A> {
             .blocks
             .last()
             .expect("basis always holds at least one block");
-        let l = (self.k + self.b_eff)
-            .min(self.m_max.saturating_sub(self.b_eff))
-            .min(m)
-            .max(1);
+        let l = self.kept(m);
 
         let qrefs: Vec<&[f64]> = self.q.iter().map(|v| v.as_slice()).collect();
         let qmat = Matrix::from_columns(&qrefs)?;
@@ -776,6 +784,7 @@ impl<A: SymOp + ?Sized> Solver<'_, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eigh::eigh;
 
     fn random_symmetric(n: usize, seed: u64) -> Matrix {
         let mut a = Matrix::zeros(n, n);
