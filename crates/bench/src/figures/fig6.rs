@@ -48,31 +48,28 @@ pub fn run() {
         let fed = partition_dataset(&ds.data, z, Partition::NonIid { l_prime }, &mut rng);
         let pooled = fed.pooled();
         let n_total = pooled.labels.len();
-        // CONN is O(N^2)-dense; compute it at every quick-scale size and
-        // skip only at full-scale giants.
-        let conn = n_total <= 3000;
 
         let mut results: Vec<MethodResult> = vec![
-            run_fed_sc_fixed(&fed, l, l_prime, CentralBackend::Ssc, 0xf16, conn),
+            run_fed_sc_fixed(&fed, l, l_prime, CentralBackend::Ssc, 0xf16, true),
             run_fed_sc_fixed(
                 &fed,
                 l,
                 l_prime,
                 CentralBackend::Tsc { q: None },
                 0xf16,
-                conn,
+                true,
             ),
-            run_centralized(&Ssc::default(), &pooled, l, 0xf16, conn),
+            run_centralized(&Ssc::default(), &pooled, l, 0xf16, true),
             run_centralized(
                 &Tsc::new(Tsc::centralized_q(n_total, l)),
                 &pooled,
                 l,
                 0xf16,
-                conn,
+                true,
             ),
-            run_centralized(&SscOmp::with_sparsity(8), &pooled, l, 0xf16, conn),
-            run_centralized(&Ensc::default(), &pooled, l, 0xf16, conn),
-            run_centralized(&Nsn::new(8, 5), &pooled, l, 0xf16, conn),
+            run_centralized(&SscOmp::with_sparsity(8), &pooled, l, 0xf16, true),
+            run_centralized(&Ensc::default(), &pooled, l, 0xf16, true),
+            run_centralized(&Nsn::new(8, 5), &pooled, l, 0xf16, true),
         ];
         for r in results.drain(..) {
             println!(

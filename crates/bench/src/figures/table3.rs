@@ -55,7 +55,6 @@ pub fn run() {
         let fed = partition_dataset(&ds.data, z, Partition::NonIid { l_prime }, &mut rng);
         let pooled = fed.pooled();
         let n_total = pooled.labels.len();
-        let conn = n_total <= 3000;
 
         println!(
             "\n# Table III — {} (n = {}, L = {l}, N = {n_total}, Z = {z}, L^(z) = {l_prime})",
@@ -79,22 +78,22 @@ pub fn run() {
             c
         };
         let mut results: Vec<MethodResult> = vec![
-            run_fed_sc_with(&fed, fed_cfg(CentralBackend::Ssc), conn),
-            run_fed_sc_with(&fed, fed_cfg(CentralBackend::Tsc { q: None }), conn),
+            run_fed_sc_with(&fed, fed_cfg(CentralBackend::Ssc), true),
+            run_fed_sc_with(&fed, fed_cfg(CentralBackend::Tsc { q: None }), true),
             run_kfed(&fed, l, l_prime, None, 0x7ab3),
             run_kfed(&fed, l, l_prime, Some(10), 0x7ab3),
             run_kfed(&fed, l, l_prime, Some(100), 0x7ab3),
-            run_centralized(&Ssc::default(), &pooled, l, 0x7ab3, conn),
-            run_centralized(&SscOmp::with_sparsity(8), &pooled, l, 0x7ab3, conn),
-            run_centralized(&Ensc::default(), &pooled, l, 0x7ab3, conn),
+            run_centralized(&Ssc::default(), &pooled, l, 0x7ab3, true),
+            run_centralized(&SscOmp::with_sparsity(8), &pooled, l, 0x7ab3, true),
+            run_centralized(&Ensc::default(), &pooled, l, 0x7ab3, true),
             run_centralized(
                 &Tsc::new(Tsc::centralized_q(n_total, l)),
                 &pooled,
                 l,
                 0x7ab3,
-                conn,
+                true,
             ),
-            run_centralized(&Nsn::new(8, 6), &pooled, l, 0x7ab3, conn),
+            run_centralized(&Nsn::new(8, 6), &pooled, l, 0x7ab3, true),
         ];
         for r in results.drain(..) {
             println!(

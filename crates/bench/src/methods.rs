@@ -8,6 +8,7 @@ use fedsc_clustering::spectral::{spectral_clustering, SpectralOptions};
 use fedsc_clustering::{clustering_accuracy, normalized_mutual_information};
 use fedsc_federated::kfed::{kfed, KFedConfig};
 use fedsc_federated::partition::FederatedDataset;
+use fedsc_graph::SparseAffinity;
 use fedsc_obs::Stopwatch;
 use fedsc_subspace::model::LabeledData;
 use fedsc_subspace::SubspaceClusterer;
@@ -148,7 +149,8 @@ pub fn run_centralized<A: SubspaceClusterer>(
         .expect("spectral clustering");
     let time = sw.elapsed();
     let (conn_min, conn_mean) = if compute_conn {
-        let c = connectivity(&graph, &data.labels).expect("connectivity");
+        let c =
+            connectivity(&SparseAffinity::from_graph(&graph), &data.labels).expect("connectivity");
         (c.min, c.mean)
     } else {
         (f64::NAN, f64::NAN)

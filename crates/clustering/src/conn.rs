@@ -6,9 +6,12 @@
 //! `c = min_l lambda_l^(2)` and the average `c-bar = (1/L) sum_l
 //! lambda_l^(2)`: larger values mean each true cluster forms a more tightly
 //! connected component (no over-segmentation risk).
+//!
+//! The graph stays CSR: each cluster's subgraph is cut out sparse and
+//! densified on its own, only for its `lambda^(2)` eigendecomposition.
 
 use fedsc_graph::laplacian::algebraic_connectivity;
-use fedsc_graph::AffinityGraph;
+use fedsc_graph::SparseAffinity;
 use fedsc_linalg::Result;
 
 /// CONN summary over ground-truth clusters.
@@ -27,7 +30,7 @@ pub struct Connectivity {
 /// # Panics
 ///
 /// Panics when `truth.len() != graph.len()`.
-pub fn connectivity(graph: &AffinityGraph, truth: &[usize]) -> Result<Connectivity> {
+pub fn connectivity(graph: &SparseAffinity, truth: &[usize]) -> Result<Connectivity> {
     assert_eq!(truth.len(), graph.len(), "labeling must cover every node");
     let max_label = truth.iter().copied().max().map_or(0, |m| m + 1);
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); max_label];
@@ -36,7 +39,7 @@ pub fn connectivity(graph: &AffinityGraph, truth: &[usize]) -> Result<Connectivi
     }
     let mut per_cluster = Vec::new();
     for nodes in members.into_iter().filter(|m| !m.is_empty()) {
-        let sub = graph.subgraph(&nodes);
+        let sub = graph.subgraph(&nodes).to_graph();
         per_cluster.push(algebraic_connectivity(&sub)?);
     }
     if per_cluster.is_empty() {
@@ -60,13 +63,13 @@ mod tests {
     use super::*;
     use fedsc_linalg::Matrix;
 
-    fn graph_from_edges(n: usize, edges: &[(usize, usize)]) -> AffinityGraph {
+    fn graph_from_edges(n: usize, edges: &[(usize, usize)]) -> SparseAffinity {
         let mut m = Matrix::zeros(n, n);
         for &(i, j) in edges {
             m[(i, j)] = 1.0;
             m[(j, i)] = 1.0;
         }
-        AffinityGraph::from_symmetric(&m)
+        SparseAffinity::from_graph(&fedsc_graph::AffinityGraph::from_symmetric(&m))
     }
 
     #[test]

@@ -9,9 +9,9 @@
 use crate::config::{CentralBackend, ClusterCountPolicy};
 use fedsc_clustering::spectral::SpectralOptions;
 use fedsc_clustering::{full_spectrum, spectral_clustering_from_eig, spectral_clustering_sparse};
-use fedsc_graph::{AffinityGraph, SparseAffinity};
+use fedsc_graph::SparseAffinity;
 use fedsc_linalg::{Matrix, Result};
-use fedsc_subspace::{CandidateOptions, Ssc, SubspaceClusterer, Tsc};
+use fedsc_subspace::{CandidateOptions, Ssc, Tsc};
 use rand::Rng;
 
 /// Result of the central clustering step.
@@ -19,9 +19,10 @@ use rand::Rng;
 pub struct CentralOutput {
     /// Global cluster assignment `tau` per pooled sample.
     pub assignments: Vec<usize>,
-    /// The affinity graph the server built over the samples (used for the
-    /// induced global graph and the CONN diagnostics).
-    pub graph: AffinityGraph,
+    /// The CSR affinity the samples were segmented on, moved out of the
+    /// clustering (the induced global graph and the CONN diagnostics read
+    /// it). No dense copy is made.
+    pub graph: SparseAffinity,
     /// Number of clusters the samples were segmented into; every
     /// assignment is below it.
     pub clusters: usize,
@@ -48,7 +49,9 @@ pub struct CentralOutput {
 /// kernel-seeded thick-restart block Lanczos on the CSR Laplacian above
 /// the `lanczos_beats_dense` cutover, the dense solver below it
 /// (DESIGN.md §13). Below that cutover every step is bitwise the dense
-/// pipeline. The TSC backend's k-NN graph takes the same route.
+/// pipeline. The TSC backend's CSR k-NN graph takes the same route. The
+/// CSR graph is returned as [`CentralOutput::graph`]; a dense copy is made
+/// only inside the eigengap arm, for its dense spectrum.
 /// `num_devices` feeds the TSC `q` rule; it is ignored by the SSC backend.
 ///
 /// Clusters are numbered by first appearance over the pooled samples, so
@@ -79,12 +82,9 @@ pub fn central_cluster<R: Rng + ?Sized>(
         .sparse_affinity(samples)?,
         CentralBackend::Tsc { q } => {
             let q = q.unwrap_or_else(|| Tsc::fed_sc_q(num_devices, l_max));
-            SparseAffinity::from_graph(&Tsc::new(q).affinity(samples)?)
+            Tsc::new(q).sparse_affinity(samples)?
         }
     };
-    // The dense graph serves the induced global graph and the CONN
-    // diagnostics downstream, and the eigengap's full spectrum.
-    let graph = w.to_graph();
     // The SSC backend's candidate-sized pools stay subquadratic, so they
     // form no dense spectrum and segment at the cap.
     let reads_count = match backend {
@@ -93,7 +93,9 @@ pub fn central_cluster<R: Rng + ?Sized>(
     };
     let (k, spectrum) = match count {
         ClusterCountPolicy::Eigengap { .. } if reads_count => {
-            let spec = full_spectrum(&graph, l_max.max(1))?;
+            // The full spectrum is a dense decomposition, so only this arm
+            // densifies the graph.
+            let spec = full_spectrum(&w.to_graph(), l_max.max(1))?;
             // Floor the estimate at the affinity's connected-component
             // count: the components are a hard lower bound on the natural
             // cluster count, and under-estimating merges subspaces —
@@ -112,7 +114,7 @@ pub fn central_cluster<R: Rng + ?Sized>(
     };
     Ok(CentralOutput {
         assignments: by_first_appearance(assignments),
-        graph,
+        graph: w,
         clusters: k.clamp(1, n.max(1)),
     })
 }
@@ -332,8 +334,8 @@ mod tests {
         .unwrap();
         let acc = clustering_accuracy(&truth, &out.assignments);
         assert!(acc >= 99.0, "accuracy {acc}");
-        let eig = sparse_spectrum(&SparseAffinity::from_graph(&out.graph), 25, 1).unwrap();
-        let dense = eigh(&normalized_laplacian(&out.graph)).unwrap();
+        let eig = sparse_spectrum(&out.graph, 25, 1).unwrap();
+        let dense = eigh(&normalized_laplacian(&out.graph.to_graph())).unwrap();
         for (j, (&got, &want)) in eig.eigenvalues.iter().zip(&dense.eigenvalues).enumerate() {
             assert!(
                 (got - want).abs() <= 1e-8,

@@ -22,7 +22,7 @@ use crate::config::{ClusterCountPolicy, FedScConfig};
 use crate::local::{local_cluster_and_sample, LocalOutput};
 use fedsc_federated::channel::{transmit_uplink, CommStats, DownlinkMessage};
 use fedsc_federated::privacy::{privatize_samples, PrivacyLedger};
-use fedsc_graph::AffinityGraph;
+use fedsc_graph::SparseAffinity;
 use fedsc_linalg::{LinalgError, Matrix, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,13 +107,15 @@ pub struct Merge {
 /// excluded) in ascending child order and clusters the pool with the
 /// count and rng stream `at` fixes.
 ///
-/// Returns the routing state, the pooled samples and the affinity graph
-/// the clustering built over them.
+/// Returns the routing state, the pooled samples and the CSR affinity the
+/// pool was segmented on (moved out of the clustering, not copied; the
+/// in-process round keeps it for the induced global graph and CONN, every
+/// other driver drops it).
 pub fn merge_step(
     children: Vec<Option<Matrix>>,
     cfg: &FedScConfig,
     at: MergeAt,
-) -> Result<(Merge, Matrix, AffinityGraph)> {
+) -> Result<(Merge, Matrix, SparseAffinity)> {
     let (count, seed) = match at {
         MergeAt::Root => (
             ClusterCountPolicy::Fixed(cfg.num_clusters),

@@ -19,7 +19,7 @@ use fedsc_federated::channel::{account_downlink, CommStats};
 use fedsc_federated::parallel::{time_phase, PhaseTiming};
 use fedsc_federated::partition::FederatedDataset;
 use fedsc_federated::privacy::PrivacyLedger;
-use fedsc_graph::AffinityGraph;
+use fedsc_graph::SparseAffinity;
 use fedsc_linalg::par::par_map_timed;
 use fedsc_linalg::{Matrix, Result};
 use std::time::Duration;
@@ -45,8 +45,9 @@ pub struct FedScOutput {
     pub sample_device: Vec<usize>,
     /// Global assignment `tau` of each pooled sample.
     pub sample_assignment: Vec<usize>,
-    /// Server-side affinity graph over the samples.
-    pub central_graph: AffinityGraph,
+    /// The CSR affinity the server segmented the pooled samples on, moved
+    /// out of Phase 2 (no dense copy is made).
+    pub central_graph: SparseAffinity,
     /// For every global point, the pooled-sample index representing its
     /// local cluster (`usize::MAX` for the rare cluster that produced no
     /// sample).
@@ -73,26 +74,60 @@ impl FedScOutput {
     /// fully connected (weight 1); points represented by different samples
     /// inherit the sample-to-sample affinity. This is the graph the paper's
     /// connectivity argument (Section IV-E) and CONN comparisons use.
-    pub fn induced_global_affinity(&self) -> AffinityGraph {
+    ///
+    /// Built in CSR, with no `N x N` array. All points of a local cluster
+    /// share one row pattern: the cluster's own points (weight 1) and the
+    /// points of every cluster whose representative sample shares a stored
+    /// edge of [`Self::central_graph`] with its own. That row is assembled
+    /// once per cluster, one pair of clusters at a time, and sorted; every
+    /// `(i, j)` is then emitted once, in row order.
+    pub fn induced_global_affinity(&self) -> SparseAffinity {
         let n = self.point_sample.len();
-        let mut w = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..i {
-                let v = if self.point_cluster[i] == self.point_cluster[j] {
-                    1.0
-                } else {
-                    let (si, sj) = (self.point_sample[i], self.point_sample[j]);
-                    if si == usize::MAX || sj == usize::MAX {
-                        0.0
-                    } else {
-                        self.central_graph.weight(si, sj)
-                    }
-                };
-                w[(i, j)] = v;
-                w[(j, i)] = v;
+        // Local-cluster groups, each in ascending point order.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| self.point_cluster[i]);
+        let groups: Vec<&[usize]> = order
+            .chunk_by(|&i, &j| self.point_cluster[i] == self.point_cluster[j])
+            .collect();
+        // The group of each point, and of each representative sample
+        // (`usize::MAX`: none). A sample belongs to one local cluster, so it
+        // represents at most one group.
+        let mut group_of_point = vec![0; n];
+        let mut group_of_sample = vec![usize::MAX; self.central_graph.len()];
+        for (a, members) in groups.iter().enumerate() {
+            for &i in members.iter() {
+                group_of_point[i] = a;
+            }
+            if let Some(g) = group_of_sample.get_mut(self.point_sample[members[0]]) {
+                *g = a;
             }
         }
-        AffinityGraph::from_symmetric(&w)
+        let rows: Vec<Vec<(usize, f64)>> = groups
+            .iter()
+            .map(|members| {
+                let mut row: Vec<(usize, f64)> = members.iter().map(|&j| (j, 1.0)).collect();
+                let s = self.point_sample[members[0]];
+                if s != usize::MAX {
+                    for (t, w) in self.central_graph.matrix().row(s) {
+                        if let Some(other) = groups.get(group_of_sample[t]) {
+                            row.extend(other.iter().map(|&j| (j, w)));
+                        }
+                    }
+                }
+                row.sort_by_key(|&(j, _)| j);
+                row
+            })
+            .collect();
+        let mut triplets = Vec::new();
+        for (i, &a) in group_of_point.iter().enumerate() {
+            triplets.extend(
+                rows[a]
+                    .iter()
+                    .filter(|&&(j, _)| j != i)
+                    .map(|&(j, w)| (i, j, w)),
+            );
+        }
+        SparseAffinity::from_triplets(n, &triplets)
     }
 }
 

@@ -1,18 +1,18 @@
-//! Symmetric affinity graphs.
+//! Dense symmetric affinity graphs.
 //!
 //! Every spectral-based SC method in the paper reduces to building a
 //! non-negative symmetric affinity matrix `W` over the data points and
-//! feeding it to spectral clustering. This module is the shared
-//! representation: a dense symmetric matrix wrapper with the constructors the
-//! SC algorithms need (`|C| + |C|^T` from self-expression codes, k-NN
-//! affinities from similarity scores).
+//! feeding it to spectral clustering. This module holds the dense form, with
+//! the SSC constructor `|C| + |C|^T` from self-expression codes.
 //!
-//! Affinity graphs in this workspace are at most a few thousand nodes
-//! (local device data or the pooled server samples), so a dense symmetric
-//! store keeps the spectral path simple; the sparse `CsrMatrix` remains
-//! available upstream for code storage.
+//! The CSR [`SparseAffinity`](crate::sparse::SparseAffinity) is the graph
+//! the pipeline builds, returns and diagnoses (k-NN graphs, subgraphs,
+//! components, the induced global graph). A dense `n x n` graph exists only
+//! where a dense `eigh` runs on it: a device's local graph, an aggregator's
+//! eigengap spectrum, a server pool below the Lanczos cutover, and one
+//! ground-truth cluster's subgraph in the CONN metric.
 
-use fedsc_linalg::{par, Matrix};
+use fedsc_linalg::Matrix;
 
 /// A non-negative symmetric affinity matrix with zero diagonal.
 #[derive(Debug, Clone)]
@@ -54,56 +54,6 @@ impl AffinityGraph {
                 }
                 let v = c[(i, j)].abs() + c[(j, i)].abs();
                 w[(i, j)] = v;
-            }
-        }
-        let g = Self { w };
-        g.debug_check();
-        g
-    }
-
-    /// Builds a symmetric k-NN affinity graph: node `i` keeps edges to the
-    /// `q` nodes with the largest `similarity(i, j)`, `j != i`, weighted by
-    /// that similarity; the result is symmetrized by max. This is the TSC
-    /// construction with `similarity = |cos|` of spherical distance.
-    pub fn from_knn_similarity<F>(n: usize, q: usize, similarity: F) -> Self
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        Self::from_knn_similarity_threaded(n, q, 1, similarity)
-    }
-
-    /// [`Self::from_knn_similarity`] with the per-node neighbor searches
-    /// (the `O(n^2)` similarity scans) fanned out over `threads` workers.
-    /// Each node's top-`q` list is computed independently; the max-symmetric
-    /// merge runs sequentially in node order, so the graph is bitwise
-    /// identical for every thread count.
-    pub fn from_knn_similarity_threaded<F>(
-        n: usize,
-        q: usize,
-        threads: usize,
-        similarity: F,
-    ) -> Self
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        let q = q.min(n.saturating_sub(1));
-        let top: Vec<Vec<(f64, usize)>> = par::par_map(n, threads, |i| {
-            let mut sims: Vec<(f64, usize)> = (0..n)
-                .filter(|&j| j != i)
-                .map(|j| (similarity(i, j), j))
-                .collect();
-            // Partial selection of the q largest similarities.
-            sims.sort_by(|a, b| b.0.total_cmp(&a.0));
-            sims.truncate(q);
-            sims
-        });
-        let mut w = Matrix::zeros(n, n);
-        for (i, sims) in top.iter().enumerate() {
-            for &(s, j) in sims {
-                if s > 0.0 && s > w[(i, j)] {
-                    w[(i, j)] = s;
-                    w[(j, i)] = s;
-                }
             }
         }
         let g = Self { w };
@@ -156,54 +106,6 @@ impl AffinityGraph {
             .map(|i| (0..n).map(|j| self.w[(i, j)]).sum())
             .collect()
     }
-
-    /// The subgraph induced by `nodes` (in the given order).
-    pub fn subgraph(&self, nodes: &[usize]) -> AffinityGraph {
-        let k = nodes.len();
-        let mut w = Matrix::zeros(k, k);
-        for (a, &i) in nodes.iter().enumerate() {
-            for (b, &j) in nodes.iter().enumerate() {
-                w[(a, b)] = self.w[(i, j)];
-            }
-        }
-        AffinityGraph { w }
-    }
-
-    /// Connected components under strictly positive edge weights above
-    /// `eps`. Returns a component id per node (ids are dense, starting at 0,
-    /// in first-seen order).
-    pub fn connected_components(&self, eps: f64) -> Vec<usize> {
-        let n = self.len();
-        let mut comp = vec![usize::MAX; n];
-        let mut next = 0usize;
-        let mut stack = Vec::new();
-        for s in 0..n {
-            if comp[s] != usize::MAX {
-                continue;
-            }
-            comp[s] = next;
-            stack.push(s);
-            while let Some(u) = stack.pop() {
-                for v in 0..n {
-                    if comp[v] == usize::MAX && self.w[(u, v)] > eps {
-                        comp[v] = next;
-                        stack.push(v);
-                    }
-                }
-            }
-            next += 1;
-        }
-        comp
-    }
-
-    /// Number of connected components (edges above `eps`).
-    pub fn num_components(&self, eps: f64) -> usize {
-        self.connected_components(eps)
-            .iter()
-            .copied()
-            .max()
-            .map_or(0, |m| m + 1)
-    }
 }
 
 #[cfg(test)]
@@ -222,53 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn knn_keeps_top_q() {
-        // similarity = 1/(1+|i-j|): nearest indices are most similar.
-        let g = AffinityGraph::from_knn_similarity(5, 1, |i, j| {
-            1.0 / (1.0 + (i as f64 - j as f64).abs())
-        });
-        // Node 0's best neighbor is 1.
-        assert!(g.weight(0, 1) > 0.0);
-        assert_eq!(g.weight(0, 3), 0.0);
-        // Symmetry.
-        assert_eq!(g.weight(1, 0), g.weight(0, 1));
-    }
-
-    #[test]
-    fn connected_components_two_blocks() {
-        let m = Matrix::from_rows(&[
-            &[0.0, 1.0, 0.0, 0.0],
-            &[1.0, 0.0, 0.0, 0.0],
-            &[0.0, 0.0, 0.0, 2.0],
-            &[0.0, 0.0, 2.0, 0.0],
-        ])
-        .unwrap();
-        let g = AffinityGraph::from_symmetric(&m);
-        let comp = g.connected_components(0.0);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[2], comp[3]);
-        assert_ne!(comp[0], comp[2]);
-        assert_eq!(g.num_components(0.0), 2);
-    }
-
-    #[test]
-    fn eps_threshold_cuts_weak_edges() {
-        let m = Matrix::from_rows(&[&[0.0, 0.1], &[0.1, 0.0]]).unwrap();
-        let g = AffinityGraph::from_symmetric(&m);
-        assert_eq!(g.num_components(0.0), 1);
-        assert_eq!(g.num_components(0.5), 2);
-    }
-
-    #[test]
-    fn subgraph_extracts_block() {
-        let m = Matrix::from_rows(&[&[0.0, 1.0, 2.0], &[1.0, 0.0, 3.0], &[2.0, 3.0, 0.0]]).unwrap();
-        let g = AffinityGraph::from_symmetric(&m);
-        let sub = g.subgraph(&[0, 2]);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.weight(0, 1), 2.0);
-    }
-
-    #[test]
     fn degrees_are_row_sums() {
         let m = Matrix::from_rows(&[&[0.0, 2.0], &[2.0, 0.0]]).unwrap();
         let g = AffinityGraph::from_symmetric(&m);
@@ -279,6 +134,5 @@ mod tests {
     fn empty_graph() {
         let g = AffinityGraph::from_symmetric(&Matrix::zeros(0, 0));
         assert!(g.is_empty());
-        assert_eq!(g.num_components(0.0), 0);
     }
 }

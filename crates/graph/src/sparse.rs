@@ -1,13 +1,14 @@
 //! Sparse (CSR) affinity graphs and Laplacians.
 //!
-//! The dense [`AffinityGraph`](crate::affinity::AffinityGraph) stores all
-//! `n^2` weights, which caps the spectral pipeline around a few thousand
-//! nodes. Candidate-restricted SSC codes have `O(k)` nonzeros per column, so
-//! at `n = 16k` the affinity is ~99.7% zeros — this module keeps it in CSR
-//! end to end: build from sparse codes (or a k-NN similarity scan), take
-//! degrees from row sums, and assemble the normalized Laplacian as a CSR
-//! matrix that the Lanczos solver consumes matrix-free (`SymOp` impl in
-//! `fedsc-sparse`), never materializing an `n x n` dense array.
+//! The CSR [`SparseAffinity`] is the graph the pipeline builds and keeps:
+//! candidate-restricted SSC codes have `O(k)` nonzeros per column and a
+//! k-NN graph `q` per row, so at `n = 16k` the affinity is ~99.7% zeros.
+//! This module keeps it in CSR end to end: build from sparse codes or a k-NN
+//! similarity scan, take degrees from row sums, subgraphs and connected
+//! components, and assemble the normalized Laplacian as a CSR matrix that
+//! the Lanczos solver consumes matrix-free (`SymOp` impl in `fedsc-sparse`).
+//! The dense [`AffinityGraph`] is formed
+//! with [`SparseAffinity::to_graph`] only where a dense `eigh` runs on it.
 //!
 //! Every constructor mirrors the dense arithmetic operation for operation
 //! (same products, same association, same accumulation order), so on graphs
@@ -57,6 +58,22 @@ impl SparseAffinity {
         }
     }
 
+    /// An `n`-node graph from `(i, j, w)` triplets that list each stored
+    /// entry once, both `(i, j)` and `(j, i)`, with `w > 0` and `i != j`.
+    pub fn from_triplets(n: usize, triplets: &[(usize, usize, f64)]) -> Self {
+        let g = Self {
+            w: CsrMatrix::from_triplets(n, n, triplets),
+        };
+        debug_assert!(
+            (0..n).all(|i| g
+                .w
+                .row(i)
+                .all(|(j, w)| j != i && w > 0.0 && g.w.get(j, i) == w)),
+            "affinity triplets are not symmetric, positive and off-diagonal"
+        );
+        g
+    }
+
     /// The CSR form of a dense affinity: its nonzero weights, bitwise.
     /// `W` is symmetric, so row `i` is read off column `i` of the
     /// column-major store.
@@ -75,11 +92,13 @@ impl SparseAffinity {
         }
     }
 
-    /// Sparse counterpart of `AffinityGraph::from_knn_similarity_threaded`:
-    /// node `i` keeps edges to its `q` most similar peers, symmetrized by
-    /// max, stored in CSR. The per-node scans fan out over `threads`; the
-    /// max-merge runs sequentially in node order, so the edge set and
-    /// weights are bitwise the dense constructor's for every thread count.
+    /// Builds a symmetric k-NN affinity graph: node `i` keeps edges to the
+    /// `q` nodes with the largest `similarity(i, j)`, `j != i`, weighted by
+    /// that similarity, and the result is symmetrized by max. This is the
+    /// TSC construction with `similarity = |cos|` of spherical distance.
+    /// The per-node scans (the `O(n^2)` similarity evaluations) fan out over
+    /// `threads`; the max-merge runs sequentially in node order, so the edge
+    /// set and weights are bitwise identical for every thread count.
     pub fn from_knn_similarity_threaded<F>(
         n: usize,
         q: usize,
@@ -145,11 +164,33 @@ impl SparseAffinity {
         self.w.row_sums()
     }
 
-    /// Densifies into an [`AffinityGraph`] (diagnostics / small graphs).
-    /// `from_symmetric`'s `0.5 * (v + v)` is exact for finite weights, so
-    /// the round trip is bitwise lossless.
+    /// Densifies into an [`AffinityGraph`], for the callers that run a dense
+    /// `eigh` on the graph (and only those). `from_symmetric`'s
+    /// `0.5 * (v + v)` is exact for finite weights, so the round trip is
+    /// bitwise lossless.
     pub fn to_graph(&self) -> AffinityGraph {
         AffinityGraph::from_symmetric(&self.w.to_dense())
+    }
+
+    /// The subgraph induced by `nodes`, in the given order: node `a` of the
+    /// subgraph is `nodes[a]`, and its stored weights are copied bitwise.
+    /// `nodes` must be distinct. Costs `O(n)` plus the lengths of the
+    /// selected rows; nothing is densified.
+    pub fn subgraph(&self, nodes: &[usize]) -> SparseAffinity {
+        let mut slot = vec![usize::MAX; self.len()];
+        for (a, &i) in nodes.iter().enumerate() {
+            debug_assert_eq!(slot[i], usize::MAX, "node {i} repeated");
+            slot[i] = a;
+        }
+        let mut triplets = Vec::new();
+        for (a, &i) in nodes.iter().enumerate() {
+            for (j, w) in self.w.row(i) {
+                if slot[j] != usize::MAX {
+                    triplets.push((a, slot[j], w));
+                }
+            }
+        }
+        Self::from_triplets(nodes.len(), &triplets)
     }
 
     /// Number of connected components, counting edges with `|w| > tol`
@@ -357,21 +398,105 @@ mod tests {
             .is_empty());
     }
 
+    /// The dense k-NN construction, the oracle for the CSR one: per-node
+    /// top-`q` lists, max-symmetrized into an `n x n` store in node order.
+    fn dense_knn(n: usize, q: usize, sim: impl Fn(usize, usize) -> f64) -> Matrix {
+        let q = q.min(n.saturating_sub(1));
+        let mut w = Matrix::zeros(n, n);
+        for i in 0..n {
+            let mut sims: Vec<(f64, usize)> =
+                (0..n).filter(|&j| j != i).map(|j| (sim(i, j), j)).collect();
+            sims.sort_by(|a, b| b.0.total_cmp(&a.0));
+            sims.truncate(q);
+            for (s, j) in sims {
+                if s > 0.0 && s > w[(i, j)] {
+                    w[(i, j)] = s;
+                    w[(j, i)] = s;
+                }
+            }
+        }
+        w
+    }
+
     #[test]
     fn sparse_knn_matches_dense_knn_bitwise() {
         let sim = |i: usize, j: usize| 1.0 / (1.0 + (i as f64 - j as f64).abs());
+        let dense = dense_knn(7, 2, sim);
         for threads in [1usize, 4] {
             let sparse = SparseAffinity::from_knn_similarity_threaded(7, 2, threads, sim);
-            let dense = AffinityGraph::from_knn_similarity_threaded(7, 2, threads, sim);
             for i in 0..7 {
                 for j in 0..7 {
                     assert_eq!(
                         sparse.weight(i, j).to_bits(),
-                        dense.weight(i, j).to_bits(),
+                        dense[(i, j)].to_bits(),
                         "knn entry ({i},{j}), {threads} threads"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn knn_keeps_top_q() {
+        // similarity = 1/(1+|i-j|): nearest indices are most similar.
+        let g = SparseAffinity::from_knn_similarity_threaded(5, 1, 1, |i, j| {
+            1.0 / (1.0 + (i as f64 - j as f64).abs())
+        });
+        // Node 0's best neighbor is 1.
+        assert!(g.weight(0, 1) > 0.0);
+        assert_eq!(g.weight(0, 3), 0.0);
+        // Symmetry.
+        assert_eq!(g.weight(1, 0), g.weight(0, 1));
+    }
+
+    fn from_rows(rows: &[&[f64]]) -> SparseAffinity {
+        SparseAffinity::from_graph(&AffinityGraph::from_symmetric(
+            &Matrix::from_rows(rows).unwrap(),
+        ))
+    }
+
+    #[test]
+    fn connected_components_two_blocks() {
+        let g = from_rows(&[
+            &[0.0, 1.0, 0.0, 0.0],
+            &[1.0, 0.0, 0.0, 0.0],
+            &[0.0, 0.0, 0.0, 2.0],
+            &[0.0, 0.0, 2.0, 0.0],
+        ]);
+        let comp = g.component_labels(0.0);
+        assert_eq!(comp[0], comp[1]);
+        assert_eq!(comp[2], comp[3]);
+        assert_ne!(comp[0], comp[2]);
+        assert_eq!(g.connected_components(0.0), 2);
+    }
+
+    #[test]
+    fn eps_threshold_cuts_weak_edges() {
+        let g = from_rows(&[&[0.0, 0.1], &[0.1, 0.0]]);
+        assert_eq!(g.connected_components(0.0), 1);
+        assert_eq!(g.connected_components(0.5), 2);
+    }
+
+    #[test]
+    fn subgraph_extracts_block() {
+        let g = from_rows(&[&[0.0, 1.0, 2.0], &[1.0, 0.0, 3.0], &[2.0, 3.0, 0.0]]);
+        let sub = g.subgraph(&[0, 2]);
+        assert_eq!(sub.len(), 2);
+        assert_eq!(sub.weight(0, 1), 2.0);
+        // Node order follows `nodes`, and weights are copied bitwise.
+        let rev = g.subgraph(&[2, 1, 0]);
+        for (a, &i) in [2usize, 1, 0].iter().enumerate() {
+            for (b, &j) in [2usize, 1, 0].iter().enumerate() {
+                assert_eq!(rev.weight(a, b).to_bits(), g.weight(i, j).to_bits());
+            }
+        }
+        assert!(g.subgraph(&[]).is_empty());
+    }
+
+    #[test]
+    fn empty_graph_has_no_components() {
+        let g = SparseAffinity::from_graph(&AffinityGraph::from_symmetric(&Matrix::zeros(0, 0)));
+        assert!(g.is_empty());
+        assert_eq!(g.connected_components(0.0), 0);
     }
 }

@@ -3,7 +3,7 @@
 //! rests on.
 
 use fedsc_graph::laplacian::{laplacian_spectrum, normalized_laplacian, unnormalized_laplacian};
-use fedsc_graph::AffinityGraph;
+use fedsc_graph::{AffinityGraph, SparseAffinity};
 use fedsc_linalg::Matrix;
 use proptest::prelude::*;
 
@@ -46,7 +46,7 @@ proptest! {
         // documented normalized-Laplacian convention, so the classical
         // "zero multiplicity = component count" identity holds for the
         // components that actually contain edges.
-        let comp = g.connected_components(0.0);
+        let comp = SparseAffinity::from_graph(&g).component_labels(0.0);
         let max = comp.iter().copied().max().unwrap_or(0);
         let nontrivial = (0..=max)
             .filter(|&c| (0..g.len()).filter(|&i| comp[i] == c).count() >= 2)
@@ -86,13 +86,14 @@ proptest! {
 
     #[test]
     fn subgraph_of_component_is_connected(g in graph_strategy()) {
-        let comp = g.connected_components(0.0);
+        let g = SparseAffinity::from_graph(&g);
+        let comp = g.component_labels(0.0);
         let max = comp.iter().copied().max().unwrap_or(0);
         for c in 0..=max {
             let nodes: Vec<usize> =
                 (0..g.len()).filter(|&i| comp[i] == c).collect();
             let sub = g.subgraph(&nodes);
-            prop_assert_eq!(sub.num_components(0.0), 1);
+            prop_assert_eq!(sub.connected_components(0.0), 1);
         }
     }
 }

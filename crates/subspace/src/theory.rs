@@ -17,7 +17,7 @@
 //!   practice for the small instances the checkers run on.
 
 use crate::model::SubspaceModel;
-use fedsc_graph::AffinityGraph;
+use fedsc_graph::SparseAffinity;
 use fedsc_linalg::qr::orthonormal_basis;
 use fedsc_linalg::{angles, vector, Matrix, Result};
 use fedsc_sparse::lasso::{LassoOptions, LassoSolver};
@@ -25,14 +25,14 @@ use rand::Rng;
 
 /// Largest affinity-graph weight between points of different ground-truth
 /// clusters — `0` exactly when the self-expressiveness property holds.
-pub fn sep_violation(graph: &AffinityGraph, truth: &[usize]) -> f64 {
+/// One pass over the stored CSR entries.
+pub fn sep_violation(graph: &SparseAffinity, truth: &[usize]) -> f64 {
     assert_eq!(graph.len(), truth.len(), "labeling must cover every node");
-    let n = graph.len();
     let mut worst = 0.0f64;
-    for i in 0..n {
-        for j in 0..i {
+    for i in 0..graph.len() {
+        for (j, w) in graph.matrix().row(i) {
             if truth[i] != truth[j] {
-                worst = worst.max(graph.weight(i, j));
+                worst = worst.max(w);
             }
         }
     }
@@ -40,13 +40,13 @@ pub fn sep_violation(graph: &AffinityGraph, truth: &[usize]) -> f64 {
 }
 
 /// Whether SEP holds up to a weight tolerance.
-pub fn holds_sep(graph: &AffinityGraph, truth: &[usize], eps: f64) -> bool {
+pub fn holds_sep(graph: &SparseAffinity, truth: &[usize], eps: f64) -> bool {
     sep_violation(graph, truth) <= eps
 }
 
 /// The paper's *exact clustering* criterion: SEP **and** every ground-truth
 /// cluster forms a single connected component of the affinity graph.
-pub fn holds_exact_clustering(graph: &AffinityGraph, truth: &[usize], eps: f64) -> bool {
+pub fn holds_exact_clustering(graph: &SparseAffinity, truth: &[usize], eps: f64) -> bool {
     if !holds_sep(graph, truth, eps) {
         return false;
     }
@@ -58,7 +58,7 @@ pub fn holds_exact_clustering(graph: &AffinityGraph, truth: &[usize], eps: f64) 
     members
         .into_iter()
         .filter(|m| !m.is_empty())
-        .all(|nodes| graph.subgraph(&nodes).num_components(eps) == 1)
+        .all(|nodes| graph.subgraph(&nodes).connected_components(eps) == 1)
 }
 
 /// Definition 2: the active set `alpha(l)` of each subspace, from per-device
@@ -300,13 +300,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn graph_from_edges(n: usize, edges: &[(usize, usize)]) -> AffinityGraph {
+    fn graph_from_edges(n: usize, edges: &[(usize, usize)]) -> SparseAffinity {
         let mut m = Matrix::zeros(n, n);
         for &(i, j) in edges {
             m[(i, j)] = 1.0;
             m[(j, i)] = 1.0;
         }
-        AffinityGraph::from_symmetric(&m)
+        SparseAffinity::from_graph(&fedsc_graph::AffinityGraph::from_symmetric(&m))
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::algo::{normalize_data, SubspaceClusterer};
 use crate::neighbors::ranked_neighbors;
-use fedsc_graph::AffinityGraph;
+use fedsc_graph::{AffinityGraph, SparseAffinity};
 use fedsc_linalg::{par, vector, Matrix, Result};
 
 /// TSC configuration.
@@ -64,6 +64,31 @@ impl Tsc {
                 .collect()
         })
     }
+
+    /// The CSR k-NN affinity: each point keeps its `q` nearest spherical
+    /// neighbors with weight `exp(-2 acos(|cos|))`, symmetrized by max —
+    /// what the server's Phase 2 segments, with no `n x n` dense matrix
+    /// beyond the Gram. Bitwise identical for every `self.threads`.
+    pub fn sparse_affinity(&self, data: &Matrix) -> Result<SparseAffinity> {
+        let x = if self.normalize {
+            normalize_data(data)
+        } else {
+            data.clone()
+        };
+        let n = x.cols();
+        // Precompute |cos| similarities once; the kNN constructor consults
+        // them O(n^2 log n) times otherwise.
+        let gram = x.gram_threaded(self.threads.max(1));
+        Ok(SparseAffinity::from_knn_similarity_threaded(
+            n,
+            self.q,
+            self.threads.max(1),
+            |i, j| {
+                let c = gram[(i, j)].abs().min(1.0);
+                (-2.0 * c.acos()).exp()
+            },
+        ))
+    }
 }
 
 impl Default for Tsc {
@@ -77,25 +102,9 @@ impl SubspaceClusterer for Tsc {
         "TSC"
     }
 
+    /// [`Tsc::sparse_affinity`], densified (`to_graph` is lossless).
     fn affinity(&self, data: &Matrix) -> Result<AffinityGraph> {
-        let x = if self.normalize {
-            normalize_data(data)
-        } else {
-            data.clone()
-        };
-        let n = x.cols();
-        // Precompute |cos| similarities once; the kNN constructor consults
-        // them O(n^2 log n) times otherwise.
-        let gram = x.gram_threaded(self.threads.max(1));
-        Ok(AffinityGraph::from_knn_similarity_threaded(
-            n,
-            self.q,
-            self.threads.max(1),
-            |i, j| {
-                let c = gram[(i, j)].abs().min(1.0);
-                (-2.0 * c.acos()).exp()
-            },
-        ))
+        Ok(self.sparse_affinity(data)?.to_graph())
     }
 }
 

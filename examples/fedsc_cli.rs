@@ -87,11 +87,8 @@ fn main() {
         "NMI   = {:.2}%",
         normalized_mutual_information(&truth, &out.predictions)
     );
-    if ds.data.len() <= 3000 {
-        let g = out.induced_global_affinity();
-        let c = connectivity(&g, &truth).expect("connectivity");
-        println!("CONN  = {:.4} (min) / {:.4} (mean)", c.min, c.mean);
-    }
+    let c = connectivity(&out.induced_global_affinity(), &truth).expect("connectivity");
+    println!("CONN  = {:.4} (min) / {:.4} (mean)", c.min, c.mean);
     println!(
         "time  = {:.3}s sequential, {:.3}s parallel, {:.3}s server",
         out.sequential_time().as_secs_f64(),

@@ -11,6 +11,7 @@
 use fedsc::{CentralBackend, FedSc, FedScConfig};
 use fedsc_data::synthetic::{generate, SyntheticConfig};
 use fedsc_federated::partition::{partition_dataset, Partition};
+use fedsc_graph::SparseAffinity;
 use fedsc_subspace::theory::{
     active_sets, holds_exact_clustering, holds_sep, inradius_estimate, semi_random_margin,
     sep_violation, ssc_affinity_bound, tsc_affinity_bound, tsc_q_range, Heterogeneity,
@@ -83,7 +84,8 @@ fn main() {
     println!("\ninradius estimate on device 0 (excluding point 0) = {r:.4}");
 
     // --- SEP / exact clustering of the graphs Fed-SC builds. ---
-    let local_graph = Ssc::default().affinity(&dev.data).expect("local SSC graph");
+    let local_graph =
+        SparseAffinity::from_graph(&Ssc::default().affinity(&dev.data).expect("local SSC graph"));
     println!(
         "device 0 local SSC graph: SEP violation = {:.2e}, SEP(1e-3) = {}",
         sep_violation(&local_graph, &dev.labels),

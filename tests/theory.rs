@@ -13,7 +13,7 @@ use fed_sc::federated::partition::{partition_dataset, Partition};
 use fed_sc::linalg::angles::principal_angle_cosines;
 use fed_sc::linalg::svd::dominant_basis;
 use fed_sc::subspace::theory::{ssc_affinity_bound, tsc_affinity_bound};
-use fed_sc::subspace::{Ssc, SubspaceClusterer};
+use fed_sc::subspace::Ssc;
 use fed_sc::{CentralBackend, FedSc, FedScConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,8 +32,8 @@ fn lemma2_cluster_spans_equal_true_subspaces() {
         noise_std: 0.0,
     };
     let ds = generate(&cfg, &mut rng);
-    let g = Ssc::default().affinity(&ds.data.data).unwrap();
-    let comp = g.connected_components(1e-6);
+    let g = Ssc::default().sparse_affinity(&ds.data.data).unwrap();
+    let comp = g.component_labels(1e-6);
     let num_comp = comp.iter().copied().max().unwrap() + 1;
     assert!(
         num_comp >= 3,
