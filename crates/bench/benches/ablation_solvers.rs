@@ -3,7 +3,7 @@
 //! * Lasso backend — working-set coordinate descent vs ADMM (same Eq. (2)
 //!   objective; the paper swapped SPAMS CD in for ADMM for exactly this
 //!   reason).
-//! * Spectral solver — the full dense eigendecomposition vs deflated
+//! * Spectral solver — the full dense eigendecomposition vs thick-restart
 //!   Lanczos at the pooled-sample sizes the central server actually sees.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -69,7 +69,7 @@ fn bench_spectral_backends(c: &mut Criterion) {
     g.bench_function("dense_full_eig_n600", |b| {
         b.iter(|| black_box(eigh(&lap).expect("bench setup")))
     });
-    g.bench_function("deflated_lanczos_k10_n600", |b| {
+    g.bench_function("lanczos_k10_n600", |b| {
         b.iter(|| black_box(lanczos_smallest(&lap, 10, 50).expect("bench setup")))
     });
     g.finish();

@@ -78,7 +78,12 @@ fn main() {
         let t_aff = sw.elapsed();
         let lap = fedsc_graph::sparse::sparse_normalized_laplacian(&w);
         let t_lap = sw.elapsed();
-        let _eig = fedsc_linalg::lanczos::lanczos_smallest_op(&lap, cl, cl + 40).expect("lanczos");
+        let lopts = fedsc_linalg::thick_restart::ThickRestartOptions {
+            max_basis: 2 * cl + 40,
+            ..Default::default()
+        };
+        let _eig =
+            fedsc_linalg::thick_restart::thick_restart_smallest(&lap, cl, &lopts).expect("lanczos");
         let t_lan = sw.elapsed();
         let a = fedsc_clustering::spectral_clustering_sparse(&w, &opts, &mut crng)
             .expect("sparse spectral");

@@ -30,12 +30,12 @@
 //!   Laplacian at (n, k) = (50, 5), a device's local graph, and
 //!   (160, 12), the `table3_emnist` server pool (single-threaded rows;
 //!   the solver has no threaded path).
-//! - `spectral_sparse` / `spectral_sparse_old` — the sparse spectral
-//!   stage head-to-head: thick-restart block Lanczos (kernel-seeded) vs
-//!   the legacy lock-and-restart deflation on the same CSR normalized
-//!   Laplacian, with per-solve operator-apply counts in the rows and a
-//!   strict fewer-matvecs tripwire (plus a >= 3x wall-clock bar on the
-//!   full n = 4096, k = 64 instance).
+//! - `spectral_sparse` — the sparse spectral stage: kernel-seeded
+//!   thick-restart block Lanczos on the CSR normalized Laplacian of the
+//!   ideal `k`-block affinity, with the per-solve operator-apply count in
+//!   the rows and an absolute tripwire of at most `2k` applies per solve
+//!   (n = 600, k = 24 on the smoke grid; n = 4096 and n = 16384 at k = 64
+//!   on the full one).
 //!
 //! Output: `BENCH_PR10.json`, an object `{"rows": [...], "metrics": {...}}` —
 //! `rows` holds `{kernel, size, threads, median_ns, speedup}` entries
@@ -59,7 +59,6 @@ use fedsc_federated::partition::{partition_dataset, Partition};
 use fedsc_graph::laplacian::normalized_laplacian;
 use fedsc_graph::sparse::sparse_normalized_laplacian;
 use fedsc_linalg::eigh::eigh_partial;
-use fedsc_linalg::lanczos::deflated_lanczos_smallest_op;
 use fedsc_linalg::par::default_threads;
 use fedsc_linalg::thick_restart::{thick_restart_smallest, ThickRestartOptions};
 use fedsc_linalg::Matrix;
@@ -152,6 +151,17 @@ fn counter(name: &str) -> u64 {
         .get(name)
         .copied()
         .unwrap_or(0)
+}
+
+/// The spectral tripwire: a kernel-seeded solve on the `k`-block affinity
+/// uses at most `2k` operator applies.
+fn assert_spectral_applies(applies: u64, n: usize, k: usize) {
+    assert!(
+        applies <= 2 * k as u64,
+        "kernel-seeded thick restart used {applies} operator applies on n={n},k={k}; \
+         the bound is 2k = {}",
+        2 * k
+    );
 }
 
 /// Walks up from the bench crate's manifest dir to the `[workspace]` root.
@@ -543,17 +553,13 @@ fn main() {
         });
     }
 
-    // Sparse spectral stage (the PR 10 tentpole): thick-restart block
-    // Lanczos with kernel-aware seeding vs the legacy lock-and-restart
-    // deflation, on the same CSR normalized Laplacian of the deterministic
-    // ideal k-cluster affinity (see `block_affinity`) — the exact k-fold
+    // Sparse spectral stage: thick-restart block Lanczos with kernel-aware
+    // seeding on the CSR normalized Laplacian of the deterministic ideal
+    // k-cluster affinity (see `block_affinity`) — the exact k-fold
     // degenerate zero a perfect self-expression run hands the spectral
-    // stage, which the seeded solver captures by construction while the
-    // baseline deflates out one copy per restart cycle. The rows carry
-    // the per-solve operator-apply count (`spectral.matvecs` delta) so the
-    // algorithmic win is tracked separately from wall-clock; the harness
-    // asserts the new solver needs strictly fewer applies on every grid,
-    // and >= 3x less wall time on the full n = 4096, k = 64 instance.
+    // stage, which the seeded solver captures by construction. The rows
+    // carry the per-solve operator-apply count (`spectral.matvecs` delta)
+    // so the algorithmic cost is tracked separately from wall-clock.
     let (spb, spp, spk) = if smoke { (24, 25, 24) } else { (64, 64, 64) };
     let spn = spb * spp;
     let w_sp = block_affinity(spb, spp);
@@ -581,45 +587,15 @@ fn main() {
     for row in &mut sp_rows {
         row.extra = format!(", \"matvecs\": {mv_new}");
     }
-    let t_new = sp_rows[0].median_ns;
     entries.extend(sp_rows);
-    let mv0_old = counter("spectral.matvecs");
-    let t_old = median_ns(1, || {
-        let _ = std::hint::black_box(
-            deflated_lanczos_smallest_op(&lap_sp, spk, spk + 40).expect("deflated lanczos"),
-        );
-    });
-    let mv_old = counter("spectral.matvecs") - mv0_old;
-    eprintln!(
-        "{:>14} {:>24}  1t {t_old:>12} ns   matvecs {mv_old} (new: {mv_new})",
-        "spectral_old",
-        format!("n={spn},k={spk}")
-    );
-    entries.push(Entry {
-        kernel: "spectral_sparse_old",
-        size: format!("n={spn},k={spk}"),
-        threads: 1,
-        median_ns: t_old,
-        speedup: 1.0,
-        extra: format!(", \"matvecs\": {mv_old}"),
-    });
-    // Matvec tripwire (CI bench-smoke runs this on the smoke grid too):
-    // the blocked thick-restart solver must do strictly less operator work
-    // than lock-and-restart on the same instance — wall-clock on a shared
-    // runner is noise, operator applies are not.
-    assert!(
-        mv_new < mv_old,
-        "thick-restart used {mv_new} operator applies vs legacy {mv_old} on n={spn},k={spk}"
-    );
+    // Matvec tripwire (CI bench-smoke checks the smoke row too): the seeds
+    // span the wanted k-dimensional kernel, so the solve needs one block of
+    // k applies to form it and one to verify it — at most 2k. Wall-clock on
+    // a shared runner is noise, operator applies are not.
+    assert_spectral_applies(mv_new, spn, spk);
     if !smoke {
-        assert!(
-            t_new.saturating_mul(3) <= t_old,
-            "thick-restart not 3x over lock-and-restart at n={spn},k={spk}: {t_new} ns vs {t_old} ns"
-        );
         // The federated-scale point: k = 64 clusters over 16k pooled
-        // samples. The legacy solver is unbenchable here (its apply count
-        // scales with k * restarts * basis), so this row is new-solver
-        // only, at the threaded grid point.
+        // samples, at the threaded grid point.
         let (bb, bp) = (64, 256);
         let bn = bb * bp;
         let w_big = block_affinity(bb, bp);
@@ -636,6 +612,7 @@ fn main() {
             );
         });
         let mv_big = counter("spectral.matvecs") - mv0_big;
+        assert_spectral_applies(mv_big, bn, spk);
         eprintln!(
             "{:>14} {:>24}  {tmax}t {t_big:>12} ns   matvecs {mv_big}",
             "spectral_sparse",

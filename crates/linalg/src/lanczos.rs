@@ -1,31 +1,19 @@
-//! Lanczos iteration for the smallest eigenpairs of a symmetric matrix.
+//! The symmetric-operator abstraction ([`SymOp`]) and the dense Lanczos
+//! entry point.
 //!
-//! Spectral clustering only needs the `k` smallest eigenvectors of the
-//! (dense, PSD) normalized Laplacian; for the pooled-sample graphs of large
-//! federated runs (`N` in the thousands) the dense path's Householder
-//! reduction costs `O(N^3)` while Lanczos costs `O(m N^2)` for a Krylov dimension `m` far
-//! below `N`.
-//!
-//! The production entry points ([`lanczos_smallest`] /
-//! [`lanczos_smallest_op`]) route to the **thick-restart block Lanczos**
-//! solver in [`crate::thick_restart`] — block expansion tuned to multi-vector
-//! operator products ([`SymOp::apply_block`]), selective reorthogonalization
-//! via the ω-recurrence, and restart that retains converged and
-//! nearly-converged Ritz vectors. The original **lock-and-restart deflated**
-//! solver is kept as [`deflated_lanczos_smallest_op`]: it is the measured
-//! baseline in the perf harness head-to-head, and documents the failure mode
-//! (degenerate-cluster misses, restart-bound wall clock) the thick-restart
-//! solver exists to fix.
-//!
-//! The legacy iteration reaches the *smallest* eigenvalues with a recurrence
-//! that converges to extremes by running on `B = sigma I - A`, `sigma` a
-//! Gershgorin upper bound on `A`'s spectrum.
+//! For the pooled-sample graphs of large federated runs (`N` in the
+//! thousands) a full Householder reduction costs `O(N^3)` while Lanczos
+//! costs `O(m N^2)` for a Krylov dimension `m` far below `N`.
+//! [`lanczos_smallest`] routes to the **thick-restart block Lanczos**
+//! solver in [`crate::thick_restart`] — block expansion tuned to
+//! multi-vector operator products ([`SymOp::apply_block`]), selective
+//! reorthogonalization via the ω-recurrence, and restart that retains
+//! converged and nearly-converged Ritz vectors.
 
-use crate::eigh::{eigh, SymmetricEig};
+use crate::eigh::SymmetricEig;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::thick_restart::{self, ThickRestartOptions};
-use crate::vector;
 
 /// A symmetric linear operator — everything the Lanczos iteration actually
 /// touches. Implemented by dense [`Matrix`] here and by the CSR matrix in
@@ -153,16 +141,6 @@ pub fn lanczos_smallest(a: &Matrix, k: usize, extra: usize) -> Result<SymmetricE
             got: (n, nc),
         });
     }
-    lanczos_smallest_op(a, k, extra)
-}
-
-/// [`lanczos_smallest`] over any [`SymOp`] — the matrix-free entry point
-/// the CSR spectral path uses.
-pub fn lanczos_smallest_op<A: SymOp + ?Sized>(
-    a: &A,
-    k: usize,
-    extra: usize,
-) -> Result<SymmetricEig> {
     let opts = ThickRestartOptions {
         max_basis: k.saturating_add(extra),
         ..ThickRestartOptions::default()
@@ -170,215 +148,9 @@ pub fn lanczos_smallest_op<A: SymOp + ?Sized>(
     thick_restart::thick_restart_smallest(a, k, &opts)
 }
 
-/// The pre-PR-10 **lock-and-restart deflated** Lanczos solver, kept as the
-/// measured baseline for the `spectral_sparse` head-to-head bench rows (and
-/// as a second, independent implementation the tests can cross-check).
-///
-/// Runs Lanczos with full two-pass reorthogonalization every step, locks
-/// Ritz pairs whose true residual `||A y - lambda y||` is below tolerance,
-/// restarts with a fresh start vector deflated against everything locked,
-/// and repeats until `k` pairs are locked. Known limitation (the reason it
-/// was replaced): on disconnected Laplacians past the dense cutover the
-/// restart budget can run out before every copy of the degenerate zero
-/// eigenvalue is dug out, silently locking near-zero bulk Ritz values
-/// instead.
-pub fn deflated_lanczos_smallest_op<A: SymOp + ?Sized>(
-    a: &A,
-    k: usize,
-    extra: usize,
-) -> Result<SymmetricEig> {
-    let n = a.dim();
-    if k == 0 || n == 0 {
-        return Ok(SymmetricEig {
-            eigenvalues: vec![],
-            eigenvectors: Matrix::zeros(n, 0),
-        });
-    }
-    let k = k.min(n);
-
-    // Gershgorin bound: sigma >= lambda_max(A).
-    let (mut sigma, scale) = a.gershgorin();
-    if !sigma.is_finite() {
-        return Err(LinalgError::InvalidArgument(
-            "matrix entries must be finite",
-        ));
-    }
-    sigma += 1.0;
-    let resid_tol = 1e-6 * scale.max(1.0);
-
-    let mut locked_vals: Vec<f64> = Vec::with_capacity(k);
-    let mut locked_vecs: Vec<Vec<f64>> = Vec::with_capacity(k);
-    let max_restarts = 4 * k + 8;
-    let mut restart = 0usize;
-    while locked_vals.len() < k && restart < max_restarts {
-        let remaining = k - locked_vals.len();
-        let room = n - locked_vecs.len();
-        if room == 0 {
-            break;
-        }
-        let m = (remaining + extra).min(room).max(1);
-        let (thetas, ritz) = lanczos_run(a, sigma, m, &locked_vecs, restart)?;
-        // Lock converged Ritz pairs (true residual check), best first. Each
-        // restart must make progress, so if nothing converged we lock the
-        // single most-converged pair anyway — this matches what a plain
-        // Lanczos caller would have received.
-        let mut any = false;
-        let mut best: Option<(f64, f64, Vec<f64>)> = None; // (resid, val, vec)
-                                                           // Only the top `remaining` Ritz pairs of B are candidates for the
-                                                           // still-missing smallest eigenvalues of A. Lock the *converged
-                                                           // prefix* only: locking a converged pair past an unconverged smaller
-                                                           // one would let bulk eigenvalues steal slots from slow-converging
-                                                           // copies of the degenerate cluster.
-        for (theta, y) in thetas.into_iter().zip(ritz).take(remaining) {
-            if locked_vals.len() >= k {
-                break;
-            }
-            let lambda = sigma - theta;
-            let ay = a.apply(&y)?;
-            crate::thick_restart::MATVECS.inc();
-            let resid = ay
-                .iter()
-                .zip(&y)
-                .map(|(&av, &yv)| (av - lambda * yv).abs())
-                .fold(0.0f64, f64::max);
-            if resid <= resid_tol {
-                lock(&mut locked_vals, &mut locked_vecs, lambda, y);
-                any = true;
-            } else {
-                best = Some((resid, lambda, y));
-                break;
-            }
-        }
-        if !any {
-            // Stagnation guard: no converged prefix — lock the best
-            // available estimate of the smallest remaining eigenpair so
-            // every restart makes progress.
-            if let Some((_, lambda, y)) = best {
-                lock(&mut locked_vals, &mut locked_vecs, lambda, y);
-            } else {
-                break;
-            }
-        }
-        restart += 1;
-    }
-
-    // Sort ascending and truncate to k.
-    let mut order: Vec<usize> = (0..locked_vals.len()).collect();
-    order.sort_by(|&i, &j| locked_vals[i].total_cmp(&locked_vals[j]));
-    order.truncate(k);
-    let eigenvalues: Vec<f64> = order.iter().map(|&i| locked_vals[i]).collect();
-    let cols: Vec<&[f64]> = order.iter().map(|&i| locked_vecs[i].as_slice()).collect();
-    let eigenvectors = Matrix::from_columns(&cols)?;
-    Ok(SymmetricEig {
-        eigenvalues,
-        eigenvectors,
-    })
-}
-
-/// Re-orthogonalizes a candidate eigenvector against the locked set and
-/// appends it (guards against duplicates slipping through numerically).
-fn lock(vals: &mut Vec<f64>, vecs: &mut Vec<Vec<f64>>, lambda: f64, mut y: Vec<f64>) {
-    for v in vecs.iter() {
-        let c = vector::dot(v, &y);
-        vector::axpy(-c, v, &mut y);
-    }
-    if vector::normalize(&mut y, 1e-8) > 1e-8 {
-        vals.push(lambda);
-        vecs.push(y);
-    }
-}
-
-/// One Lanczos run on `B = sigma I - A`, deflated against `locked`.
-/// Returns the Ritz values of `B` (descending, i.e. best candidates for
-/// `A`'s smallest first) and their Ritz vectors.
-fn lanczos_run<A: SymOp + ?Sized>(
-    a: &A,
-    sigma: f64,
-    m: usize,
-    locked: &[Vec<f64>],
-    restart: usize,
-) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
-    let n = a.dim();
-    let mut q: Vec<Vec<f64>> = Vec::with_capacity(m);
-    let mut alpha: Vec<f64> = Vec::with_capacity(m);
-    let mut beta: Vec<f64> = Vec::with_capacity(m);
-
-    let mut v0 = start_vector(n, restart);
-    deflate(&mut v0, locked, &q);
-    if vector::normalize(&mut v0, 1e-12) <= 1e-12 {
-        return Ok((vec![], vec![]));
-    }
-    q.push(v0);
-
-    for j in 0..m {
-        let qj = &q[j];
-        let aq = a.apply(qj)?;
-        crate::thick_restart::MATVECS.inc();
-        let mut w: Vec<f64> = qj.iter().zip(&aq).map(|(&x, &ax)| sigma * x - ax).collect();
-        let aj = vector::dot(&w, qj);
-        alpha.push(aj);
-        // Full reorthogonalization against the Krylov basis and the locked
-        // vectors (twice for numerical safety).
-        for _ in 0..2 {
-            deflate(&mut w, locked, &q);
-        }
-        if j + 1 == m {
-            break;
-        }
-        let bnorm = vector::norm2(&w);
-        if bnorm <= 1e-12 {
-            // Krylov space exhausted (exact invariant subspace): restart
-            // inside the run with a fresh deflated direction, recorded as a
-            // zero coupling in T.
-            let mut fresh = start_vector(n, restart + j + 1);
-            deflate(&mut fresh, locked, &q);
-            if vector::normalize(&mut fresh, 1e-10) <= 1e-10 {
-                break;
-            }
-            beta.push(0.0);
-            q.push(fresh);
-            continue;
-        }
-        vector::scale(&mut w, 1.0 / bnorm);
-        beta.push(bnorm);
-        q.push(w);
-    }
-
-    let mm = alpha.len();
-    if mm == 0 {
-        return Ok((vec![], vec![]));
-    }
-    let mut t = Matrix::zeros(mm, mm);
-    for i in 0..mm {
-        t[(i, i)] = alpha[i];
-        if i + 1 < mm {
-            t[(i, i + 1)] = beta[i];
-            t[(i + 1, i)] = beta[i];
-        }
-    }
-    let teig = eigh(&t)?;
-    // Top of B's spectrum = bottom of A's; report all Ritz pairs, best
-    // (largest theta) first — the caller decides what to lock.
-    let mut thetas = Vec::with_capacity(mm);
-    let mut ritz = Vec::with_capacity(mm);
-    for idx in (0..mm).rev() {
-        let s = teig.eigenvectors.col(idx);
-        let mut y = vec![0.0; n];
-        for (row, &si) in q.iter().zip(s) {
-            vector::axpy(si, row, &mut y);
-        }
-        if vector::normalize(&mut y, 1e-12) <= 1e-12 {
-            continue;
-        }
-        thetas.push(teig.eigenvalues[idx]);
-        ritz.push(y);
-    }
-    Ok((thetas, ritz))
-}
-
-/// Deterministic pseudo-random start vector varying by `salt` (keeps the
-/// whole solver RNG-free and runs reproducible). Shared with the
-/// thick-restart solver so both draw from the same stream shape.
+/// Deterministic pseudo-random start vector varying by `salt`, so the
+/// thick-restart solver and the dense eigensolver's inverse iteration stay
+/// RNG-free and their runs reproducible.
 pub(crate) fn start_vector(n: usize, salt: usize) -> Vec<f64> {
     let mut state = (salt as u64)
         .wrapping_mul(0x9e3779b97f4a7c15)
@@ -393,19 +165,10 @@ pub(crate) fn start_vector(n: usize, salt: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Orthogonalizes `w` against the locked vectors and the Krylov basis.
-fn deflate(w: &mut [f64], locked: &[Vec<f64>], q: &[Vec<f64>]) {
-    for v in locked.iter().chain(q.iter()) {
-        let c = vector::dot(v, w);
-        if c != 0.0 {
-            vector::axpy(-c, v, w);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eigh::eigh;
 
     fn random_symmetric(n: usize, seed: u64) -> Matrix {
         let mut a = Matrix::zeros(n, n);
@@ -493,9 +256,8 @@ mod tests {
         let lz = lanczos_smallest(&a, 20, 40).unwrap();
         for i in 0..20 {
             let expect = 1e-4 * (i as f64 + 1.0);
-            // Stagnation-guard locks may carry a few 1e-5 of error; what
-            // matters is that every copy is resolved within half the 1e-4
-            // cluster spacing.
+            // Every copy must be resolved within half the 1e-4 cluster
+            // spacing.
             assert!(
                 (lz.eigenvalues[i] - expect).abs() < 5e-5,
                 "eigenvalue {i}: {} vs {expect}",

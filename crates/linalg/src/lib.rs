@@ -20,7 +20,7 @@
 //!   only the eigenvectors a caller asks for (Householder reduction, QL
 //!   eigenvalues, inverse iteration).
 //! * [`lanczos`] — the `SymOp` operator abstraction (single and blocked
-//!   applies) plus the legacy lock-and-restart Lanczos baseline.
+//!   applies) and the dense-matrix Lanczos entry point.
 //! * [`thick_restart`] — thick-restart block Lanczos, the production
 //!   solver for the k smallest eigenpairs of large (sparse) symmetric
 //!   operators: blocked operator applies, ω-recurrence selective

@@ -74,7 +74,7 @@
 //! dependency cycle).
 //!
 //! Timing goes through `fedsc_obs` ([`Stopwatch`]) — the workspace's only
-//! sanctioned wall-clock access (`cargo xtask check` rule 3) — and the pool
+//! sanctioned wall-clock access (`cargo xtask audit` rule 3) — and the pool
 //! reports itself to the metrics registry: `pool.tasks` (indices executed),
 //! `pool.tasks_inline` (indices executed on the caller because
 //! `threads == 1` or the fan-out was below [`MIN_INLINE_ITEMS`], i.e. no

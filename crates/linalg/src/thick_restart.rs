@@ -1,17 +1,17 @@
 //! Thick-restart **block** Lanczos for the `k` smallest eigenpairs.
 //!
-//! This is the production sparse-spectral solver behind
-//! [`lanczos_smallest`](crate::lanczos::lanczos_smallest). Compared to the
-//! legacy lock-and-restart deflation
-//! ([`deflated_lanczos_smallest_op`](crate::lanczos::deflated_lanczos_smallest_op))
-//! it changes three things, each aimed at the CSR Laplacian workload:
+//! This is the workspace's one Krylov eigensolver, behind
+//! [`lanczos_smallest`](crate::lanczos::lanczos_smallest) and the sparse
+//! spectral stage. Compared to a one-vector lock-and-restart deflation
+//! (Lanczos with full reorthogonalization, one restart per locked pair) it
+//! does three things, each aimed at the CSR Laplacian workload:
 //!
 //! 1. **Block expansion.** The basis grows `b` vectors at a time through
 //!    [`SymOp::apply_block`], so one traversal of the operator's data is
 //!    amortized across `b` matvecs (an SpMM for the CSR impl, a blocked
 //!    matmul for dense). A width-`b` block also converges all `b` copies of
-//!    a `b`-fold (near-)degenerate eigenvalue in a single pass — the case
-//!    that forced the legacy solver into one full restart per copy.
+//!    a `b`-fold (near-)degenerate eigenvalue in a single pass, where a
+//!    one-vector solver needs one full restart per copy.
 //! 2. **Selective reorthogonalization.** Instead of two full Gram–Schmidt
 //!    passes against the whole basis on every step, the solver tracks a
 //!    per-block bound on orthogonality loss with Simon's ω-recurrence and
@@ -45,7 +45,8 @@ use fedsc_obs::LazyCounter;
 /// that left unconverged wanted pairs).
 pub(crate) static RESTARTS: LazyCounter = LazyCounter::new("spectral.restarts");
 /// Operator applications, counted per *vector* (an `apply_block` of width
-/// `b` adds `b`), so legacy and block solvers are directly comparable.
+/// `b` adds `b`), so solves at different block widths are directly
+/// comparable.
 pub(crate) static MATVECS: LazyCounter = LazyCounter::new("spectral.matvecs");
 /// Full reorthogonalization passes triggered by the ω-recurrence (or forced
 /// by rank repair / full-space mode). The selective-reorth win is this
@@ -83,13 +84,11 @@ pub struct ThickRestartOptions {
     /// least `k + b`, rounded up to a block multiple, capped at `n`).
     pub max_basis: usize,
     /// Restart budget (default 120). On exhaustion the best available
-    /// Ritz pairs are returned (matching the legacy solver's permissive
-    /// contract) rather than erroring; the pairs that fail the final
-    /// residual check are counted in `spectral.unconverged`.
+    /// Ritz pairs are returned rather than erroring; the pairs that fail
+    /// the final residual check are counted in `spectral.unconverged`.
     pub max_restarts: usize,
     /// Convergence tolerance on the residual `||A y - θ y||` (default
-    /// `1e-6 * scale.max(1.0)` with `scale` the largest absolute entry —
-    /// the legacy solver's locking tolerance).
+    /// `1e-6 * scale.max(1.0)` with `scale` the largest absolute entry).
     pub tol: f64,
     /// Optional start vectors (length `n` each) folded into the first
     /// block — e.g. exact kernel vectors of a disconnected Laplacian.
@@ -299,7 +298,7 @@ pub fn thick_restart_smallest<A: SymOp + ?Sized>(
         if nconv >= k || exhausted || attempt == max_restarts {
             let (evals, y) = solver.ritz_vectors(&he, k)?;
             // True-residual verification: one block apply over the k
-            // candidates; accept on the legacy ∞-norm contract.
+            // candidates; accept on the ∞-norm residual contract.
             let mut x = vec![0.0; n * k];
             for (j, _) in evals.iter().enumerate() {
                 let col = y.col(j);

@@ -12,7 +12,7 @@
 //!   workspace (besides the transport deadline helper,
 //!   `crates/transport/src/timing.rs`) allowed to read the monotonic
 //!   clock. Everything else times itself through [`Stopwatch`] /
-//!   [`now_ns`], enforced by `cargo xtask check` rule 3.
+//!   [`now_ns`], enforced by `cargo xtask audit` rule 3.
 //! * **Determinism is untouched.** Neither spans nor metrics feed back
 //!   into any computation: no RNG, no data-dependent branching on time.
 //!   A seeded run with tracing enabled is byte-identical to the same

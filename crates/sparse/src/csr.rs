@@ -204,7 +204,7 @@ impl CsrMatrix {
 }
 
 /// The CSR matrix as a symmetric Lanczos operator: lets the spectral stage
-/// run `lanczos_smallest_op` directly on a sparse normalized Laplacian
+/// run `thick_restart_smallest` directly on a sparse normalized Laplacian
 /// without densifying (`O(nnz)` per iteration instead of `O(n^2)`).
 impl SymOp for CsrMatrix {
     fn dim(&self) -> usize {

@@ -54,7 +54,7 @@
 
 use crate::lasso::{LassoOptions, LassoSolver, LassoWorkspace};
 use crate::vec::SparseVec;
-use fedsc_linalg::{par, vector, LinalgError, Matrix, Result};
+use fedsc_linalg::{par, span, vector, LinalgError, Matrix, Result};
 use fedsc_obs::LazyCounter;
 
 /// Candidate atoms offered to the restricted solves, summed over points
@@ -165,9 +165,12 @@ pub fn solve_candidates(
     let slack = escalate_slack(opts.tol);
 
     // Round 0: restricted solves over the candidate sets.
-    let solved = par::par_map_with(n, threads, LassoWorkspace::new, |ws, i| {
-        solve_restricted(x, i, &candidates[i], alpha, None, opts, ws)
-    });
+    let solved = {
+        let _s = span("fedsc", "ssc.lasso");
+        par::par_map_with(n, threads, LassoWorkspace::new, |ws, i| {
+            solve_restricted(x, i, &candidates[i], alpha, None, opts, ws)
+        })
+    };
     let mut states: Vec<PointState> = Vec::with_capacity(n);
     for (i, s) in solved.into_iter().enumerate() {
         let (local, lambda, mu) = s?;
@@ -181,6 +184,7 @@ pub fn solve_candidates(
 
     // Verification: one blocked X^T [U | F] product per panel of points,
     // then exact per-point KKT + lambda-rule scans.
+    let certify_span = verify.then(|| span("fedsc", "ssc.certify"));
     let mut certified = vec![false; n];
     // (point, violators, exact mu, index attaining it)
     let mut pending: Vec<(usize, Vec<usize>, f64, usize)> = Vec::new();
@@ -262,6 +266,7 @@ pub fn solve_candidates(
         }
         pending = still;
     }
+    drop(certify_span);
 
     // Assemble global codes; count the final neighborhood sizes.
     let mut codes = Vec::with_capacity(n);

@@ -113,7 +113,9 @@ impl Ssc {
     /// default) exact certification/escalation — and returns the per-point
     /// codes plus certification stats. Ignores `min_points`: this is the
     /// explicit entry point (used by benches and the parity tests);
-    /// [`Self::codes`] applies the threshold.
+    /// [`Self::codes`] applies the threshold. Candidate selection records
+    /// the `ssc.sketch` span, the restricted solves `ssc.lasso`, and
+    /// verification with escalation `ssc.certify`.
     pub fn candidate_codes(&self, data: &Matrix) -> Result<CandidateOutcome> {
         let x = if self.normalize {
             normalize_data(data)
@@ -122,7 +124,10 @@ impl Ssc {
         };
         let threads = self.lasso.threads.max(1);
         let copts = self.candidates.clone().unwrap_or_default();
-        let cands = select_candidates(&x, &copts, threads)?;
+        let cands = {
+            let _s = span("fedsc", "ssc.sketch");
+            select_candidates(&x, &copts, threads)?
+        };
         solve_candidates(&x, &cands, self.alpha, &self.lasso, copts.verify)
     }
 

@@ -216,7 +216,7 @@ fn crc32_of_frame(bytes: &[u8]) -> u32 {
 }
 
 /// Reads one frame from a blocking reader (the caller must have armed a
-/// read timeout on the underlying socket — `cargo xtask check` enforces
+/// read timeout on the underlying socket — `cargo xtask audit` enforces
 /// that every `TcpStream` user does). Returns the frame and its wire size.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<(Frame, usize)> {
     let mut header = [0u8; HEADER_LEN];

@@ -9,7 +9,7 @@
 //!
 //! * **Every blocking socket read and write is armed with a timeout**
 //!   (`set_read_timeout` / `set_write_timeout`); nothing can hang a round
-//!   forever. `cargo xtask check` enforces this for any file touching
+//!   forever. `cargo xtask audit` enforces this for any file touching
 //!   `TcpStream`.
 //! * A device's `send_uplink` is **atomic per attempt**: it dials a fresh
 //!   connection, handshakes, and uploads. Any failure tears the attempt

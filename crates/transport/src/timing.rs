@@ -1,7 +1,7 @@
 //! Deadline and retry primitives.
 //!
 //! This is the transport crate's **only** module allowed to observe the
-//! wall clock (`cargo xtask check` pins `Instant::now` to this file), so
+//! wall clock (`cargo xtask audit` pins `Instant::now` to this file), so
 //! deadline arithmetic stays out of the protocol code: callers hold a
 //! [`Deadline`] and ask it for the remaining budget.
 

@@ -1,13 +1,13 @@
 //! A small dependency-free Rust lexer for the `cargo xtask audit` rule
 //! engine.
 //!
-//! The old `xtask check` scanner worked line-by-line on text with comments
-//! and strings blanked out; that is blind to token boundaries (`MyHashMap`
-//! matched `HashMap`) and cannot express structural rules like "every
-//! `unsafe` block needs a registry entry" or "this lock is acquired while
-//! that one is held". This module lexes source into a flat token stream
-//! with line numbers, plus a delimiter-matching table, which is all the
-//! structure the rules in [`crate::rules`] need:
+//! A line-by-line scan over text with comments and strings blanked out is
+//! blind to token boundaries (`MyHashMap` would match `HashMap`) and cannot
+//! express structural rules like "every `unsafe` block needs a registry
+//! entry" or "this lock is acquired while that one is held". This module
+//! lexes source into a flat token stream with line numbers, plus a
+//! delimiter-matching table, which is all the structure the rules in
+//! [`crate::rules`] need:
 //!
 //! * Comments are **kept as tokens** (the justification-comment rules need
 //!   them); string/char literal *content* is opaque (only the fact that a

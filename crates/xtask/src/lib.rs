@@ -1,14 +1,12 @@
 //! Library surface of the `xtask` static-analysis driver, exposed so the
-//! golden-file and differential integration tests can exercise the engines
-//! without shelling out to the binary.
+//! golden-file integration tests can exercise the engine without shelling
+//! out to the binary.
 //!
 //! * [`lexer`] — the dependency-free Rust lexer / delimiter matcher.
 //! * [`rules`] — the token-level rule engine (rules 1–9) behind `audit`.
-//! * [`scan`] — the legacy line-based scanner (rules 1–6), kept as the
-//!   differential-testing oracle for the token engine.
-//! * [`report`] — the SARIF 2.1.0 report writer for `--report-out`.
+//! * [`report`] — the diagnostic type and the SARIF 2.1.0 report writer
+//!   for `--report-out`.
 
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod scan;

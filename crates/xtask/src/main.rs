@@ -35,9 +35,6 @@
 //! every diagnostic is a `file:line: [rule] message` the terminal can jump
 //! to.
 //!
-//! `cargo xtask check` is a thin alias running only rules 1–6 (the legacy
-//! scanner's scope), so existing CI invocations stay meaningful.
-//!
 //! `cargo xtask validate-trace [--cross-process] <file.json>` checks that
 //! an exported Chrome trace (`--trace-out`) is well-formed `trace_event`
 //! JSON. With `--cross-process` it additionally validates a merged fleet
@@ -48,8 +45,10 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use xtask::rules::{audit_source, detect_lock_cycles, reconcile_exact, LockEdge, RuleSet};
-use xtask::scan::{Allowlist, Diagnostic, Profile};
+use xtask::report::Diagnostic;
+use xtask::rules::{
+    audit_source, detect_lock_cycles, reconcile_exact, Allowlist, LockEdge, Profile,
+};
 
 /// Crates scanned with the strict profile.
 const STRICT_ROOTS: &[&str] = &[
@@ -95,9 +94,8 @@ fn main() -> ExitCode {
                     None => break,
                 }
             }
-            run_rules("audit", RuleSet::Full, report_out.as_deref())
+            run_audit(report_out.as_deref())
         }
-        Some("check") => run_rules("check", RuleSet::Core, None),
         Some("validate-trace") => {
             let mut cross_process = false;
             let mut path = None;
@@ -117,12 +115,12 @@ fn main() -> ExitCode {
             }
         }
         Some(other) => {
-            eprintln!("unknown xtask command `{other}`; available: audit, check, validate-trace");
+            eprintln!("unknown xtask command `{other}`; available: audit, validate-trace");
             ExitCode::FAILURE
         }
         None => {
             eprintln!(
-                "usage: cargo xtask audit [--report-out <report.json>] | cargo xtask check | \
+                "usage: cargo xtask audit [--report-out <report.json>] | \
                  cargo xtask validate-trace [--cross-process] <trace.json>"
             );
             ExitCode::FAILURE
@@ -187,29 +185,18 @@ fn workspace_root() -> Option<PathBuf> {
     }
 }
 
-/// Shared driver for `audit` (rules 1–9) and `check` (rules 1–6).
-fn run_rules(cmd: &str, rules: RuleSet, report_out: Option<&str>) -> ExitCode {
+/// The `audit` driver: every rule over every scanned file, then the
+/// cross-file reconciliations and the global lock-graph check.
+fn run_audit(report_out: Option<&str>) -> ExitCode {
     let Some(root) = workspace_root() else {
         eprintln!("xtask: could not locate the workspace root");
         return ExitCode::FAILURE;
     };
-    let allowlist = match Allowlist::load(&root.join(ALLOWLIST_PATH)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("xtask: cannot read {ALLOWLIST_PATH}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let load = |path: &str| {
+        Allowlist::load(&root.join(path)).map_err(|e| eprintln!("xtask: cannot read {path}: {e}"))
     };
-    let registry = if rules == RuleSet::Full {
-        match Allowlist::load(&root.join(UNSAFE_REGISTRY_PATH)) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!("xtask: cannot read {UNSAFE_REGISTRY_PATH}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
+    let (Ok(allowlist), Ok(registry)) = (load(ALLOWLIST_PATH), load(UNSAFE_REGISTRY_PATH)) else {
+        return ExitCode::FAILURE;
     };
 
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
@@ -240,7 +227,7 @@ fn run_rules(cmd: &str, rules: RuleSet, report_out: Option<&str>) -> ExitCode {
                 };
                 files_scanned += 1;
                 let label = rel_label(&root, &path);
-                let outcome = audit_source(&label, &text, profile, &allowlist, rules);
+                let outcome = audit_source(&label, &text, profile, &allowlist);
                 diagnostics.extend(outcome.diagnostics);
                 invariant_counts.insert(label.clone(), outcome.invariant_sites.len());
                 unsafe_counts.insert(label, outcome.unsafe_sites.len());
@@ -249,55 +236,45 @@ fn run_rules(cmd: &str, rules: RuleSet, report_out: Option<&str>) -> ExitCode {
         }
     }
 
-    // Cross-file reconciliation. `check` keeps the legacy one-sided
-    // allowlist check; `audit` verifies both count files exactly and
-    // cycle-checks the global lock graph.
-    match &registry {
-        Some(reg) => {
-            diagnostics.extend(reconcile_exact(
-                &allowlist,
-                ALLOWLIST_PATH,
-                "allowlist",
-                "INVARIANT",
-                &invariant_counts,
-            ));
-            diagnostics.extend(reconcile_exact(
-                reg,
-                UNSAFE_REGISTRY_PATH,
-                "unsafe",
-                "unsafe",
-                &unsafe_counts,
-            ));
-            diagnostics.extend(detect_lock_cycles(&lock_edges));
-        }
-        None => diagnostics.extend(allowlist.reconcile(&invariant_counts)),
-    }
+    // Cross-file: both count files reconcile exactly, and the global lock
+    // graph is cycle-checked.
+    diagnostics.extend(reconcile_exact(
+        &allowlist,
+        ALLOWLIST_PATH,
+        "allowlist",
+        "INVARIANT",
+        &invariant_counts,
+    ));
+    diagnostics.extend(reconcile_exact(
+        &registry,
+        UNSAFE_REGISTRY_PATH,
+        "unsafe",
+        "unsafe",
+        &unsafe_counts,
+    ));
+    diagnostics.extend(detect_lock_cycles(&lock_edges));
 
     if let Some(path) = report_out {
         let doc = xtask::report::sarif(&diagnostics);
         if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("xtask {cmd}: cannot write report to {path}: {e}");
+            eprintln!("xtask audit: cannot write report to {path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("xtask {cmd}: SARIF report written to {path}");
+        println!("xtask audit: SARIF report written to {path}");
     }
 
     if diagnostics.is_empty() {
-        if registry.is_some() {
-            println!(
-                "xtask {cmd}: {files_scanned} files clean ({} lock edge(s), acyclic)",
-                lock_edges.len()
-            );
-        } else {
-            println!("xtask {cmd}: {files_scanned} files clean");
-        }
+        println!(
+            "xtask audit: {files_scanned} files clean ({} lock edge(s), acyclic)",
+            lock_edges.len()
+        );
         ExitCode::SUCCESS
     } else {
         for d in &diagnostics {
             eprintln!("{d}");
         }
         eprintln!(
-            "xtask {cmd}: {} violation(s) in {files_scanned} files",
+            "xtask audit: {} violation(s) in {files_scanned} files",
             diagnostics.len()
         );
         ExitCode::FAILURE

@@ -1,4 +1,5 @@
-//! SARIF-style JSON report for `cargo xtask audit --report-out`.
+//! Diagnostics and the SARIF-style JSON report for
+//! `cargo xtask audit --report-out`.
 //!
 //! Emits a minimal SARIF 2.1.0 document — one run, one result per
 //! diagnostic — hand-rolled because the workspace is dependency-free. The
@@ -6,8 +7,46 @@
 //! level / message / one physical location) is what code-scanning UIs and
 //! `sarif-tools` consume; anything fancier is omitted.
 
-use crate::scan::Diagnostic;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// One `file:line: [rule] message` finding.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Diagnostic {
+    /// Workspace-relative path.
+    pub file: String,
+    /// 1-based line, or 0 for file-level findings.
+    pub line: usize,
+    /// Short rule tag (`panic`, `rng`, `timing`, `must-use`, `allowlist`, ...).
+    pub rule: &'static str,
+    /// Human-readable explanation.
+    pub message: String,
+}
+
+impl Diagnostic {
+    /// A finding that concerns the whole file (rendered without a line).
+    pub fn file_level(file: String, rule: &'static str, message: &str) -> Self {
+        Diagnostic {
+            file,
+            line: 0,
+            rule,
+            message: message.to_string(),
+        }
+    }
+}
+
+impl fmt::Display for Diagnostic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.line == 0 {
+            write!(f, "{}: [{}] {}", self.file, self.rule, self.message)
+        } else {
+            write!(
+                f,
+                "{}:{}: [{}] {}",
+                self.file, self.line, self.rule, self.message
+            )
+        }
+    }
+}
 
 /// The rule vocabulary `audit` can emit, with one-line help text carried
 /// into the report's rule metadata.
@@ -143,6 +182,9 @@ mod tests {
             rule: "unsafe",
             message: "a \"quoted\" message\nwith newline".to_string(),
         };
+        assert!(d
+            .to_string()
+            .starts_with("crates/linalg/src/par.rs:42: [unsafe] a"));
         let doc = sarif(&[d]);
         assert!(doc.contains(r#""ruleId":"unsafe""#));
         assert!(doc.contains(r#""startLine":42"#));
@@ -150,6 +192,7 @@ mod tests {
         assert!(doc.contains(r#"\n"#));
         // File-level findings clamp to line 1.
         let d0 = Diagnostic::file_level("x.rs".to_string(), "allowlist", "stale");
+        assert_eq!(d0.to_string(), "x.rs: [allowlist] stale");
         assert!(sarif(&[d0]).contains(r#""startLine":1"#));
     }
 }

@@ -4,21 +4,17 @@
 //! family; its `.expected` sibling holds the `file:line: [rule]` output the
 //! engine must produce (file-level findings render without a line). The
 //! fixtures are never compiled — they live outside `src/`, so the audit's
-//! own workspace walk never sees them either.
-//!
-//! The differential property test at the bottom checks that the token-level
-//! engine (`RuleSet::Core`) and the legacy line scanner agree on rules 1–6
-//! over the *real* workspace: same diagnostic `(line, rule)` sites and same
-//! `// INVARIANT:` site lists, file by file.
+//! own workspace walk never sees them either. The fixtures are the
+//! engine's specification: an edit that changes an `.expected` file
+//! changes the policy.
 
-use proptest::prelude::*;
-use xtask::rules::{audit_source, detect_lock_cycles, RuleSet};
-use xtask::scan::{scan_source, Allowlist, Diagnostic, Profile};
+use xtask::report::Diagnostic;
+use xtask::rules::{audit_source, detect_lock_cycles, Allowlist, Profile};
 
 /// Audits fixture `source` as `label` and renders every diagnostic —
 /// including global lock-cycle findings — as `file[:line]: [rule]`.
 fn run_fixture(label: &str, source: &str, allow: &Allowlist) -> Vec<String> {
-    let out = audit_source(label, source, Profile::Strict, allow, RuleSet::Full);
+    let out = audit_source(label, source, Profile::Strict, allow);
     let mut diags = out.diagnostics;
     diags.extend(detect_lock_cycles(&out.lock_edges));
     diags.sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
@@ -125,101 +121,6 @@ fn rule7_fixture_counts_both_sites() {
         include_str!("fixtures/rule7_unsafe.rs"),
         Profile::Strict,
         &Allowlist::default(),
-        RuleSet::Full,
     );
     assert_eq!(out.unsafe_sites, vec![2, 7]);
-}
-
-// ---------------------------------------------------------------------------
-// Differential property test: token engine vs legacy line scanner.
-
-/// Workspace-relative `.rs` files under every scanned root, with contents.
-fn workspace_files() -> Vec<(String, String, Profile)> {
-    let root = {
-        let mut d = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        d.pop();
-        d.pop();
-        d
-    };
-    let mut out = Vec::new();
-    let roots: &[(&str, Profile)] = &[
-        ("crates/linalg/src", Profile::Strict),
-        ("crates/sparse/src", Profile::Strict),
-        ("crates/graph/src", Profile::Strict),
-        ("crates/clustering/src", Profile::Strict),
-        ("crates/subspace/src", Profile::Strict),
-        ("crates/federated/src", Profile::Strict),
-        ("crates/data/src", Profile::Strict),
-        ("crates/core/src", Profile::Strict),
-        ("crates/transport/src", Profile::Strict),
-        ("crates/obs/src", Profile::Strict),
-        ("crates/xtask/src", Profile::Strict),
-        ("src", Profile::Strict),
-        ("crates/bench/src", Profile::Relaxed),
-    ];
-    for &(rel, profile) in roots {
-        let dir = root.join(rel);
-        let mut stack = vec![dir];
-        while let Some(d) = stack.pop() {
-            let Ok(entries) = std::fs::read_dir(&d) else {
-                continue;
-            };
-            for entry in entries.flatten() {
-                let p = entry.path();
-                if p.is_dir() {
-                    stack.push(p);
-                } else if p.extension().is_some_and(|e| e == "rs") {
-                    let Ok(text) = std::fs::read_to_string(&p) else {
-                        continue;
-                    };
-                    let label = p
-                        .strip_prefix(&root)
-                        .map(|q| q.to_string_lossy().replace('\\', "/"))
-                        .unwrap_or_default();
-                    out.push((label, text, profile));
-                }
-            }
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// `(line, rule)` sites of rule 1–6 diagnostics, sorted — the comparable
-/// core both engines must agree on (messages differ only in phrasing).
-fn sites(diags: &[Diagnostic]) -> Vec<(usize, &'static str)> {
-    let mut v: Vec<(usize, &'static str)> = diags.iter().map(|d| (d.line, d.rule)).collect();
-    v.sort_unstable();
-    v
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// On every real workspace file the strategy lands on, the token-level
-    /// Core rules and the legacy line scanner report identical diagnostic
-    /// sites and identical INVARIANT-site lists.
-    #[test]
-    fn token_engine_agrees_with_line_scanner(pick in 0usize..4096) {
-        let files = workspace_files();
-        prop_assert!(!files.is_empty());
-        let (label, text, profile) = &files[pick % files.len()];
-        let allow = Allowlist::default();
-        let old = scan_source(label, text, *profile, &allow);
-        let new = audit_source(label, text, *profile, &allow, RuleSet::Core);
-        prop_assert_eq!(
-            sites(&old.diagnostics),
-            sites(&new.diagnostics),
-            "diagnostics diverged on {}",
-            label
-        );
-        let mut old_inv = old.invariant_sites.clone();
-        old_inv.sort_unstable();
-        prop_assert_eq!(
-            old_inv,
-            new.invariant_sites.clone(),
-            "INVARIANT sites diverged on {}",
-            label
-        );
-    }
 }
