@@ -15,13 +15,11 @@
 //! - `pool_wake` — back-to-back `par_map` calls big enough to engage the
 //!   pool; measures publish/wake latency (the spin-before-park path).
 //! - `ssc_affinity_dense` / `ssc_affinity_cand` — the dense all-pairs
-//!   sweep vs the screening-only sketched-candidate CSR pipeline on the
-//!   same seeded noisy mixture (n = 4096 head-to-head with a >= 10x
-//!   tripwire, n = 16384 candidate-only; the dense path is quadratic in
-//!   points and unbenchable there).
-//! - `ssc_affinity_cert` — the certified-exact candidate pipeline
-//!   (verify + escalate until every code is a full-dictionary optimum) on
-//!   a noiseless many-subspace mixture, with certification stats.
+//!   sweep vs the screening sketched-candidate CSR pipeline on the same
+//!   seeded noisy mixture (n = 4096 head-to-head; n = 8192 candidate-only
+//!   at 1 thread, with a subquadratic-growth tripwire on the restricted
+//!   solves over the doubling; n = 16384 candidate-only at the threaded
+//!   grid point). Candidate rows carry their selection / solve split.
 //! - `fedsc_e2e` — a full seeded Fed-SC run over a partitioned dataset.
 //! - `fedsc_e2e_cand` — the same run with `candidate_threshold` dropped so
 //!   every SSC (local and central) routes through the candidate pipeline.
@@ -64,6 +62,9 @@ use fedsc_linalg::thick_restart::{thick_restart_smallest, ThickRestartOptions};
 use fedsc_linalg::Matrix;
 use fedsc_obs::Stopwatch;
 use fedsc_sparse::lasso::{ssc_lambda, LassoOptions, LassoSolver, LassoWorkspace};
+use fedsc_sparse::restricted::solve_candidates;
+use fedsc_subspace::algo::normalize_data;
+use fedsc_subspace::candidates::select_candidates;
 use fedsc_subspace::{CandidateOptions, Ssc, SubspaceClusterer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -265,24 +266,9 @@ fn main() {
         },
     ));
 
-    // Subquadratic SSC, two regimes on seeded subspace mixtures:
-    //
-    // Head-to-head (noisy, CD-bound): at noise 0.01 the dense sweep's
-    // coordinate descent grinds on fat equicorrelated supports, so the
-    // dense n = 4096 row is solver-bound, not Gram-bound. The candidate
-    // row on the *same data* runs screening-only (`verify: false`): sketch,
-    // top-k selection, restricted solves, CSR assembly — the genuinely
-    // subquadratic solve path — and must beat dense by >= 10x at 1 thread.
-    // (The exact certificate is a full-Gram-class pass by construction —
-    // `O(n d)` per point — so certified mode is benched separately below
-    // rather than pretending it is subquadratic.)
-    //
-    // Certified-exact (noiseless, many subspaces): the Fed-SC central
-    // shape — many small clusters of unit-sphere samples on their
-    // subspaces — where the sketched top-k contains the dense support and
-    // the certificate actually certifies. These rows time the full
-    // verify-and-escalate pipeline, with certification stats in the JSON;
-    // the n = 16384 row is where the dense path is unbenchable.
+    // Screened SSC on a seeded noisy subspace mixture: the dense
+    // all-pairs sweep against the screening pipeline (sketch, top-k
+    // selection, restricted solves, CSR assembly) on the same data.
     let (cd, csub, cl, cn4, cn16) = if smoke {
         (24, 4, 6, 192, 384)
     } else {
@@ -311,130 +297,86 @@ fn main() {
         speedup: 1.0,
         extra: String::new(),
     });
-    let cand_affinity = |data: &Matrix, t: usize, k: usize, s: usize, verify: bool| {
-        let mut ssc = Ssc {
-            candidates: Some(CandidateOptions {
-                k,
-                sketch_dim: s,
-                min_points: 2,
-                verify,
-                ..CandidateOptions::default()
-            }),
-            ..Ssc::default()
+    // The screening pipeline in two timed stages: normalization, sketch
+    // and top-k selection, then the restricted solves and CSR assembly.
+    let cand_affinity = |data: &Matrix, t: usize, k: usize, s: usize| {
+        let opts = CandidateOptions {
+            k,
+            sketch_dim: s,
+            min_points: 2,
+            ..CandidateOptions::default()
         };
-        ssc.lasso.threads = t;
-        let out = ssc.candidate_codes(data).expect("candidate codes");
-        let w = fedsc_graph::SparseAffinity::from_codes(&out.codes);
-        std::hint::black_box(&w);
-        out
+        let lasso = LassoOptions {
+            threads: t,
+            ..LassoOptions::default()
+        };
+        let sw = Stopwatch::start();
+        let x = normalize_data(data);
+        let cands = select_candidates(&x, &opts, t).expect("candidate selection");
+        let select_ns = sw.elapsed().as_nanos();
+        let codes =
+            solve_candidates(&x, &cands, Ssc::default().alpha, &lasso).expect("restricted solves");
+        std::hint::black_box(fedsc_graph::SparseAffinity::from_codes(&codes));
+        (select_ns, sw.elapsed().as_nanos() - select_ns)
     };
     // Screening rows run a leaner selection (k = 48, sketch dim 16) than
-    // the certified default (64/32): without a certificate there is no
-    // escalation to amortize, and the smaller panel keeps the restricted
-    // Gram + CD stage comfortably past the 10x bar. The config is part of
-    // the row's `size` string so the trajectory stays comparable.
+    // the `CandidateOptions` default (64/32). The config is part of the
+    // row's `size` string so the trajectory stays comparable. The n = 8192
+    // instance is drawn after the n = 16384 one, which keeps the latter's
+    // data unchanged.
     let (sk, ss) = (48, 16);
-    let t_cand = median_ns(1, || {
-        cand_affinity(&c4.data, 1, sk, ss, false);
-    });
-    eprintln!(
-        "{:>14} {:>24}  1t {t_cand:>12} ns",
-        "ssc_aff_cand",
-        format!("d={cd},n={cn4},k={sk},s={ss}")
-    );
-    entries.push(Entry {
-        kernel: "ssc_affinity_cand",
-        size: format!("d={cd},n={cn4},k={sk},s={ss}"),
-        threads: 1,
-        median_ns: t_cand,
-        speedup: 1.0,
-        extra: String::new(),
-    });
-    // The PR 8 contract: sketched candidates + restricted solves + CSR
-    // assembly at n = 4096 must be at least 10x faster than the dense
-    // sweep, single-threaded, on the same data. Smoke sizes are too small
-    // to amortize the sketch, so only the full grid asserts.
+    let cn8 = 2 * cn4;
+    let c16 = cmodel.sample_dataset(&mut rng, &vec![cn16 / cl; cl], 0.01);
+    let c8 = cmodel.sample_dataset(&mut rng, &vec![cn8 / cl; cl], 0.01);
+    let median = |mut v: Vec<u128>| {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    let mut stages = Vec::new();
+    for (data, n, t) in [(&c4, cn4, 1), (&c8, cn8, 1), (&c16, cn16, tmax)] {
+        let size = format!("d={cd},n={n},k={sk},s={ss}");
+        // Each stage's median over three runs.
+        let runs: Vec<(u128, u128)> = (0..3)
+            .map(|_| cand_affinity(&data.data, t, sk, ss))
+            .collect();
+        let select_ns = median(runs.iter().map(|r| r.0).collect());
+        let solve_ns = median(runs.iter().map(|r| r.1).collect());
+        let ns = select_ns + solve_ns;
+        eprintln!(
+            "{:>14} {size:>24}  {t}t {ns:>12} ns   select {select_ns} ns  solve {solve_ns} ns",
+            "ssc_aff_cand"
+        );
+        entries.push(Entry {
+            kernel: "ssc_affinity_cand",
+            size,
+            threads: t,
+            median_ns: ns,
+            speedup: 1.0,
+            extra: format!(", \"select_ns\": {select_ns}, \"solve_ns\": {solve_ns}"),
+        });
+        stages.push((select_ns, solve_ns));
+    }
+    // Subquadratic-solve tripwire: each restricted solve costs O(k^2 d)
+    // whatever n is, so doubling the point count must cost the
+    // single-threaded solve stage less than 4x, the factor of quadratic
+    // growth. Selection scores every pair in the sketch space, Theta(n^2 s),
+    // so the whole route is not subquadratic and is only reported. Smoke
+    // sizes are too small to amortize fixed costs, so only the full grid
+    // asserts.
     if !smoke {
+        let ((sel4, sol4), (sel8, sol8)) = (stages[0], stages[1]);
+        eprintln!(
+            "screening n={cn4} -> n={cn8}: route {:.2}x, selection {:.2}x, solves {:.2}x",
+            (sel8 + sol8) as f64 / (sel4 + sol4) as f64,
+            sel8 as f64 / sel4 as f64,
+            sol8 as f64 / sol4 as f64
+        );
         assert!(
-            t_cand.saturating_mul(10) <= t_dense,
-            "candidate pipeline not 10x over dense at n={cn4}: {t_cand} ns vs {t_dense} ns"
+            sol8 < sol4.saturating_mul(4),
+            "restricted solves grew {:.2}x from n={cn4} to n={cn8}: {sol4} ns vs {sol8} ns",
+            sol8 as f64 / sol4 as f64
         );
     }
-    let c16 = cmodel.sample_dataset(&mut rng, &vec![cn16 / cl; cl], 0.01);
-    let t16 = median_ns(1, || {
-        cand_affinity(&c16.data, tmax, sk, ss, false);
-    });
-    eprintln!(
-        "{:>14} {:>24}  {tmax}t {t16:>12} ns",
-        "ssc_aff_cand",
-        format!("d={cd},n={cn16},k={sk},s={ss}")
-    );
-    entries.push(Entry {
-        kernel: "ssc_affinity_cand",
-        size: format!("d={cd},n={cn16},k={sk},s={ss}"),
-        threads: tmax,
-        median_ns: t16,
-        speedup: 1.0,
-        extra: String::new(),
-    });
-    // Certified-exact rows: noiseless unit-sphere samples on many small
-    // subspaces (subspace population <= k, so the sketched top-k can hold
-    // the dense support). The 16k instance drops to subspace dimension 3:
-    // at dimension 4 the support growth makes near-every point escalate
-    // and the row takes minutes; at 3 the certificate passes ~97% of
-    // points and the row stays ~1.5 min single-core.
-    let (xsub4, xsub16, xl4, xl16) = if smoke {
-        (3, 3, 6, 12)
-    } else {
-        (4, 3, 64, 256)
-    };
-    let xn4 = cn4;
-    let xn16 = cn16;
-    let mut rng = StdRng::seed_from_u64(29);
-    let xmodel4 = fedsc_subspace::SubspaceModel::random(&mut rng, cd, xsub4, xl4);
-    let x4 = xmodel4.sample_dataset(&mut rng, &vec![xn4 / xl4; xl4], 0.0);
-    let sw4 = Stopwatch::start();
-    let cert_out = cand_affinity(&x4.data, 1, 64, 32, true);
-    let t_cert = sw4.elapsed().as_nanos();
-    let cert4 = cert_out.certified.iter().filter(|&&c| c).count();
-    eprintln!(
-        "{:>14} {:>24}  1t {t_cert:>12} ns   certified {cert4}/{xn4}",
-        "ssc_aff_cert",
-        format!("d={cd},n={xn4}")
-    );
-    entries.push(Entry {
-        kernel: "ssc_affinity_cert",
-        size: format!("d={cd},n={xn4}"),
-        threads: 1,
-        median_ns: t_cert,
-        speedup: 1.0,
-        extra: format!(
-            ", \"certified\": {cert4}, \"escalated\": {}",
-            cert_out.escalated_points
-        ),
-    });
-    let xmodel16 = fedsc_subspace::SubspaceModel::random(&mut rng, cd, xsub16, xl16);
-    let x16 = xmodel16.sample_dataset(&mut rng, &vec![xn16 / xl16; xl16], 0.0);
-    let sw16 = Stopwatch::start();
-    let cert_out16 = cand_affinity(&x16.data, tmax, 64, 32, true);
-    let t_cert16 = sw16.elapsed().as_nanos();
-    let cert16 = cert_out16.certified.iter().filter(|&&c| c).count();
-    eprintln!(
-        "{:>14} {:>24}  {tmax}t {t_cert16:>12} ns   certified {cert16}/{xn16}",
-        "ssc_aff_cert",
-        format!("d={cd},n={xn16}")
-    );
-    entries.push(Entry {
-        kernel: "ssc_affinity_cert",
-        size: format!("d={cd},n={xn16}"),
-        threads: tmax,
-        median_ns: t_cert16,
-        speedup: 1.0,
-        extra: format!(
-            ", \"certified\": {cert16}, \"escalated\": {}",
-            cert_out16.escalated_points
-        ),
-    });
 
     // Pool overhead: many tiny fan-outs, dominated by dispatch rather than
     // compute. These sit below `MIN_INLINE_ITEMS`, so `par_map` runs them
@@ -735,7 +677,6 @@ fn main() {
         "sketch.calls",
         "sketch.columns",
         "lasso.candidates_per_point",
-        "lasso.escalations",
         // The spectral stage's contract: the thick-restart solver must have
         // run and exported its restart/apply/reorth/lock telemetry.
         "spectral.matvecs",

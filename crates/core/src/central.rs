@@ -43,8 +43,8 @@ pub struct CentralOutput {
 ///   pools that large cover nearly every cluster anyway.
 ///
 /// The affinity is built sparse and stays sparse: the SSC backend's
-/// per-point codes (exact solves below `candidate_threshold`, sketched
-/// certified candidates at or above it) go straight into a CSR affinity,
+/// per-point codes (exact solves below `candidate_threshold`, screened
+/// sketched candidates at or above it) go straight into a CSR affinity,
 /// and a fixed count segments it with `spectral_clustering_sparse` — the
 /// kernel-seeded thick-restart block Lanczos on the CSR Laplacian above
 /// the `lanczos_beats_dense` cutover, the dense solver below it
@@ -219,9 +219,10 @@ mod tests {
     #[test]
     fn candidate_route_matches_dense_central_clustering() {
         // Drop the threshold so the pooled samples route through the
-        // sketched-candidate pipeline; the certified codes and the dense
-        // cutover inside the sparse spectral path must reproduce the dense
-        // run exactly on a seeded problem.
+        // sketched-candidate pipeline. With n = 45 below the default k = 64
+        // every candidate set is complete, so the screened codes and the
+        // dense cutover inside the sparse spectral path must reproduce the
+        // dense run exactly on a seeded problem.
         let mut rng = StdRng::seed_from_u64(9);
         let (samples, truth) = semi_random_samples(&mut rng, 25, 3, 3, 15);
         let mut dense_rng = StdRng::seed_from_u64(77);

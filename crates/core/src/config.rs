@@ -127,10 +127,12 @@ pub struct FedScConfig {
     /// Base seed; device `z` derives `seed + z`.
     pub seed: u64,
     /// Point count at or above which SSC (local and central) routes
-    /// through the subquadratic sketched-candidate pipeline instead of the
-    /// dense all-pairs Lasso. Below the threshold the classic dense path
-    /// runs bitwise-unchanged. The certificate-plus-escalation design keeps
-    /// the codes exact either way; this knob only trades constant factors.
+    /// through the sketched-candidate screening pipeline instead of the
+    /// exact all-pairs Lasso. The default, `usize::MAX`,
+    /// keeps the exact path at every size. Screened codes are the optima
+    /// over each point's sketched candidates, not the full dictionary, so
+    /// lowering the threshold trades exactness for memory that does not
+    /// grow as `n^2`.
     pub candidate_threshold: usize,
 }
 

@@ -6,8 +6,9 @@
 //!   bookkeeping (the paper's statistical-heterogeneity knob).
 //! * [`channel`] — wire encoding, quantization, communication noise
 //!   (Fig. 7), and Section IV-E communication-cost accounting.
-//! * [`parallel`] — scoped-thread per-device execution with the
-//!   sequential/parallel timing split of the scalability analysis.
+//! * [`parallel`] — phase timing ([`parallel::time_phase`],
+//!   [`parallel::PhaseTiming`]): the sequential/parallel split of the
+//!   scalability analysis.
 //! * [`kfed`] — one-shot federated k-means (Dennis et al., ICML 2021) with
 //!   the Table III PCA-10 / PCA-100 variants.
 //! * [`privacy`] — Gaussian-mechanism differential privacy for the uplink

@@ -16,8 +16,9 @@ use std::time::Duration;
 
 /// Times one closure, returning its result and wall time. Together with
 /// `fedsc_linalg::par::par_map_timed` this is the sanctioned way to
-/// observe the clock in library code: the actual clock read lives in `fedsc_obs` (`cargo xtask
-/// check` confines `Instant`/`SystemTime` to that crate).
+/// observe the clock in library code: the actual clock read lives in
+/// `fedsc_obs` (`cargo xtask audit`, rule 3, confines `Instant`/`SystemTime`
+/// to that crate).
 pub fn time_phase<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let sw = Stopwatch::start();
     let r = f();

@@ -5,7 +5,7 @@
 //! with the device count `Z`. This crate runs the same one-shot protocol
 //! over an **aggregation tree**: devices upload to first-tier aggregators,
 //! each aggregator clusters its children's samples (Phase 2 on the
-//! subtree, through the same `candidate_threshold` cutover as the server)
+//! subtree, with the same `candidate_threshold` routing as the server)
 //! and forwards **one representative sample per merged cluster** to its
 //! parent, and the root clusters only the top tier's representatives.
 //! Label broadcasts relay back down with composed relabel maps. Root-side

@@ -12,9 +12,8 @@
 //! * [`omp`] — Orthogonal Matching Pursuit for SSC-OMP.
 //! * [`elastic_net`] — elastic-net coordinate descent with ORGEN-style
 //!   oracle active sets for EnSC.
-//! * [`restricted`] — candidate-restricted SSC Lasso with an exact
-//!   full-dictionary certificate and deterministic escalation (the solver
-//!   half of the subquadratic pipeline).
+//! * [`restricted`] — candidate-restricted SSC Lasso (the solver half of
+//!   the sketched-candidate screening pipeline).
 
 #![warn(missing_docs)]
 // Indexed loops over matrix dimensions are the idiom in numerical kernels

@@ -1,8 +1,10 @@
-//! Sketched candidate neighborhoods — the selection stage of the
-//! subquadratic SSC pipeline.
+//! Sketched candidate neighborhoods — the selection stage of the SSC
+//! screening pipeline.
 //!
 //! Dense SSC is quadratic twice over: the `n x n` Gram and `n` Lasso solves
-//! over `n - 1` atoms each. The pipeline replaces both with three stages:
+//! over `n - 1` atoms each. The screening pipeline keeps only a sketched
+//! all-pairs scoring (`n^2 s` with `s << d`) and solves over `k` atoms per
+//! point, in three stages:
 //!
 //! 1. **Sketch** (`fedsc_linalg::sketch`): compress the data to `s << d`
 //!    rows with a seeded Johnson–Lindenstrauss sign projection.
@@ -10,11 +12,10 @@
 //!    (panel-blocked `S^T S_panel` products on the worker pool) and keep the
 //!    `k` most correlated peers per point — sketched scores only ever
 //!    *rank*; nothing numeric survives into the solves.
-//! 3. **Solve + certify** (`fedsc_sparse::restricted`): per-point Lasso
-//!    over the `k` candidates on the exact data, with an exact
-//!    full-dictionary KKT certificate and deterministic escalation, so the
-//!    final codes match the dense path's optima regardless of sketch
-//!    quality — a bad sketch costs time, never correctness.
+//! 3. **Solve** (`fedsc_sparse::restricted`): per-point Lasso over the
+//!    `k` candidates on the exact data. The codes are the restricted
+//!    optima, so a bad sketch costs accuracy; the exact full-dictionary
+//!    route is the default at every size (`min_points = usize::MAX`).
 //!
 //! Selection is deterministic and bitwise thread-invariant: the sketch is
 //! seeded, the scoring products are the pool's invariant kernels, and the
@@ -37,15 +38,11 @@ pub struct CandidateOptions {
     /// Seed of the sign projection (part of the run's determinism contract).
     pub seed: u64,
     /// Minimum point count before the candidate path engages; below it the
-    /// dense path is bitwise unchanged and already fast.
+    /// exact path runs. The default, `usize::MAX`, never engages it: the
+    /// exact path won at every measured size (`DESIGN.md` §9.5), so
+    /// screening is opt-in for callers who trade exactness for memory that
+    /// does not grow as `n^2`.
     pub min_points: usize,
-    /// Run the exact full-dictionary certificate and escalate uncertified
-    /// points until every code is a full-dictionary optimum (the default).
-    /// `false` skips verification entirely: codes are the restricted optima
-    /// over the sketched candidates — the screening-only mode whose cost is
-    /// genuinely subquadratic in the solve stage (the certificate is exact
-    /// and therefore `O(n d)` per point; see `fedsc_sparse::restricted`).
-    pub verify: bool,
 }
 
 impl Default for CandidateOptions {
@@ -54,8 +51,7 @@ impl Default for CandidateOptions {
             k: 64,
             sketch_dim: 32,
             seed: 0x5ce7_c8ed,
-            min_points: 2048,
-            verify: true,
+            min_points: usize::MAX,
         }
     }
 }
@@ -125,7 +121,7 @@ mod tests {
     fn mostly_same_subspace_neighbors() {
         // For well-separated subspaces the sketched ranking should put most
         // candidates in the point's own subspace — that's the whole premise
-        // of subquadratic selection (correctness never depends on it).
+        // of candidate selection (screened codes depend on it).
         let mut rng = StdRng::seed_from_u64(2);
         let model = SubspaceModel::random(&mut rng, 40, 3, 2);
         let ds = model.sample_dataset(&mut rng, &[40, 40], 0.0);

@@ -15,8 +15,8 @@
 //! * [`nsn`] — greedy Nearest Subspace Neighbor.
 //! * [`neighbors`] — deterministic total-order top-`k` selection shared by
 //!   the neighborhood methods and the candidate pipeline.
-//! * [`candidates`] — sketched candidate neighborhoods for subquadratic SSC
-//!   (selection stage; solving/certification lives in `fedsc-sparse`).
+//! * [`candidates`] — sketched candidate neighborhoods for screened SSC
+//!   (selection stage; the restricted solves live in `fedsc-sparse`).
 //! * [`theory`] — SEP / exact-clustering checkers, active sets,
 //!   heterogeneity summaries, inradius and incoherence estimators, and the
 //!   closed-form affinity bounds of Corollaries 1–2.

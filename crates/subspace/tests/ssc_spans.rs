@@ -1,11 +1,13 @@
-//! The SSC routes' trace layers. Alone in its test binary, with a single
-//! test: the span recorder is process-global, so two tests recording at
-//! once would see each other's spans.
+//! The SSC routes' trace layers and the default route choice. Alone in its
+//! test binary, with a single span-recording test: the span recorder is
+//! process-global, so two tests recording at once would see each other's
+//! spans.
 
 // Test code: a panic is a test failure, so unwrap is the idiom here
 // (clippy's allow-unwrap-in-tests does not reach integration-test helpers).
 #![allow(clippy::unwrap_used)]
 
+use fedsc::{CentralBackend, FedScConfig};
 use fedsc_obs::trace;
 use fedsc_subspace::{CandidateOptions, Ssc, SubspaceModel};
 use rand::rngs::StdRng;
@@ -38,15 +40,22 @@ fn both_routes_record_their_layer_spans_under_the_caller() {
     let mut rng = StdRng::seed_from_u64(3);
     let model = SubspaceModel::random(&mut rng, 20, 3, 3);
     let ds = model.sample_dataset(&mut rng, &[14, 14, 14], 0.01);
-    let names = ["ssc.gram", "ssc.sketch", "ssc.lasso", "ssc.certify"];
+    let names = ["ssc.gram", "ssc.sketch", "ssc.lasso"];
 
     // Exact route: one Gram product, one sweep of per-point solves.
     let exact = Ssc::default();
     assert!(!exact.uses_candidates(ds.data.cols()));
-    assert_eq!(spans_under_caller(&exact, &ds.data, &names), [1, 0, 1, 0]);
+    assert_eq!(spans_under_caller(&exact, &ds.data, &names), [1, 0, 1]);
 
-    // Candidate route, forced on this small pool: sketch selection, the
-    // restricted solves, then verification with escalation.
+    // The default keeps the exact route at and above 2,048 points too.
+    let mut rng = StdRng::seed_from_u64(4);
+    let model = SubspaceModel::random(&mut rng, 12, 2, 8);
+    let big = model.sample_dataset(&mut rng, &[256; 8], 0.0);
+    assert_eq!(big.data.cols(), 2048);
+    assert_eq!(spans_under_caller(&exact, &big.data, &names), [1, 0, 1]);
+
+    // Candidate route, forced on this small pool: sketch selection, then
+    // the restricted solves.
     let cand = Ssc {
         candidates: Some(CandidateOptions {
             k: 12,
@@ -57,5 +66,20 @@ fn both_routes_record_their_layer_spans_under_the_caller() {
         ..Ssc::default()
     };
     assert!(cand.uses_candidates(ds.data.cols()));
-    assert_eq!(spans_under_caller(&cand, &ds.data, &names), [0, 1, 1, 1]);
+    assert_eq!(spans_under_caller(&cand, &ds.data, &names), [0, 1, 1]);
+}
+
+#[test]
+fn default_config_keeps_the_exact_route_at_every_size() {
+    let cfg = FedScConfig::new(4, CentralBackend::Ssc);
+    let ssc = Ssc {
+        candidates: Some(CandidateOptions {
+            min_points: cfg.candidate_threshold,
+            ..CandidateOptions::default()
+        }),
+        ..Ssc::default()
+    };
+    for n in [2048, 16384] {
+        assert!(!ssc.uses_candidates(n), "n = {n} routed to candidates");
+    }
 }
