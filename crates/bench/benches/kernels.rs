@@ -4,7 +4,7 @@
 //! end-to-end spectral clustering.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fedsc_clustering::spectral::{spectral_clustering, SpectralOptions};
+use fedsc_clustering::spectral::{spectral_clustering, ClusterCountPolicy, SpectralOptions};
 use fedsc_linalg::eigh::eigh;
 use fedsc_linalg::lanczos::lanczos_smallest;
 use fedsc_linalg::random::{gaussian_matrix, random_orthonormal_basis, sample_on_subspace};
@@ -101,15 +101,20 @@ fn bench_pipeline(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline");
     g.sample_size(10);
     g.bench_function("ssc_affinity_240pts", |b| {
-        b.iter(|| black_box(Ssc::default().affinity(&data).expect("bench setup")))
+        b.iter(|| black_box(Ssc::default().sparse_affinity(&data).expect("bench setup")))
     });
-    let graph = Ssc::default().affinity(&data).expect("bench setup");
+    let graph = Ssc::default().sparse_affinity(&data).expect("bench setup");
     g.bench_function("spectral_clustering_240pts_k6", |b| {
         let mut rng = StdRng::seed_from_u64(6);
         b.iter(|| {
             black_box(
-                spectral_clustering(&graph, &SpectralOptions::new(6), &mut rng)
-                    .expect("bench setup"),
+                spectral_clustering(
+                    &graph,
+                    ClusterCountPolicy::Fixed(6),
+                    &SpectralOptions::default(),
+                    &mut rng,
+                )
+                .expect("bench setup"),
             )
         })
     });

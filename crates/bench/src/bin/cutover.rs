@@ -15,7 +15,6 @@
 use fedsc_bench::harness::print_header;
 use fedsc_bench::instances::ring_block_affinity;
 use fedsc_clustering::spectral::kernel_seeds;
-use fedsc_graph::laplacian::normalized_laplacian;
 use fedsc_graph::sparse::sparse_normalized_laplacian;
 use fedsc_linalg::eigh::{eigh_partial, lanczos_beats_dense};
 use fedsc_linalg::thick_restart::{thick_restart_smallest, ThickRestartOptions};
@@ -51,8 +50,8 @@ fn main() {
             }
             let w = ring_block_affinity(k, per);
             let nn = k * per;
-            let dense_lap = normalized_laplacian(&w.to_graph());
             let csr_lap = sparse_normalized_laplacian(&w);
+            let dense_lap = csr_lap.to_dense();
             let t_dense = median3(|| {
                 let _ = std::hint::black_box(eigh_partial(&dense_lap, k).expect("dense eigh"));
             });

@@ -54,7 +54,6 @@ use fedsc_bench::instances::block_affinity;
 use fedsc_clustering::spectral::kernel_seeds;
 use fedsc_data::synthetic::{generate, SyntheticConfig};
 use fedsc_federated::partition::{partition_dataset, Partition};
-use fedsc_graph::laplacian::normalized_laplacian;
 use fedsc_graph::sparse::sparse_normalized_laplacian;
 use fedsc_linalg::eigh::eigh_partial;
 use fedsc_linalg::par::default_threads;
@@ -476,7 +475,8 @@ fn main() {
             .map(|c| en / ek + usize::from(c < en % ek))
             .collect();
         let pts = model.sample_dataset(&mut rng, &sizes, 0.01);
-        let lap = normalized_laplacian(&Ssc::default().affinity(&pts.data).expect("affinity"));
+        let w = Ssc::default().sparse_affinity(&pts.data).expect("affinity");
+        let lap = sparse_normalized_laplacian(&w).to_dense();
         let t = median_ns(reps, || {
             let _ = std::hint::black_box(eigh_partial(&lap, ek).expect("dense eigh"));
         });

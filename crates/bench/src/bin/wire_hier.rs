@@ -106,13 +106,14 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     // Fleet sizes 4× apart; the aggregator tiers stay fixed so the root's
     // child count — and therefore its ingress — must not follow Z. Tier
-    // widths obey two bounds at every node: pools stay below the dense
-    // spectral cutover (a few hundred samples), and stay above SSC's
-    // self-expression floor (~8 same-subspace samples — each point needs
-    // enough subspace-mates in the dictionary). That floor is what forces
-    // ≥16 devices per tier-1 aggregator and ≥8 children above, so the
-    // smoke fleets (Z ≤ 1024) run one aggregator tier and only the full
-    // profile has the headroom for two.
+    // widths keep every pool above SSC's self-expression floor (~8
+    // same-subspace samples — each point needs enough subspace-mates in
+    // the dictionary). Pool size has no upper bound of its own: an
+    // aggregator reads its eigengap count off the seeded CSR solve above
+    // the dense spectral cutover. The floor is what forces ≥16 devices per
+    // tier-1 aggregator and ≥8 children above, so the smoke fleets
+    // (Z ≤ 1024) run one aggregator tier and only the full profile has
+    // the headroom for two.
     let (z_large, z_small, aggs) = if smoke {
         (1_024, 256, vec![16])
     } else {

@@ -4,11 +4,10 @@
 
 use fedsc::{CentralBackend, FedSc, FedScConfig};
 use fedsc_clustering::conn::connectivity;
-use fedsc_clustering::spectral::{spectral_clustering, SpectralOptions};
+use fedsc_clustering::spectral::{spectral_clustering, ClusterCountPolicy, SpectralOptions};
 use fedsc_clustering::{clustering_accuracy, normalized_mutual_information};
 use fedsc_federated::kfed::{kfed, KFedConfig};
 use fedsc_federated::partition::FederatedDataset;
-use fedsc_graph::SparseAffinity;
 use fedsc_obs::Stopwatch;
 use fedsc_subspace::model::LabeledData;
 use fedsc_subspace::SubspaceClusterer;
@@ -144,13 +143,13 @@ pub fn run_centralized<A: SubspaceClusterer>(
 ) -> MethodResult {
     let mut rng = StdRng::seed_from_u64(seed);
     let sw = Stopwatch::start();
-    let graph = algo.affinity(&data.data).expect("affinity");
-    let pred = spectral_clustering(&graph, &SpectralOptions::new(l), &mut rng)
+    let graph = algo.sparse_affinity(&data.data).expect("affinity");
+    let count = ClusterCountPolicy::Fixed(l);
+    let (pred, _) = spectral_clustering(&graph, count, &SpectralOptions::default(), &mut rng)
         .expect("spectral clustering");
     let time = sw.elapsed();
     let (conn_min, conn_mean) = if compute_conn {
-        let c =
-            connectivity(&SparseAffinity::from_graph(&graph), &data.labels).expect("connectivity");
+        let c = connectivity(&graph, &data.labels).expect("connectivity");
         (c.min, c.mean)
     } else {
         (f64::NAN, f64::NAN)

@@ -7,8 +7,8 @@
 //! lambda_l^(2)`: larger values mean each true cluster forms a more tightly
 //! connected component (no over-segmentation risk).
 //!
-//! The graph stays CSR: each cluster's subgraph is cut out sparse and
-//! densified on its own, only for its `lambda^(2)` eigendecomposition.
+//! The graph stays CSR: each cluster's subgraph is cut out sparse, and only
+//! its CSR Laplacian is densified, for its `lambda^(2)` eigendecomposition.
 
 use fedsc_graph::laplacian::algebraic_connectivity;
 use fedsc_graph::SparseAffinity;
@@ -39,8 +39,7 @@ pub fn connectivity(graph: &SparseAffinity, truth: &[usize]) -> Result<Connectiv
     }
     let mut per_cluster = Vec::new();
     for nodes in members.into_iter().filter(|m| !m.is_empty()) {
-        let sub = graph.subgraph(&nodes).to_graph();
-        per_cluster.push(algebraic_connectivity(&sub)?);
+        per_cluster.push(algebraic_connectivity(&graph.subgraph(&nodes))?);
     }
     if per_cluster.is_empty() {
         return Ok(Connectivity {
@@ -61,15 +60,13 @@ pub fn connectivity(graph: &SparseAffinity, truth: &[usize]) -> Result<Connectiv
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedsc_linalg::Matrix;
 
     fn graph_from_edges(n: usize, edges: &[(usize, usize)]) -> SparseAffinity {
-        let mut m = Matrix::zeros(n, n);
-        for &(i, j) in edges {
-            m[(i, j)] = 1.0;
-            m[(j, i)] = 1.0;
-        }
-        SparseAffinity::from_graph(&fedsc_graph::AffinityGraph::from_symmetric(&m))
+        let triplets: Vec<_> = edges
+            .iter()
+            .flat_map(|&(i, j)| [(i, j, 1.0), (j, i, 1.0)])
+            .collect();
+        SparseAffinity::from_triplets(n, &triplets)
     }
 
     #[test]

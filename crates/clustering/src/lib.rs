@@ -2,9 +2,11 @@
 //!
 //! Generic clustering algorithms and the paper's evaluation metrics.
 //!
-//! * [`kmeans`] — Lloyd's k-means with k-means++ / farthest-point seeding
+//! * [`kmeans`](mod@kmeans) — Lloyd's k-means with k-means++ / farthest-point seeding
 //!   (spectral embedding step, k-FED local and server clustering).
-//! * [`spectral`] — normalized spectral clustering (Ng–Jordan–Weiss).
+//! * [`spectral`] — normalized spectral clustering (Ng–Jordan–Weiss) over
+//!   a CSR affinity, with the eigengap cluster count: the one segmentation
+//!   entry point of every tier and baseline.
 //! * [`hungarian`] — exact linear assignment for label alignment.
 //! * [`metrics`] — ACC (paper Eq. (10)), NMI (Eq. (11)), ARI.
 //! * [`conn`] — the paper's CONN connectivity metric (per-cluster
@@ -23,7 +25,4 @@ pub mod spectral;
 
 pub use kmeans::{kmeans, KMeansInit, KMeansOptions, KMeansResult};
 pub use metrics::{adjusted_rand_index, clustering_accuracy, normalized_mutual_information};
-pub use spectral::{
-    full_spectrum, spectral_clustering, spectral_clustering_from_eig, spectral_clustering_sparse,
-    SpectralOptions,
-};
+pub use spectral::{spectral_clustering, ClusterCountPolicy, SpectralOptions};

@@ -1,22 +1,50 @@
-//! Normalized spectral clustering (Ng–Jordan–Weiss).
+//! Normalized spectral clustering (Ng–Jordan–Weiss) over a CSR affinity.
 //!
-//! The segmentation step every SC method in the paper shares: embed the
-//! nodes with the `k` smallest eigenvectors of the normalized Laplacian,
-//! row-normalize the embedding, and k-means the rows.
+//! The segmentation step every tier and every SC method in the paper
+//! shares: read the cluster count off the normalized Laplacian's eigengap
+//! (Eq. (3)) or fix it, embed the nodes with the eigenvectors of the
+//! smallest eigenvalues, row-normalize the embedding, and k-means the rows.
+//! [`spectral_clustering`] is the one entry point; it takes the CSR graph
+//! the pipeline builds and forms no dense `n x n` graph.
 
 use crate::kmeans::{kmeans, KMeansOptions};
-use fedsc_graph::laplacian::normalized_laplacian;
+use fedsc_graph::laplacian::{eigengap_cluster_count, relative_eigengap_cluster_count};
 use fedsc_graph::sparse::sparse_normalized_laplacian;
-use fedsc_graph::{AffinityGraph, SparseAffinity};
-use fedsc_linalg::eigh::{eigh_partial, k_smallest, lanczos_beats_dense, SymmetricEig};
+use fedsc_graph::SparseAffinity;
+use fedsc_linalg::eigh::{eigh_partial, lanczos_beats_dense, SymmetricEig};
 use fedsc_linalg::thick_restart::{thick_restart_smallest, ThickRestartOptions};
-use fedsc_linalg::{vector, LinalgError, Matrix, Result};
+use fedsc_linalg::{vector, Matrix, Result};
+use fedsc_sparse::CsrMatrix;
 use rand::Rng;
 
-/// Options for spectral clustering.
+/// How [`spectral_clustering`] sets its cluster count (paper Remark 1:
+/// eigengap on synthetic data, a fixed upper bound on the complex real
+/// datasets).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClusterCountPolicy {
+    /// Largest spectral gap of the normalized Laplacian, optionally capped
+    /// (`None` searches the full spectrum). `relative = false` is the
+    /// paper's literal Eq. (3); `relative = true` (the default) divides each
+    /// gap by the upper eigenvalue, which is far more robust when
+    /// within-cluster connectivity is weak.
+    Eigengap {
+        /// Upper bound on the reported count.
+        max: Option<usize>,
+        /// Use the relative-gap variant.
+        relative: bool,
+    },
+    /// Fixed count on every device — the paper's real-data choice
+    /// `r^(z) = max_z L^(z)`.
+    Fixed(usize),
+}
+
+/// Options for [`spectral_clustering`]: the embedding's k-means and the
+/// sparse eigensolver's parallelism.
 #[derive(Debug, Clone)]
 pub struct SpectralOptions {
-    /// Number of clusters.
+    /// A cluster count for callers that run the embedding's k-means
+    /// themselves (`kmeans.k` starts at it). [`spectral_clustering`] takes
+    /// its count from its [`ClusterCountPolicy`] and does not read this.
     pub k: usize,
     /// k-means options for the embedding step (its `k` field is overridden).
     pub kmeans: KMeansOptions,
@@ -41,132 +69,115 @@ impl SpectralOptions {
     }
 }
 
-/// Clusters the nodes of an affinity graph into `opts.k` groups.
+impl Default for SpectralOptions {
+    /// The k-means and solver settings every Fed-SC tier uses (five
+    /// k-means restarts, one solver thread).
+    fn default() -> Self {
+        Self::new(1)
+    }
+}
+
+/// Segments the nodes of `w` into clusters by normalized spectral
+/// clustering. Returns one label per node and the cluster count `k`; every
+/// label is below `k`, and `k` is in `1..=n` (`0` only for an empty graph).
 ///
-/// Returns one label in `0..k` per node. Below the `lanczos_beats_dense`
-/// cutover the dense solver computes the `k` eigenvectors the embedding
-/// reads; above it the graph is handed to
-/// [`spectral_clustering_sparse`], so every graph that large gets the same
-/// kernel-seeded CSR solve whichever representation it arrived in.
+/// The count:
+/// * `Fixed(r)` segments into `r` clusters, clamped to `1..=n`.
+/// * `Eigengap { max, .. }` reads the eigengap rule off the Laplacian's
+///   smallest `cap + 1` eigenvalues, `cap = max` clamped to `1..=n` (`n`
+///   for `None`). The estimate is floored at the graph's connected-component
+///   count and capped at `cap`. The components bound the natural count from
+///   below, and under-counting merges subspaces, which nothing downstream
+///   can undo; over-splitting only costs a parent an extra representative.
+///
+/// The count is read off the same solve the embedding uses, so each graph
+/// gets one spectral solve. Below the `lanczos_beats_dense(n, pairs)`
+/// cutover, with `pairs` the eigenpairs the count and embedding read, the
+/// CSR Laplacian is densified and `eigh_partial` returns the full spectrum
+/// with the eigenvectors of the `cap` smallest eigenvalues. That Laplacian
+/// is bitwise the dense graph's, and the first `k` eigenvector columns do not
+/// depend on how many were formed, so an eigengap count and a fixed count
+/// that agree embed with the same bits. Above the cutover the
+/// kernel-seeded thick-restart solve ([`sparse_spectrum`]) returns the
+/// `pairs` smallest pairs of the CSR Laplacian, and the relative rule's
+/// `sigma_max` comes from a one-pair solve of `-L` with the same solver
+/// (the smallest pairs never include it). No `n x n` array is formed there.
+///
+/// Records a `spectral` span (`n`, `k`) with its `spectral.laplacian`,
+/// `spectral.eigensolve` and `spectral.kmeans` layers.
 pub fn spectral_clustering<R: Rng + ?Sized>(
-    g: &AffinityGraph,
-    opts: &SpectralOptions,
-    rng: &mut R,
-) -> Result<Vec<usize>> {
-    let n = g.len();
-    if n == 0 {
-        return Ok(vec![]);
-    }
-    let k = opts.k.clamp(1, n);
-    if lanczos_beats_dense(n, k) {
-        return spectral_clustering_sparse(&SparseAffinity::from_graph(g), opts, rng);
-    }
-    let _span = spectral_span(n, k);
-    let lap = {
-        let _s = fedsc_obs::span("fedsc", "spectral.laplacian");
-        normalized_laplacian(g)
-    };
-    let eig = {
-        let _s = fedsc_obs::span("fedsc", "spectral.eigensolve");
-        k_smallest(&lap, k)?
-    };
-    embed_and_cluster(&eig, n, k, opts, rng)
-}
-
-/// The full spectrum of `g`'s normalized Laplacian (ascending; its
-/// eigenvalues bitwise `fedsc_graph::laplacian::laplacian_spectrum`) with
-/// the eigenvectors of its `vectors` smallest eigenvalues: what an eigengap
-/// reads its cluster count off, capped at `vectors`, before
-/// [`spectral_clustering_from_eig`] embeds with it. Recorded as a
-/// `spectral` span (`k = vectors`) with its `spectral.laplacian` and
-/// `spectral.eigensolve` layers; the embedding records its own `spectral`
-/// span, since the count is read in between.
-pub fn full_spectrum(g: &AffinityGraph, vectors: usize) -> Result<SymmetricEig> {
-    let n = g.len();
-    let _span = spectral_span(n, vectors.min(n));
-    let lap = {
-        let _s = fedsc_obs::span("fedsc", "spectral.laplacian");
-        normalized_laplacian(g)
-    };
-    let _s = fedsc_obs::span("fedsc", "spectral.eigensolve");
-    eigh_partial(&lap, vectors)
-}
-
-/// [`spectral_clustering`] on an eigendecomposition the caller already
-/// holds: the spectrum of the graph's normalized Laplacian with at least
-/// `opts.k` eigenvectors, as [`full_spectrum`] returns it. A caller that
-/// reads its cluster count off that spectrum thus solves the Laplacian
-/// once. Below the dense cutover [`spectral_clustering`] embeds with
-/// exactly these eigenvectors — the dense solver's first `k` columns do
-/// not depend on how many were asked for — so the labels are bitwise the
-/// same.
-pub fn spectral_clustering_from_eig<R: Rng + ?Sized>(
-    eig: &SymmetricEig,
-    opts: &SpectralOptions,
-    rng: &mut R,
-) -> Result<Vec<usize>> {
-    let n = eig.eigenvectors.rows();
-    if n == 0 {
-        return Ok(vec![]);
-    }
-    let k = opts.k.clamp(1, n);
-    if eig.eigenvectors.cols() < k {
-        return Err(LinalgError::InvalidArgument(
-            "fewer eigenvectors than clusters",
-        ));
-    }
-    let _span = spectral_span(n, k);
-    embed_and_cluster(eig, n, k, opts, rng)
-}
-
-/// [`spectral_clustering`] over a CSR affinity — the server's
-/// segmentation step. The Laplacian stays in CSR and the eigenpairs come
-/// from the matrix-free thick-restart block Lanczos solver, so no `n x n`
-/// dense array is ever materialized at scale.
-///
-/// Below the dense eigensolver cutover (where `k_smallest` would run the
-/// dense solver anyway) the graph is densified and the
-/// call is **bitwise** the dense [`spectral_clustering`] — the CSR
-/// round trip and Laplacian mirror the dense arithmetic exactly.
-///
-/// Above the cutover the solver is seeded with [`kernel_seeds`] — the exact
-/// zero eigenvectors `D^{1/2} 1_c` of every edged component — so the
-/// degenerate zero eigenvalue of a disconnected graph is captured by
-/// construction rather than dug out by restarts (the legacy deflated
-/// solver provably missed copies on e.g. disconnected path chains). A
-/// debug-build cross-check still compares the zero count against
-/// `connected_components`.
-pub fn spectral_clustering_sparse<R: Rng + ?Sized>(
     w: &SparseAffinity,
+    count: ClusterCountPolicy,
     opts: &SpectralOptions,
     rng: &mut R,
-) -> Result<Vec<usize>> {
+) -> Result<(Vec<usize>, usize)> {
     let n = w.len();
     if n == 0 {
-        return Ok(vec![]);
+        return Ok((vec![], 0));
     }
-    let k = opts.k.clamp(1, n);
-    // Mirror the `k_smallest` backend cutover: small graphs take the dense
-    // path verbatim (bitwise parity), large graphs stay sparse end to end.
-    if !lanczos_beats_dense(n, k) {
-        return spectral_clustering(&w.to_graph(), opts, rng);
-    }
-    let _span = spectral_span(n, k);
-    let eig = sparse_spectrum(w, k, opts.threads)?;
-    embed_and_cluster(&eig, n, k, opts, rng)
-}
-
-/// The `k` smallest eigenpairs of `w`'s normalized Laplacian from the
-/// kernel-seeded thick-restart block Lanczos on the CSR Laplacian — the
-/// solve [`spectral_clustering_sparse`] embeds with above the cutover.
-/// `threads` is a parallelism hint; the result is bitwise identical for
-/// every value.
-pub fn sparse_spectrum(w: &SparseAffinity, k: usize, threads: usize) -> Result<SymmetricEig> {
+    let span = fedsc_obs::span("fedsc", "spectral").field("n", n as u64);
+    let (cap, pairs) = match count {
+        ClusterCountPolicy::Fixed(r) => (r.clamp(1, n), r.clamp(1, n)),
+        ClusterCountPolicy::Eigengap { max, .. } => {
+            let cap = max.unwrap_or(n).clamp(1, n);
+            (cap, (cap + 1).min(n))
+        }
+    };
     let lap = {
         let _s = fedsc_obs::span("fedsc", "spectral.laplacian");
         sparse_normalized_laplacian(w)
     };
-    let _s = fedsc_obs::span("fedsc", "spectral.eigensolve");
+    let sparse = lanczos_beats_dense(n, pairs);
+    let eig = {
+        let _s = fedsc_obs::span("fedsc", "spectral.eigensolve");
+        if sparse {
+            sparse_spectrum(w, &lap, pairs, opts.threads)?
+        } else {
+            eigh_partial(&lap.to_dense(), cap)?
+        }
+    };
+    let k = match count {
+        ClusterCountPolicy::Fixed(_) => cap,
+        ClusterCountPolicy::Eigengap { max, relative } => {
+            let estimate = if relative {
+                // The dense arm's full spectrum ends at `sigma_max`; the
+                // Lanczos arm holds only the smallest pairs, so it solves
+                // for `sigma_max` apart.
+                let sigma_max = if sparse {
+                    let _s = fedsc_obs::span("fedsc", "spectral.eigensolve");
+                    largest_eigenvalue(&lap, opts.threads)?
+                } else {
+                    eig.eigenvalues[n - 1]
+                };
+                relative_eigengap_cluster_count(&eig.eigenvalues, sigma_max, max)
+            } else {
+                eigengap_cluster_count(&eig.eigenvalues, max)
+            };
+            estimate.max(w.connected_components(1e-9)).clamp(1, cap)
+        }
+    };
+    let _span = span.field("k", k as u64);
+    let labels = embed_and_cluster(&eig, n, k, opts, rng)?;
+    Ok((labels, k))
+}
+
+/// The `k` smallest eigenpairs of `w`'s normalized Laplacian `lap` (as
+/// `sparse_normalized_laplacian` builds it) from the kernel-seeded
+/// thick-restart block Lanczos on the CSR Laplacian: the solve
+/// [`spectral_clustering`] embeds with above the cutover. `threads` is a
+/// parallelism hint; the result is bitwise identical for every value.
+///
+/// The solver is seeded with [`kernel_seeds`], the exact zero eigenvectors
+/// `D^{1/2} 1_c` of every edged component, so the degenerate zero
+/// eigenvalue of a disconnected graph is captured by construction rather
+/// than dug out by restarts. A debug-build cross-check compares the zero
+/// count against the components.
+pub fn sparse_spectrum(
+    w: &SparseAffinity,
+    lap: &CsrMatrix,
+    k: usize,
+    threads: usize,
+) -> Result<SymmetricEig> {
     let seeds = kernel_seeds(w);
     let zero_mult = seeds.len().min(k);
     let tr_opts = ThickRestartOptions {
@@ -174,7 +185,7 @@ pub fn sparse_spectrum(w: &SparseAffinity, k: usize, threads: usize) -> Result<S
         threads: threads.max(1),
         ..ThickRestartOptions::default()
     };
-    let eig = thick_restart_smallest(&lap, k, &tr_opts)?;
+    let eig = thick_restart_smallest(lap, k, &tr_opts)?;
     // Cross-check (debug builds): a graph with `c` edged components
     // carries an exact `c`-fold zero eigenvalue (isolated nodes instead
     // keep identity rows, eigenvalue 1). Kernel seeding makes recovering
@@ -193,13 +204,20 @@ pub fn sparse_spectrum(w: &SparseAffinity, k: usize, threads: usize) -> Result<S
     Ok(eig)
 }
 
-/// The span every spectral clustering call records, parent of its
-/// `spectral.laplacian`, `spectral.eigensolve` and `spectral.kmeans`
-/// layers.
-fn spectral_span(n: usize, k: usize) -> fedsc_obs::Span {
-    fedsc_obs::span("fedsc", "spectral")
-        .field("n", n as u64)
-        .field("k", k as u64)
+/// The largest eigenvalue of the CSR Laplacian `lap`: the smallest of
+/// `-L`, negated, from a one-pair thick-restart solve. Accurate to the
+/// solver's residual tolerance.
+fn largest_eigenvalue(lap: &CsrMatrix, threads: usize) -> Result<f64> {
+    let n = lap.rows();
+    let negated: Vec<(usize, usize, f64)> = (0..n)
+        .flat_map(|i| lap.row(i).map(move |(j, v)| (i, j, -v)))
+        .collect();
+    let opts = ThickRestartOptions {
+        threads: threads.max(1),
+        ..ThickRestartOptions::default()
+    };
+    let top = thick_restart_smallest(&CsrMatrix::from_triplets(n, n, &negated), 1, &opts)?;
+    Ok(top.eigenvalues.first().map_or(0.0, |&v| -v))
 }
 
 /// Exact kernel vectors of `w`'s normalized Laplacian, one per **edged**
@@ -275,189 +293,113 @@ fn embed_and_cluster<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedsc_graph::laplacian::normalized_laplacian;
+    use fedsc_linalg::eigh::eigh;
+    use fedsc_sparse::SparseVec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn block_graph(sizes: &[usize], within: f64, between: f64) -> AffinityGraph {
-        let n: usize = sizes.iter().sum();
-        let mut block = vec![0usize; n];
-        let mut idx = 0;
-        for (b, &s) in sizes.iter().enumerate() {
-            for _ in 0..s {
-                block[idx] = b;
-                idx += 1;
-            }
-        }
-        let mut m = Matrix::zeros(n, n);
+    /// Weight `within` between nodes of one block and `between` across
+    /// blocks (no edge where the weight is zero).
+    fn block_graph(sizes: &[usize], within: f64, between: f64) -> SparseAffinity {
+        let block: Vec<usize> = sizes
+            .iter()
+            .enumerate()
+            .flat_map(|(b, &s)| std::iter::repeat_n(b, s))
+            .collect();
+        let n = block.len();
+        let mut triplets = Vec::new();
         for i in 0..n {
             for j in 0..n {
-                if i != j {
-                    m[(i, j)] = if block[i] == block[j] {
-                        within
-                    } else {
-                        between
-                    };
+                let w = if block[i] == block[j] {
+                    within
+                } else {
+                    between
+                };
+                if i != j && w > 0.0 {
+                    triplets.push((i, j, w));
                 }
             }
         }
-        AffinityGraph::from_symmetric(&m)
+        SparseAffinity::from_triplets(n, &triplets)
+    }
+
+    fn segment(w: &SparseAffinity, count: ClusterCountPolicy, seed: u64) -> (Vec<usize>, usize) {
+        let opts = SpectralOptions::default();
+        spectral_clustering(w, count, &opts, &mut StdRng::seed_from_u64(seed)).unwrap()
+    }
+
+    fn fixed(w: &SparseAffinity, k: usize, seed: u64) -> Vec<usize> {
+        segment(w, ClusterCountPolicy::Fixed(k), seed).0
+    }
+
+    /// Asserts each run of `size` consecutive nodes shares one label and
+    /// no two runs do.
+    fn assert_pure_blocks(labels: &[usize], blocks: usize, size: usize) {
+        let mut seen = Vec::new();
+        for b in 0..blocks {
+            let base = labels[b * size];
+            assert!(
+                labels[b * size..(b + 1) * size].iter().all(|&l| l == base),
+                "block {b} is split"
+            );
+            seen.push(base);
+        }
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), blocks, "blocks were merged");
     }
 
     #[test]
     fn recovers_two_blocks() {
-        let g = block_graph(&[5, 5], 1.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        let labels = spectral_clustering(&g, &SpectralOptions::new(2), &mut rng).unwrap();
-        assert!(labels[..5].iter().all(|&l| l == labels[0]));
-        assert!(labels[5..].iter().all(|&l| l == labels[5]));
-        assert_ne!(labels[0], labels[5]);
-    }
-
-    #[test]
-    fn eigengap_spectrum_is_bitwise_the_fixed_count_solve() {
-        // Below the cutover an eigengap caller asks for vectors up to its
-        // cap, a fixed-count caller for exactly `k`; both must embed with
-        // the same bits, so the two routes label identically.
-        let g = block_graph(&[6, 5, 7, 4], 1.0, 0.03);
-        let lap = normalized_laplacian(&g);
-        let cap = 10;
-        let spec = full_spectrum(&g, cap).unwrap();
-        assert_eq!(spec.eigenvalues.len(), g.len());
-        assert_eq!(spec.eigenvectors.cols(), cap);
-        for k in 1..=cap {
-            let fixed = k_smallest(&lap, k).unwrap();
-            for j in 0..k {
-                assert_eq!(
-                    fixed.eigenvalues[j].to_bits(),
-                    spec.eigenvalues[j].to_bits()
-                );
-                assert!(fixed
-                    .eigenvectors
-                    .col(j)
-                    .iter()
-                    .zip(spec.eigenvectors.col(j))
-                    .all(|(x, y)| x.to_bits() == y.to_bits()));
-            }
-        }
-        let opts = SpectralOptions::new(4);
-        let fixed = spectral_clustering(&g, &opts, &mut StdRng::seed_from_u64(5)).unwrap();
-        let from_eig =
-            spectral_clustering_from_eig(&spec, &opts, &mut StdRng::seed_from_u64(5)).unwrap();
-        assert_eq!(fixed, from_eig);
-        // Fewer eigenvectors than clusters is a caller error, not a panic.
-        let short = full_spectrum(&g, 2).unwrap();
-        assert!(
-            spectral_clustering_from_eig(&short, &opts, &mut StdRng::seed_from_u64(5)).is_err()
-        );
+        let labels = fixed(&block_graph(&[5, 5], 1.0, 0.0), 2, 1);
+        assert_pure_blocks(&labels, 2, 5);
     }
 
     #[test]
     fn recovers_three_blocks_with_weak_noise() {
-        let g = block_graph(&[4, 4, 4], 1.0, 0.02);
-        let mut rng = StdRng::seed_from_u64(2);
-        let labels = spectral_clustering(&g, &SpectralOptions::new(3), &mut rng).unwrap();
-        for b in 0..3 {
-            let base = labels[b * 4];
-            assert!(labels[b * 4..(b + 1) * 4].iter().all(|&l| l == base));
-        }
-        assert_ne!(labels[0], labels[4]);
-        assert_ne!(labels[4], labels[8]);
-        assert_ne!(labels[0], labels[8]);
+        let labels = fixed(&block_graph(&[4, 4, 4], 1.0, 0.02), 3, 2);
+        assert_pure_blocks(&labels, 3, 4);
     }
 
     #[test]
-    fn many_blocks_above_lanczos_threshold() {
-        // 30 blocks of 17 nodes = 510 > the 400-node Lanczos cutover in
-        // k_smallest: the near-degenerate 30-fold zero eigenvalue exercises
-        // the deflated restart path (regression test for the bug where a
-        // single Krylov sequence found only one copy per degenerate
+    fn eigengap_count_embeds_with_the_fixed_count_bits() {
+        // Below the cutover an eigengap count forms eigenvectors up to its
+        // cap, a fixed count exactly `k`; the leading columns are the same
+        // bits either way, so a count that lands on `k` labels like `Fixed(k)`.
+        let g = block_graph(&[6, 5, 7, 4], 1.0, 0.0);
+        let want = fixed(&g, 4, 5);
+        for relative in [true, false] {
+            let count = ClusterCountPolicy::Eigengap {
+                max: Some(10),
+                relative,
+            };
+            assert_eq!(segment(&g, count, 5), (want.clone(), 4));
+        }
+    }
+
+    #[test]
+    fn dense_arm_is_bitwise_the_dense_graph_route() {
+        // Below the cutover the densified CSR Laplacian is bitwise the
+        // dense graph's, so the labels are those of the dense route:
+        // `normalized_laplacian` -> `eigh_partial` -> NJW.
+        let g = block_graph(&[5, 6, 4], 0.75, 0.01);
+        let lap = normalized_laplacian(&g.to_graph());
+        let eig = eigh_partial(&lap, 3).unwrap();
+        let opts = SpectralOptions::default();
+        let oracle = embed_and_cluster(&eig, 15, 3, &opts, &mut StdRng::seed_from_u64(11)).unwrap();
+        assert_eq!(fixed(&g, 3, 11), oracle);
+    }
+
+    #[test]
+    fn many_blocks_above_the_cutover() {
+        // 30 blocks of 17 nodes = 510 > the 400-node cutover: the
+        // 30-fold zero eigenvalue must come back whole from the seeded CSR
+        // solve (a single Krylov sequence once found one copy per degenerate
         // eigenvalue and clustering collapsed).
-        let g = block_graph(&vec![17; 30], 1.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(7);
-        let labels = spectral_clustering(&g, &SpectralOptions::new(30), &mut rng).unwrap();
-        // Every block must be pure and blocks must be separated.
-        let mut block_label = Vec::new();
-        for b in 0..30 {
-            let base = labels[b * 17];
-            assert!(
-                labels[b * 17..(b + 1) * 17].iter().all(|&l| l == base),
-                "block {b} is split"
-            );
-            block_label.push(base);
-        }
-        block_label.sort_unstable();
-        block_label.dedup();
-        assert_eq!(block_label.len(), 30, "blocks were merged");
-    }
-
-    /// Sparse affinity and the bitwise-equal dense graph for a block
-    /// structure: coefficient `0.5` in both directions makes each
-    /// within-block weight exactly `1.0` under `|C| + |C|^T`.
-    fn block_codes(sizes: &[usize]) -> (fedsc_graph::SparseAffinity, AffinityGraph) {
-        use fedsc_sparse::SparseVec;
-        let n: usize = sizes.iter().sum();
-        let mut block = vec![0usize; n];
-        let mut idx = 0;
-        for (b, &s) in sizes.iter().enumerate() {
-            for _ in 0..s {
-                block[idx] = b;
-                idx += 1;
-            }
-        }
-        let mut dense = Matrix::zeros(n, n);
-        let mut codes = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut ind = Vec::new();
-            let mut val = Vec::new();
-            for j in 0..n {
-                if j != i && block[j] == block[i] {
-                    dense[(j, i)] = 0.5;
-                    ind.push(j);
-                    val.push(0.5);
-                }
-            }
-            codes.push(SparseVec::from_parts(n, ind, val));
-        }
-        (
-            fedsc_graph::SparseAffinity::from_codes(&codes),
-            AffinityGraph::from_coefficients(&dense),
-        )
-    }
-
-    #[test]
-    fn sparse_path_is_bitwise_dense_below_cutover() {
-        // Satellite (3b): below the Lanczos cutover the CSR spectral path
-        // must produce bit-for-bit the dense labels — same affinity, same
-        // Laplacian, same eigensolver, same seeded k-means draws.
-        let (sparse, dense) = block_codes(&[5, 6, 4]);
-        let opts = SpectralOptions::new(3);
-        let labels_dense =
-            spectral_clustering(&dense, &opts, &mut StdRng::seed_from_u64(11)).unwrap();
-        let labels_sparse =
-            spectral_clustering_sparse(&sparse, &opts, &mut StdRng::seed_from_u64(11)).unwrap();
-        assert_eq!(labels_dense, labels_sparse);
-    }
-
-    #[test]
-    fn sparse_path_recovers_blocks_above_cutover() {
-        // 30 blocks of 17 nodes = 510 > 400: the CSR Laplacian drives the
-        // matrix-free deflated Lanczos solver end to end.
-        let (sparse, _) = block_codes(&vec![17; 30]);
-        let mut rng = StdRng::seed_from_u64(7);
-        let labels =
-            spectral_clustering_sparse(&sparse, &SpectralOptions::new(30), &mut rng).unwrap();
-        let mut block_label = Vec::new();
-        for b in 0..30 {
-            let base = labels[b * 17];
-            assert!(
-                labels[b * 17..(b + 1) * 17].iter().all(|&l| l == base),
-                "block {b} is split"
-            );
-            block_label.push(base);
-        }
-        block_label.sort_unstable();
-        block_label.dedup();
-        assert_eq!(block_label.len(), 30, "blocks were merged");
+        let g = block_graph(&[17; 30], 1.0, 0.0);
+        assert!(lanczos_beats_dense(510, 30));
+        assert_pure_blocks(&fixed(&g, 30, 7), 30, 17);
     }
 
     /// `chains` disconnected path graphs of `len` nodes each, weight
@@ -466,8 +408,7 @@ mod tests {
     /// eigenvalue, and each chain's spectrum fills `[0, 2]` near-densely
     /// (lambda_2 ~ (pi / len)^2 / 2), the adversarial regime for a
     /// restarted solver chasing a degenerate smallest cluster.
-    fn path_chains(chains: usize, len: usize) -> fedsc_graph::SparseAffinity {
-        use fedsc_sparse::SparseVec;
+    fn path_chains(chains: usize, len: usize) -> SparseAffinity {
         let n = chains * len;
         let mut codes = Vec::with_capacity(n);
         for c in 0..chains {
@@ -486,42 +427,26 @@ mod tests {
                 codes.push(SparseVec::from_parts(n, ind, val));
             }
         }
-        fedsc_graph::SparseAffinity::from_codes(&codes)
+        SparseAffinity::from_codes(&codes)
     }
 
     /// Regression witness for the deflated-Lanczos miss on disconnected
     /// Laplacians past the dense cutover: 5 disconnected path chains of
     /// 100 nodes carry an exact 5-fold zero eigenvalue, which the legacy
-    /// lock-and-restart solver provably missed (it stagnation-locked five
-    /// ~2e-4 bulk Ritz values instead and the pipeline could only fail
-    /// loudly). The thick-restart solver is seeded with the per-component
-    /// kernel vectors `D^{1/2} 1_c`, so every copy of the zero is captured
-    /// by construction and each chain comes back as one pure cluster.
+    /// lock-and-restart solver provably missed. The thick-restart solver is
+    /// seeded with the per-component kernel vectors `D^{1/2} 1_c`, so every
+    /// copy of the zero is captured by construction and each chain comes
+    /// back as one pure cluster.
     #[test]
     fn disconnected_chains_above_cutover_recover_components() {
-        let w = path_chains(5, 100);
-        let mut rng = StdRng::seed_from_u64(9);
-        let labels = spectral_clustering_sparse(&w, &SpectralOptions::new(5), &mut rng).unwrap();
-        let mut chain_label = Vec::new();
-        for c in 0..5 {
-            let base = labels[c * 100];
-            assert!(
-                labels[c * 100..(c + 1) * 100].iter().all(|&l| l == base),
-                "chain {c} is split"
-            );
-            chain_label.push(base);
-        }
-        chain_label.sort_unstable();
-        chain_label.dedup();
-        assert_eq!(chain_label.len(), 5, "chains were merged");
+        assert_pure_blocks(&fixed(&path_chains(5, 100), 5, 9), 5, 100);
     }
 
     #[test]
     fn kernel_seeds_are_exact_zero_eigenvectors() {
-        // Companion to the witness above: the seeds the sparse path feeds
-        // the eigensolver must be exact kernel vectors — orthonormal, one
-        // per edged component (isolated nodes excluded), each with a
-        // Laplacian residual at rounding level.
+        // The seeds the sparse path feeds the eigensolver must be exact
+        // kernel vectors — orthonormal, one per edged component (isolated
+        // nodes excluded), each with a Laplacian residual at rounding level.
         let w = path_chains(3, 50);
         let seeds = kernel_seeds(&w);
         assert_eq!(seeds.len(), 3);
@@ -531,45 +456,52 @@ mod tests {
             let worst = r.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             assert!(worst < 1e-12, "seed {a} residual {worst}");
             for (b, sb) in seeds.iter().enumerate() {
-                let d = fedsc_linalg::vector::dot(sa, sb);
+                let d = vector::dot(sa, sb);
                 let expect = if a == b { 1.0 } else { 0.0 };
                 assert!((d - expect).abs() < 1e-12, "seed gram ({a},{b}) = {d}");
             }
         }
         // Isolated nodes contribute no seed.
-        use fedsc_sparse::SparseVec;
-        let mut codes = vec![
-            SparseVec::from_parts(3, vec![1], vec![0.5]),
-            SparseVec::from_parts(3, vec![0], vec![0.5]),
-            SparseVec::from_parts(3, vec![], vec![]),
-        ];
-        codes.truncate(3);
-        let small = fedsc_graph::SparseAffinity::from_codes(&codes);
+        let small = SparseAffinity::from_triplets(3, &[(0, 1, 1.0), (1, 0, 1.0)]);
         assert_eq!(kernel_seeds(&small).len(), 1);
     }
 
     #[test]
+    fn largest_eigenvalue_is_the_dense_one_to_solver_tolerance() {
+        // The relative eigengap rule's `sigma_max` above the cutover: the
+        // one-pair solve of `-L` must land on the dense spectrum's top.
+        let graphs = [
+            path_chains(5, 100),
+            block_graph(&[101, 150, 170], 1.0, 0.002),
+        ];
+        for g in &graphs {
+            let lap = sparse_normalized_laplacian(g);
+            let top = largest_eigenvalue(&lap, 1).unwrap();
+            let dense = eigh(&lap.to_dense()).unwrap();
+            let want = dense.eigenvalues[g.len() - 1];
+            assert!((top - want).abs() <= 1e-6, "{top} vs dense {want}");
+        }
+    }
+
+    #[test]
     fn k_one_gives_single_cluster() {
-        let g = block_graph(&[3, 3], 1.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(3);
-        let labels = spectral_clustering(&g, &SpectralOptions::new(1), &mut rng).unwrap();
+        let labels = fixed(&block_graph(&[3, 3], 1.0, 0.0), 1, 3);
         assert!(labels.iter().all(|&l| l == 0));
     }
 
     #[test]
     fn empty_graph_gives_empty_labels() {
-        let g = AffinityGraph::from_symmetric(&Matrix::zeros(0, 0));
-        let mut rng = StdRng::seed_from_u64(4);
-        assert!(spectral_clustering(&g, &SpectralOptions::new(2), &mut rng)
-            .unwrap()
-            .is_empty());
+        let g = SparseAffinity::from_triplets(0, &[]);
+        assert_eq!(segment(&g, ClusterCountPolicy::Fixed(2), 4), (vec![], 0));
     }
 
     #[test]
     fn k_clamped_to_node_count() {
-        let g = block_graph(&[2], 1.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(5);
-        let labels = spectral_clustering(&g, &SpectralOptions::new(10), &mut rng).unwrap();
-        assert_eq!(labels.len(), 2);
+        let (labels, k) = segment(
+            &block_graph(&[2], 1.0, 0.0),
+            ClusterCountPolicy::Fixed(10),
+            5,
+        );
+        assert_eq!((labels.len(), k), (2, 2));
     }
 }

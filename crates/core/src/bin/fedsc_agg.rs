@@ -23,6 +23,7 @@
 //! transitively, so the root receives root-clock timestamps directly.
 
 use bytes::Bytes;
+use fedsc::cli::{self, Flags};
 use fedsc::demo::{demo_fixture, demo_hier_fixture};
 use fedsc::{collect_uplinks, merge_step, MergeAt, RoundPolicy};
 use fedsc_federated::channel::{DownlinkMessage, UplinkMessage};
@@ -58,72 +59,25 @@ const USAGE: &str = "usage: fedsc-agg --addr HOST:PORT --node N --children Z \
 [--seed 1] [--quorum N] [--deadline-ms 300000] [--hier] [--telemetry] \
 [--trace-out trace.json] [--metrics-out metrics.json]";
 
-fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            return match it.next() {
-                Some(v) => Ok(Some(v.clone())),
-                None => Err(format!("{name} requires a value\n{USAGE}")),
-            };
-        }
-    }
-    Ok(None)
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag_value(args, name)? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value for {name}: {v}\n{USAGE}")),
-        None => Ok(default),
-    }
-}
-
-fn required<T: std::str::FromStr>(args: &[String], name: &str) -> Result<T, String> {
-    flag_value(args, name)?
-        .ok_or(format!("{name} is required\n{USAGE}"))?
-        .parse()
-        .map_err(|_| format!("invalid value for {name}\n{USAGE}"))
-}
-
 fn parse_args(args: &[String]) -> Result<Args, String> {
+    let flags = Flags::parse(args, USAGE)?;
     Ok(Args {
-        addr: required(args, "--addr")?,
-        bind: parsed(args, "--bind", SocketAddr::from(([127, 0, 0, 1], 0)))?,
-        node: required(args, "--node")?,
-        tier: parsed(args, "--tier", 0)?,
-        parent: parsed(args, "--parent", 0)?,
-        children: required(args, "--children")?,
-        devices: parsed(args, "--devices", 12)?,
-        clusters: parsed(args, "--clusters", 3)?,
-        seed: parsed(args, "--seed", 1)?,
-        quorum: flag_value(args, "--quorum")?
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("invalid value for --quorum: {v}\n{USAGE}"))
-            })
-            .transpose()?,
-        deadline_ms: parsed(args, "--deadline-ms", 300_000)?,
-        hier: args.iter().any(|a| a == "--hier"),
-        telemetry: args.iter().any(|a| a == "--telemetry"),
-        trace_out: flag_value(args, "--trace-out")?,
-        metrics_out: flag_value(args, "--metrics-out")?,
+        addr: flags.required("--addr")?,
+        bind: flags.parsed("--bind", SocketAddr::from(([127, 0, 0, 1], 0)))?,
+        node: flags.required("--node")?,
+        tier: flags.parsed("--tier", 0)?,
+        parent: flags.parsed("--parent", 0)?,
+        children: flags.required("--children")?,
+        devices: flags.parsed("--devices", 12)?,
+        clusters: flags.parsed("--clusters", 3)?,
+        seed: flags.parsed("--seed", 1)?,
+        quorum: flags.optional("--quorum")?,
+        deadline_ms: flags.parsed("--deadline-ms", 300_000)?,
+        hier: flags.switch("--hier"),
+        telemetry: flags.switch("--telemetry"),
+        trace_out: flags.optional("--trace-out")?,
+        metrics_out: flags.optional("--metrics-out")?,
     })
-}
-
-/// Exports the recorded spans / metrics snapshot to the requested paths.
-fn write_observability(args: &Args) -> Result<(), String> {
-    if let Some(path) = &args.trace_out {
-        let events = fedsc_obs::trace::uninstall();
-        let trace = fedsc_obs::export::chrome_trace_json(&events);
-        std::fs::write(path, trace).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    if let Some(path) = &args.metrics_out {
-        let metrics = fedsc_obs::export::metrics_json(&fedsc_obs::metrics::snapshot());
-        std::fs::write(path, metrics).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    Ok(())
 }
 
 fn run(args: &Args) -> Result<(), String> {
@@ -239,7 +193,7 @@ fn run(args: &Args) -> Result<(), String> {
         "uplink_bytes {} downlink_bytes {} envelope_bytes {}",
         stats.bytes_received, stats.bytes_sent, fleet.envelope_bytes
     );
-    write_observability(args)?;
+    cli::write_observability(args.trace_out.as_deref(), args.metrics_out.as_deref())?;
     Ok(())
 }
 

@@ -24,6 +24,7 @@
 //! `--device`; they differ when dialing a `fedsc-agg` mid-tier), and
 //! `--parent` names that parent node in the trace context.
 
+use fedsc::cli::{self, Flags};
 use fedsc::demo::{demo_fixture, demo_hier_fixture};
 use fedsc::{device_round, RoundPolicy, WireTelemetry};
 use fedsc_obs::TraceContext;
@@ -49,68 +50,21 @@ const USAGE: &str = "usage: fedsc-device --addr HOST:PORT --device Z \
 [--link-id N] [--parent P] [--devices 12] [--clusters 3] [--seed 1] \
 [--hier] [--telemetry] [--trace-out trace.json] [--metrics-out metrics.json]";
 
-fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            return match it.next() {
-                Some(v) => Ok(Some(v.clone())),
-                None => Err(format!("{name} requires a value\n{USAGE}")),
-            };
-        }
-    }
-    Ok(None)
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag_value(args, name)? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value for {name}: {v}\n{USAGE}")),
-        None => Ok(default),
-    }
-}
-
-fn required<T: std::str::FromStr>(args: &[String], name: &str) -> Result<T, String> {
-    flag_value(args, name)?
-        .ok_or(format!("{name} is required\n{USAGE}"))?
-        .parse()
-        .map_err(|_| format!("invalid value for {name}\n{USAGE}"))
-}
-
 fn parse_args(args: &[String]) -> Result<Args, String> {
+    let flags = Flags::parse(args, USAGE)?;
     Ok(Args {
-        addr: required(args, "--addr")?,
-        device: required(args, "--device")?,
-        link_id: flag_value(args, "--link-id")?
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("invalid value for --link-id: {v}\n{USAGE}"))
-            })
-            .transpose()?,
-        parent: parsed(args, "--parent", 0)?,
-        devices: parsed(args, "--devices", 12)?,
-        clusters: parsed(args, "--clusters", 3)?,
-        seed: parsed(args, "--seed", 1)?,
-        hier: args.iter().any(|a| a == "--hier"),
-        telemetry: args.iter().any(|a| a == "--telemetry"),
-        trace_out: flag_value(args, "--trace-out")?,
-        metrics_out: flag_value(args, "--metrics-out")?,
+        addr: flags.required("--addr")?,
+        device: flags.required("--device")?,
+        link_id: flags.optional("--link-id")?,
+        parent: flags.parsed("--parent", 0)?,
+        devices: flags.parsed("--devices", 12)?,
+        clusters: flags.parsed("--clusters", 3)?,
+        seed: flags.parsed("--seed", 1)?,
+        hier: flags.switch("--hier"),
+        telemetry: flags.switch("--telemetry"),
+        trace_out: flags.optional("--trace-out")?,
+        metrics_out: flags.optional("--metrics-out")?,
     })
-}
-
-/// Exports the recorded spans / metrics snapshot to the requested paths.
-fn write_observability(args: &Args) -> Result<(), String> {
-    if let Some(path) = &args.trace_out {
-        let events = fedsc_obs::trace::uninstall();
-        let trace = fedsc_obs::export::chrome_trace_json(&events);
-        std::fs::write(path, trace).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    if let Some(path) = &args.metrics_out {
-        let metrics = fedsc_obs::export::metrics_json(&fedsc_obs::metrics::snapshot());
-        std::fs::write(path, metrics).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    Ok(())
 }
 
 fn run(args: &Args) -> Result<(), String> {
@@ -162,7 +116,7 @@ fn run(args: &Args) -> Result<(), String> {
     .map_err(|e| format!("{e}"))?;
     let list: Vec<String> = predictions.iter().map(usize::to_string).collect();
     println!("device {} predictions {}", args.device, list.join(","));
-    write_observability(args)?;
+    cli::write_observability(args.trace_out.as_deref(), args.metrics_out.as_deref())?;
     Ok(())
 }
 

@@ -31,6 +31,7 @@
 //! payload overhead the telemetry added (always 0 when children ship
 //! nothing).
 
+use fedsc::cli::{self, Flags};
 use fedsc::demo::{demo_fixture, demo_hier_fixture};
 use fedsc::{server_round, RoundPolicy};
 use fedsc_obs::FleetCollector;
@@ -60,47 +61,21 @@ const USAGE: &str = "usage: fedsc-server [--addr 127.0.0.1:0] [--devices 12] \
 [--trace-out trace.json] [--metrics-out metrics.json] \
 [--fleet-trace-out fleet.json] [--fleet-metrics-out fleet-metrics.json]";
 
-fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            return match it.next() {
-                Some(v) => Ok(Some(v.clone())),
-                None => Err(format!("{name} requires a value\n{USAGE}")),
-            };
-        }
-    }
-    Ok(None)
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag_value(args, name)? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value for {name}: {v}\n{USAGE}")),
-        None => Ok(default),
-    }
-}
-
 fn parse_args(args: &[String]) -> Result<Args, String> {
+    let flags = Flags::parse(args, USAGE)?;
     Ok(Args {
-        addr: parsed(args, "--addr", SocketAddr::from(([127, 0, 0, 1], 0)))?,
-        devices: parsed(args, "--devices", 12)?,
-        clusters: parsed(args, "--clusters", 3)?,
-        seed: parsed(args, "--seed", 1)?,
-        quorum: flag_value(args, "--quorum")?
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("invalid value for --quorum: {v}\n{USAGE}"))
-            })
-            .transpose()?,
-        deadline_ms: parsed(args, "--deadline-ms", 300_000)?,
-        hier: args.iter().any(|a| a == "--hier"),
-        telemetry: args.iter().any(|a| a == "--telemetry"),
-        trace_out: flag_value(args, "--trace-out")?,
-        metrics_out: flag_value(args, "--metrics-out")?,
-        fleet_trace_out: flag_value(args, "--fleet-trace-out")?,
-        fleet_metrics_out: flag_value(args, "--fleet-metrics-out")?,
+        addr: flags.parsed("--addr", SocketAddr::from(([127, 0, 0, 1], 0)))?,
+        devices: flags.parsed("--devices", 12)?,
+        clusters: flags.parsed("--clusters", 3)?,
+        seed: flags.parsed("--seed", 1)?,
+        quorum: flags.optional("--quorum")?,
+        deadline_ms: flags.parsed("--deadline-ms", 300_000)?,
+        hier: flags.switch("--hier"),
+        telemetry: flags.switch("--telemetry"),
+        trace_out: flags.optional("--trace-out")?,
+        metrics_out: flags.optional("--metrics-out")?,
+        fleet_trace_out: flags.optional("--fleet-trace-out")?,
+        fleet_metrics_out: flags.optional("--fleet-metrics-out")?,
     })
 }
 
@@ -116,20 +91,7 @@ fn lane_name(pid: u64) -> String {
 
 /// Exports local and fleet-merged observability to the requested paths.
 fn write_observability(args: &Args, mut fleet: FleetCollector) -> Result<(), String> {
-    let tracing = args.telemetry || args.trace_out.is_some();
-    let events = if tracing {
-        fedsc_obs::trace::uninstall()
-    } else {
-        Vec::new()
-    };
-    if let Some(path) = &args.trace_out {
-        let trace = fedsc_obs::export::chrome_trace_json(&events);
-        std::fs::write(path, trace).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    if let Some(path) = &args.metrics_out {
-        let metrics = fedsc_obs::export::metrics_json(&fedsc_obs::metrics::snapshot());
-        std::fs::write(path, metrics).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
+    let events = cli::write_observability(args.trace_out.as_deref(), args.metrics_out.as_deref())?;
     if args.fleet_trace_out.is_none() && args.fleet_metrics_out.is_none() {
         return Ok(());
     }

@@ -7,11 +7,10 @@
 //! `q = max(3, ceil(Z / L))`.
 
 use crate::config::{CentralBackend, ClusterCountPolicy};
-use fedsc_clustering::spectral::SpectralOptions;
-use fedsc_clustering::{full_spectrum, spectral_clustering_from_eig, spectral_clustering_sparse};
+use fedsc_clustering::spectral::{spectral_clustering, SpectralOptions};
 use fedsc_graph::SparseAffinity;
 use fedsc_linalg::{Matrix, Result};
-use fedsc_subspace::{CandidateOptions, Ssc, Tsc};
+use fedsc_subspace::{CandidateOptions, Ssc, SubspaceClusterer as _, Tsc};
 use rand::Rng;
 
 /// Result of the central clustering step.
@@ -36,23 +35,19 @@ pub struct CentralOutput {
 ///   natural groups makes spectral k-means split, and worse, mix
 ///   subspaces. The count is read off the affinity Laplacian's spectrum,
 ///   floored at the affinity's connected-component count and capped at
-///   `max`; the segmentation embeds with the eigenvectors of that same
-///   decomposition, so each graph gets one spectral solve. That spectrum is
-///   a dense `n x n` decomposition, so the SSC backend's pools of
-///   `candidate_threshold` or more samples skip it and segment at the cap;
-///   pools that large cover nearly every cluster anyway.
+///   `max`.
 ///
 /// The affinity is built sparse and stays sparse: the SSC backend's
 /// per-point codes (exact solves below `candidate_threshold`, screened
 /// sketched candidates at or above it) go straight into a CSR affinity,
-/// and a fixed count segments it with `spectral_clustering_sparse` — the
-/// kernel-seeded thick-restart block Lanczos on the CSR Laplacian above
-/// the `lanczos_beats_dense` cutover, the dense solver below it
-/// (DESIGN.md §13). Below that cutover every step is bitwise the dense
-/// pipeline. The TSC backend's CSR k-NN graph takes the same route. The
-/// CSR graph is returned as [`CentralOutput::graph`]; a dense copy is made
-/// only inside the eigengap arm, for its dense spectrum.
-/// `num_devices` feeds the TSC `q` rule; it is ignored by the SSC backend.
+/// and the TSC backend builds a CSR k-NN graph. Either is segmented by
+/// `fedsc_clustering::spectral_clustering`, which reads the count and the
+/// embedding off one solve: the dense solver on the densified CSR
+/// Laplacian below the `lanczos_beats_dense` cutover, the kernel-seeded
+/// thick-restart block Lanczos on the CSR Laplacian above it (DESIGN.md
+/// §13). No `n x n` graph is formed at any size, and the CSR graph is
+/// returned as [`CentralOutput::graph`]. `num_devices` feeds the TSC `q`
+/// rule; it is ignored by the SSC backend.
 ///
 /// Clusters are numbered by first appearance over the pooled samples, so
 /// two routes that reach the same partition return the same labels even
@@ -66,11 +61,6 @@ pub fn central_cluster<R: Rng + ?Sized>(
     candidate_threshold: usize,
     rng: &mut R,
 ) -> Result<CentralOutput> {
-    let n = samples.cols();
-    let l_max = match count {
-        ClusterCountPolicy::Fixed(l) => l,
-        ClusterCountPolicy::Eigengap { max, .. } => max.map_or(n, |m| m.min(n)),
-    };
     let w = match backend {
         CentralBackend::Ssc => Ssc {
             candidates: Some(CandidateOptions {
@@ -81,41 +71,20 @@ pub fn central_cluster<R: Rng + ?Sized>(
         }
         .sparse_affinity(samples)?,
         CentralBackend::Tsc { q } => {
+            let n = samples.cols();
+            let l_max = match count {
+                ClusterCountPolicy::Fixed(l) => l,
+                ClusterCountPolicy::Eigengap { max, .. } => max.map_or(n, |m| m.min(n)),
+            };
             let q = q.unwrap_or_else(|| Tsc::fed_sc_q(num_devices, l_max));
             Tsc::new(q).sparse_affinity(samples)?
         }
     };
-    // The SSC backend's candidate-sized pools stay subquadratic, so they
-    // form no dense spectrum and segment at the cap.
-    let reads_count = match backend {
-        CentralBackend::Ssc => n < candidate_threshold,
-        CentralBackend::Tsc { .. } => true,
-    };
-    let (k, spectrum) = match count {
-        ClusterCountPolicy::Eigengap { .. } if reads_count => {
-            // The full spectrum is a dense decomposition, so only this arm
-            // densifies the graph.
-            let spec = full_spectrum(&w.to_graph(), l_max.max(1))?;
-            // Floor the estimate at the affinity's connected-component
-            // count: the components are a hard lower bound on the natural
-            // cluster count, and under-estimating merges subspaces —
-            // unrecoverable downstream, while over-splitting merely costs
-            // the parent an extra representative.
-            let comps = w.connected_components(1e-9);
-            let k = count.count(&spec.eigenvalues).max(comps);
-            (k.clamp(1, l_max.max(1)), Some(spec))
-        }
-        _ => (l_max, None),
-    };
-    let opts = SpectralOptions::new(k);
-    let assignments = match &spectrum {
-        Some(spec) => spectral_clustering_from_eig(spec, &opts, rng)?,
-        None => spectral_clustering_sparse(&w, &opts, rng)?,
-    };
+    let (assignments, clusters) = spectral_clustering(&w, count, &SpectralOptions::default(), rng)?;
     Ok(CentralOutput {
         assignments: by_first_appearance(assignments),
         graph: w,
-        clusters: k.clamp(1, n.max(1)),
+        clusters,
     })
 }
 
@@ -137,6 +106,7 @@ fn by_first_appearance(labels: Vec<usize>) -> Vec<usize> {
 mod tests {
     use super::*;
     use fedsc_clustering::clustering_accuracy;
+    use fedsc_graph::sparse::sparse_normalized_laplacian;
     use fedsc_linalg::random::{random_orthonormal_basis, sample_on_subspace};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -318,7 +288,6 @@ mod tests {
         // pooled samples with k = 25 takes the kernel-seeded CSR
         // eigensolve. Its eigenvalues must be the dense decomposition's.
         use fedsc_clustering::spectral::sparse_spectrum;
-        use fedsc_graph::laplacian::normalized_laplacian;
         use fedsc_linalg::eigh::{eigh, lanczos_beats_dense};
         let mut rng = StdRng::seed_from_u64(15);
         let (samples, truth) = semi_random_samples(&mut rng, 20, 5, 25, 20);
@@ -335,8 +304,9 @@ mod tests {
         .unwrap();
         let acc = clustering_accuracy(&truth, &out.assignments);
         assert!(acc >= 99.0, "accuracy {acc}");
-        let eig = sparse_spectrum(&out.graph, 25, 1).unwrap();
-        let dense = eigh(&normalized_laplacian(&out.graph.to_graph())).unwrap();
+        let lap = sparse_normalized_laplacian(&out.graph);
+        let eig = sparse_spectrum(&out.graph, &lap, 25, 1).unwrap();
+        let dense = eigh(&lap.to_dense()).unwrap();
         for (j, (&got, &want)) in eig.eigenvalues.iter().zip(&dense.eigenvalues).enumerate() {
             assert!(
                 (got - want).abs() <= 1e-8,
@@ -346,30 +316,102 @@ mod tests {
     }
 
     #[test]
-    fn only_ssc_pools_at_the_candidate_threshold_segment_at_the_cap() {
+    fn seeded_solve_keeps_its_basis_orthogonal_across_restarts() {
+        // Witness for a thick-restart defect: this pool's SSC graph (3
+        // components, 4 more eigenvalues below 4e-4) needs restarts for
+        // k = 11, and a frontier orthogonalized only locally let the
+        // basis lose orthogonality ~50x per restart, until the solve
+        // returned Ritz values near -0.26 for the PSD Laplacian.
+        use fedsc_clustering::spectral::sparse_spectrum;
+        use fedsc_linalg::eigh::eigh;
+        let mut rng = StdRng::seed_from_u64(31);
+        let (samples, _) = semi_random_samples(&mut rng, 20, 5, 7, 70);
+        let w = Ssc::default().sparse_affinity(&samples).unwrap();
+        let lap = sparse_normalized_laplacian(&w);
+        let eig = sparse_spectrum(&w, &lap, 11, 1).unwrap();
+        let dense = eigh(&lap.to_dense()).unwrap();
+        for (j, (&got, &want)) in eig.eigenvalues.iter().zip(&dense.eigenvalues).enumerate() {
+            assert!(
+                (got - want).abs() <= 1e-8,
+                "eigenvalue {j}: {got} vs dense {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn pools_at_the_candidate_threshold_read_their_count() {
         // An aggregator pool of 60 samples from 3 subspaces, at or above a
-        // candidate threshold of 8: TSC still reads its count off the
-        // eigengap, SSC's subquadratic route segments at the cap.
+        // candidate threshold of 8: both backends read the count off the
+        // eigengap of the graph they built, SSC's screened one included.
         let mut rng = StdRng::seed_from_u64(6);
         let (samples, truth) = semi_random_samples(&mut rng, 25, 3, 3, 20);
         let count = ClusterCountPolicy::Eigengap {
             max: Some(6),
             relative: true,
         };
-        let tsc = central_cluster(
-            &samples,
-            count,
-            60,
-            CentralBackend::Tsc { q: None },
-            8,
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(tsc.clusters, 3);
-        let acc = clustering_accuracy(&truth, &tsc.assignments);
-        assert!(acc > 90.0, "accuracy {acc}");
-        let ssc = central_cluster(&samples, count, 60, CentralBackend::Ssc, 8, &mut rng).unwrap();
-        assert_eq!(ssc.clusters, 6);
+        for backend in [CentralBackend::Tsc { q: None }, CentralBackend::Ssc] {
+            let out = central_cluster(&samples, count, 60, backend, 8, &mut rng).unwrap();
+            assert_eq!(out.clusters, 3, "{backend:?}");
+            let acc = clustering_accuracy(&truth, &out.assignments);
+            assert!(acc > 90.0, "{backend:?} accuracy {acc}");
+        }
+    }
+
+    #[test]
+    fn aggregator_eigengap_above_the_cutover_matches_the_dense_oracle() {
+        // Aggregator pools past the cutover: 7 of L = 10 five-dimensional
+        // subspaces in R^20, 70 samples each (n = 490 > 400 and
+        // 6 (L + 1) < n). The count comes off the seeded CSR solve, with
+        // `sigma_max` from a one-pair solve of `-L`. The oracle reads it off
+        // the full dense spectrum of the densified Laplacian, with the same
+        // floor and cap, and embeds with the dense eigenvectors.
+        use fedsc_clustering::kmeans::{kmeans, KMeansOptions};
+        use fedsc_graph::laplacian::relative_eigengap_cluster_count;
+        use fedsc_linalg::eigh::{eigh_partial, lanczos_beats_dense};
+        use fedsc_linalg::vector;
+        let l = 10;
+        let count = ClusterCountPolicy::Eigengap {
+            max: Some(l),
+            relative: true,
+        };
+        for seed in [31, 32, 33] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (samples, truth) = semi_random_samples(&mut rng, 20, 5, 7, 70);
+            let n = samples.cols();
+            assert!(lanczos_beats_dense(n, l + 1));
+            let out = central_cluster(
+                &samples,
+                count,
+                n,
+                CentralBackend::Ssc,
+                2048,
+                &mut StdRng::seed_from_u64(seed + 100),
+            )
+            .unwrap();
+
+            let lap = sparse_normalized_laplacian(&out.graph).to_dense();
+            let eig = eigh_partial(&lap, l).unwrap();
+            let k =
+                relative_eigengap_cluster_count(&eig.eigenvalues, eig.eigenvalues[n - 1], Some(l))
+                    .max(out.graph.connected_components(1e-9))
+                    .clamp(1, l);
+            assert_eq!((out.clusters, k), (7, 7), "seed {seed}");
+            let mut emb = Matrix::zeros(k, n);
+            for node in 0..n {
+                for c in 0..k {
+                    emb[(c, node)] = eig.eigenvectors[(node, c)];
+                }
+                vector::normalize(emb.col_mut(node), 1e-12);
+            }
+            let km = KMeansOptions {
+                k,
+                ..SpectralOptions::default().kmeans
+            };
+            let oracle = kmeans(&emb, &km, &mut StdRng::seed_from_u64(seed + 100)).labels;
+            assert_eq!(out.assignments, by_first_appearance(oracle), "seed {seed}");
+            let acc = clustering_accuracy(&truth, &out.assignments);
+            assert!(acc >= 99.0, "seed {seed}: accuracy {acc}");
+        }
     }
 
     #[test]

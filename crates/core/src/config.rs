@@ -2,47 +2,11 @@
 
 use fedsc_federated::channel::ChannelConfig;
 use fedsc_federated::privacy::DpConfig;
-use fedsc_graph::laplacian::{eigengap_cluster_count, relative_eigengap_cluster_count};
 use fedsc_sparse::lasso::LassoOptions;
 
-/// How a device estimates its local cluster count `r^(z)` (paper Remark 1:
-/// eigengap on synthetic data, a fixed upper bound on the complex real
-/// datasets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterCountPolicy {
-    /// Largest spectral gap of the normalized Laplacian, optionally capped
-    /// (`None` searches the full spectrum). `relative = false` is the
-    /// paper's literal Eq. (3); `relative = true` (the default) divides each
-    /// gap by the upper eigenvalue, which is far more robust when
-    /// within-cluster connectivity is weak.
-    Eigengap {
-        /// Upper bound on the reported count.
-        max: Option<usize>,
-        /// Use the relative-gap variant.
-        relative: bool,
-    },
-    /// Fixed count on every device — the paper's real-data choice
-    /// `r^(z) = max_z L^(z)`.
-    Fixed(usize),
-}
-
-impl ClusterCountPolicy {
-    /// The count this policy reads off an ascending normalized-Laplacian
-    /// spectrum; a fixed count ignores it.
-    pub fn count(&self, eigenvalues: &[f64]) -> usize {
-        match *self {
-            Self::Eigengap {
-                max,
-                relative: true,
-            } => relative_eigengap_cluster_count(eigenvalues, max),
-            Self::Eigengap {
-                max,
-                relative: false,
-            } => eigengap_cluster_count(eigenvalues, max),
-            Self::Fixed(r) => r,
-        }
-    }
-}
+// How a device estimates its local cluster count `r^(z)`. The policy lives
+// with the spectral segmentation that applies it at every tier.
+pub use fedsc_clustering::spectral::ClusterCountPolicy;
 
 /// How a device picks the dimension `d_t` of each local-cluster basis.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -48,6 +48,7 @@
 
 pub mod assign;
 pub mod central;
+pub mod cli;
 pub mod config;
 pub mod demo;
 pub mod local;

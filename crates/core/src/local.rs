@@ -1,18 +1,18 @@
 //! Algorithm 2: local clustering and sampling on one client device.
 //!
-//! 1. Solve the SSC Lasso for every local point and form
+//! 1. Solve the SSC Lasso for every local point and form the CSR graph
 //!    `W^(z) = |C^(z)| + |C^(z)|^T`.
 //! 2. Estimate the local cluster count `r^(z)` — eigengap heuristic
 //!    (Eq. (3)) or the fixed upper bound (Remark 1).
 //! 3. Normalized spectral clustering into `r^(z)` partitions `T^(z)`.
+//!    Steps 2 and 3 are one `fedsc_clustering::spectral_clustering` call,
+//!    which reads the count off the solve it embeds with.
 //! 4. Per partition: estimate an orthonormal basis `U_{d_t}` by truncated
 //!    SVD and draw the uniform unit-sphere sample
 //!    `theta = U alpha / ||U alpha||`, `alpha ~ N(0, I)` (Eq. (5)).
 
-use crate::config::{BasisDim, ClusterCountPolicy, FedScConfig, LocalBackend};
-use fedsc_clustering::spectral::{
-    full_spectrum, spectral_clustering, spectral_clustering_from_eig, SpectralOptions,
-};
+use crate::config::{BasisDim, FedScConfig, LocalBackend};
+use fedsc_clustering::spectral::{spectral_clustering, SpectralOptions};
 use fedsc_linalg::random::sample_on_subspace;
 use fedsc_linalg::svd::truncated_svd;
 use fedsc_linalg::{par, Matrix, Result};
@@ -37,6 +37,11 @@ pub struct LocalOutput {
 }
 
 /// Runs local clustering and sampling (Algorithm 2) on one device's data.
+///
+/// The local graph stays CSR; `cfg.cluster_count` sets `r^(z)`. An
+/// eigengap count is floored at the graph's connected-component count and
+/// capped at the policy's `max`. Records the `local.affinity`,
+/// `local.spectral` and `local.basis_sample` spans.
 pub fn local_cluster_and_sample<R: Rng + ?Sized>(
     data: &Matrix,
     cfg: &FedScConfig,
@@ -54,7 +59,7 @@ pub fn local_cluster_and_sample<R: Rng + ?Sized>(
         });
     }
 
-    // Steps 1-2: local affinity graph (SSC per the paper; TSC as ablation).
+    // Step 1: local affinity graph (SSC per the paper; TSC as ablation).
     // `kernel_threads` governs intra-device numerical parallelism (Gram,
     // per-point Lasso, neighbor search); the device fan-out owns
     // `cfg.threads` one level up.
@@ -73,41 +78,24 @@ pub fn local_cluster_and_sample<R: Rng + ?Sized>(
                     ..CandidateOptions::default()
                 }),
             };
-            ssc.affinity(data)?
+            ssc.sparse_affinity(data)?
         }
         LocalBackend::Tsc { q } => {
             let mut tsc = Tsc::new(q);
             tsc.threads = kernel_threads;
-            tsc.affinity(data)?
+            tsc.sparse_affinity(data)?
         }
     };
     drop(affinity_span);
 
-    // Step 3: estimate r^(z). The eigengap reads the Laplacian spectrum
-    // whose eigenvectors step 4 then embeds with: one solve per graph.
-    let eigengap_span = fedsc_obs::span("fedsc", "local.eigengap");
-    // The count never exceeds the policy's cap, so only that many
-    // eigenvectors are formed.
-    let spectrum = match cfg.cluster_count {
-        ClusterCountPolicy::Eigengap { max, .. } => {
-            Some(full_spectrum(&graph, max.unwrap_or(n_points).max(1))?)
-        }
-        ClusterCountPolicy::Fixed(_) => None,
-    };
-    let eigenvalues = spectrum.as_ref().map_or(&[][..], |s| &s.eigenvalues);
-    let r = cfg.cluster_count.count(eigenvalues).clamp(1, n_points);
-    drop(eigengap_span.field("clusters", r));
+    // Steps 2-3: estimate r^(z) and segment into r partitions, both off
+    // one spectral solve of the graph.
+    let spectral_span = fedsc_obs::span("fedsc", "local.spectral");
+    let (local_labels, r) =
+        spectral_clustering(&graph, cfg.cluster_count, &SpectralOptions::default(), rng)?;
+    drop(spectral_span.field("clusters", r));
 
-    // Step 4: spectral clustering into r partitions.
-    let spectral_span = fedsc_obs::span("fedsc", "local.spectral").field("clusters", r);
-    let opts = SpectralOptions::new(r);
-    let local_labels = match &spectrum {
-        Some(spec) => spectral_clustering_from_eig(spec, &opts, rng)?,
-        None => spectral_clustering(&graph, &opts, rng)?,
-    };
-    drop(spectral_span);
-
-    // Steps 5-8: per-partition basis estimation and sampling.
+    // Step 4: per-partition basis estimation and sampling.
     let _basis_span = fedsc_obs::span("fedsc", "local.basis_sample").field("clusters", r);
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); r];
     for (i, &t) in local_labels.iter().enumerate() {
@@ -214,7 +202,7 @@ fn orthonormality_defect(u: &fedsc_linalg::Matrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CentralBackend;
+    use crate::config::{CentralBackend, ClusterCountPolicy};
     use fedsc_linalg::vector;
     use fedsc_subspace::SubspaceModel;
     use rand::rngs::StdRng;

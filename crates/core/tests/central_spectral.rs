@@ -16,7 +16,7 @@ use fedsc_graph::sparse::sparse_normalized_laplacian;
 use fedsc_linalg::eigh::eigh;
 use fedsc_linalg::lanczos::SymOp;
 use fedsc_linalg::Matrix;
-use fedsc_subspace::{Ssc, SubspaceModel};
+use fedsc_subspace::{Ssc, SubspaceClusterer as _, SubspaceModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,9 +52,9 @@ fn seeded_csr_solve_converges_on_a_near_degenerate_central_graph() {
         .sparse_affinity(&samples)
         .expect("SSC affinity");
     let k = 25;
-    let eig = sparse_spectrum(&w, k, 1).expect("seeded CSR solve");
-    assert_eq!(eig.eigenvalues.len(), k);
     let lap = sparse_normalized_laplacian(&w);
+    let eig = sparse_spectrum(&w, &lap, k, 1).expect("seeded CSR solve");
+    assert_eq!(eig.eigenvalues.len(), k);
 
     // Every returned pair passes the solver's own true-residual contract:
     // `max_i |(L y - θ y)_i| <= 1e-6` (the Laplacian's largest entry is 1).

@@ -9,8 +9,8 @@
 //! * [`parallel`] — phase timing ([`parallel::time_phase`],
 //!   [`parallel::PhaseTiming`]): the sequential/parallel split of the
 //!   scalability analysis.
-//! * [`kfed`] — one-shot federated k-means (Dennis et al., ICML 2021) with
-//!   the Table III PCA-10 / PCA-100 variants.
+//! * [`kfed`](mod@kfed) — one-shot federated k-means (Dennis et al., ICML
+//!   2021) with the Table III PCA-10 / PCA-100 variants.
 //! * [`privacy`] — Gaussian-mechanism differential privacy for the uplink
 //!   (the paper's Remark 2 / Section VII future-work direction).
 

@@ -6,11 +6,12 @@
 //! the SSC constructor `|C| + |C|^T` from self-expression codes.
 //!
 //! The CSR [`SparseAffinity`](crate::sparse::SparseAffinity) is the graph
-//! the pipeline builds, returns and diagnoses (k-NN graphs, subgraphs,
-//! components, the induced global graph). A dense `n x n` graph exists only
-//! where a dense `eigh` runs on it: a device's local graph, an aggregator's
-//! eigengap spectrum, a server pool below the Lanczos cutover, and one
-//! ground-truth cluster's subgraph in the CONN metric.
+//! every tier and baseline builds, segments, returns and diagnoses (k-NN
+//! graphs, subgraphs, components, the induced global graph). No pipeline
+//! step forms the dense `n x n` graph: where a dense `eigh` runs, it runs
+//! on the densified CSR *Laplacian*. The dense graph exists for
+//! `SubspaceClusterer::affinity` callers (a benchmark's layer replay) and
+//! as the test oracle the CSR constructors are pinned to.
 
 use fedsc_linalg::Matrix;
 

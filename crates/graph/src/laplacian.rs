@@ -5,8 +5,14 @@
 //! clustering, for the eigengap estimate of the local cluster count
 //! (Eq. (3)), and for the CONN connectivity metric (second-smallest
 //! eigenvalue per ground-truth cluster).
+//!
+//! The pipeline builds the Laplacian in CSR
+//! (`crate::sparse::sparse_normalized_laplacian`). The dense
+//! [`normalized_laplacian`] of an [`AffinityGraph`] is the oracle that CSR
+//! form is pinned to bitwise.
 
 use crate::affinity::AffinityGraph;
+use crate::sparse::{sparse_normalized_laplacian, SparseAffinity};
 use fedsc_linalg::eigh::{eigh_partial, SymmetricEig};
 use fedsc_linalg::{Matrix, Result};
 
@@ -34,23 +40,11 @@ pub fn normalized_laplacian(g: &AffinityGraph) -> Matrix {
     l
 }
 
-/// Builds the unnormalized Laplacian `D - W`.
-pub fn unnormalized_laplacian(g: &AffinityGraph) -> Matrix {
-    let n = g.len();
-    let deg = g.degrees();
-    let mut l = Matrix::zeros(n, n);
-    for j in 0..n {
-        for i in 0..n {
-            l[(i, j)] = if i == j { deg[i] } else { -g.weight(i, j) };
-        }
-    }
-    l
-}
-
 /// Full spectrum of the normalized Laplacian (ascending), eigenvalues
-/// only: the returned decomposition holds no eigenvector columns.
-pub fn laplacian_spectrum(g: &AffinityGraph) -> Result<SymmetricEig> {
-    eigh_partial(&normalized_laplacian(g), 0)
+/// only: the returned decomposition holds no eigenvector columns. The CSR
+/// Laplacian is densified for the dense solver.
+pub fn laplacian_spectrum(g: &SparseAffinity) -> Result<SymmetricEig> {
+    eigh_partial(&sparse_normalized_laplacian(g).to_dense(), 0)
 }
 
 /// The paper's Eq. (3): estimates the number of clusters as the position of
@@ -81,7 +75,9 @@ pub fn eigengap_cluster_count(eigenvalues: &[f64], max_clusters: Option<usize>) 
 
 /// Relative-eigengap cluster count:
 /// `r = argmax_i (sigma_{i+1} - sigma_i) / (sigma_{i+1} + eps)` with
-/// `eps = 0.01 * sigma_max`.
+/// `eps = 0.01 * sigma_max`, where `sigma_max` is the spectrum's largest
+/// eigenvalue. `eigenvalues` are the smallest ones, ascending: all of them
+/// when `max_clusters` is `None`, else at least `max_clusters + 1`.
 ///
 /// The plain difference rule (Eq. (3), [`eigengap_cluster_count`]) can be
 /// fooled by gaps in the bulk of the spectrum when within-cluster
@@ -93,19 +89,17 @@ pub fn eigengap_cluster_count(eigenvalues: &[f64], max_clusters: Option<usize>) 
 /// on relative size alone. This is the robust variant Fed-SC uses by default
 /// (Remark 1 motivates robustness of the eigenspectrum analysis); the
 /// ablation bench compares both.
-pub fn relative_eigengap_cluster_count(eigenvalues: &[f64], max_clusters: Option<usize>) -> usize {
+pub fn relative_eigengap_cluster_count(
+    eigenvalues: &[f64],
+    sigma_max: f64,
+    max_clusters: Option<usize>,
+) -> usize {
     let n = eigenvalues.len();
     if n <= 1 {
         return n;
     }
     let hi = max_clusters.map_or(n - 1, |m| m.min(n - 1));
-    let sigma_max = eigenvalues
-        .last()
-        .copied()
-        .unwrap_or(0.0)
-        .abs()
-        .max(f64::EPSILON);
-    let eps = 1e-2 * sigma_max;
+    let eps = 1e-2 * sigma_max.abs().max(f64::EPSILON);
     let mut best_i = 1usize;
     let mut best_gap = f64::NEG_INFINITY;
     for i in 1..=hi {
@@ -118,16 +112,10 @@ pub fn relative_eigengap_cluster_count(eigenvalues: &[f64], max_clusters: Option
     best_i
 }
 
-/// Convenience: spectrum + eigengap in one call.
-pub fn estimate_num_clusters(g: &AffinityGraph, max_clusters: Option<usize>) -> Result<usize> {
-    let spec = laplacian_spectrum(g)?;
-    Ok(eigengap_cluster_count(&spec.eigenvalues, max_clusters))
-}
-
 /// Algebraic connectivity: the second-smallest eigenvalue of the normalized
 /// Laplacian. Zero iff the graph is disconnected; used by the paper's CONN
 /// metric. Graphs with fewer than two nodes return 0.
-pub fn algebraic_connectivity(g: &AffinityGraph) -> Result<f64> {
+pub fn algebraic_connectivity(g: &SparseAffinity) -> Result<f64> {
     if g.len() < 2 {
         return Ok(0.0);
     }
@@ -162,7 +150,7 @@ mod tests {
 
     #[test]
     fn zero_eigenvalue_multiplicity_counts_components() {
-        let g = two_triangles();
+        let g = SparseAffinity::from_graph(&two_triangles());
         let spec = laplacian_spectrum(&g).unwrap();
         assert!(spec.eigenvalues[0].abs() < 1e-10);
         assert!(spec.eigenvalues[1].abs() < 1e-10);
@@ -171,9 +159,10 @@ mod tests {
 
     #[test]
     fn eigengap_detects_two_clusters() {
-        let g = two_triangles();
-        let r = estimate_num_clusters(&g, None).unwrap();
-        assert_eq!(r, 2);
+        let g = SparseAffinity::from_graph(&two_triangles());
+        let ev = laplacian_spectrum(&g).unwrap().eigenvalues;
+        assert_eq!(eigengap_cluster_count(&ev, None), 2);
+        assert_eq!(relative_eigengap_cluster_count(&ev, ev[5], None), 2);
     }
 
     #[test]
@@ -192,7 +181,7 @@ mod tests {
 
     #[test]
     fn algebraic_connectivity_zero_iff_disconnected() {
-        let g = two_triangles();
+        let g = SparseAffinity::from_graph(&two_triangles());
         assert!(algebraic_connectivity(&g).unwrap() < 1e-10);
         // A single triangle is connected.
         let mut m = Matrix::zeros(3, 3);
@@ -200,18 +189,8 @@ mod tests {
             m[(i, j)] = 1.0;
             m[(j, i)] = 1.0;
         }
-        let tri = AffinityGraph::from_symmetric(&m);
+        let tri = SparseAffinity::from_graph(&AffinityGraph::from_symmetric(&m));
         assert!(algebraic_connectivity(&tri).unwrap() > 0.5);
-    }
-
-    #[test]
-    fn unnormalized_laplacian_row_sums_vanish() {
-        let g = two_triangles();
-        let l = unnormalized_laplacian(&g);
-        for i in 0..6 {
-            let s: f64 = l.row(i).iter().sum();
-            assert!(s.abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -224,7 +203,7 @@ mod tests {
         assert_eq!(l[(2, 2)], 1.0);
         assert_eq!(l[(2, 0)], 0.0);
         // Still symmetric PSD: spectrum computes fine.
-        let spec = laplacian_spectrum(&g).unwrap();
+        let spec = laplacian_spectrum(&SparseAffinity::from_graph(&g)).unwrap();
         assert!(spec.eigenvalues[0] > -1e-12);
     }
 }

@@ -1,14 +1,16 @@
 //! Sparse (CSR) affinity graphs and Laplacians.
 //!
 //! The CSR [`SparseAffinity`] is the graph the pipeline builds and keeps:
-//! candidate-restricted SSC codes have `O(k)` nonzeros per column and a
-//! k-NN graph `q` per row, so at `n = 16k` the affinity is ~99.7% zeros.
-//! This module keeps it in CSR end to end: build from sparse codes or a k-NN
-//! similarity scan, take degrees from row sums, subgraphs and connected
-//! components, and assemble the normalized Laplacian as a CSR matrix that
-//! the Lanczos solver consumes matrix-free (`SymOp` impl in `fedsc-sparse`).
-//! The dense [`AffinityGraph`] is formed
-//! with [`SparseAffinity::to_graph`] only where a dense `eigh` runs on it.
+//! SSC codes have few nonzeros per column and a k-NN graph `q` per row, so
+//! at `n = 16k` the affinity is ~99.7% zeros. This module keeps it in CSR
+//! end to end: build from sparse codes, triplets or a k-NN similarity scan,
+//! take degrees from row sums, subgraphs and connected components, and
+//! assemble the normalized Laplacian as a CSR matrix that the Lanczos
+//! solver consumes matrix-free (`SymOp` impl in `fedsc-sparse`) and that
+//! the dense solver takes densified. The dense [`AffinityGraph`]
+//! ([`SparseAffinity::to_graph`]) is formed only for
+//! `SubspaceClusterer::affinity` callers (a benchmark's layer replay) and
+//! test oracles.
 //!
 //! Every constructor mirrors the dense arithmetic operation for operation
 //! (same products, same association, same accumulation order), so on graphs
@@ -58,8 +60,9 @@ impl SparseAffinity {
         }
     }
 
-    /// An `n`-node graph from `(i, j, w)` triplets that list each stored
-    /// entry once, both `(i, j)` and `(j, i)`, with `w > 0` and `i != j`.
+    /// An `n`-node graph from `(i, j, w)` triplets with `w > 0` and
+    /// `i != j` that list both `(i, j)` and `(j, i)`; duplicate coordinates
+    /// are summed.
     pub fn from_triplets(n: usize, triplets: &[(usize, usize, f64)]) -> Self {
         let g = Self {
             w: CsrMatrix::from_triplets(n, n, triplets),
@@ -164,10 +167,10 @@ impl SparseAffinity {
         self.w.row_sums()
     }
 
-    /// Densifies into an [`AffinityGraph`], for the callers that run a dense
-    /// `eigh` on the graph (and only those). `from_symmetric`'s
-    /// `0.5 * (v + v)` is exact for finite weights, so the round trip is
-    /// bitwise lossless.
+    /// Densifies into an [`AffinityGraph`], for callers that want the dense
+    /// graph itself (a layer replay, test oracles); the pipeline never does.
+    /// `from_symmetric`'s `0.5 * (v + v)` is exact for finite weights, so the
+    /// round trip is bitwise lossless.
     pub fn to_graph(&self) -> AffinityGraph {
         AffinityGraph::from_symmetric(&self.w.to_dense())
     }

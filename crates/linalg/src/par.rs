@@ -22,7 +22,7 @@
 //!   bounded by the largest `threads` any call requested (minus the caller,
 //!   who always participates), not a per-call churn count.
 //! * A worker that runs out of claimable tickets **spins briefly before
-//!   parking** ([`SPIN_POLLS`] polls of a publish epoch): workloads that
+//!   parking** (`SPIN_POLLS` polls of a publish epoch): workloads that
 //!   issue bursts of back-to-back parallel calls (the per-point Lasso sweep,
 //!   the blocked kernels) would otherwise pay a futex wake on every call,
 //!   which BENCH_PR6 measured at milliseconds of added latency per small

@@ -750,7 +750,23 @@ impl<A: SymOp + ?Sized> Solver<'_, A> {
                 self.h[(j, l + t)] = v;
             }
         }
-        for v in fp {
+        // The frontier was orthogonalized only locally while the basis
+        // grew, so its loss against the kept Ritz vectors is whatever the
+        // ω-recurrence tolerated. Left alone, that loss compounds from one
+        // restart to the next: on a 490-node central Laplacian at k = 11 it
+        // grew ~50x per restart until the Ritz values fell to -0.26 for a
+        // PSD operator. Two full passes keep it at rounding level; the
+        // coupling rows stay exact to that level.
+        for mut v in fp {
+            for _ in 0..2 {
+                for b in &self.q {
+                    let c = vector::dot(b, &v);
+                    if c != 0.0 {
+                        vector::axpy(-c, b, &mut v);
+                    }
+                }
+            }
+            vector::normalize(&mut v, 1e-300);
             self.q.push(v);
         }
         let target = (l + self.b_eff).min(self.m_max);

@@ -1,25 +1,33 @@
 //! The common interface all subspace-clustering algorithms implement.
 
-use fedsc_clustering::spectral::{spectral_clustering, SpectralOptions};
-use fedsc_graph::AffinityGraph;
+use fedsc_clustering::spectral::{spectral_clustering, ClusterCountPolicy, SpectralOptions};
+use fedsc_graph::{AffinityGraph, SparseAffinity};
 use fedsc_linalg::{Matrix, Result};
 use rand::Rng;
 
-/// A spectral-based subspace-clustering algorithm: builds an affinity graph
-/// over the columns of a data matrix; segmentation is shared normalized
-/// spectral clustering.
+/// A spectral-based subspace-clustering algorithm: builds a CSR affinity
+/// graph over the columns of a data matrix; segmentation is the shared
+/// normalized spectral clustering on that graph.
 pub trait SubspaceClusterer {
     /// Algorithm name for reports and benches.
     fn name(&self) -> &'static str;
 
-    /// Builds the affinity graph over the columns of `data`.
-    fn affinity(&self, data: &Matrix) -> Result<AffinityGraph>;
+    /// Builds the CSR affinity graph over the columns of `data`.
+    fn sparse_affinity(&self, data: &Matrix) -> Result<SparseAffinity>;
 
-    /// Clusters the columns of `data` into `k` groups: affinity graph plus
-    /// normalized spectral clustering.
+    /// [`Self::sparse_affinity`], densified (`to_graph` is lossless): the
+    /// dense graph, for callers that replay the spectral layers on it and
+    /// for test oracles. Nothing in the pipeline reads it.
+    fn affinity(&self, data: &Matrix) -> Result<AffinityGraph> {
+        Ok(self.sparse_affinity(data)?.to_graph())
+    }
+
+    /// Clusters the columns of `data` into `k` groups: the CSR affinity
+    /// plus normalized spectral clustering.
     fn cluster<R: Rng + ?Sized>(&self, data: &Matrix, k: usize, rng: &mut R) -> Result<Vec<usize>> {
-        let g = self.affinity(data)?;
-        spectral_clustering(&g, &SpectralOptions::new(k), rng)
+        let w = self.sparse_affinity(data)?;
+        let count = ClusterCountPolicy::Fixed(k);
+        Ok(spectral_clustering(&w, count, &SpectralOptions::default(), rng)?.0)
     }
 }
 

@@ -3,9 +3,10 @@
 //! for much better graph connectivity.
 
 use crate::algo::{normalize_data, SubspaceClusterer};
-use fedsc_graph::AffinityGraph;
+use fedsc_graph::SparseAffinity;
 use fedsc_linalg::{par, Matrix, Result};
 use fedsc_sparse::elastic_net::{ElasticNetOptions, ElasticNetSolver};
+use fedsc_sparse::SparseVec;
 
 /// EnSC configuration.
 #[derive(Debug, Clone)]
@@ -31,12 +32,13 @@ impl Default for Ensc {
 }
 
 impl Ensc {
-    /// Computes the elastic-net self-expression coefficient matrix.
+    /// Per-point elastic-net self-expression codes: `codes[i]` is column
+    /// `i` of the coefficient matrix `C` (no entry at `i`).
     ///
     /// The per-point ORGEN solves are independent, so like SSC's they fan
-    /// out over the worker pool; assembly is sequential in point order, so
-    /// the matrix is bitwise identical for every thread count.
-    pub fn coefficients(&self, data: &Matrix) -> Result<Matrix> {
+    /// out over the worker pool, and the codes are bitwise identical for
+    /// every thread count.
+    pub fn codes(&self, data: &Matrix) -> Result<Vec<SparseVec>> {
         let x = if self.normalize {
             normalize_data(data)
         } else {
@@ -46,14 +48,9 @@ impl Ensc {
         let threads = self.threads.max(1);
         let gram = x.gram_threaded(threads);
         let solver = ElasticNetSolver::new(&gram, self.elastic.clone());
-        let codes = par::par_map(n, threads, |i| solver.solve(gram.col(i), i));
-        let mut c = Matrix::zeros(n, n);
-        for (i, code) in codes.into_iter().enumerate() {
-            for (j, v) in code?.iter() {
-                c[(j, i)] = v;
-            }
-        }
-        Ok(c)
+        par::par_map(n, threads, |i| solver.solve(gram.col(i), i))
+            .into_iter()
+            .collect()
     }
 }
 
@@ -62,8 +59,8 @@ impl SubspaceClusterer for Ensc {
         "EnSC"
     }
 
-    fn affinity(&self, data: &Matrix) -> Result<AffinityGraph> {
-        Ok(AffinityGraph::from_coefficients(&self.coefficients(data)?))
+    fn sparse_affinity(&self, data: &Matrix) -> Result<SparseAffinity> {
+        Ok(SparseAffinity::from_codes(&self.codes(data)?))
     }
 }
 
@@ -119,18 +116,18 @@ mod tests {
     }
 
     #[test]
-    fn coefficients_bitwise_invariant_to_thread_count() {
+    fn codes_bitwise_invariant_to_thread_count() {
         let mut rng = StdRng::seed_from_u64(4);
         let model = SubspaceModel::random(&mut rng, 20, 3, 2);
         let ds = model.sample_dataset(&mut rng, &[14, 14], 0.01);
-        let serial = Ensc::default().coefficients(&ds.data).unwrap();
+        let serial = Ensc::default().codes(&ds.data).unwrap();
         for threads in [2usize, 8] {
             let en = Ensc {
                 threads,
                 ..Default::default()
             };
-            let par = en.coefficients(&ds.data).unwrap();
-            assert_eq!(par.as_slice(), serial.as_slice(), "threads = {threads}");
+            let par = en.codes(&ds.data).unwrap();
+            assert_eq!(par, serial, "threads = {threads}");
         }
     }
 
@@ -139,9 +136,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let model = SubspaceModel::random(&mut rng, 15, 2, 2);
         let ds = model.sample_dataset(&mut rng, &[8, 8], 0.0);
-        let c = Ensc::default().coefficients(&ds.data).unwrap();
-        for i in 0..16 {
-            assert_eq!(c[(i, i)], 0.0);
+        let codes = Ensc::default().codes(&ds.data).unwrap();
+        for (i, code) in codes.iter().enumerate() {
+            assert!(code.iter().all(|(j, _)| j != i), "code {i} uses itself");
         }
     }
 }

@@ -6,10 +6,11 @@
 //! point itself), and repeatedly add the point with the largest projection
 //! norm `||U^T x_j||` onto that span, extending the basis while its
 //! dimension is below `k_max`. The affinity graph connects each point to its
-//! collected neighbors.
+//! collected neighbors: weight 1 where two points picked each other, 1/2
+//! where one picked the other.
 
 use crate::algo::{normalize_data, SubspaceClusterer};
-use fedsc_graph::AffinityGraph;
+use fedsc_graph::SparseAffinity;
 use fedsc_linalg::{par, vector, Matrix, Result};
 
 /// NSN configuration.
@@ -52,29 +53,30 @@ impl SubspaceClusterer for Nsn {
         "NSN"
     }
 
-    fn affinity(&self, data: &Matrix) -> Result<AffinityGraph> {
+    fn sparse_affinity(&self, data: &Matrix) -> Result<SparseAffinity> {
         let x = if self.normalize {
             normalize_data(data)
         } else {
             data.clone()
         };
-        let n = x.cols();
-        let picks = self.neighbor_sets(&x);
-        let mut w = Matrix::zeros(n, n);
-        for (i, chosen) in picks.iter().enumerate() {
-            for &j in chosen {
-                w[(i, j)] = 1.0;
-            }
-        }
-        Ok(AffinityGraph::from_symmetric(&w))
+        // Each pick adds 0.5 both ways, so entry (i, j) sums to
+        // `0.5 * (p_ij + p_ji)` over the 0/1 picks: exactly the
+        // symmetrization `AffinityGraph::from_symmetric` applies.
+        let triplets: Vec<(usize, usize, f64)> = self
+            .neighbor_sets(&x)
+            .iter()
+            .enumerate()
+            .flat_map(|(i, chosen)| chosen.iter().flat_map(move |&j| [(i, j, 0.5), (j, i, 0.5)]))
+            .collect();
+        Ok(SparseAffinity::from_triplets(x.cols(), &triplets))
     }
 }
 
 impl Nsn {
     /// The greedy neighbor set of every column of `x` (assumed already
-    /// normalized if desired) — the selection stage of [`Self::affinity`],
-    /// exposed so pipelines can reuse NSN's search without building the
-    /// dense graph.
+    /// normalized if desired) — the selection stage of
+    /// [`SubspaceClusterer::sparse_affinity`], exposed so pipelines can
+    /// reuse NSN's search without building the graph.
     ///
     /// Per-point greedy searches are independent, so they fan out over the
     /// worker pool; each worker carries its own basis/projection workspace

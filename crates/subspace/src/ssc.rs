@@ -7,7 +7,7 @@
 
 use crate::algo::{normalize_data, SubspaceClusterer};
 use crate::candidates::{select_candidates, CandidateOptions};
-use fedsc_graph::{AffinityGraph, SparseAffinity};
+use fedsc_graph::SparseAffinity;
 use fedsc_linalg::{par, span, Matrix, Result};
 use fedsc_sparse::lasso::{ssc_lambda, LassoOptions, LassoSolver, LassoWorkspace};
 use fedsc_sparse::restricted::solve_candidates;
@@ -126,14 +126,6 @@ impl Ssc {
         };
         solve_candidates(&x, &cands, self.alpha, &self.lasso)
     }
-
-    /// CSR affinity `|C| + |C|^T` straight from [`Self::codes`] — what the
-    /// server's Phase 2 feeds `fedsc_clustering::spectral_clustering_sparse`
-    /// without ever materializing an `n x n` dense matrix. Entry for entry
-    /// it is bitwise `AffinityGraph::from_coefficients` of the same codes.
-    pub fn sparse_affinity(&self, data: &Matrix) -> Result<SparseAffinity> {
-        Ok(SparseAffinity::from_codes(&self.codes(data)?))
-    }
 }
 
 impl SubspaceClusterer for Ssc {
@@ -141,11 +133,11 @@ impl SubspaceClusterer for Ssc {
         "SSC"
     }
 
-    /// [`Ssc::sparse_affinity`], densified (`to_graph` is lossless): the
-    /// devices' dense `|C| + |C|^T`, bitwise
-    /// `AffinityGraph::from_coefficients` of the scattered codes.
-    fn affinity(&self, data: &Matrix) -> Result<AffinityGraph> {
-        Ok(self.sparse_affinity(data)?.to_graph())
+    /// CSR affinity `|C| + |C|^T` straight from [`Ssc::codes`], with no
+    /// `n x n` dense matrix. Entry for entry it is bitwise
+    /// `AffinityGraph::from_coefficients` of the same codes.
+    fn sparse_affinity(&self, data: &Matrix) -> Result<SparseAffinity> {
+        Ok(SparseAffinity::from_codes(&self.codes(data)?))
     }
 }
 
@@ -154,6 +146,7 @@ mod tests {
     use super::*;
     use crate::model::SubspaceModel;
     use fedsc_clustering::clustering_accuracy;
+    use fedsc_graph::AffinityGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -3,9 +3,10 @@
 //! baseline in the paper's Table III.
 
 use crate::algo::{normalize_data, SubspaceClusterer};
-use fedsc_graph::AffinityGraph;
+use fedsc_graph::SparseAffinity;
 use fedsc_linalg::{Matrix, Result};
 use fedsc_sparse::omp::{omp, OmpOptions};
+use fedsc_sparse::SparseVec;
 
 /// SSC-OMP configuration.
 #[derive(Debug, Clone)]
@@ -37,22 +38,17 @@ impl SscOmp {
         }
     }
 
-    /// Computes the OMP self-expression coefficient matrix.
-    pub fn coefficients(&self, data: &Matrix) -> Result<Matrix> {
+    /// Per-point OMP self-expression codes: `codes[i]` is column `i` of
+    /// the coefficient matrix `C` (no entry at `i`).
+    pub fn codes(&self, data: &Matrix) -> Result<Vec<SparseVec>> {
         let x = if self.normalize {
             normalize_data(data)
         } else {
             data.clone()
         };
-        let n = x.cols();
-        let mut c = Matrix::zeros(n, n);
-        for i in 0..n {
-            let code = omp(&x, x.col(i).to_vec().as_slice(), i, &self.omp)?;
-            for (j, v) in code.iter() {
-                c[(j, i)] = v;
-            }
-        }
-        Ok(c)
+        (0..x.cols())
+            .map(|i| omp(&x, x.col(i), i, &self.omp))
+            .collect()
     }
 }
 
@@ -61,8 +57,8 @@ impl SubspaceClusterer for SscOmp {
         "SSC-OMP"
     }
 
-    fn affinity(&self, data: &Matrix) -> Result<AffinityGraph> {
-        Ok(AffinityGraph::from_coefficients(&self.coefficients(data)?))
+    fn sparse_affinity(&self, data: &Matrix) -> Result<SparseAffinity> {
+        Ok(SparseAffinity::from_codes(&self.codes(data)?))
     }
 }
 
@@ -80,11 +76,11 @@ mod tests {
         let model = SubspaceModel::random(&mut rng, 20, 3, 2);
         let ds = model.sample_dataset(&mut rng, &[10, 10], 0.0);
         let algo = SscOmp::with_sparsity(3);
-        let c = algo.coefficients(&ds.data).unwrap();
-        for i in 0..20 {
-            let nnz = (0..20).filter(|&j| c[(j, i)] != 0.0).count();
+        let codes = algo.codes(&ds.data).unwrap();
+        for (i, code) in codes.iter().enumerate() {
+            let nnz = code.iter().filter(|&(_, v)| v != 0.0).count();
             assert!(nnz <= 3, "column {i} has support {nnz}");
-            assert_eq!(c[(i, i)], 0.0);
+            assert!(code.iter().all(|(j, _)| j != i), "code {i} uses itself");
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::algo::{normalize_data, SubspaceClusterer};
 use crate::neighbors::ranked_neighbors;
-use fedsc_graph::{AffinityGraph, SparseAffinity};
+use fedsc_graph::SparseAffinity;
 use fedsc_linalg::{par, vector, Matrix, Result};
 
 /// TSC configuration.
@@ -47,7 +47,7 @@ impl Tsc {
     /// The `q` nearest spherical neighbors of every column (descending
     /// similarity) — TSC's selection stage via the shared deterministic
     /// ranking in [`crate::neighbors`], exposed so pipelines can reuse the
-    /// search without building the dense affinity. The per-point scans fan
+    /// search without building the affinity. The per-point scans fan
     /// out over `self.threads`; results are identical for every value.
     pub fn neighbor_sets(&self, data: &Matrix) -> Vec<Vec<usize>> {
         let x = if self.normalize {
@@ -64,12 +64,24 @@ impl Tsc {
                 .collect()
         })
     }
+}
+
+impl Default for Tsc {
+    fn default() -> Self {
+        Self::new(3)
+    }
+}
+
+impl SubspaceClusterer for Tsc {
+    fn name(&self) -> &'static str {
+        "TSC"
+    }
 
     /// The CSR k-NN affinity: each point keeps its `q` nearest spherical
     /// neighbors with weight `exp(-2 acos(|cos|))`, symmetrized by max —
     /// what the server's Phase 2 segments, with no `n x n` dense matrix
     /// beyond the Gram. Bitwise identical for every `self.threads`.
-    pub fn sparse_affinity(&self, data: &Matrix) -> Result<SparseAffinity> {
+    fn sparse_affinity(&self, data: &Matrix) -> Result<SparseAffinity> {
         let x = if self.normalize {
             normalize_data(data)
         } else {
@@ -88,23 +100,6 @@ impl Tsc {
                 (-2.0 * c.acos()).exp()
             },
         ))
-    }
-}
-
-impl Default for Tsc {
-    fn default() -> Self {
-        Self::new(3)
-    }
-}
-
-impl SubspaceClusterer for Tsc {
-    fn name(&self) -> &'static str {
-        "TSC"
-    }
-
-    /// [`Tsc::sparse_affinity`], densified (`to_graph` is lossless).
-    fn affinity(&self, data: &Matrix) -> Result<AffinityGraph> {
-        Ok(self.sparse_affinity(data)?.to_graph())
     }
 }
 

@@ -14,7 +14,7 @@
 //! * A device's `send_uplink` is **atomic per attempt**: it dials a fresh
 //!   connection, handshakes, and uploads. Any failure tears the attempt
 //!   down and surfaces a (usually transient) error, so the caller's
-//!   [`with_retry`](crate::with_retry) budget re-runs the whole exchange —
+//!   [`with_retry`] budget re-runs the whole exchange —
 //!   there is no half-handshaken state to resume.
 //! * Byte accounting is *wire-true*: framing headers and handshake frames
 //!   count, matching what a packet capture would show.

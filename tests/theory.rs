@@ -13,7 +13,7 @@ use fed_sc::federated::partition::{partition_dataset, Partition};
 use fed_sc::linalg::angles::principal_angle_cosines;
 use fed_sc::linalg::svd::dominant_basis;
 use fed_sc::subspace::theory::{ssc_affinity_bound, tsc_affinity_bound};
-use fed_sc::subspace::Ssc;
+use fed_sc::subspace::{Ssc, SubspaceClusterer as _};
 use fed_sc::{CentralBackend, FedSc, FedScConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
