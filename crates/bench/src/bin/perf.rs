@@ -12,8 +12,9 @@
 //! - `pool_overhead` — many tiny `par_map` calls; below the
 //!   `MIN_INLINE_ITEMS` threshold these run inline on the caller, so this
 //!   scenario now measures the inline fast path.
-//! - `pool_wake` — back-to-back `par_map` calls big enough to engage the
-//!   pool; measures publish/wake latency (the spin-before-park path).
+//! - `pool_wake` — back-to-back `par_map` calls big enough to fan out;
+//!   measures the fixed cost of one engaged call (spawning and joining its
+//!   scoped helpers).
 //! - `ssc_affinity_dense` / `ssc_affinity_cand` — the dense all-pairs
 //!   sweep vs the screening sketched-candidate CSR pipeline on the same
 //!   seeded noisy mixture (n = 4096 head-to-head; n = 8192 candidate-only
@@ -33,7 +34,8 @@
 //!   ideal `k`-block affinity, with the per-solve operator-apply count in
 //!   the rows and an absolute tripwire of at most `2k` applies per solve
 //!   (n = 600, k = 24 on the smoke grid; n = 4096 and n = 16384 at k = 64
-//!   on the full one).
+//!   on the full one; single-threaded rows, the solver has no threaded
+//!   path).
 //!
 //! Output: `BENCH_PR10.json`, an object `{"rows": [...], "metrics": {...}}` —
 //! `rows` holds `{kernel, size, threads, median_ns, speedup}` entries
@@ -394,10 +396,9 @@ fn main() {
         },
     ));
 
-    // Pool wake latency: back-to-back fan-outs big enough to engage the
-    // pool (>= MIN_INLINE_ITEMS). Out-of-work workers spin briefly on the
-    // publish epoch, so each next job in the burst is claimed without a
-    // park/unpark round trip.
+    // Fan-out fixed cost: back-to-back fan-outs big enough to spawn helpers
+    // (>= MIN_INLINE_ITEMS) over near-free items, so the multi-thread row
+    // is almost all spawn-and-join.
     let (wake_calls, wake_items) = if smoke { (20, 256) } else { (100, 512) };
     entries.extend(bench_pair(
         "pool_wake",
@@ -507,29 +508,30 @@ fn main() {
     let w_sp = block_affinity(spb, spp);
     let lap_sp = sparse_normalized_laplacian(&w_sp);
     let mv0 = counter("spectral.matvecs");
-    let mut sp_rows = bench_pair(
+    let sp_opts = ThickRestartOptions {
+        seeds: kernel_seeds(&w_sp),
+        ..ThickRestartOptions::default()
+    };
+    let t_sp = median_ns(reps, || {
+        let _ = std::hint::black_box(
+            thick_restart_smallest(&lap_sp, spk, &sp_opts).expect("thick restart"),
+        );
+    });
+    // The solve is deterministic, so every rep costs the same applies.
+    let mv_new = (counter("spectral.matvecs") - mv0) / reps as u64;
+    eprintln!(
+        "{:>14} {:>24}  1t {t_sp:>12} ns   matvecs {mv_new}",
         "spectral_sparse",
-        format!("n={spn},k={spk}"),
-        reps,
-        tmax,
-        |t| {
-            let opts = ThickRestartOptions {
-                seeds: kernel_seeds(&w_sp),
-                threads: t,
-                ..ThickRestartOptions::default()
-            };
-            let _ = std::hint::black_box(
-                thick_restart_smallest(&lap_sp, spk, &opts).expect("thick restart"),
-            );
-        },
+        format!("n={spn},k={spk}")
     );
-    // The solve is deterministic and thread-invariant, so every rep costs
-    // the same applies; bench_pair ran 2 * reps solves.
-    let mv_new = (counter("spectral.matvecs") - mv0) / (2 * reps as u64);
-    for row in &mut sp_rows {
-        row.extra = format!(", \"matvecs\": {mv_new}");
-    }
-    entries.extend(sp_rows);
+    entries.push(Entry {
+        kernel: "spectral_sparse",
+        size: format!("n={spn},k={spk}"),
+        threads: 1,
+        median_ns: t_sp,
+        speedup: 1.0,
+        extra: format!(", \"matvecs\": {mv_new}"),
+    });
     // Matvec tripwire (CI bench-smoke checks the smoke row too): the seeds
     // span the wanted k-dimensional kernel, so the solve needs one block of
     // k applies to form it and one to verify it — at most 2k. Wall-clock on
@@ -537,7 +539,7 @@ fn main() {
     assert_spectral_applies(mv_new, spn, spk);
     if !smoke {
         // The federated-scale point: k = 64 clusters over 16k pooled
-        // samples, at the threaded grid point.
+        // samples.
         let (bb, bp) = (64, 256);
         let bn = bb * bp;
         let w_big = block_affinity(bb, bp);
@@ -546,7 +548,6 @@ fn main() {
         let t_big = median_ns(1, || {
             let opts = ThickRestartOptions {
                 seeds: kernel_seeds(&w_big),
-                threads: tmax,
                 ..ThickRestartOptions::default()
             };
             let _ = std::hint::black_box(
@@ -556,14 +557,14 @@ fn main() {
         let mv_big = counter("spectral.matvecs") - mv0_big;
         assert_spectral_applies(mv_big, bn, spk);
         eprintln!(
-            "{:>14} {:>24}  {tmax}t {t_big:>12} ns   matvecs {mv_big}",
+            "{:>14} {:>24}  1t {t_big:>12} ns   matvecs {mv_big}",
             "spectral_sparse",
             format!("n={bn},k={spk}")
         );
         entries.push(Entry {
             kernel: "spectral_sparse",
             size: format!("n={bn},k={spk}"),
-            threads: tmax,
+            threads: 1,
             median_ns: t_big,
             speedup: 1.0,
             extra: format!(", \"matvecs\": {mv_big}"),
@@ -647,20 +648,7 @@ fn main() {
         }
     }
 
-    // Pool regression check: a persistent pool spawns each worker at most
-    // once for the whole process, so the spawn counter is bounded by the
-    // configured thread count. Spawn-per-call churn shows up here as counts
-    // in the hundreds (BENCH_PR5.json recorded 530).
     let snap = fedsc_obs::metrics::snapshot();
-    let spawned = snap
-        .counters
-        .get("pool.workers_spawned")
-        .copied()
-        .unwrap_or(0);
-    assert!(
-        spawned <= tmax as u64,
-        "pool spawned {spawned} workers; configured thread count is {tmax}"
-    );
     // Solver-counter contract: the Lasso homotopy must have been exercised
     // and exported (CI's bench-smoke job checks the same keys in the
     // written JSON).
@@ -693,25 +681,27 @@ fn main() {
         );
     }
 
-    // Pool wake tripwire (the PR 8 satellite): back-to-back pool-engaging
-    // fan-outs at > 1 thread must never cost more than 5x the inline serial
-    // sweep — the 2-thread pathology fixed alongside this PR showed up as
-    // ~20x here. Applies whenever the multi-thread row actually engaged
-    // the pool (full grid only; smoke sizes park workers between calls).
+    // Fan-out cost tripwire: the fixed cost of one engaged call (spawning
+    // and joining its helpers), `(wake_n - wake_1) / wake_calls`, must stay
+    // within 1% of the single-thread `ssc_affinity` median, the smallest
+    // unit of work the program fans out in parallel. Full grid only: the
+    // smoke grid's `ssc_affinity` is too small to carry a 1% bound.
     if !smoke && default_threads() >= 2 {
-        let wake_1 = entries
-            .iter()
-            .find(|e| e.kernel == "pool_wake" && e.threads == 1)
-            .map(|e| e.median_ns)
-            .expect("pool_wake single-thread row");
-        let wake_n = entries
-            .iter()
-            .find(|e| e.kernel == "pool_wake" && e.threads > 1)
-            .map(|e| e.median_ns)
-            .expect("pool_wake multi-thread row");
+        let median_of = |kernel: &str, multi: bool| {
+            entries
+                .iter()
+                .find(|e| e.kernel == kernel && (e.threads > 1) == multi)
+                .map(|e| e.median_ns)
+                .expect("grid row present")
+        };
+        let (wake_1, wake_n) = (median_of("pool_wake", false), median_of("pool_wake", true));
+        let per_call = wake_n.saturating_sub(wake_1) / wake_calls as u128;
+        let unit = median_of("ssc_affinity", false);
+        eprintln!("fan-out fixed cost {per_call} ns per call; ssc_affinity 1t {unit} ns");
         assert!(
-            wake_n <= wake_1.saturating_mul(5),
-            "pool_wake multi-thread median {wake_n} ns exceeds 5x single-thread {wake_1} ns"
+            per_call * 100 <= unit,
+            "one engaged fan-out costs {per_call} ns, above 1% of the \
+             single-thread ssc_affinity median {unit} ns"
         );
     }
 

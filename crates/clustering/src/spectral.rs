@@ -38,8 +38,7 @@ pub enum ClusterCountPolicy {
     Fixed(usize),
 }
 
-/// Options for [`spectral_clustering`]: the embedding's k-means and the
-/// sparse eigensolver's parallelism.
+/// Options for [`spectral_clustering`]: the embedding's k-means.
 #[derive(Debug, Clone)]
 pub struct SpectralOptions {
     /// A cluster count for callers that run the embedding's k-means
@@ -48,10 +47,6 @@ pub struct SpectralOptions {
     pub k: usize,
     /// k-means options for the embedding step (its `k` field is overridden).
     pub kmeans: KMeansOptions,
-    /// Parallelism hint for the sparse eigensolver's blocked operator
-    /// applies (clamped to at least 1). Labels are bitwise identical for
-    /// every value.
-    pub threads: usize,
 }
 
 impl SpectralOptions {
@@ -64,14 +59,13 @@ impl SpectralOptions {
                 restarts: 5,
                 ..Default::default()
             },
-            threads: 1,
         }
     }
 }
 
 impl Default for SpectralOptions {
-    /// The k-means and solver settings every Fed-SC tier uses (five
-    /// k-means restarts, one solver thread).
+    /// The k-means settings every Fed-SC tier uses (five k-means
+    /// restarts).
     fn default() -> Self {
         Self::new(1)
     }
@@ -131,7 +125,7 @@ pub fn spectral_clustering<R: Rng + ?Sized>(
     let eig = {
         let _s = fedsc_obs::span("fedsc", "spectral.eigensolve");
         if sparse {
-            sparse_spectrum(w, &lap, pairs, opts.threads)?
+            sparse_spectrum(w, &lap, pairs)?
         } else {
             eigh_partial(&lap.to_dense(), cap)?
         }
@@ -145,7 +139,7 @@ pub fn spectral_clustering<R: Rng + ?Sized>(
                 // for `sigma_max` apart.
                 let sigma_max = if sparse {
                     let _s = fedsc_obs::span("fedsc", "spectral.eigensolve");
-                    largest_eigenvalue(&lap, opts.threads)?
+                    largest_eigenvalue(&lap)?
                 } else {
                     eig.eigenvalues[n - 1]
                 };
@@ -164,25 +158,18 @@ pub fn spectral_clustering<R: Rng + ?Sized>(
 /// The `k` smallest eigenpairs of `w`'s normalized Laplacian `lap` (as
 /// `sparse_normalized_laplacian` builds it) from the kernel-seeded
 /// thick-restart block Lanczos on the CSR Laplacian: the solve
-/// [`spectral_clustering`] embeds with above the cutover. `threads` is a
-/// parallelism hint; the result is bitwise identical for every value.
+/// [`spectral_clustering`] embeds with above the cutover.
 ///
 /// The solver is seeded with [`kernel_seeds`], the exact zero eigenvectors
 /// `D^{1/2} 1_c` of every edged component, so the degenerate zero
 /// eigenvalue of a disconnected graph is captured by construction rather
 /// than dug out by restarts. A debug-build cross-check compares the zero
 /// count against the components.
-pub fn sparse_spectrum(
-    w: &SparseAffinity,
-    lap: &CsrMatrix,
-    k: usize,
-    threads: usize,
-) -> Result<SymmetricEig> {
+pub fn sparse_spectrum(w: &SparseAffinity, lap: &CsrMatrix, k: usize) -> Result<SymmetricEig> {
     let seeds = kernel_seeds(w);
     let zero_mult = seeds.len().min(k);
     let tr_opts = ThickRestartOptions {
         seeds,
-        threads: threads.max(1),
         ..ThickRestartOptions::default()
     };
     let eig = thick_restart_smallest(lap, k, &tr_opts)?;
@@ -207,16 +194,13 @@ pub fn sparse_spectrum(
 /// The largest eigenvalue of the CSR Laplacian `lap`: the smallest of
 /// `-L`, negated, from a one-pair thick-restart solve. Accurate to the
 /// solver's residual tolerance.
-fn largest_eigenvalue(lap: &CsrMatrix, threads: usize) -> Result<f64> {
+fn largest_eigenvalue(lap: &CsrMatrix) -> Result<f64> {
     let n = lap.rows();
     let negated: Vec<(usize, usize, f64)> = (0..n)
         .flat_map(|i| lap.row(i).map(move |(j, v)| (i, j, -v)))
         .collect();
-    let opts = ThickRestartOptions {
-        threads: threads.max(1),
-        ..ThickRestartOptions::default()
-    };
-    let top = thick_restart_smallest(&CsrMatrix::from_triplets(n, n, &negated), 1, &opts)?;
+    let negated = CsrMatrix::from_triplets(n, n, &negated);
+    let top = thick_restart_smallest(&negated, 1, &ThickRestartOptions::default())?;
     Ok(top.eigenvalues.first().map_or(0.0, |&v| -v))
 }
 
@@ -476,7 +460,7 @@ mod tests {
         ];
         for g in &graphs {
             let lap = sparse_normalized_laplacian(g);
-            let top = largest_eigenvalue(&lap, 1).unwrap();
+            let top = largest_eigenvalue(&lap).unwrap();
             let dense = eigh(&lap.to_dense()).unwrap();
             let want = dense.eigenvalues[g.len() - 1];
             assert!((top - want).abs() <= 1e-6, "{top} vs dense {want}");

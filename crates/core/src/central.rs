@@ -305,7 +305,7 @@ mod tests {
         let acc = clustering_accuracy(&truth, &out.assignments);
         assert!(acc >= 99.0, "accuracy {acc}");
         let lap = sparse_normalized_laplacian(&out.graph);
-        let eig = sparse_spectrum(&out.graph, &lap, 25, 1).unwrap();
+        let eig = sparse_spectrum(&out.graph, &lap, 25).unwrap();
         let dense = eigh(&lap.to_dense()).unwrap();
         for (j, (&got, &want)) in eig.eigenvalues.iter().zip(&dense.eigenvalues).enumerate() {
             assert!(
@@ -328,7 +328,7 @@ mod tests {
         let (samples, _) = semi_random_samples(&mut rng, 20, 5, 7, 70);
         let w = Ssc::default().sparse_affinity(&samples).unwrap();
         let lap = sparse_normalized_laplacian(&w);
-        let eig = sparse_spectrum(&w, &lap, 11, 1).unwrap();
+        let eig = sparse_spectrum(&w, &lap, 11).unwrap();
         let dense = eigh(&lap.to_dense()).unwrap();
         for (j, (&got, &want)) in eig.eigenvalues.iter().zip(&dense.eigenvalues).enumerate() {
             assert!(

@@ -81,10 +81,13 @@ pub struct FedScConfig {
     /// Worker threads for the device fan-out (one device per work item).
     pub threads: usize,
     /// Worker threads *inside* one device's numerical kernels: the Gram
-    /// product, the per-point Lasso solves, and the per-partition truncated
-    /// SVDs. Defaults to 1 so the device fan-out owns the cores; raise it
-    /// (and lower `threads`) for few-device / large-N workloads. Results
-    /// are bitwise independent of this knob. See DESIGN.md §9 for the
+    /// product and the per-point Lasso solves. Small kernels stay on the
+    /// calling thread (fewer than `fedsc_linalg::par::MIN_INLINE_ITEMS`
+    /// points, or below the matrix kernels' flop floor), and so do the
+    /// per-partition truncated SVDs, of which a device has only a few.
+    /// Defaults to 1 so the device fan-out owns the cores; raise it (and
+    /// lower `threads`) for few-device / large-N workloads. Results are
+    /// bitwise independent of this knob. See DESIGN.md §9 for the
     /// ownership rule — total workers never exceed
     /// `threads * kernel_threads`.
     pub kernel_threads: usize,

@@ -102,12 +102,12 @@ pub fn local_cluster_and_sample<R: Rng + ?Sized>(
         members[t].push(i);
     }
     // Basis estimation (truncated SVD per partition) is deterministic and
-    // rng-free, so the partitions fan out over the kernel pool; sampling
-    // stays sequential in partition order below so the rng stream — and
-    // therefore every seeded run — is byte-identical to the serial path.
-    // The heavy variant: a handful of partitions, each an SVD worth far
-    // more than the pool's publish overhead.
-    let bases: Vec<Option<Result<Matrix>>> = par::par_map_heavy(r, kernel_threads, |t| {
+    // rng-free, so it may fan out; sampling stays sequential in partition
+    // order below so the rng stream — and therefore every seeded run — is
+    // byte-identical to the serial path. A device's few partitions sit
+    // below `MIN_INLINE_ITEMS`: SVDs of bases of at most a few dozen
+    // dimensions never pay back a helper spawn.
+    let bases: Vec<Option<Result<Matrix>>> = par::par_map(r, kernel_threads, |t| {
         let idx = &members[t];
         if idx.is_empty() {
             // Spectral k-means can leave a cluster empty when r was

@@ -53,7 +53,7 @@ fn seeded_csr_solve_converges_on_a_near_degenerate_central_graph() {
         .expect("SSC affinity");
     let k = 25;
     let lap = sparse_normalized_laplacian(&w);
-    let eig = sparse_spectrum(&w, &lap, k, 1).expect("seeded CSR solve");
+    let eig = sparse_spectrum(&w, &lap, k).expect("seeded CSR solve");
     assert_eq!(eig.eigenvalues.len(), k);
 
     // Every returned pair passes the solver's own true-residual contract:

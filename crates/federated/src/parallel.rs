@@ -2,7 +2,7 @@
 //!
 //! Device-local clustering dominates every federated run and devices are
 //! independent, so the simulator fans the per-device work out with
-//! `fedsc_linalg::par::par_map_timed` over the shared work-stealing pool.
+//! `fedsc_linalg::par::par_map_timed`, one scoped fan-out per phase.
 //! [`PhaseTiming`] folds its per-item times into the sequential sum and
 //! the *parallel* wall time the paper's scalability analysis quotes
 //! (`max_z T^(z)` instead of `sum_z T^(z)`).

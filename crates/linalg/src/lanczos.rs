@@ -30,14 +30,11 @@ pub trait SymOp {
     /// is row `i` of vector `j`, and the result uses the same layout. This
     /// is the block solver's hot call: implementations amortize one pass
     /// over the operator's data across all `ncols` vectors (the CSR impl
-    /// traverses the matrix once and fans row ranges out over the
-    /// persistent pool). `threads` is a parallelism hint; implementations
-    /// must return bitwise-identical results for every value of it.
+    /// traverses the matrix once, row by row).
     ///
     /// The default de-interleaves and calls [`SymOp::apply`] per vector —
     /// correct for any operator, with no traversal amortization.
-    fn apply_block(&self, x: &[f64], ncols: usize, threads: usize) -> Result<Vec<f64>> {
-        let _ = threads;
+    fn apply_block(&self, x: &[f64], ncols: usize) -> Result<Vec<f64>> {
         let n = self.dim();
         if ncols == 0 {
             return Ok(vec![]);
@@ -77,7 +74,7 @@ impl SymOp for Matrix {
         self.matvec(x)
     }
 
-    fn apply_block(&self, x: &[f64], ncols: usize, threads: usize) -> Result<Vec<f64>> {
+    fn apply_block(&self, x: &[f64], ncols: usize) -> Result<Vec<f64>> {
         let n = self.rows();
         if ncols == 0 {
             return Ok(vec![]);
@@ -98,7 +95,7 @@ impl SymOp for Matrix {
                 c[i] = x[i * ncols + j];
             }
         }
-        let ym = self.matmul_threaded(&xm, threads.max(1))?;
+        let ym = self.matmul(&xm)?;
         let mut y = vec![0.0; n * ncols];
         for j in 0..ncols {
             let c = ym.col(j);

@@ -11,9 +11,9 @@
 //! * [`matrix::Matrix`] — column-major dense matrix (data sets are columns
 //!   of points) with cache-blocked, optionally threaded product kernels.
 //! * [`vector`] — slice-level kernels (dot, norms, axpy, soft-thresholding).
-//! * [`par`] — the shared work-stealing pool every parallel loop in the
-//!   workspace (kernels, per-column solver fan-outs, device fan-out) runs
-//!   on.
+//! * [`par`] — the scoped fan-outs (`std::thread::scope`, the caller
+//!   taking part) every parallel loop in the workspace (kernels,
+//!   per-column solver fan-outs, device fan-out) runs on.
 //! * [`qr`] — Householder QR, least squares, rank-revealing orthonormal
 //!   bases.
 //! * [`eigh`] — dense symmetric eigendecomposition, ascending order, forming

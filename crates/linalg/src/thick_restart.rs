@@ -31,8 +31,7 @@
 //! captured by construction instead of hoped-for by iteration.
 //!
 //! Everything is deterministic (xorshift start vectors, no RNG) and
-//! bitwise thread-invariant: `threads` only flows into kernels that are
-//! themselves thread-invariant (`matmul_threaded`, the CSR SpMM).
+//! runs on the calling thread.
 
 use crate::eigh::{eigh_partial, SymmetricEig};
 use crate::error::{LinalgError, Result};
@@ -95,9 +94,6 @@ pub struct ThickRestartOptions {
     /// Orthonormalized on entry; degenerate seeds are dropped; at most `k`
     /// are used.
     pub seeds: Vec<Vec<f64>>,
-    /// Parallelism hint forwarded to [`SymOp::apply_block`] and the dense
-    /// Ritz-vector assembly. Results are bitwise identical for every value.
-    pub threads: usize,
 }
 
 impl Default for ThickRestartOptions {
@@ -108,7 +104,6 @@ impl Default for ThickRestartOptions {
             max_restarts: 0,
             tol: 0.0,
             seeds: Vec::new(),
-            threads: 1,
         }
     }
 }
@@ -161,7 +156,6 @@ pub fn thick_restart_smallest<A: SymOp + ?Sized>(
         a,
         n,
         k,
-        threads: opts.threads.max(1),
         anorm,
         b_eff: 0,
         full_reorth: false,
@@ -306,7 +300,7 @@ pub fn thick_restart_smallest<A: SymOp + ?Sized>(
                     x[i * k + j] = col[i];
                 }
             }
-            let ay = a.apply_block(&x, k, solver.threads)?;
+            let ay = a.apply_block(&x, k)?;
             MATVECS.add(k as u64);
             let mut passed = 0usize;
             let mut all_ok = true;
@@ -352,7 +346,6 @@ struct Solver<'a, A: SymOp + ?Sized> {
     a: &'a A,
     n: usize,
     k: usize,
-    threads: usize,
     anorm: f64,
     b_eff: usize,
     full_reorth: bool,
@@ -427,7 +420,7 @@ impl<A: SymOp + ?Sized> Solver<'_, A> {
                 x[i * w + s] = ci;
             }
         }
-        let ac = self.a.apply_block(&x, w, self.threads)?;
+        let ac = self.a.apply_block(&x, w)?;
         MATVECS.add(w as u64);
         let mut z: Vec<Vec<f64>> = (0..w)
             .map(|s| (0..n).map(|i| ac[i * w + s]).collect())
@@ -669,7 +662,7 @@ impl<A: SymOp + ?Sized> Solver<'_, A> {
                 smat[(i, j)] = he.eigenvectors[(i, j)];
             }
         }
-        let y = qmat.matmul_threaded(&smat, self.threads)?;
+        let y = qmat.matmul(&smat)?;
         let mut cols: Vec<Vec<f64>> = (0..kk).map(|j| y.col(j).to_vec()).collect();
         for j in 0..kk {
             let (done, rest) = cols.split_at_mut(j);
@@ -722,7 +715,7 @@ impl<A: SymOp + ?Sized> Solver<'_, A> {
                 smat[(i, j)] = he.eigenvectors[(i, j)];
             }
         }
-        let y = qmat.matmul_threaded(&smat, self.threads)?;
+        let y = qmat.matmul(&smat)?;
 
         let wf = fp.len();
         let mut coupling = vec![vec![0.0f64; l]; wf];
@@ -867,28 +860,6 @@ mod tests {
             );
         }
         assert!((out.eigenvalues[blocks] - bs as f64).abs() < 1e-7);
-    }
-
-    #[test]
-    fn thread_count_does_not_change_bits() {
-        let a = random_symmetric(80, 11);
-        let base = thick_restart_smallest(&a, 6, &ThickRestartOptions::default()).unwrap();
-        for threads in [2usize, 4] {
-            let opts = ThickRestartOptions {
-                threads,
-                ..ThickRestartOptions::default()
-            };
-            let out = thick_restart_smallest(&a, 6, &opts).unwrap();
-            assert_eq!(out.eigenvalues.len(), base.eigenvalues.len());
-            for (x, y) in out.eigenvalues.iter().zip(&base.eigenvalues) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            for j in 0..6 {
-                for (x, y) in out.eigenvectors.col(j).iter().zip(base.eigenvectors.col(j)) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::vec::SparseVec;
 use fedsc_linalg::lanczos::SymOp;
-use fedsc_linalg::{par, LinalgError, Matrix, Result};
+use fedsc_linalg::{LinalgError, Matrix, Result};
 
 /// A CSR matrix over `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,39 +121,22 @@ impl CsrMatrix {
     /// a stride-1 axpy), instead of re-traversing the matrix per vector the
     /// way `ncols` separate [`CsrMatrix::matvec`] calls would.
     ///
-    /// Rows fan out over the persistent pool in contiguous chunks; every
-    /// output element is written by exactly one task with a fixed
-    /// accumulation order, so the result is bitwise identical for every
-    /// `threads` value.
-    pub fn matvec_block(&self, x: &[f64], ncols: usize, threads: usize) -> Vec<f64> {
+    /// Each output row accumulates its stored entries in ascending column
+    /// order, the order [`CsrMatrix::matvec`] uses, so every column of the
+    /// result is bitwise that vector's `matvec`.
+    pub fn matvec_block(&self, x: &[f64], ncols: usize) -> Vec<f64> {
         assert_eq!(x.len(), self.cols * ncols, "operand length mismatch");
-        if ncols == 0 || self.rows == 0 {
-            return vec![0.0; self.rows * ncols];
+        let mut y = vec![0.0; self.rows * ncols];
+        if ncols == 0 {
+            return y;
         }
-        let threads = threads.max(1);
-        // One chunk per pool participant is enough: chunk cost is uniform
-        // in expectation (rows of a k-NN-bounded affinity have similar
-        // nnz), and fewer chunks keep dispatch overhead off the kernel.
-        let chunks = threads.min(self.rows);
-        let per = self.rows.div_ceil(chunks);
-        let parts: Vec<Vec<f64>> = par::par_map_heavy(chunks, threads, |ci| {
-            let lo = (ci * per).min(self.rows);
-            let hi = ((ci + 1) * per).min(self.rows);
-            let mut out = vec![0.0; (hi - lo) * ncols];
-            for r in lo..hi {
-                let dst = &mut out[(r - lo) * ncols..(r - lo + 1) * ncols];
-                for (c, v) in self.row(r) {
-                    let src = &x[c * ncols..(c + 1) * ncols];
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d += v * s;
-                    }
+        for (r, dst) in y.chunks_exact_mut(ncols).enumerate() {
+            for (c, v) in self.row(r) {
+                let src = &x[c * ncols..(c + 1) * ncols];
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d += v * s;
                 }
             }
-            out
-        });
-        let mut y = Vec::with_capacity(self.rows * ncols);
-        for part in parts {
-            y.extend_from_slice(&part);
         }
         y
     }
@@ -221,14 +204,14 @@ impl SymOp for CsrMatrix {
         Ok(self.matvec(x))
     }
 
-    fn apply_block(&self, x: &[f64], ncols: usize, threads: usize) -> Result<Vec<f64>> {
+    fn apply_block(&self, x: &[f64], ncols: usize) -> Result<Vec<f64>> {
         if x.len() != self.cols * ncols {
             return Err(LinalgError::ShapeMismatch {
                 expected: (self.cols * ncols, 1),
                 got: (x.len(), 1),
             });
         }
-        Ok(self.matvec_block(x, ncols, threads))
+        Ok(self.matvec_block(x, ncols))
     }
 
     fn gershgorin(&self) -> (f64, f64) {
@@ -308,7 +291,7 @@ mod tests {
         for (i, slot) in x.iter_mut().enumerate() {
             *slot = ((i * 7 + 3) % 11) as f64 - 5.0;
         }
-        let base = m.matvec_block(&x, ncols, 1);
+        let base = m.matvec_block(&x, ncols);
         for j in 0..ncols {
             let col: Vec<f64> = (0..17).map(|i| x[i * ncols + j]).collect();
             let y = m.matvec(&col);
@@ -318,12 +301,6 @@ mod tests {
                     y[i].to_bits(),
                     "entry ({i}, {j})"
                 );
-            }
-        }
-        for threads in [2usize, 4, 7] {
-            let yt = m.matvec_block(&x, ncols, threads);
-            for (a, b) in yt.iter().zip(&base) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads");
             }
         }
     }

@@ -54,7 +54,7 @@ fn dense_route(g: &AffinityGraph, k: usize, seed: u64) -> Vec<usize> {
     let n = g.len();
     let eig: SymmetricEig = if lanczos_beats_dense(n, k) {
         let w = SparseAffinity::from_graph(g);
-        sparse_spectrum(&w, &sparse_normalized_laplacian(&w), k, 1).unwrap()
+        sparse_spectrum(&w, &sparse_normalized_laplacian(&w), k).unwrap()
     } else {
         eigh_partial(&normalized_laplacian(g), k).unwrap()
     };

@@ -9,7 +9,9 @@
 //! Keys (all optional): `l` subspaces, `d` subspace dim, `n` ambient dim,
 //! `z` devices, `lprime` clusters/device, `per` points per cluster-owner,
 //! `backend` = `ssc` | `tsc`, `noise` channel delta, `dp_eps` per-sample DP
-//! epsilon (0 = off), `seed`.
+//! epsilon (0 = off), `seed`. An argument that is not `key=value`, an
+//! unknown or repeated key, or a value that does not parse prints the usage
+//! line on stderr and exits with code 2.
 
 use fedsc::{CentralBackend, ClusterCountPolicy, FedSc, FedScConfig};
 use fedsc_clustering::conn::connectivity;
@@ -19,31 +21,58 @@ use fedsc_federated::partition::{partition_dataset, Partition};
 use fedsc_federated::privacy::DpConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::str::FromStr;
+
+const USAGE: &str = "usage: fedsc_cli [l=N] [d=N] [n=N] [z=N] [lprime=N] [per=N] \
+                     [backend=ssc|tsc] [noise=X] [dp_eps=X] [seed=N]";
+const KEYS: &[&str] = &[
+    "l", "d", "n", "z", "lprime", "per", "backend", "noise", "dp_eps", "seed",
+];
+
+/// Prints `msg` and the usage line on stderr and exits with code 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("fedsc_cli: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// The value of `key`, parsed, or `default` when the key is absent.
+fn get<T: FromStr>(args: &BTreeMap<String, String>, key: &str, default: T) -> T {
+    match args.get(key) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("bad value for `{key}`: `{v}`"))),
+    }
+}
 
 fn main() {
-    let args: HashMap<String, String> = std::env::args()
-        .skip(1)
-        .filter_map(|a| {
-            a.split_once('=')
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-        })
-        .collect();
-    let get_usize = |k: &str, d: usize| args.get(k).and_then(|v| v.parse().ok()).unwrap_or(d);
-    let get_f64 = |k: &str, d: f64| args.get(k).and_then(|v| v.parse().ok()).unwrap_or(d);
+    let mut args = BTreeMap::new();
+    for arg in std::env::args().skip(1) {
+        let Some((k, v)) = arg.split_once('=') else {
+            usage_error(&format!("expected key=value, got `{arg}`"))
+        };
+        if !KEYS.contains(&k) {
+            usage_error(&format!("unknown key `{k}`"));
+        }
+        if args.insert(k.to_string(), v.to_string()).is_some() {
+            usage_error(&format!("repeated key `{k}`"));
+        }
+    }
 
-    let l = get_usize("l", 10);
-    let d = get_usize("d", 5);
-    let n = get_usize("n", 20);
-    let z = get_usize("z", 60);
-    let l_prime = get_usize("lprime", 2).clamp(1, l);
-    let per = get_usize("per", 10);
-    let seed = get_usize("seed", 7) as u64;
-    let noise = get_f64("noise", 0.0);
-    let dp_eps = get_f64("dp_eps", 0.0);
+    let l = get(&args, "l", 10usize);
+    let d = get(&args, "d", 5usize);
+    let n = get(&args, "n", 20usize);
+    let z = get(&args, "z", 60usize);
+    let l_prime = get(&args, "lprime", 2usize).clamp(1, l);
+    let per = get(&args, "per", 10usize);
+    let seed = get(&args, "seed", 7u64);
+    let noise = get(&args, "noise", 0.0f64);
+    let dp_eps = get(&args, "dp_eps", 0.0f64);
     let backend = match args.get("backend").map(String::as_str) {
+        None | Some("ssc") => CentralBackend::Ssc,
         Some("tsc") => CentralBackend::Tsc { q: None },
-        _ => CentralBackend::Ssc,
+        Some(other) => usage_error(&format!("unknown backend `{other}`")),
     };
 
     let mut rng = StdRng::seed_from_u64(seed);
