@@ -27,7 +27,7 @@
 //!   reorthogonalization, kernel-aware seeding.
 //! * [`svd`] — thin SVD via Gram eigendecomposition, one-sided Jacobi SVD,
 //!   truncated SVD for the paper's basis estimates.
-//! * [`solve`] — LU and Cholesky direct solvers.
+//! * [`solve`] — the Cholesky direct solver.
 //! * [`random`] — Gaussian/Stiefel sampling, including the paper's Eq. (5)
 //!   uniform-on-subspace sampler.
 //! * [`sketch`] — seeded Johnson–Lindenstrauss sign sketch for candidate
@@ -40,7 +40,6 @@
 // (parallel indexing of several buffers); iterator rewrites obscure them.
 #![allow(clippy::needless_range_loop)]
 
-pub mod aligned;
 pub mod angles;
 pub mod eigh;
 pub mod error;

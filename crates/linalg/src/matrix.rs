@@ -7,7 +7,6 @@
 //! (per-point sparse regression, Gram products, basis extraction) cache
 //! friendly and allow borrowing a column as a plain slice.
 
-use crate::aligned::AlignedBuf;
 use crate::error::{LinalgError, Result};
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -51,10 +50,8 @@ fn effective_threads(threads: usize, flops: usize) -> usize {
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    /// Cache-line-aligned column-major storage (see [`crate::aligned`]):
-    /// the buffer base sits on a 64-byte boundary so the 8-wide unrolled
-    /// kernels stream whole cache lines from the first element.
-    data: AlignedBuf,
+    /// Column-major storage.
+    data: Vec<f64>,
 }
 
 impl Matrix {
@@ -63,7 +60,7 @@ impl Matrix {
         Self {
             rows,
             cols,
-            data: AlignedBuf::zeroed(rows * cols),
+            data: vec![0.0; rows * cols],
         }
     }
 
@@ -72,7 +69,7 @@ impl Matrix {
         Self {
             rows,
             cols,
-            data: AlignedBuf::filled(rows * cols, value),
+            data: vec![value; rows * cols],
         }
     }
 
@@ -85,7 +82,7 @@ impl Matrix {
         m
     }
 
-    /// Builds a matrix from a column-major data buffer.
+    /// Builds a matrix that takes ownership of a column-major data buffer.
     ///
     /// Returns an error when `data.len() != rows * cols`.
     pub fn from_col_major(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
@@ -95,11 +92,7 @@ impl Matrix {
                 got: (data.len(), 1),
             });
         }
-        Ok(Self {
-            rows,
-            cols,
-            data: AlignedBuf::from_slice(&data),
-        })
+        Ok(Self { rows, cols, data })
     }
 
     /// Builds a matrix from a slice of rows (row-major convenience, used

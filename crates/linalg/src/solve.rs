@@ -1,112 +1,9 @@
-//! Direct linear solvers: LU with partial pivoting and Cholesky.
+//! Direct linear solver: Cholesky for symmetric positive-definite systems.
 //!
-//! Used by the ADMM Lasso backend (factor-once, solve-many) and by ridge
-//! sub-problems in the elastic-net solver.
+//! Used by the ADMM Lasso backend (factor-once, solve-many).
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
-
-/// LU factorization with partial pivoting, `P A = L U`.
-#[must_use = "dropping an LU factorization discards the work"]
-pub struct Lu {
-    lu: Matrix,
-    piv: Vec<usize>,
-    sign: f64,
-}
-
-impl Lu {
-    /// Factorizes a square matrix. Returns [`LinalgError::Singular`] when a
-    /// pivot collapses to (numerical) zero.
-    pub fn new(a: Matrix) -> Result<Self> {
-        let (m, n) = a.shape();
-        if m != n {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (m, m),
-                got: (m, n),
-            });
-        }
-        let mut lu = a;
-        let mut piv: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
-        let scale = lu.max_abs().max(1.0);
-        for k in 0..n {
-            // Pivot search in column k.
-            let mut p = k;
-            let mut best = lu[(k, k)].abs();
-            for i in k + 1..n {
-                let v = lu[(i, k)].abs();
-                if v > best {
-                    best = v;
-                    p = i;
-                }
-            }
-            if best < 1e-14 * scale {
-                return Err(LinalgError::Singular);
-            }
-            if p != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(p, j)];
-                    lu[(p, j)] = tmp;
-                }
-                piv.swap(k, p);
-                sign = -sign;
-            }
-            let pivot = lu[(k, k)];
-            for i in k + 1..n {
-                let f = lu[(i, k)] / pivot;
-                lu[(i, k)] = f;
-                if f != 0.0 {
-                    for j in k + 1..n {
-                        let u = lu[(k, j)];
-                        lu[(i, j)] -= f * u;
-                    }
-                }
-            }
-        }
-        Ok(Self { lu, piv, sign })
-    }
-
-    /// Solves `A x = b`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.lu.rows();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (n, 1),
-                got: (b.len(), 1),
-            });
-        }
-        // Apply permutation.
-        let mut x: Vec<f64> = self.piv.iter().map(|&p| b[p]).collect();
-        // Forward substitution (L has unit diagonal).
-        for i in 1..n {
-            let mut s = x[i];
-            for j in 0..i {
-                s -= self.lu[(i, j)] * x[j];
-            }
-            x[i] = s;
-        }
-        // Back substitution.
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in i + 1..n {
-                s -= self.lu[(i, j)] * x[j];
-            }
-            x[i] = s / self.lu[(i, i)];
-        }
-        Ok(x)
-    }
-
-    /// Determinant of the factorized matrix.
-    pub fn det(&self) -> f64 {
-        let n = self.lu.rows();
-        let mut d = self.sign;
-        for i in 0..n {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-}
 
 /// Cholesky factorization `A = L L^T` of a symmetric positive-definite
 /// matrix. Only the lower triangle of the input is read.
@@ -186,37 +83,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lu_solves_known_system() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]).unwrap();
-        let lu = Lu::new(a).unwrap();
-        let x = lu.solve(&[3.0, 5.0]).unwrap();
-        assert!((x[0] - 0.8).abs() < 1e-12);
-        assert!((x[1] - 1.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lu_needs_pivoting() {
-        // Zero leading pivot forces a row swap.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let lu = Lu::new(a).unwrap();
-        let x = lu.solve(&[2.0, 3.0]).unwrap();
-        assert_eq!(x, vec![3.0, 2.0]);
-        assert!((lu.det() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lu_detects_singularity() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
-        assert!(Lu::new(a).is_err());
-    }
-
-    #[test]
-    fn lu_determinant() {
-        let a = Matrix::from_rows(&[&[4.0, 3.0], &[6.0, 3.0]]).unwrap();
-        assert!((Lu::new(a).unwrap().det() + 6.0).abs() < 1e-10);
-    }
-
-    #[test]
     fn cholesky_solves_spd_system() {
         let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
         let ch = Cholesky::new(&a).unwrap();
@@ -243,7 +109,6 @@ mod tests {
     #[test]
     fn solvers_reject_bad_rhs_length() {
         let a = Matrix::identity(3);
-        assert!(Lu::new(a.clone()).unwrap().solve(&[1.0]).is_err());
         assert!(Cholesky::new(&a).unwrap().solve(&[1.0]).is_err());
     }
 }

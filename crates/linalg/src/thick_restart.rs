@@ -53,9 +53,9 @@ pub(crate) static MATVECS: LazyCounter = LazyCounter::new("spectral.matvecs");
 pub(crate) static REORTH_PASSES: LazyCounter = LazyCounter::new("spectral.reorth_passes");
 /// Ritz pairs accepted by the final true-residual verification.
 pub(crate) static RITZ_LOCKED: LazyCounter = LazyCounter::new("spectral.ritz_locked");
-/// Returned pairs that fail the final true-residual verification: the
-/// restart budget or the Krylov space ran out first. Zero on every solve
-/// that met its contract.
+/// Wanted pairs that failed the final true-residual verification when the
+/// restart budget or the Krylov space ran out; such a solve returns
+/// [`LinalgError::NoConvergence`]. Zero on every solve that returned `Ok`.
 pub(crate) static UNCONVERGED: LazyCounter = LazyCounter::new("spectral.unconverged");
 
 /// `sqrt(f64::EPSILON)` — Simon's semi-orthogonality threshold.
@@ -82,9 +82,10 @@ pub struct ThickRestartOptions {
     /// Retained basis bound `m_max` (default `k + max(4b, 32)`, raised to at
     /// least `k + b`, rounded up to a block multiple, capped at `n`).
     pub max_basis: usize,
-    /// Restart budget (default 120). On exhaustion the best available
-    /// Ritz pairs are returned rather than erroring; the pairs that fail
-    /// the final residual check are counted in `spectral.unconverged`.
+    /// Restart budget (default 120). A solve whose returned pairs do not
+    /// all pass the final true-residual check, once the budget or the
+    /// Krylov space runs out, fails with [`LinalgError::NoConvergence`];
+    /// the failing pairs are counted in `spectral.unconverged`.
     pub max_restarts: usize,
     /// Convergence tolerance on the residual `||A y - θ y||` (default
     /// `1e-6 * scale.max(1.0)` with `scale` the largest absolute entry).
@@ -319,6 +320,12 @@ pub fn thick_restart_smallest<A: SymOp + ?Sized>(
             if all_ok || exhausted || attempt == max_restarts {
                 RITZ_LOCKED.add(passed as u64);
                 UNCONVERGED.add((evals.len() - passed) as u64);
+                if !all_ok {
+                    return Err(LinalgError::NoConvergence {
+                        routine: "thick-restart Lanczos",
+                        iterations: attempt,
+                    });
+                }
                 return Ok(SymmetricEig {
                     eigenvalues: evals,
                     eigenvectors: y,
@@ -881,6 +888,26 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn exhausted_restart_budget_is_an_error() {
+        // Ten wanted pairs of a dense random spectrum, a basis of two
+        // blocks past them and one restart: the budget runs out with pairs
+        // failing the residual check, which must not come back as `Ok`.
+        let a = random_symmetric(120, 7);
+        let opts = ThickRestartOptions {
+            max_basis: 18,
+            max_restarts: 1,
+            ..ThickRestartOptions::default()
+        };
+        let before = UNCONVERGED.get();
+        let err = thick_restart_smallest(&a, 10, &opts).unwrap_err();
+        assert!(
+            matches!(err, LinalgError::NoConvergence { iterations: 1, .. }),
+            "{err:?}"
+        );
+        assert!(UNCONVERGED.get() > before, "failing pairs are counted");
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! * [`csr::CsrMatrix`] — compressed sparse row storage for affinity graphs.
 //! * [`lasso`] — one LARS-Lasso homotopy path per problem with a
 //!   coordinate-descent certificate for the SSC Lasso (paper Eq. (2)), plus
-//!   the paper's `lambda` selection rule.
+//!   the paper's `lambda` selection rule. It is the workspace's one sparse
+//!   coder: EnSC's elastic net runs on it as a Lasso over the
+//!   ridge-shifted Gram (`fedsc_subspace::ensc`).
 //! * [`admm`] — ADMM Lasso backend (cross-check oracle / ablation).
 //! * [`omp`] — Orthogonal Matching Pursuit for SSC-OMP.
-//! * [`elastic_net`] — elastic-net coordinate descent with ORGEN-style
-//!   oracle active sets for EnSC.
 //! * [`restricted`] — candidate-restricted SSC Lasso (the solver half of
 //!   the sketched-candidate screening pipeline).
 
@@ -22,7 +22,6 @@
 
 pub mod admm;
 pub mod csr;
-pub mod elastic_net;
 pub mod lasso;
 pub mod omp;
 pub mod restricted;

@@ -8,7 +8,6 @@
 use fedsc_linalg::random::gaussian_matrix;
 use fedsc_linalg::Matrix;
 use fedsc_sparse::admm::{AdmmLasso, AdmmOptions};
-use fedsc_sparse::elastic_net::{ElasticNetOptions, ElasticNetSolver};
 use fedsc_sparse::lasso::{LassoOptions, LassoSolver};
 use fedsc_sparse::omp::{omp, OmpOptions};
 use fedsc_sparse::SparseVec;
@@ -59,17 +58,6 @@ proptest! {
         };
         let diff = (obj(&cd) - obj(&admm)).abs();
         prop_assert!(diff < 1e-3, "objective gap {diff}");
-    }
-
-    #[test]
-    fn elastic_net_kkt(seed in 0u64..2000, cols in 3usize..8, lambda in 0.3f64..1.0) {
-        let (_, gram) = instance(seed, 5, cols);
-        let opts = ElasticNetOptions { lambda, gamma: 20.0, max_sweeps: 100_000, ..Default::default() };
-        let solver = ElasticNetSolver::new(&gram, opts);
-        let b = gram.col(0);
-        let c = solver.solve(b, 0).unwrap();
-        let viol = solver.kkt_violation(b, 0, &c).unwrap();
-        prop_assert!(viol < 1e-4, "violation {viol}");
     }
 
     #[test]

@@ -19,16 +19,16 @@
 //!    `#[must_use]`; solver entry points return `Result` or `#[must_use]`.
 //! 5. **Socket hygiene** — raw socket types only inside
 //!    `crates/transport/src`, with both socket timeouts armed.
-//! 6. **Spawn confinement** — thread creation only in the persistent pool,
-//!    the TCP serve loops, and the process-wire harness.
+//! 6. **Spawn confinement** — thread creation only in the scoped fan-outs
+//!    of `fedsc_linalg::par`, the TCP serve loops, and the process-wire
+//!    harness.
 //! 7. **Unsafe boundaries** — every `unsafe` carries a `// SAFETY:`
 //!    comment and an exact-count entry in
 //!    `crates/xtask/unsafe-registry.txt`.
 //! 8. **Atomics orderings** — every `Ordering::*` use carries an
 //!    `// ORDERING:` justification; suspicious Release/Relaxed
 //!    publish/observe pairs are flagged.
-//! 9. **Lock order** — the static lock-acquisition graph is cycle-free and
-//!    no lock is taken inside a `run_on_pool` job closure.
+//! 9. **Lock order** — the static lock-acquisition graph is cycle-free.
 //!
 //! `--report-out <file.json>` additionally writes a SARIF 2.1.0 report for
 //! CI artifact upload. Exit status is non-zero iff any diagnostic fired;

@@ -84,10 +84,7 @@ const RULE_HELP: &[(&str, &str)] = &[
         "ordering",
         "atomics: ORDERING justifications and happens-before pairing",
     ),
-    (
-        "lock-order",
-        "lock acquisition graph: no cycles, no locks under a pool ticket",
-    ),
+    ("lock-order", "lock acquisition graph: no cycles"),
     ("io", "file could not be read as UTF-8"),
 ];
 

@@ -21,10 +21,7 @@
 //! 9. **lock-order** (`[lock-order]`) — a static lock-acquisition graph is
 //!    extracted per file (receiver-name granularity, `file.rs:field`
 //!    nodes): an edge `a → b` means `b` was acquired while `a` was held.
-//!    The driver fails on any cycle in the global graph. Additionally,
-//!    acquiring any lock inside a closure passed to `run_on_pool` (a pool
-//!    job ticket) is flagged at the site: job bodies must stay lock-free
-//!    or they can deadlock against the pool's own queue lock.
+//!    The driver fails on any cycle in the global graph.
 //!
 //! The analysis is deliberately an approximation: lock identity is the
 //! receiver field name qualified by file, guards bound by `let` live to the
@@ -145,7 +142,6 @@ pub const MUST_USE_STRUCTS: &[&str] = &[
     "Svd",
     "SymmetricEig",
     "Qr",
-    "Lu",
     "Cholesky",
     "SparseVec",
     "KMeansResult",
@@ -413,8 +409,8 @@ pub fn audit_source(label: &str, text: &str, profile: Profile, allow: &Allowlist
             _ => format!(
                 "`thread::{token}` outside the thread sanctuaries \
                  (`crates/linalg/src/par.rs`, `transport::tcp`, `core::wire`); fan work out \
-                 through `fedsc_linalg::par` so the persistent pool's `pool.workers_spawned` \
-                 accounting stays truthful"
+                 through `fedsc_linalg::par` so its `pool.workers_spawned` accounting and \
+                 thread cap stay truthful"
             ),
         };
         out.diagnostics.push(Diagnostic {
@@ -482,21 +478,18 @@ pub fn audit_source(label: &str, text: &str, profile: Profile, allow: &Allowlist
         }
     }
 
-    // Rule 9: lock-acquisition graph + pool-ticket discipline.
+    // Rule 9: lock-acquisition graph.
     let mut lock_scan = LockScan {
         toks: &toks,
         partner: &partner,
         mask: &mask,
         label,
         stem: file_stem(label),
-        ticket_ranges: ticket_ranges(&toks, &partner),
         edges: Vec::new(),
-        diags: Vec::new(),
     };
     let mut held = Vec::new();
     lock_scan.walk(0, toks.len(), &mut held);
     out.lock_edges = lock_scan.edges;
-    out.diagnostics.append(&mut lock_scan.diags);
 
     // Reconcile this file's INVARIANT sites against its allowlist budget
     // (the cross-file direction is the driver's job).
@@ -1024,31 +1017,13 @@ struct Held {
     binding: Option<String>,
 }
 
-/// Argument ranges of `run_on_pool(…)` calls — lexically inside one means
-/// the code runs (or is captured to run) under a pool job ticket.
-fn ticket_ranges(toks: &[Tok], partner: &[usize]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if toks[i].is_ident("run_on_pool") {
-            if let Some(open) = open_paren_after(toks, i) {
-                if partner[open] != usize::MAX {
-                    out.push((open, partner[open]));
-                }
-            }
-        }
-    }
-    out
-}
-
 struct LockScan<'a> {
     toks: &'a [Tok],
     partner: &'a [usize],
     mask: &'a [bool],
     label: &'a str,
     stem: String,
-    ticket_ranges: Vec<(usize, usize)>,
     edges: Vec<LockEdge>,
-    diags: Vec<Diagnostic>,
 }
 
 impl LockScan<'_> {
@@ -1113,19 +1088,6 @@ impl LockScan<'_> {
                             acquired: name.clone(),
                             file: self.label.to_string(),
                             line: t.line,
-                        });
-                    }
-                    if self.ticket_ranges.iter().any(|&(a, b)| a < i && i < b) {
-                        self.diags.push(Diagnostic {
-                            file: self.label.to_string(),
-                            line: t.line,
-                            rule: "lock-order",
-                            message: format!(
-                                "`{recv}.{}()` inside a `run_on_pool` job closure: job bodies \
-                                 run under a pool ticket and must stay lock-free, or a worker \
-                                 can deadlock against the pool's own queue",
-                                t.text
-                            ),
                         });
                     }
                     held.push(Held {
@@ -1506,14 +1468,6 @@ mod tests {
         assert_eq!(out.lock_edges.len(), 1);
         assert_eq!(out.lock_edges[0].held, "par.rs:alpha");
         assert_eq!(out.lock_edges[0].acquired, "par.rs:beta");
-    }
-
-    #[test]
-    fn lock_inside_pool_ticket_flagged() {
-        let src = "fn f(s: &S, n: usize, t: usize) {\n    run_on_pool(n, t, |i| {\n        let g = s.state.lock();\n        drop(g);\n    });\n}\n";
-        let out = strict("crates/subspace/src/x.rs", src);
-        assert_eq!(rules_of(&out), vec![("lock-order", 3)]);
-        assert!(out.diagnostics[0].message.contains("run_on_pool"));
     }
 
     #[test]

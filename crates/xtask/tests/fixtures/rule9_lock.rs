@@ -11,10 +11,3 @@ fn g(s: &S) {
     drop(g);
     drop(h);
 }
-
-fn p(s: &S, n: usize) {
-    run_on_pool(n, &|| {
-        let g = s.gamma.lock();
-        drop(g);
-    });
-}
