@@ -614,7 +614,8 @@ fn main() {
         entries.push(Entry {
             kernel,
             size: format!("Z={wdev},N={wire_points}"),
-            threads: wdev,
+            // The round runs staged on the calling thread.
+            threads: 1,
             median_ns: t,
             speedup: 1.0,
             extra: format!(

@@ -23,10 +23,9 @@
 //! row (median wall time + byte totals) and one `wire_hier_tier` row per
 //! tier with the per-tier traffic breakdown CI validates.
 
-use fedsc::{CentralBackend, FedScConfig};
+use fedsc::{run_hier_round, CentralBackend, FedScConfig, HierPolicy, HierRunOutput, HierTopology};
 use fedsc_clustering::clustering_accuracy;
 use fedsc_federated::partition::{partition_dataset, Partition};
-use fedsc_hier::{run_hier_round, HierPolicy, HierRunOutput, HierTopology};
 use fedsc_obs::Stopwatch;
 use fedsc_subspace::SubspaceModel;
 use fedsc_transport::InMemoryTransport;

@@ -1,13 +1,14 @@
 //! Mid-tier aggregator endpoint for a real-process hierarchical Fed-SC
-//! round over TCP: the process form of one `fedsc-hier` aggregator node.
+//! round over TCP: the process form of one `fedsc::tree` aggregator node.
 //!
 //! Binds a listener for its children (devices or lower aggregators),
-//! prints `listening <addr>` (flushed), collects `--children` uplinks
-//! under the tier policy, runs the shared `merge_step` as the aggregator
-//! at `(--tier, --node)` (eigengap count capped at `L`), forwards its
-//! representatives to the parent at `--addr` (as child `--node` on
-//! the parent's fan-in), awaits the parent's labels, and relays the
-//! composed downlink of every included child:
+//! prints `listening <addr>` (flushed), and runs the aggregator role of
+//! `fedsc::wire` as the aggregator at `(--tier, --node)`:
+//! `aggregator_uplink` collects `--children` uplinks under the policy,
+//! merges them (eigengap count capped at `L`) and forwards the
+//! representatives to the parent at `--addr` (as child `--node` on the
+//! parent's fan-in); `aggregator_downlink` awaits the parent's labels and
+//! relays the composed downlink of every included child:
 //!
 //! ```text
 //! listening 127.0.0.1:40124
@@ -22,15 +23,11 @@
 //! own lane (`100 + --node`) — in-band on its uplink. Offsets compose
 //! transitively, so the root receives root-clock timestamps directly.
 
-use bytes::Bytes;
 use fedsc::cli::{self, Flags};
 use fedsc::demo::{demo_fixture, demo_hier_fixture};
-use fedsc::{collect_uplinks, merge_step, MergeAt, RoundPolicy};
-use fedsc_federated::channel::{DownlinkMessage, UplinkMessage};
+use fedsc::{aggregator_downlink, aggregator_uplink, AggregatorNode, RoundPolicy, WireTelemetry};
 use fedsc_obs::{FleetCollector, TraceContext};
-use fedsc_transport::{
-    with_retry, DeviceTransport, ServerTransport, TcpDevice, TcpOptions, TcpServer,
-};
+use fedsc_transport::{ServerTransport, TcpDevice, TcpOptions, TcpServer};
 use std::io::Write;
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -109,84 +106,42 @@ fn run(args: &Args) -> Result<(), String> {
         .flush()
         .map_err(|e| format!("stdout flush failed: {e}"))?;
 
-    // ---- Collect, pool, merge — one fedsc-hier aggregator node. ----
-    let agg_span = fedsc_obs::span("hier", "hier.agg_uplink")
-        .field("tier", args.tier)
-        .field("node", args.node)
-        .field("children", args.children);
-    let agg_span_id = agg_span.id();
-    let mut fleet = FleetCollector::new();
-    let uplinks = collect_uplinks(
-        &mut server,
-        args.children,
-        policy.deadline,
-        Some(&mut fleet),
-    )
-    .map_err(|e| format!("{e}"))?;
-    let received = uplinks.iter().filter(|m| m.is_some()).count();
-    drop(agg_span.field("received", received));
-    if received < policy.required(args.children) {
-        return Err("quorum not met before the tier deadline".into());
-    }
-    if uplinks.iter().flatten().all(|m| m.cols() == 0) {
-        return Err("no samples to merge".into());
-    }
-    let at = MergeAt::Aggregator {
+    let node = AggregatorNode {
         tier: args.tier,
         node: args.node,
+        fan_in: args.children,
+        below: policy.clone(),
+        above: policy,
     };
-    let (merge, pooled, _) = merge_step(uplinks, &cfg, at).map_err(|e| format!("{e}"))?;
-    let rep_mat = merge.representatives(&pooled);
-    let reps = rep_mat.cols();
-    let inner = UplinkMessage {
-        dim: rep_mat.rows(),
-        samples: rep_mat,
-    }
-    .encode();
-
-    // ---- Forward the representatives (plus the subtree's telemetry). ----
-    let mut up = TcpDevice::new(args.addr, args.node, TcpOptions::default());
-    let payload = if args.telemetry {
-        let offset = up.clock_sync().map_err(|e| format!("clock sync: {e}"))?;
-        fleet.add_local_events(&fedsc_obs::trace::drain(), pid);
-        fleet.merge_metrics(&fedsc_obs::metrics::snapshot());
-        fleet.shift(offset);
-        let ctx = TraceContext {
-            run_id: args.seed,
-            round: 0,
-            tier: (args.tier + 1) as u32,
-            node: args.node as u64,
-            parent: args.parent,
+    let telemetry = if args.telemetry {
+        WireTelemetry {
+            ctx: Some(TraceContext {
+                run_id: args.seed,
+                round: 0,
+                tier: (args.tier + 1) as u32,
+                node: args.node as u64,
+                parent: args.parent,
+                pid,
+                parent_span: 0,
+            }),
+            ship: true,
             pid,
-            parent_span: agg_span_id,
-        };
-        Bytes::from(fleet.to_envelope(Some(ctx)).wrap(inner.as_slice()))
+        }
     } else {
-        inner
+        WireTelemetry::default()
     };
-    with_retry(policy.max_retries, policy.retry_backoff, || {
-        up.send_uplink(&payload)
-    })
-    .map_err(|e| format!("uplink to parent: {e}"))?;
-
-    // ---- Compose and relay the parent's labels to the children. ----
-    let reply = up
-        .recv_downlink(policy.downlink_wait())
-        .map_err(|e| format!("downlink from parent: {e}"))?;
-    let down = DownlinkMessage::decode(reply).ok_or("malformed downlink from parent")?;
-    for (c, child_reply) in merge.compose(&down).map_err(|e| format!("{e}"))? {
-        let child_reply = child_reply.encode();
-        with_retry(policy.max_retries, policy.retry_backoff, || {
-            server.send_downlink(c, &child_reply)
-        })
-        .map_err(|e| format!("downlink to child {c}: {e}"))?;
-    }
+    let mut up = TcpDevice::new(args.addr, args.node, TcpOptions::default());
+    let mut fleet = FleetCollector::new();
+    let merge = aggregator_uplink(&mut server, &mut up, &node, &cfg, &mut fleet, &telemetry)
+        .map_err(|e| format!("{e}"))?
+        .ok_or("subtree failed: quorum miss or unreachable parent")?;
+    aggregator_downlink(&mut server, &mut up, &node, &merge).map_err(|e| format!("{e}"))?;
     let stats = server.stats();
     drop(server);
     println!(
         "agg {} reps {} included {}",
         args.node,
-        reps,
+        merge.representative_count(),
         merge.included.len()
     );
     println!(

@@ -12,7 +12,8 @@
 //! envelope_bytes 0
 //! ```
 //!
-//! `excluded -` means no device missed the deadline. The dataset/config
+//! `excluded -` means every child was answered: none missed the deadline
+//! and no downlink was lost (see `fedsc::wire`). The dataset/config
 //! fixture is regenerated from `--seed` (see `fedsc::demo`), so the server
 //! and its `fedsc-device` peers agree on every parameter without sharing
 //! state.

@@ -18,9 +18,11 @@
 //! 3. **Local update** ([`round::relabel`]): devices relabel their
 //!    partitions by their samples' global assignments.
 //!
-//! [`round`] holds the three steps; [`FedSc::run`], the wire round
-//! ([`wire`]), the aggregation tree and the processes are transport loops
-//! over them.
+//! [`round`] holds the three steps. [`wire`] runs each role — device,
+//! aggregator, root — over a transport, once; the in-process aggregation
+//! tree ([`tree`], whose flat topology is the flat wire round) and the
+//! process binaries drive those roles, and [`FedSc::run`] loops over the
+//! steps directly.
 //!
 //! ## Quick start
 //!
@@ -54,13 +56,18 @@ pub mod demo;
 pub mod local;
 pub mod round;
 pub mod scheme;
+pub mod tree;
 pub mod wire;
 
 pub use assign::ClusterAssigner;
 pub use config::{BasisDim, CentralBackend, ClusterCountPolicy, FedScConfig, LocalBackend};
 pub use round::{device_step, merge_step, relabel, DeviceStep, Merge, MergeAt, SERVER_RNG_SALT};
 pub use scheme::{FedSc, FedScOutput};
+pub use tree::{
+    run_hier_round, run_hier_round_with_dead, HierPolicy, HierRunOutput, HierTopology, TierTraffic,
+};
 pub use wire::{
-    collect_uplinks, device_round, run_over_wire, run_round, server_round, wire_err, RoundPolicy,
-    WireRunOutput, WireTelemetry,
+    aggregator_downlink, aggregator_uplink, device_downlink, device_round, device_uplink,
+    run_over_wire, run_round, server_round, AggregatorNode, RoundPolicy, WireRunOutput,
+    WireTelemetry,
 };

@@ -12,10 +12,10 @@
 //! * [`relabel`] — Phase 3 on one device: the majority vote that maps each
 //!   local cluster to a global label.
 //!
-//! `FedSc::run`, the wire round, the aggregation tree and the
-//! `fedsc-server`/`fedsc-agg`/`fedsc-device` processes are transport loops
-//! over these three functions. Under the same seeds they therefore agree
-//! bit for bit.
+//! `FedSc::run` loops over these three functions in process; the roles in
+//! [`crate::wire`], which the aggregation tree and the
+//! `fedsc-server`/`fedsc-agg`/`fedsc-device` processes drive, wrap them in
+//! transport code. Under the same seeds they therefore agree bit for bit.
 
 use crate::central::central_cluster;
 use crate::config::{ClusterCountPolicy, FedScConfig};
@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Salt XORed into [`FedScConfig::seed`] to derive the root's
-/// central-clustering rng stream. Every root — in-process, wire, tree or
+/// central-clustering rng stream. Every root — in-process, tree or
 /// process — seeds its [`merge_step`] with `seed ^ SERVER_RNG_SALT`, which
 /// is what keeps them bit-identical.
 pub const SERVER_RNG_SALT: u64 = 0x0ce2_74a1;
@@ -172,6 +172,11 @@ impl Merge {
     /// forwards to its parent.
     pub fn representatives(&self, pooled: &Matrix) -> Matrix {
         pooled.select_columns(&self.rep_slots().1)
+    }
+
+    /// Number of representatives [`Merge::representatives`] forwards.
+    pub fn representative_count(&self) -> usize {
+        self.rep_slots().1.len()
     }
 
     /// Relays the parent's labels for this node's representatives down:

@@ -1,39 +1,60 @@
-//! Wire-level execution of the Fed-SC round: devices and the server run as
-//! separate threads (or processes — see the `fedsc-server`/`fedsc-device`
-//! binaries) exchanging **encoded byte messages** over a pluggable
-//! [`Transport`] — the deployment shape of Algorithm 1, as opposed to the
-//! in-process orchestration of [`crate::scheme::FedSc`].
+//! The three roles of the Fed-SC round as they run over a [`Transport`]:
+//! the device, the aggregator and the root, exchanging **encoded byte
+//! messages**. Each role is written once here, split into the halves a
+//! staged sweep needs, and every transport driver calls these functions:
+//! the in-process tree driver ([`crate::tree`], whose flat topology is the
+//! flat round) and the `fedsc-server`/`fedsc-agg`/`fedsc-device` process
+//! binaries.
 //!
-//! Every device runs [`device_step`] on its shard (Algorithm 2, DP, the
-//! channel model), serializes its uplink samples into an [`UplinkMessage`]
-//! payload, and sends the bytes to the server; the server decodes the
-//! payloads, runs [`merge_step`], and answers each included device with an
-//! encoded [`DownlinkMessage`] of assignments; devices decode and
-//! [`relabel`]. These are the very steps `FedSc::run` loops over, so with a
-//! lossless link the result is **bit-identical** to it under the same
-//! seeds — DP and channel noise included (tested).
+//! * **Device.** [`device_uplink`] runs [`device_step`] on the shard
+//!   (Algorithm 2, DP, the channel model) and sends the encoded
+//!   [`UplinkMessage`]; [`device_downlink`] awaits the encoded
+//!   [`DownlinkMessage`] and runs [`relabel`]. [`device_round`] is the two
+//!   halves in sequence.
+//! * **Aggregator.** [`aggregator_uplink`] collects its children, applies
+//!   its quorum, runs [`merge_step`] and forwards one representative per
+//!   merged cluster; [`aggregator_downlink`] receives the parent's labels
+//!   and relays [`Merge::compose`] to every included child.
+//! * **Root.** [`server_round`] collects, runs [`merge_step`] into `L`
+//!   clusters and answers every included child.
 //!
-//! The round is one-shot, which makes straggler handling simple: the
-//! server collects uplinks until all devices report or the
-//! [`RoundPolicy::deadline`] expires, proceeds if the
-//! [`RoundPolicy::quorum`] is met, and reports the devices it excluded in
-//! [`WireRunOutput::excluded`] (their points fall back to cluster 0).
-//! Transient link failures — dropped or corrupted-and-rejected messages —
-//! are absorbed by a bounded retry budget on every send.
+//! These are the very steps `FedSc::run` loops over, so with a lossless
+//! link the flat round is **bit-identical** to it under the same seeds —
+//! DP and channel noise included (tested).
+//!
+//! One failure rule holds in every driver:
+//!
+//! * A send that exhausts its [`RoundPolicy`] retry budget loses the
+//!   message, and the child end of that link becomes a straggler: a
+//!   device or aggregator whose uplink is lost is excluded by its parent,
+//!   and a child whose downlink is lost is left unanswered. Either way its
+//!   points fall back to cluster 0 and it is reported excluded.
+//! * A parent collects until every child reports or its
+//!   [`RoundPolicy::deadline`] expires. Below its [`RoundPolicy::quorum`]
+//!   an aggregator fails its subtree, and the root fails the round.
+//! * Every parent clusters whatever its included children sent, an empty
+//!   pool included: an aggregator then forwards no representative, and
+//!   each child is answered with an empty downlink.
+//! * A [`device_step`] or [`merge_step`] error, a malformed message and
+//!   any other transport failure are errors: fatal to the in-process
+//!   round, as in `FedSc::run`, and to the process that hit them.
 //!
 //! [`UplinkMessage`]: fedsc_federated::channel::UplinkMessage
 //! [`DownlinkMessage`]: fedsc_federated::channel::DownlinkMessage
+//! [`Merge::compose`]: crate::round::Merge::compose
 
 use crate::config::FedScConfig;
-use crate::round::{device_step, merge_step, relabel, MergeAt};
+use crate::local::LocalOutput;
+use crate::round::{device_step, merge_step, relabel, Merge, MergeAt};
+use crate::tree::{run_hier_round, HierPolicy, HierTopology};
 use bytes::Bytes;
 use fedsc_federated::channel::{DownlinkMessage, UplinkMessage};
 use fedsc_federated::partition::FederatedDataset;
 use fedsc_linalg::{LinalgError, Matrix, Result};
 use fedsc_obs::{Envelope, FleetCollector, LazyCounter, LazyHistogram, Stopwatch, TraceContext};
 use fedsc_transport::{
-    with_retry, Deadline, DeviceTransport, InMemoryTransport, LinkStats, ServerTransport,
-    Transport, TransportError,
+    with_retry, Deadline, DeviceTransport, InMemoryTransport, ServerTransport, Transport,
+    TransportError,
 };
 use std::time::Duration;
 
@@ -41,15 +62,19 @@ use std::time::Duration;
 static WIRE_DEVICE_ROUNDS: LazyCounter = LazyCounter::new("wire.device_rounds");
 /// Server rounds completed.
 static WIRE_SERVER_ROUNDS: LazyCounter = LazyCounter::new("wire.server_rounds");
-/// Devices excluded as stragglers across all server rounds.
+/// Children the root left unanswered, across all server rounds.
 static WIRE_STRAGGLERS: LazyCounter = LazyCounter::new("wire.stragglers_excluded");
-/// Wall time of each completed device round, in milliseconds.
+/// Wall time of each completed [`device_round`], in milliseconds.
 static WIRE_DEVICE_ROUND_MS: LazyHistogram = LazyHistogram::new(
     "wire.device_round_ms",
     &[
         1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 30_000, 60_000,
     ],
 );
+/// Aggregator rounds completed (children pooled, representatives sent up).
+static HIER_AGG_ROUNDS: LazyCounter = LazyCounter::new("hier.agg_rounds");
+/// Aggregators that failed their subtree (quorum miss or lost uplink).
+static HIER_SUBTREES_FAILED: LazyCounter = LazyCounter::new("hier.subtrees_failed");
 
 /// Telemetry posture of one sending round: what (if anything) rides
 /// in-band on the uplink. The default attaches nothing, keeping the
@@ -58,8 +83,8 @@ static WIRE_DEVICE_ROUND_MS: LazyHistogram = LazyHistogram::new(
 pub struct WireTelemetry {
     /// Causal context stamped onto the uplink envelope. Its
     /// `parent_span` is overwritten with the id of the sender's completed
-    /// local-output span, so the receiver's handling span records a
-    /// parent that actually ships.
+    /// local-output (device) or collection (aggregator) span, so the
+    /// receiver's handling span records a parent that actually ships.
     pub ctx: Option<TraceContext>,
     /// Also ship this process's completed spans and a metrics snapshot
     /// in-band, shifted into the parent's clock via
@@ -71,13 +96,13 @@ pub struct WireTelemetry {
     pub pid: u64,
 }
 
-/// Server-side straggler and reliability policy for one round.
+/// Straggler and reliability policy for one link tier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundPolicy {
-    /// Minimum devices whose uplinks must arrive for the round to proceed;
-    /// `None` requires all of them (any missing device fails the round).
+    /// Minimum children whose uplinks must arrive for the parent to
+    /// proceed; `None` requires all of them.
     pub quorum: Option<usize>,
-    /// How long the server collects uplinks before giving up on stragglers.
+    /// How long a parent collects uplinks before giving up on stragglers.
     pub deadline: Duration,
     /// Extra attempts granted to every send after a transient link error.
     pub max_retries: u32,
@@ -97,15 +122,15 @@ impl Default for RoundPolicy {
 }
 
 impl RoundPolicy {
-    /// How long a device waits for its downlink: the server's collection
-    /// deadline plus slack for the central clustering itself. Normally the
-    /// transport unblocks excluded devices much sooner (the server closes
+    /// How long a child waits for its downlink: the parent's collection
+    /// deadline plus slack for the clustering itself. Normally the
+    /// transport unblocks excluded children much sooner (the parent closes
     /// the links when the round ends); this is the backstop.
     pub fn downlink_wait(&self) -> Duration {
         self.deadline.saturating_add(Duration::from_secs(60))
     }
 
-    /// Devices that must report for a round over `z_count` children to
+    /// Children that must report for a parent over `z_count` children to
     /// proceed: the quorum, clamped to `[1, z_count]` (`None` = all).
     pub fn required(&self, z_count: usize) -> usize {
         self.quorum.unwrap_or(z_count).min(z_count).max(1)
@@ -118,16 +143,17 @@ pub struct WireRunOutput {
     /// Predicted global cluster per point, in global-point order. Points
     /// on excluded devices fall back to cluster 0.
     pub predictions: Vec<usize>,
-    /// Total bytes that crossed the uplink as observed by the server — the
+    /// Total bytes that crossed the uplink as observed by the root — the
     /// lossless in-memory link counts payload bytes, framed links (TCP,
     /// fault-injecting) count framing and handshake overhead too.
     pub uplink_bytes: usize,
-    /// Total bytes that crossed the downlink (same accounting basis).
+    /// Total bytes that crossed the root's downlink (same accounting
+    /// basis).
     pub downlink_bytes: usize,
-    /// Devices whose uplink never arrived before the deadline; empty on a
-    /// clean run.
+    /// Devices that were never answered (a lost uplink or downlink, or a
+    /// failed subtree above them); empty on a clean run.
     pub excluded: Vec<usize>,
-    /// Serialized telemetry-envelope bytes the server absorbed from
+    /// Serialized telemetry-envelope bytes the root absorbed from
     /// uplink payloads — the exact overhead tracing added to
     /// `uplink_bytes` (0 when telemetry is off, so
     /// `uplink_bytes - envelope_bytes` is invariant under tracing).
@@ -135,9 +161,8 @@ pub struct WireRunOutput {
 }
 
 /// Maps a link failure into the workspace error type, preserving the
-/// failure class in the message. Public so the hierarchical tree driver
-/// (`fedsc-hier`) reports link failures with the same vocabulary.
-pub fn wire_err(e: TransportError) -> LinalgError {
+/// failure class in the message.
+pub(crate) fn wire_err(e: TransportError) -> LinalgError {
     LinalgError::InvalidArgument(match e {
         TransportError::Closed(_) => "transport closed before the round completed",
         TransportError::Timeout(_) => "transport deadline expired",
@@ -153,30 +178,39 @@ pub fn wire_err(e: TransportError) -> LinalgError {
     })
 }
 
-/// Runs one device's side of the round over `link`:
-/// [`device_step`], uplink, await assignments, [`relabel`]. Returns the
-/// device-local predictions (one global cluster id per local point).
+/// Sends one message under `policy`'s retry budget. `false` means the
+/// message is lost: the child end of the link becomes a straggler.
+fn send_within_budget(
+    policy: &RoundPolicy,
+    send: impl FnMut() -> fedsc_transport::Result<()>,
+) -> bool {
+    with_retry(policy.max_retries, policy.retry_backoff, send).is_ok()
+}
+
+/// The device's first half: [`device_step`] on `data`, then the encoded
+/// uplink over `link`. Returns the local output [`device_downlink`] needs,
+/// or `None` when the uplink was lost despite the retry budget (the
+/// device is then a straggler its parent's quorum accounts for).
 ///
 /// `telemetry` sets what rides in-band on the uplink: the default posture
 /// attaches nothing; otherwise the payload is prefixed with an
 /// [`Envelope`] carrying the round's [`TraceContext`] and — in
 /// real-process mode — the device's completed spans (shifted into the
-/// server's clock) and metrics snapshot.
+/// parent's clock) and metrics snapshot.
 ///
 /// Deterministic given `(cfg.seed, z)` — the transport carries opaque
 /// bytes and cannot perturb the clustering.
-pub fn device_round<D: DeviceTransport>(
+pub fn device_uplink<D: DeviceTransport>(
     data: &Matrix,
     z: usize,
     cfg: &FedScConfig,
     link: &mut D,
     policy: &RoundPolicy,
     telemetry: &WireTelemetry,
-) -> Result<Vec<usize>> {
-    let _span = fedsc_obs::span("wire", "wire.device_round").field("device", z);
-    let sw = Stopwatch::start();
+) -> Result<Option<LocalOutput>> {
+    let _span = fedsc_obs::span("wire", "wire.device_uplink").field("device", z);
     // The local computation gets its own span so a *completed* span id
-    // exists by uplink time — the round span is still open when the
+    // exists by uplink time — the enclosing span is still open when the
     // payload ships, so it cannot serve as the cross-process parent.
     let local_span = fedsc_obs::span("wire", "wire.local_output").field("device", z);
     let local_span_id = local_span.id();
@@ -186,32 +220,65 @@ pub fn device_round<D: DeviceTransport>(
         dim: step.uplink.rows(),
         samples: step.uplink,
     };
-    let payload = wrap_uplink(msg.encode(), link, telemetry, local_span_id)?;
-    with_retry(policy.max_retries, policy.retry_backoff, || {
-        link.send_uplink(&payload)
-    })
-    .map_err(wire_err)?;
+    let mut fleet = FleetCollector::new();
+    let payload = wrap_uplink(msg.encode(), link, telemetry, local_span_id, &mut fleet)?;
+    let sent = send_within_budget(policy, || link.send_uplink(&payload));
+    Ok(sent.then_some(step.local))
+}
+
+/// The device's second half: awaits the parent's assignments for device
+/// `z` and [`relabel`]s the shard. Returns one global cluster id per
+/// local point.
+pub fn device_downlink<D: DeviceTransport>(
+    local: &LocalOutput,
+    z: usize,
+    cfg: &FedScConfig,
+    link: &mut D,
+    policy: &RoundPolicy,
+) -> Result<Vec<usize>> {
+    let _span = fedsc_obs::span("wire", "wire.device_downlink").field("device", z);
     let reply = link
         .recv_downlink(policy.downlink_wait())
         .map_err(wire_err)?;
     let down =
         DownlinkMessage::decode(reply).ok_or(LinalgError::InvalidArgument("malformed downlink"))?;
-    let labels = relabel(&step.local, &down.assignments, cfg.num_clusters)?;
+    let labels = relabel(local, &down.assignments, cfg.num_clusters)?;
     WIRE_DEVICE_ROUNDS.inc();
+    Ok(labels)
+}
+
+/// One device's whole round over `link`: [`device_uplink`], then
+/// [`device_downlink`]. A lost uplink is an error here, since a device
+/// that runs alone has nothing else to do.
+pub fn device_round<D: DeviceTransport>(
+    data: &Matrix,
+    z: usize,
+    cfg: &FedScConfig,
+    link: &mut D,
+    policy: &RoundPolicy,
+    telemetry: &WireTelemetry,
+) -> Result<Vec<usize>> {
+    let sw = Stopwatch::start();
+    let local = device_uplink(data, z, cfg, link, policy, telemetry)?.ok_or(
+        LinalgError::InvalidArgument("uplink lost despite the retry budget"),
+    )?;
+    let labels = device_downlink(&local, z, cfg, link, policy)?;
     WIRE_DEVICE_ROUND_MS.observe(sw.elapsed_ns() / 1_000_000);
     Ok(labels)
 }
 
 /// Prefixes an encoded uplink with the round's telemetry envelope. With
 /// the default (empty) posture the payload is returned untouched; with
-/// `ship` set, the link's clock offset is estimated first and every
-/// shipped span is shifted into the receiver's clock, so offsets compose
-/// transitively up an aggregation tree.
+/// `ship` set, the link's clock offset is estimated first, and `fleet` —
+/// whatever the sender absorbed from its own children, plus this
+/// process's completed spans and metrics — ships shifted into the
+/// receiver's clock, so offsets compose transitively up a tree.
 fn wrap_uplink<D: DeviceTransport>(
     inner: Bytes,
     link: &mut D,
     telemetry: &WireTelemetry,
     parent_span: u64,
+    fleet: &mut FleetCollector,
 ) -> Result<Bytes> {
     let ctx = telemetry.ctx.map(|mut c| {
         c.parent_span = parent_span;
@@ -219,7 +286,6 @@ fn wrap_uplink<D: DeviceTransport>(
     });
     let env = if telemetry.ship {
         let offset = link.clock_sync().map_err(wire_err)?;
-        let mut fleet = FleetCollector::new();
         fleet.add_local_events(&fedsc_obs::trace::drain(), telemetry.pid);
         fleet.merge_metrics(&fedsc_obs::metrics::snapshot());
         fleet.shift(offset);
@@ -237,17 +303,119 @@ fn wrap_uplink<D: DeviceTransport>(
     }
 }
 
-/// Runs the server's side of the round over `link`: collect uplinks until
-/// every device reports or the policy deadline expires, [`merge_step`]
-/// into `L` clusters, answer each included device. Returns the devices
-/// excluded as stragglers (empty on a clean run).
+/// Where an aggregator sits in the tree and the policies of the two link
+/// tiers it joins.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AggregatorNode {
+    /// Link tier of its children (0 = devices below it).
+    pub tier: usize,
+    /// Index of the aggregator within its tier.
+    pub node: usize,
+    /// Number of children it collects from.
+    pub fan_in: usize,
+    /// Policy of its children's tier: collection deadline, quorum, and
+    /// the retry budget of the downlinks it relays.
+    pub below: RoundPolicy,
+    /// Policy of its own uplink's tier: the retry budget of the forward
+    /// and how long it waits for its parent's labels.
+    pub above: RoundPolicy,
+}
+
+/// The aggregator's first half: collect `node.fan_in` children over
+/// `children`, apply the quorum, [`merge_step`] the pool into an
+/// eigengap-estimated count of at most `L`, and forward one
+/// representative per non-empty merged cluster over `parent`.
+///
+/// Returns the routing state [`aggregator_downlink`] needs, or `None`
+/// when the subtree failed: a quorum miss or a lost forward. Every child envelope is absorbed into `fleet`; with
+/// `telemetry.ship` the whole subtree's telemetry rides on the forward.
+pub fn aggregator_uplink<S: ServerTransport, D: DeviceTransport>(
+    children: &mut S,
+    parent: &mut D,
+    node: &AggregatorNode,
+    cfg: &FedScConfig,
+    fleet: &mut FleetCollector,
+    telemetry: &WireTelemetry,
+) -> Result<Option<Merge>> {
+    let collect_span = fedsc_obs::span("hier", "hier.agg_uplink")
+        .field("tier", node.tier)
+        .field("node", node.node)
+        .field("children", node.fan_in);
+    let collect_span_id = collect_span.id();
+    let uplinks = collect_uplinks(
+        children,
+        node.fan_in,
+        node.below.deadline,
+        Some(&mut *fleet),
+    )?;
+    let received = uplinks.iter().filter(|m| m.is_some()).count();
+    drop(collect_span.field("received", received));
+    if received < node.below.required(node.fan_in) {
+        HIER_SUBTREES_FAILED.inc();
+        return Ok(None);
+    }
+    let at = MergeAt::Aggregator {
+        tier: node.tier,
+        node: node.node,
+    };
+    let (merge, pooled, _) = merge_step(uplinks, cfg, at)?;
+    let reps = merge.representatives(&pooled);
+    let msg = UplinkMessage {
+        dim: reps.rows(),
+        samples: reps,
+    };
+    let payload = wrap_uplink(msg.encode(), parent, telemetry, collect_span_id, fleet)?;
+    if !send_within_budget(&node.above, || parent.send_uplink(&payload)) {
+        HIER_SUBTREES_FAILED.inc();
+        return Ok(None);
+    }
+    HIER_AGG_ROUNDS.inc();
+    Ok(Some(merge))
+}
+
+/// The aggregator's second half: receive the parent's labels for the
+/// representatives `merge` forwarded and relay [`Merge::compose`] to every
+/// included child. Returns the children answered; a child whose downlink
+/// was lost is left out.
+///
+/// [`Merge::compose`]: crate::round::Merge::compose
+pub fn aggregator_downlink<S: ServerTransport, D: DeviceTransport>(
+    children: &mut S,
+    parent: &mut D,
+    node: &AggregatorNode,
+    merge: &Merge,
+) -> Result<Vec<usize>> {
+    let _span = fedsc_obs::span("hier", "hier.agg_downlink")
+        .field("tier", node.tier)
+        .field("node", node.node)
+        .field("children", merge.included.len());
+    let reply = parent
+        .recv_downlink(node.above.downlink_wait())
+        .map_err(wire_err)?;
+    let down =
+        DownlinkMessage::decode(reply).ok_or(LinalgError::InvalidArgument("malformed downlink"))?;
+    let mut answered = Vec::with_capacity(merge.included.len());
+    for (c, child_reply) in merge.compose(&down)? {
+        let child_reply = child_reply.encode();
+        if send_within_budget(&node.below, || children.send_downlink(c, &child_reply)) {
+            answered.push(c);
+        }
+    }
+    Ok(answered)
+}
+
+/// The root: collect uplinks over `link` until all `z_count` children
+/// report or the policy deadline expires, [`merge_step`] into `L`
+/// clusters, answer each included child. Returns the children left
+/// unanswered — missing at the deadline, or whose downlink was lost —
+/// empty on a clean run.
 ///
 /// With a `fleet` collector, every uplink envelope's context, spans, and
 /// metrics land in it (and its `envelope_bytes` tallies the exact payload
 /// overhead), ready to export at the root; `None` strips and discards
 /// envelopes.
 ///
-/// Fails if fewer than [`RoundPolicy::quorum`] devices report in time.
+/// Fails if fewer than [`RoundPolicy::quorum`] children report in time.
 pub fn server_round<S: ServerTransport>(
     link: &mut S,
     z_count: usize,
@@ -257,12 +425,8 @@ pub fn server_round<S: ServerTransport>(
 ) -> Result<Vec<usize>> {
     let _span = fedsc_obs::span("wire", "wire.server_round").field("devices", z_count);
     let uplinks = collect_uplinks(link, z_count, policy.deadline, fleet)?;
-    let excluded: Vec<usize> = uplinks
-        .iter()
-        .enumerate()
-        .filter_map(|(z, p)| p.is_none().then_some(z))
-        .collect();
-    if z_count - excluded.len() < policy.required(z_count) {
+    let received = uplinks.iter().filter(|m| m.is_some()).count();
+    if received < policy.required(z_count) {
         return Err(LinalgError::InvalidArgument(
             "quorum not met before the round deadline",
         ));
@@ -275,14 +439,13 @@ pub fn server_round<S: ServerTransport>(
 
     let _broadcast_span =
         fedsc_obs::span("fedsc", "phase3.broadcast").field("devices", merge.included.len());
+    let mut answered = vec![false; z_count];
     for (z, down) in merge.downlinks() {
         let _downlink_span = fedsc_obs::span("wire", "wire.downlink").field("device", z);
         let reply = down.encode();
-        with_retry(policy.max_retries, policy.retry_backoff, || {
-            link.send_downlink(z, &reply)
-        })
-        .map_err(wire_err)?;
+        answered[z] = send_within_budget(policy, || link.send_downlink(z, &reply));
     }
+    let excluded: Vec<usize> = (0..z_count).filter(|&z| !answered[z]).collect();
     WIRE_SERVER_ROUNDS.inc();
     WIRE_STRAGGLERS.add(excluded.len() as u64);
     Ok(excluded)
@@ -291,9 +454,8 @@ pub fn server_round<S: ServerTransport>(
 /// Collects uplinks from `expected` children over `link` until all report
 /// or `deadline` expires. Slot `z` of the returned vector holds child
 /// `z`'s decoded samples, `None` if they never arrived — quorum policy is
-/// the *caller's* decision, so the hierarchical tree can treat a failed
-/// aggregator as a straggler where the flat round treats it as fatal.
-/// Stray child ids and duplicate deliveries are ignored.
+/// the *caller's* decision: the root fails the round, an aggregator fails
+/// its subtree. Stray child ids and duplicate deliveries are ignored.
 ///
 /// Each payload's optional [`Envelope`] prefix is stripped before the
 /// uplink decoder sees it, the per-uplink span records the sender's span
@@ -301,7 +463,7 @@ pub fn server_round<S: ServerTransport>(
 /// envelope's spans, metrics, and context are absorbed. A payload carrying
 /// the envelope magic but failing to decode is an error (never fed to the
 /// inner decoder); a payload without the magic passes through untouched.
-pub fn collect_uplinks<S: ServerTransport>(
+fn collect_uplinks<S: ServerTransport>(
     link: &mut S,
     expected: usize,
     deadline: Duration,
@@ -310,8 +472,8 @@ pub fn collect_uplinks<S: ServerTransport>(
     let mut payloads: Vec<Option<Matrix>> = (0..expected).map(|_| None).collect();
     let deadline = Deadline::after(deadline);
     let mut received = 0usize;
-    // Server-side view of Phase 1: the window in which the children's local
-    // clustering results arrive.
+    // Parent-side view of Phase 1: the window in which the children's
+    // local clustering results arrive.
     let collect_span = fedsc_obs::span("fedsc", "phase1.collect").field("devices", expected);
     while received < expected {
         let remaining = deadline.remaining();
@@ -354,108 +516,21 @@ pub fn collect_uplinks<S: ServerTransport>(
     Ok(payloads)
 }
 
-/// Runs the Fed-SC round over `transport` with per-device threads and
-/// encoded messages, under the given straggler `policy`.
-///
-/// The channel model and DP run inside each device's [`device_step`],
-/// exactly as in [`crate::scheme::FedSc`]; on top of that the link itself
-/// may be unreliable (see `fedsc_transport::fault`) and the policy decides
-/// how much unreliability the round absorbs. Errors from
-/// any included device or the server are propagated; excluded stragglers
-/// are reported, not fatal.
+/// Runs the flat round — the tree with no aggregator tier — over
+/// `transport` under the given straggler `policy`.
 pub fn run_round<T: Transport>(
     fed: &FederatedDataset,
     cfg: &FedScConfig,
     transport: &T,
     policy: &RoundPolicy,
 ) -> Result<WireRunOutput> {
-    let z_count = fed.devices.len();
-    let _span = fedsc_obs::span("wire", "wire.run_round").field("devices", z_count);
-    let (mut server_link, device_links) = transport.open(z_count).map_err(wire_err)?;
-    // With tracing on, every uplink carries its causal context in-band
-    // (spans/metrics stay local: one process, one ring). Telemetry off
-    // attaches nothing, keeping the payloads byte-identical.
-    let traced = fedsc_obs::trace::is_enabled();
-    let mut fleet = FleetCollector::new();
-
-    // Per-device results come back through a channel so the scope can end
-    // cleanly even if the server fails.
-    let (result_tx, result_rx) = crossbeam::channel::unbounded::<(usize, Result<Vec<usize>>)>();
-    let mut server_out: Option<Result<(Vec<usize>, LinkStats)>> = None;
-    let scope_result = crossbeam::thread::scope(|scope| {
-        for (z, mut link) in device_links.into_iter().enumerate() {
-            let result_tx = result_tx.clone();
-            let device = &fed.devices[z];
-            scope.spawn(move |_| {
-                let telemetry = WireTelemetry {
-                    ctx: traced.then_some(TraceContext {
-                        run_id: cfg.seed,
-                        round: 0,
-                        tier: 0,
-                        node: z as u64,
-                        parent: 0,
-                        pid: 1,
-                        parent_span: 0,
-                    }),
-                    ..WireTelemetry::default()
-                };
-                let _ = result_tx.send((
-                    z,
-                    device_round(&device.data, z, cfg, &mut link, policy, &telemetry),
-                ));
-            });
-        }
-        drop(result_tx);
-
-        let served = server_round(&mut server_link, z_count, cfg, policy, Some(&mut fleet))
-            .map(|excluded| (excluded, server_link.stats()));
-        // Dropping the server endpoint closes every link: excluded devices
-        // still blocked in recv_downlink observe closure instead of
-        // waiting out their timeout.
-        drop(server_link);
-        server_out = Some(served);
-    });
-    if let Err(payload) = scope_result {
-        // A device or server thread panicked: re-raise the original panic
-        // on the caller's thread.
-        std::panic::resume_unwind(payload);
-    }
-
-    let (excluded, stats) =
-        server_out.ok_or(LinalgError::InvalidArgument("server never ran"))??;
-    let mut per_device: Vec<Option<Vec<usize>>> = (0..z_count).map(|_| None).collect();
-    for (z, res) in result_rx.iter() {
-        match res {
-            Ok(v) => per_device[z] = Some(v),
-            // An excluded straggler fails its round by construction (the
-            // server never answers it); that is the policy working, not an
-            // error. Any other device failure is real.
-            Err(e) if !excluded.contains(&z) => return Err(e),
-            Err(_) => {}
-        }
-    }
-    let mut gathered: Vec<Vec<usize>> = Vec::with_capacity(z_count);
-    for (z, p) in per_device.into_iter().enumerate() {
-        match p {
-            Some(v) => gathered.push(v),
-            None if excluded.contains(&z) => {
-                // Fallback for points the round never clustered.
-                gathered.push(vec![0usize; fed.devices[z].data.cols()]);
-            }
-            None => return Err(LinalgError::InvalidArgument("a device sent no result")),
-        }
-    }
-    Ok(WireRunOutput {
-        predictions: fed.scatter_predictions(&gathered),
-        uplink_bytes: stats.bytes_received,
-        downlink_bytes: stats.bytes_sent,
-        excluded,
-        envelope_bytes: fleet.envelope_bytes,
-    })
+    let topology = HierTopology::flat(fed.devices.len());
+    let policy = HierPolicy::uniform(policy.clone());
+    Ok(run_hier_round(fed, cfg, &topology, transport, &policy)?.wire)
 }
 
-/// Runs the round over the lossless in-memory transport with the default
-/// policy — the historical entry point; bit-identical to `FedSc::run`.
+/// Runs the flat round over the lossless in-memory transport with the
+/// default policy; bit-identical to `FedSc::run`.
 pub fn run_over_wire(fed: &FederatedDataset, cfg: &FedScConfig) -> Result<WireRunOutput> {
     run_round(fed, cfg, &InMemoryTransport, &RoundPolicy::default())
 }
@@ -538,47 +613,60 @@ mod tests {
         let (mut server, mut devices) = InMemoryTransport
             .open(1)
             .expect("open an in-memory link for the bogus downlink");
-        let mut link = devices.remove(0);
+        let link = &mut devices[0];
         let policy = RoundPolicy::default();
-        let device = crossbeam::thread::scope(|scope| {
-            let handle = scope.spawn(|_| {
-                device_round(
-                    &fed.devices[0].data,
-                    0,
-                    &cfg,
-                    &mut link,
-                    &policy,
-                    &WireTelemetry::default(),
-                )
-            });
-            let (_, bytes) = server
-                .recv_uplink(Duration::from_secs(60))
-                .expect("the device uplinks");
-            let up = UplinkMessage::decode(bytes).expect("well-formed uplink");
-            let bogus = DownlinkMessage {
-                assignments: vec![cfg.num_clusters as u32; up.samples.cols()],
-            };
-            server
-                .send_downlink(0, &bogus.encode())
-                .expect("send the bogus downlink");
-            handle.join().expect("the device must not panic")
-        })
-        .expect("bogus-downlink scope should not leak a panic");
+        let local = device_uplink(
+            &fed.devices[0].data,
+            0,
+            &cfg,
+            link,
+            &policy,
+            &WireTelemetry::default(),
+        )
+        .expect("device step on the seed-1 fixture")
+        .expect("the lossless link delivers the uplink");
+        let (_, bytes) = server
+            .recv_uplink(Duration::from_secs(60))
+            .expect("the device uplinks");
+        let up = UplinkMessage::decode(bytes).expect("well-formed uplink");
+        let bogus = DownlinkMessage {
+            assignments: vec![cfg.num_clusters as u32; up.samples.cols()],
+        };
+        server
+            .send_downlink(0, &bogus.encode())
+            .expect("send the bogus downlink");
+        let device = device_downlink(&local, 0, &cfg, link, &policy);
         assert!(device.is_err(), "out-of-range label was accepted");
     }
 
     #[test]
     fn wire_byte_counts_match_payload_sizes() {
         let (fed, cfg) = fixture(2);
-        let wire = run_over_wire(&fed, &cfg).expect("lossless wire round on the seed-2 fixture");
+        let z_count = fed.devices.len();
+        let flat = run_hier_round(
+            &fed,
+            &cfg,
+            &HierTopology::flat(z_count),
+            &InMemoryTransport,
+            &HierPolicy::default(),
+        )
+        .expect("lossless flat round on the seed-2 fixture");
         let in_process = FedSc::new(cfg)
             .run(&fed)
             .expect("in-process FedSc run on the seed-2 fixture");
         let samples = in_process.samples.cols();
+        let wire = &flat.wire;
         // Uplink: per device 16-byte header + 8 bytes per entry.
-        assert_eq!(wire.uplink_bytes, 16 * fed.devices.len() + 8 * 20 * samples);
+        assert_eq!(wire.uplink_bytes, 16 * z_count + 8 * 20 * samples);
         // Downlink: per device 8-byte header + 4 bytes per sample.
-        assert_eq!(wire.downlink_bytes, 8 * fed.devices.len() + 4 * samples);
+        assert_eq!(wire.downlink_bytes, 8 * z_count + 4 * samples);
+        // The flat round is one tier whose parent is the root: its row is
+        // the root's accounting, one message per device each way.
+        assert_eq!(flat.tiers.len(), 1);
+        assert_eq!(flat.tiers[0].uplink_bytes, wire.uplink_bytes);
+        assert_eq!(flat.tiers[0].downlink_bytes, wire.downlink_bytes);
+        assert_eq!(flat.tiers[0].uplink_messages, z_count as u64);
+        assert_eq!(flat.tiers[0].downlink_messages, z_count as u64);
     }
 
     #[test]
@@ -660,7 +748,7 @@ mod tests {
         let dead = 3usize;
         let mut results: Vec<Option<Vec<usize>>> = (0..z_count).map(|_| None).collect();
         let mut excluded = Vec::new();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (z, mut link) in device_links.drain(..).enumerate() {
                 if z == dead {
@@ -670,7 +758,7 @@ mod tests {
                 let (cfg, policy) = (&cfg, &policy);
                 handles.push((
                     z,
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         device_round(
                             &device.data,
                             z,
@@ -693,8 +781,7 @@ mod tests {
                     round.unwrap_or_else(|e| panic!("healthy device {z} failed its round: {e:?}")),
                 );
             }
-        })
-        .expect("wire test scope should not leak a panic");
+        });
         assert_eq!(excluded, vec![dead]);
         // Every healthy device got a full labelling of its shard.
         for (z, r) in results.iter().enumerate() {
@@ -789,14 +876,14 @@ mod tests {
         let policy = RoundPolicy::default();
         let mut fleet = FleetCollector::new();
         let mut gathered: Vec<Option<Vec<usize>>> = (0..z_count).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (z, mut link) in device_links.drain(..).enumerate() {
                 let device = &fed.devices[z];
                 let (cfg, policy) = (&cfg, &policy);
                 handles.push((
                     z,
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let telemetry = WireTelemetry {
                             ctx: Some(TraceContext {
                                 run_id: cfg.seed,
@@ -828,8 +915,7 @@ mod tests {
                     .unwrap_or_else(|e| panic!("device {z} round failed: {e:?}"));
                 gathered[z] = Some(labels);
             }
-        })
-        .expect("ctx-round scope should not leak a panic");
+        });
 
         let per_ctx = Envelope {
             ctx: Some(TraceContext::default()),
@@ -867,7 +953,7 @@ mod tests {
             .expect("open links for the straggler round");
         let mut results: Vec<DeviceResult> = (0..z_count).map(|_| None).collect();
         let mut server_out: Option<Result<Vec<usize>>> = None;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (z, mut link) in device_links.drain(..).enumerate() {
                 if dead.contains(&z) {
@@ -877,7 +963,7 @@ mod tests {
                 let (cfg, policy) = (&cfg, &policy);
                 handles.push((
                     z,
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         device_round(
                             &device.data,
                             z,
@@ -899,8 +985,7 @@ mod tests {
                         .unwrap_or_else(|_| panic!("device {z} thread panicked")),
                 );
             }
-        })
-        .expect("straggler-round scope should not leak a panic");
+        });
         (
             server_out.expect("server round ran on this thread"),
             results,

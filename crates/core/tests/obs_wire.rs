@@ -4,11 +4,14 @@
 //!   must agree with the wire-true `WireRunOutput` byte totals, i.e. the
 //!   metrics are the same numbers the protocol itself reports.
 //! * Trace coverage — a traced round must emit spans for all three Fed-SC
-//!   phases plus a `wire.device_round` span per device, and the exported
-//!   Chrome trace must pass the `xtask validate-trace` validator.
+//!   phases plus a `wire.device_uplink` and a `wire.device_downlink` span
+//!   per device, and the exported Chrome trace must pass the
+//!   `xtask validate-trace` validator.
+//! * Root coverage in a tree — the root of a two-tier round records the
+//!   same three phase spans inside its `wire.server_round`.
 
-use fedsc::demo::demo_fixture;
-use fedsc::{run_round, RoundPolicy};
+use fedsc::demo::{demo_fixture, demo_hier_fixture};
+use fedsc::{run_hier_round, run_round, HierPolicy, HierTopology, RoundPolicy};
 use fedsc_obs::metrics::snapshot;
 use fedsc_transport::{InMemoryTransport, TcpTransport};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -77,13 +80,15 @@ fn traced_round_covers_all_three_phases_and_every_device() {
             events.iter().map(|e| e.name).collect::<Vec<_>>()
         );
     }
-    // One wire.device_round span per device, and the metrics counter
-    // agrees with the span count.
-    let device_rounds = events
-        .iter()
-        .filter(|e| e.cat == "wire" && e.name == "wire.device_round")
-        .count();
-    assert_eq!(device_rounds, devices);
+    // One span per device for each half of the device role, and the
+    // metrics counter agrees with the span count.
+    for half in ["wire.device_uplink", "wire.device_downlink"] {
+        let n = events
+            .iter()
+            .filter(|e| e.cat == "wire" && e.name == half)
+            .count();
+        assert_eq!(n, devices, "expected one {half} span per device");
+    }
     assert_eq!(
         counter("wire.device_rounds") - rounds_before,
         devices as u64
@@ -102,4 +107,46 @@ fn traced_round_covers_all_three_phases_and_every_device() {
     let trace = fedsc_obs::export::chrome_trace_json(&events);
     let validated = fedsc_obs::export::validate_chrome_trace(&trace).expect("trace validates");
     assert_eq!(validated, events.len());
+}
+
+#[test]
+fn traced_tree_root_records_all_three_phases() {
+    let _g = guard();
+    let (fed, cfg) = demo_hier_fixture(7, 8, 3);
+    let topology = HierTopology::new(8, vec![2]).expect("8→2→root tree");
+
+    fedsc_obs::trace::install_ring(1 << 14);
+    let out = run_hier_round(
+        &fed,
+        &cfg,
+        &topology,
+        &InMemoryTransport,
+        &HierPolicy::default(),
+    )
+    .expect("traced two-tier round");
+    let events = fedsc_obs::trace::uninstall();
+    assert!(out.wire.excluded.is_empty(), "clean run excluded devices");
+
+    // The root is the flat server: one `wire.server_round`, and each
+    // phase span recorded directly inside it, as in the flat round.
+    let roots: Vec<u64> = events
+        .iter()
+        .filter(|e| e.name == "wire.server_round")
+        .map(|e| e.id)
+        .collect();
+    assert_eq!(roots.len(), 1, "expected one root span");
+    for phase in ["phase1.collect", "phase2.central", "phase3.broadcast"] {
+        assert!(
+            events
+                .iter()
+                .any(|e| e.cat == "fedsc" && e.name == phase && e.parent == roots[0]),
+            "root recorded no {phase} span; got {:?}",
+            events.iter().map(|e| e.name).collect::<Vec<_>>()
+        );
+    }
+    // Both aggregators ran their halves.
+    for half in ["hier.agg_uplink", "hier.agg_downlink"] {
+        let n = events.iter().filter(|e| e.name == half).count();
+        assert_eq!(n, 2, "expected one {half} span per aggregator");
+    }
 }

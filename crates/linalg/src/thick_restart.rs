@@ -68,13 +68,16 @@ const SQRT_EPS: f64 = 1.490_116_119_384_765_6e-8;
 /// (`λ25/λ26 = 0.995`), width 4 converged within 15 restarts on every
 /// measured draw and roughly halved the solve (DESIGN.md §13).
 const DEFAULT_BLOCK: usize = 4;
+/// Convergence tolerance on the residual `||A y - θ y||`, relative to
+/// `max(scale, 1)` with `scale` the operator's largest absolute entry.
+const RESIDUAL_TOL: f64 = 1e-6;
 /// Default restart budget. Each restart is one full basis expansion, so
 /// this bounds total work at roughly `max_restarts * m_max` matvecs.
 const DEFAULT_MAX_RESTARTS: usize = 120;
 
-/// Tuning knobs for [`thick_restart_smallest`]. `0` / `0.0` / empty mean
+/// Tuning knobs for [`thick_restart_smallest`]. `0` / empty mean
 /// "pick the documented default".
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ThickRestartOptions {
     /// Block width `b` (default 4, clamped to `[1, n]`; widened to the seed
     /// count so all seeds form the first block).
@@ -87,26 +90,11 @@ pub struct ThickRestartOptions {
     /// Krylov space runs out, fails with [`LinalgError::NoConvergence`];
     /// the failing pairs are counted in `spectral.unconverged`.
     pub max_restarts: usize,
-    /// Convergence tolerance on the residual `||A y - θ y||` (default
-    /// `1e-6 * scale.max(1.0)` with `scale` the largest absolute entry).
-    pub tol: f64,
     /// Optional start vectors (length `n` each) folded into the first
     /// block — e.g. exact kernel vectors of a disconnected Laplacian.
     /// Orthonormalized on entry; degenerate seeds are dropped; at most `k`
     /// are used.
     pub seeds: Vec<Vec<f64>>,
-}
-
-impl Default for ThickRestartOptions {
-    fn default() -> Self {
-        Self {
-            block: 0,
-            max_basis: 0,
-            max_restarts: 0,
-            tol: 0.0,
-            seeds: Vec::new(),
-        }
-    }
 }
 
 /// Computes the `k` smallest eigenpairs of the symmetric operator `a` by
@@ -142,11 +130,7 @@ pub fn thick_restart_smallest<A: SymOp + ?Sized>(
         ));
     }
     let anorm = sigma.abs().max(scale).max(1.0);
-    let tol = if opts.tol > 0.0 {
-        opts.tol
-    } else {
-        1e-6 * scale.max(1.0)
-    };
+    let tol = RESIDUAL_TOL * scale.max(1.0);
     let max_restarts = if opts.max_restarts > 0 {
         opts.max_restarts
     } else {

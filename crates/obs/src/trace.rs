@@ -71,7 +71,7 @@ impl From<&'static str> for FieldValue {
 pub struct SpanEvent {
     /// Category (`"phase"`, `"wire"`, `"pool"`, …).
     pub cat: &'static str,
-    /// Static span name (`"local.ssc"`, `"wire.device_round"`, …).
+    /// Static span name (`"local.ssc"`, `"wire.device_uplink"`, …).
     pub name: &'static str,
     /// Small dense id of the recording thread (see [`thread_id`]).
     pub tid: u64,

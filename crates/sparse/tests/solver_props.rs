@@ -22,20 +22,36 @@ fn instance(seed: u64, rows: usize, cols: usize) -> (Matrix, Matrix) {
     (x, gram)
 }
 
+/// The KKT property of `lasso_cd_satisfies_kkt` at one input.
+fn check_lasso_cd_kkt(seed: u64, cols: usize, lambda: f64) {
+    let (_, gram) = instance(seed, 4, cols);
+    // Worst-case budget: see LassoOptions docs.
+    let opts = LassoOptions {
+        max_iters: 100_000,
+        ..Default::default()
+    };
+    let solver = LassoSolver::new(&gram, opts);
+    let b = gram.col(0);
+    let c = solver.solve(b, lambda, 0).unwrap();
+    let viol = solver.kkt_violation(b, lambda, 0, &c).unwrap();
+    assert!(viol < 1e-4 * lambda.max(1.0), "violation {viol}");
+    assert_eq!(c.to_dense()[0], 0.0);
+}
+
+/// The shrunken counterexample recorded in
+/// `solver_props.proptest-regressions`, pinned as a plain test: the
+/// vendored proptest does not replay regression files.
+#[test]
+fn lasso_cd_satisfies_kkt_at_recorded_counterexample() {
+    check_lasso_cd_kkt(509, 7, 0.657004936229317);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn lasso_cd_satisfies_kkt(seed in 0u64..2000, cols in 3usize..9, lambda in 0.5f64..50.0) {
-        let (_, gram) = instance(seed, 4, cols);
-        // Worst-case budget: see LassoOptions docs.
-        let opts = LassoOptions { max_iters: 100_000, ..Default::default() };
-        let solver = LassoSolver::new(&gram, opts);
-        let b = gram.col(0);
-        let c = solver.solve(b, lambda, 0).unwrap();
-        let viol = solver.kkt_violation(b, lambda, 0, &c).unwrap();
-        prop_assert!(viol < 1e-4 * lambda.max(1.0), "violation {viol}");
-        prop_assert_eq!(c.to_dense()[0], 0.0);
+        check_lasso_cd_kkt(seed, cols, lambda);
     }
 
     #[test]

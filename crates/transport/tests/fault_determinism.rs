@@ -78,13 +78,12 @@ fn run_exchange(seed: u64, threaded: bool) -> String {
     let (mut server, mut devices) = transport.open(DEVICES).expect("open");
 
     if threaded {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (z, dev) in devices.iter_mut().enumerate() {
-                scope.spawn(move |_| run_device(z, dev));
+                scope.spawn(move || run_device(z, dev));
             }
             serve(&mut server);
-        })
-        .expect("no panics");
+        });
     } else {
         for (z, dev) in devices.iter_mut().enumerate() {
             let body = payload(z);

@@ -1,7 +1,8 @@
 //! `cargo xtask` — workspace static-analysis driver.
 //!
 //! `cargo xtask audit` walks every `crates/*/src` tree (plus the root
-//! `src/`) through the token-level rule engine (`xtask::rules`) and
+//! `src/`; the list is read off the tree, and only `crates/bench/src` runs
+//! the relaxed profile) through the token-level rule engine (`xtask::rules`) and
 //! enforces the domain-specific correctness rules the stock toolchain
 //! cannot express (see `DESIGN.md`, "Correctness & lint policy"):
 //!
@@ -20,8 +21,7 @@
 //! 5. **Socket hygiene** — raw socket types only inside
 //!    `crates/transport/src`, with both socket timeouts armed.
 //! 6. **Spawn confinement** — thread creation only in the scoped fan-outs
-//!    of `fedsc_linalg::par`, the TCP serve loops, and the process-wire
-//!    harness.
+//!    of `fedsc_linalg::par` and the TCP serve loops.
 //! 7. **Unsafe boundaries** — every `unsafe` carries a `// SAFETY:`
 //!    comment and an exact-count entry in
 //!    `crates/xtask/unsafe-registry.txt`.
@@ -50,25 +50,10 @@ use xtask::rules::{
     audit_source, detect_lock_cycles, reconcile_exact, Allowlist, LockEdge, Profile,
 };
 
-/// Crates scanned with the strict profile.
-const STRICT_ROOTS: &[&str] = &[
-    "crates/linalg/src",
-    "crates/sparse/src",
-    "crates/graph/src",
-    "crates/clustering/src",
-    "crates/subspace/src",
-    "crates/federated/src",
-    "crates/data/src",
-    "crates/core/src",
-    "crates/transport/src",
-    "crates/obs/src",
-    "crates/xtask/src",
-    "src",
-];
-
-/// Crates scanned with the relaxed profile (`expect` with a message
-/// allowed; everything else — timing included — still enforced).
-const RELAXED_ROOTS: &[&str] = &["crates/bench/src"];
+/// The one source root scanned with the relaxed profile (`expect` with a
+/// message allowed; everything else — timing included — still enforced).
+/// Every other `crates/*/src` and the root package's `src` are strict.
+const RELAXED_ROOT: &str = "crates/bench/src";
 
 const ALLOWLIST_PATH: &str = "crates/xtask/panic-allowlist.txt";
 const UNSAFE_REGISTRY_PATH: &str = "crates/xtask/unsafe-registry.txt";
@@ -204,35 +189,31 @@ fn run_audit(report_out: Option<&str>) -> ExitCode {
     let mut unsafe_counts = BTreeMap::new();
     let mut lock_edges: Vec<LockEdge> = Vec::new();
     let mut files_scanned = 0usize;
-    for (roots, profile) in [
-        (STRICT_ROOTS, Profile::Strict),
-        (RELAXED_ROOTS, Profile::Relaxed),
-    ] {
-        for rel in roots {
-            let dir = root.join(rel);
-            if !dir.is_dir() {
+    for rel in source_roots(&root) {
+        let profile = if rel == RELAXED_ROOT {
+            Profile::Relaxed
+        } else {
+            Profile::Strict
+        };
+        let mut files = Vec::new();
+        collect_rs_files(&root.join(&rel), &mut files);
+        files.sort();
+        for path in files {
+            let Ok(text) = std::fs::read_to_string(&path) else {
+                diagnostics.push(Diagnostic::file_level(
+                    rel_label(&root, &path),
+                    "io",
+                    "file is not valid UTF-8 or could not be read",
+                ));
                 continue;
-            }
-            let mut files = Vec::new();
-            collect_rs_files(&dir, &mut files);
-            files.sort();
-            for path in files {
-                let Ok(text) = std::fs::read_to_string(&path) else {
-                    diagnostics.push(Diagnostic::file_level(
-                        rel_label(&root, &path),
-                        "io",
-                        "file is not valid UTF-8 or could not be read",
-                    ));
-                    continue;
-                };
-                files_scanned += 1;
-                let label = rel_label(&root, &path);
-                let outcome = audit_source(&label, &text, profile, &allowlist);
-                diagnostics.extend(outcome.diagnostics);
-                invariant_counts.insert(label.clone(), outcome.invariant_sites.len());
-                unsafe_counts.insert(label, outcome.unsafe_sites.len());
-                lock_edges.extend(outcome.lock_edges);
-            }
+            };
+            files_scanned += 1;
+            let label = rel_label(&root, &path);
+            let outcome = audit_source(&label, &text, profile, &allowlist);
+            diagnostics.extend(outcome.diagnostics);
+            invariant_counts.insert(label.clone(), outcome.invariant_sites.len());
+            unsafe_counts.insert(label, outcome.unsafe_sites.len());
+            lock_edges.extend(outcome.lock_edges);
         }
     }
 
@@ -286,6 +267,25 @@ fn rel_label(root: &Path, path: &Path) -> String {
         .unwrap_or(path)
         .to_string_lossy()
         .replace('\\', "/")
+}
+
+/// Every source root the audit scans, workspace-relative and sorted: the
+/// root package's `src` and each `crates/*/src`. Derived from the tree,
+/// so a new crate is audited from its first commit.
+fn source_roots(root: &Path) -> Vec<String> {
+    let mut roots = vec!["src".to_string()];
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
+        for entry in entries.flatten() {
+            if entry.path().join("src").is_dir() {
+                roots.push(format!(
+                    "crates/{}/src",
+                    entry.file_name().to_string_lossy()
+                ));
+            }
+        }
+    }
+    roots.sort();
+    roots
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {

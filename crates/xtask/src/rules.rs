@@ -124,17 +124,13 @@ pub const SANCTIONED_TIMING_FILES: &[&str] = &["crates/transport/src/timing.rs"]
 /// touches them must arm both socket timeouts.
 pub const SOCKET_SANCTUARY: &str = "crates/transport/src";
 
-/// Files allowed to create OS threads directly: the pool itself, the TCP
-/// transport's accept/serve loops, and the process-spawning wire harness.
-/// Everything else fans out through `fedsc_linalg::par`, which keeps the
-/// `pool.workers_spawned` accounting truthful. `crates/hier` is
-/// deliberately absent: the aggregation-tree driver is single-threaded by
-/// design (staged tier sweeps on the caller's thread).
-pub const SPAWN_SANCTUARY_FILES: &[&str] = &[
-    "crates/linalg/src/par.rs",
-    "crates/transport/src/tcp.rs",
-    "crates/core/src/wire.rs",
-];
+/// Files allowed to create OS threads directly: the scoped fan-out and
+/// the TCP transport's accept/serve loops. Everything else fans out
+/// through `fedsc_linalg::par`. The round's transport code is deliberately
+/// absent: the wire roles and the tree driver (`crates/core/src/wire.rs`,
+/// `crates/core/src/tree.rs`) run staged sweeps on the caller's thread.
+pub const SPAWN_SANCTUARY_FILES: &[&str] =
+    &["crates/linalg/src/par.rs", "crates/transport/src/tcp.rs"];
 
 /// Solver/decomposition result structs that must be declared `#[must_use]`
 /// (rule 4a): ignoring one silently drops a factorization.
@@ -1335,17 +1331,16 @@ mod tests {
     }
 
     #[test]
-    fn hier_crate_is_not_a_socket_or_spawn_sanctuary() {
-        // The aggregation-tree crate is thread- and socket-free by design:
-        // its staged driver sequences every tier on the caller's thread and
-        // reaches the network only through the transport traits.
+    fn round_transport_code_is_not_a_socket_or_spawn_sanctuary() {
+        // The wire roles and the tree driver are thread- and socket-free by
+        // design: the staged driver sequences every tier on the caller's
+        // thread and reaches the network only through the transport traits.
         let socket = "fn f() { let _ = std::net::TcpStream::connect(a); }\n";
-        assert!(has_rule(
-            &strict("crates/hier/src/run.rs", socket),
-            "socket"
-        ));
         let spawn = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert!(has_rule(&strict("crates/hier/src/run.rs", spawn), "spawn"));
+        for file in ["crates/core/src/wire.rs", "crates/core/src/tree.rs"] {
+            assert!(has_rule(&strict(file, socket), "socket"), "{file}");
+            assert!(has_rule(&strict(file, spawn), "spawn"), "{file}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Wire-level Fed-SC: devices and the server as separate threads exchanging
-//! encoded byte messages — the deployment shape of Algorithm 1 — checked
-//! against the in-process scheme for bit-identical output, then replayed
-//! over a real TCP loopback and over a seeded faulty link.
+//! Wire-level Fed-SC: devices and the server exchanging encoded byte
+//! messages over a transport — the deployment shape of Algorithm 1 —
+//! checked against the in-process scheme for bit-identical output, then
+//! replayed over a real TCP loopback and over a seeded faulty link.
 //!
 //! ```sh
 //! cargo run --release --example wire_protocol
@@ -27,8 +27,8 @@ fn main() {
 
     // The in-process orchestration...
     let in_process = FedSc::new(cfg.clone()).run(&fed).expect("in-process run");
-    // ...and the same round as 24 device threads + 1 server thread passing
-    // length-prefixed byte payloads over channels.
+    // ...and the same round as 24 devices and a server passing encoded
+    // byte payloads over in-memory links.
     let wire = run_over_wire(&fed, &cfg).expect("wire run");
 
     println!(

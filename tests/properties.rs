@@ -32,6 +32,44 @@ fn labeling(k: usize, n: usize) -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(0usize..k, n)
 }
 
+/// The KKT property of `lasso_kkt_optimality` at one input.
+fn check_lasso_kkt(seed: u64, cols: usize, lambda_scale: f64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let x = fed_sc::linalg::random::gaussian_matrix(&mut rng, 5, cols);
+    let gram = x.gram();
+    // Worst-case optimality check: random Gaussian dictionaries are far
+    // more ill-conditioned than SSC's unit-norm inputs, so give CD the
+    // sweep budget it needs to actually reach the KKT point.
+    let opts = LassoOptions {
+        max_iters: 100_000,
+        ..Default::default()
+    };
+    let solver = LassoSolver::new(&gram, opts);
+    let b = gram.col(0);
+    let lambda = ssc_lambda(b, 0, lambda_scale);
+    let c = solver
+        .solve(b, lambda, 0)
+        .expect("well-formed lasso instance");
+    let viol = solver
+        .kkt_violation(b, lambda, 0, &c)
+        .expect("well-formed lasso instance");
+    assert!(
+        viol < 1e-4 * lambda.max(1.0),
+        "KKT violation {viol} at lambda {lambda}"
+    );
+    // Exclusion respected.
+    assert!(c.to_dense()[0] == 0.0);
+}
+
+/// The shrunken counterexamples recorded in
+/// `properties.proptest-regressions`, pinned as plain tests: the vendored
+/// proptest does not replay regression files.
+#[test]
+fn lasso_kkt_optimality_at_recorded_counterexamples() {
+    check_lasso_kkt(244, 7, 63.501946647301715);
+    check_lasso_kkt(356, 8, 95.7131825584087);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -92,22 +130,7 @@ proptest! {
         cols in 4usize..10,
         lambda_scale in 1.0f64..100.0,
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let x = fed_sc::linalg::random::gaussian_matrix(&mut rng, 5, cols);
-        let gram = x.gram();
-        // Worst-case optimality check: random Gaussian dictionaries are far
-        // more ill-conditioned than SSC's unit-norm inputs, so give CD the
-        // sweep budget it needs to actually reach the KKT point.
-        let opts = LassoOptions { max_iters: 100_000, ..Default::default() };
-        let solver = LassoSolver::new(&gram, opts);
-        let b = gram.col(0);
-        let lambda = ssc_lambda(b, 0, lambda_scale);
-        let c = solver.solve(b, lambda, 0).expect("well-formed lasso instance");
-        let viol =
-            solver.kkt_violation(b, lambda, 0, &c).expect("well-formed lasso instance");
-        prop_assert!(viol < 1e-4 * lambda.max(1.0), "KKT violation {viol} at lambda {lambda}");
-        // Exclusion respected.
-        prop_assert!(c.to_dense()[0] == 0.0);
+        check_lasso_kkt(seed, cols, lambda_scale);
     }
 
     #[test]
