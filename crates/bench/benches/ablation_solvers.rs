@@ -1,8 +1,8 @@
 //! Timing ablations for the design choices DESIGN.md calls out:
 //!
-//! * Lasso backend — working-set coordinate descent vs ADMM (same Eq. (2)
-//!   objective; the paper swapped SPAMS CD in for ADMM for exactly this
-//!   reason).
+//! * Lasso backend — the homotopy path with its coordinate-descent
+//!   certificate vs ADMM (same Eq. (2) objective; the paper swapped SPAMS
+//!   CD in for ADMM for exactly this reason).
 //! * Spectral solver — the full dense eigendecomposition vs thick-restart
 //!   Lanczos at the pooled-sample sizes the central server actually sees.
 

@@ -4,7 +4,7 @@
 //! end-to-end spectral clustering.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fedsc_clustering::spectral::{spectral_clustering, ClusterCountPolicy, SpectralOptions};
+use fedsc_clustering::spectral::{spectral_clustering, ClusterCountPolicy};
 use fedsc_linalg::eigh::eigh;
 use fedsc_linalg::lanczos::lanczos_smallest;
 use fedsc_linalg::random::{gaussian_matrix, random_orthonormal_basis, sample_on_subspace};
@@ -108,13 +108,8 @@ fn bench_pipeline(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(6);
         b.iter(|| {
             black_box(
-                spectral_clustering(
-                    &graph,
-                    ClusterCountPolicy::Fixed(6),
-                    &SpectralOptions::default(),
-                    &mut rng,
-                )
-                .expect("bench setup"),
+                spectral_clustering(&graph, ClusterCountPolicy::Fixed(6), &mut rng)
+                    .expect("bench setup"),
             )
         })
     });

@@ -80,10 +80,7 @@ pub fn run() {
         ("basis dim: auto rank", {
             let mut c = base();
             c.cluster_count = ClusterCountPolicy::Fixed(l_prime);
-            c.basis_dim = BasisDim::Auto {
-                rel_tol: 1e-6,
-                max_dim: 32,
-            };
+            c.basis_dim = BasisDim::Auto;
             c
         }),
         ("basis dim: fixed d_t = 1", {

@@ -67,7 +67,7 @@ pub fn run() {
                 0xf16,
                 true,
             ),
-            run_centralized(&SscOmp::with_sparsity(8), &pooled, l, 0xf16, true),
+            run_centralized(&SscOmp { k_max: 8 }, &pooled, l, 0xf16, true),
             run_centralized(&Ensc::default(), &pooled, l, 0xf16, true),
             run_centralized(&Nsn::new(8, 5), &pooled, l, 0xf16, true),
         ];

@@ -84,7 +84,7 @@ pub fn run() {
             run_kfed(&fed, l, l_prime, Some(10), 0x7ab3),
             run_kfed(&fed, l, l_prime, Some(100), 0x7ab3),
             run_centralized(&Ssc::default(), &pooled, l, 0x7ab3, true),
-            run_centralized(&SscOmp::with_sparsity(8), &pooled, l, 0x7ab3, true),
+            run_centralized(&SscOmp { k_max: 8 }, &pooled, l, 0x7ab3, true),
             run_centralized(&Ensc::default(), &pooled, l, 0x7ab3, true),
             run_centralized(
                 &Tsc::new(Tsc::centralized_q(n_total, l)),

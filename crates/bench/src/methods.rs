@@ -4,7 +4,7 @@
 
 use fedsc::{CentralBackend, FedSc, FedScConfig};
 use fedsc_clustering::conn::connectivity;
-use fedsc_clustering::spectral::{spectral_clustering, ClusterCountPolicy, SpectralOptions};
+use fedsc_clustering::spectral::{spectral_clustering, ClusterCountPolicy};
 use fedsc_clustering::{clustering_accuracy, normalized_mutual_information};
 use fedsc_federated::kfed::{kfed, KFedConfig};
 use fedsc_federated::partition::FederatedDataset;
@@ -145,8 +145,7 @@ pub fn run_centralized<A: SubspaceClusterer>(
     let sw = Stopwatch::start();
     let graph = algo.sparse_affinity(&data.data).expect("affinity");
     let count = ClusterCountPolicy::Fixed(l);
-    let (pred, _) = spectral_clustering(&graph, count, &SpectralOptions::default(), &mut rng)
-        .expect("spectral clustering");
+    let (pred, _) = spectral_clustering(&graph, count, &mut rng).expect("spectral clustering");
     let time = sw.elapsed();
     let (conn_min, conn_mean) = if compute_conn {
         let c = connectivity(&graph, &data.labels).expect("connectivity");

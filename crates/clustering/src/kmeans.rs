@@ -18,15 +18,17 @@ pub enum KMeansInit {
     FarthestPoint,
 }
 
+/// Lloyd iterations per run.
+const MAX_ITERS: usize = 100;
+
+/// A run stops once the total centroid movement drops below this.
+const MOVEMENT_TOL: f64 = 1e-9;
+
 /// Options for Lloyd's iterations.
 #[derive(Debug, Clone)]
 pub struct KMeansOptions {
     /// Number of clusters.
     pub k: usize,
-    /// Maximum Lloyd iterations.
-    pub max_iters: usize,
-    /// Stop when total centroid movement drops below this.
-    pub tol: f64,
     /// Seeding strategy.
     pub init: KMeansInit,
     /// Number of random restarts; the run with the lowest inertia wins.
@@ -37,8 +39,6 @@ impl Default for KMeansOptions {
     fn default() -> Self {
         Self {
             k: 2,
-            max_iters: 100,
-            tol: 1e-9,
             init: KMeansInit::PlusPlus,
             restarts: 3,
         }
@@ -97,7 +97,7 @@ fn kmeans_once<R: Rng + ?Sized>(
     };
     let mut labels = vec![0usize; n];
     let mut inertia = f64::INFINITY;
-    for _ in 0..opts.max_iters {
+    for _ in 0..MAX_ITERS {
         // Assignment step.
         inertia = 0.0;
         for j in 0..n {
@@ -142,7 +142,7 @@ fn kmeans_once<R: Rng + ?Sized>(
             movement += vector::dist2_sq(&new_c, centroids.col(c));
             centroids.col_mut(c).copy_from_slice(&new_c);
         }
-        if movement < opts.tol {
+        if movement < MOVEMENT_TOL {
             break;
         }
     }

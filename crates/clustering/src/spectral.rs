@@ -38,7 +38,9 @@ pub enum ClusterCountPolicy {
     Fixed(usize),
 }
 
-/// Options for [`spectral_clustering`]: the embedding's k-means.
+/// The embedding's k-means settings. [`spectral_clustering`] always runs
+/// with [`SpectralOptions::default`]'s; callers that replay the embedding
+/// themselves read them from here.
 #[derive(Debug, Clone)]
 pub struct SpectralOptions {
     /// A cluster count for callers that run the embedding's k-means
@@ -102,7 +104,6 @@ impl Default for SpectralOptions {
 pub fn spectral_clustering<R: Rng + ?Sized>(
     w: &SparseAffinity,
     count: ClusterCountPolicy,
-    opts: &SpectralOptions,
     rng: &mut R,
 ) -> Result<(Vec<usize>, usize)> {
     let n = w.len();
@@ -151,7 +152,7 @@ pub fn spectral_clustering<R: Rng + ?Sized>(
         }
     };
     let _span = span.field("k", k as u64);
-    let labels = embed_and_cluster(&eig, n, k, opts, rng)?;
+    let labels = embed_and_cluster(&eig, n, k, rng)?;
     Ok((labels, k))
 }
 
@@ -251,12 +252,12 @@ pub fn kernel_seeds(w: &SparseAffinity) -> Vec<Vec<f64>> {
 const ZERO_EIGENVALUE_TOL: f64 = 1e-8;
 
 /// Shared NJW tail: transpose the `k` smallest eigenvectors into a `k x n`
-/// embedding (one column per node), row-normalize, k-means the columns.
+/// embedding (one column per node), row-normalize, k-means the columns
+/// with [`SpectralOptions::default`]'s settings.
 fn embed_and_cluster<R: Rng + ?Sized>(
     eig: &SymmetricEig,
     n: usize,
     k: usize,
-    opts: &SpectralOptions,
     rng: &mut R,
 ) -> Result<Vec<usize>> {
     let _s = fedsc_obs::span("fedsc", "spectral.kmeans");
@@ -269,7 +270,7 @@ fn embed_and_cluster<R: Rng + ?Sized>(
     }
     let km_opts = KMeansOptions {
         k,
-        ..opts.kmeans.clone()
+        ..SpectralOptions::default().kmeans
     };
     Ok(kmeans(&emb, &km_opts, rng).labels)
 }
@@ -309,8 +310,7 @@ mod tests {
     }
 
     fn segment(w: &SparseAffinity, count: ClusterCountPolicy, seed: u64) -> (Vec<usize>, usize) {
-        let opts = SpectralOptions::default();
-        spectral_clustering(w, count, &opts, &mut StdRng::seed_from_u64(seed)).unwrap()
+        spectral_clustering(w, count, &mut StdRng::seed_from_u64(seed)).unwrap()
     }
 
     fn fixed(w: &SparseAffinity, k: usize, seed: u64) -> Vec<usize> {
@@ -370,8 +370,7 @@ mod tests {
         let g = block_graph(&[5, 6, 4], 0.75, 0.01);
         let lap = normalized_laplacian(&g.to_graph());
         let eig = eigh_partial(&lap, 3).unwrap();
-        let opts = SpectralOptions::default();
-        let oracle = embed_and_cluster(&eig, 15, 3, &opts, &mut StdRng::seed_from_u64(11)).unwrap();
+        let oracle = embed_and_cluster(&eig, 15, 3, &mut StdRng::seed_from_u64(11)).unwrap();
         assert_eq!(fixed(&g, 3, 11), oracle);
     }
 

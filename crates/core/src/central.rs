@@ -7,7 +7,7 @@
 //! `q = max(3, ceil(Z / L))`.
 
 use crate::config::{CentralBackend, ClusterCountPolicy};
-use fedsc_clustering::spectral::{spectral_clustering, SpectralOptions};
+use fedsc_clustering::spectral::spectral_clustering;
 use fedsc_graph::SparseAffinity;
 use fedsc_linalg::{Matrix, Result};
 use fedsc_subspace::{CandidateOptions, Ssc, SubspaceClusterer as _, Tsc};
@@ -80,7 +80,7 @@ pub fn central_cluster<R: Rng + ?Sized>(
             Tsc::new(q).sparse_affinity(samples)?
         }
     };
-    let (assignments, clusters) = spectral_clustering(&w, count, &SpectralOptions::default(), rng)?;
+    let (assignments, clusters) = spectral_clustering(&w, count, rng)?;
     Ok(CentralOutput {
         assignments: by_first_appearance(assignments),
         graph: w,
@@ -366,6 +366,7 @@ mod tests {
         // the full dense spectrum of the densified Laplacian, with the same
         // floor and cap, and embeds with the dense eigenvectors.
         use fedsc_clustering::kmeans::{kmeans, KMeansOptions};
+        use fedsc_clustering::spectral::SpectralOptions;
         use fedsc_graph::laplacian::relative_eigengap_cluster_count;
         use fedsc_linalg::eigh::{eigh_partial, lanczos_beats_dense};
         use fedsc_linalg::vector;

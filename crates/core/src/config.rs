@@ -2,7 +2,6 @@
 
 use fedsc_federated::channel::ChannelConfig;
 use fedsc_federated::privacy::DpConfig;
-use fedsc_sparse::lasso::LassoOptions;
 
 // How a device estimates its local cluster count `r^(z)`. The policy lives
 // with the spectral segmentation that applies it at every tier.
@@ -11,14 +10,9 @@ pub use fedsc_clustering::spectral::ClusterCountPolicy;
 /// How a device picks the dimension `d_t` of each local-cluster basis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BasisDim {
-    /// Numerical rank: singular values above `rel_tol * s_max`, capped at
-    /// `max_dim`.
-    Auto {
-        /// Relative singular-value threshold.
-        rel_tol: f64,
-        /// Hard cap on the basis dimension.
-        max_dim: usize,
-    },
+    /// Numerical rank: singular values above `1e-6 * s_max`, capped at 32
+    /// (`AUTO_REL_TOL` and `AUTO_MAX_DIM` in `crate::local`).
+    Auto,
     /// Fixed dimension — the paper uses `d_t = 1` on the real datasets.
     Fixed(usize),
 }
@@ -66,10 +60,6 @@ pub struct FedScConfig {
     pub basis_dim: BasisDim,
     /// Samples uploaded per local cluster (paper: 1; >1 is an ablation).
     pub samples_per_cluster: usize,
-    /// Lambda-rule multiplier for the local SSC (paper: 50).
-    pub ssc_alpha: f64,
-    /// Lasso solver options for the local SSC.
-    pub lasso: LassoOptions,
     /// Local clustering backend (paper: SSC; TSC is an ablation).
     pub local: LocalBackend,
     /// Communication channel model.
@@ -115,13 +105,8 @@ impl FedScConfig {
                 max: Some(2 * l.max(1)),
                 relative: true,
             },
-            basis_dim: BasisDim::Auto {
-                rel_tol: 1e-6,
-                max_dim: 32,
-            },
+            basis_dim: BasisDim::Auto,
             samples_per_cluster: 1,
-            ssc_alpha: 50.0,
-            lasso: LassoOptions::default(),
             local: LocalBackend::Ssc,
             channel: ChannelConfig::default(),
             dp: None,

@@ -12,7 +12,7 @@
 //!    `theta = U alpha / ||U alpha||`, `alpha ~ N(0, I)` (Eq. (5)).
 
 use crate::config::{BasisDim, FedScConfig, LocalBackend};
-use fedsc_clustering::spectral::{spectral_clustering, SpectralOptions};
+use fedsc_clustering::spectral::spectral_clustering;
 use fedsc_linalg::random::sample_on_subspace;
 use fedsc_linalg::svd::truncated_svd;
 use fedsc_linalg::{par, Matrix, Result};
@@ -67,17 +67,14 @@ pub fn local_cluster_and_sample<R: Rng + ?Sized>(
     let affinity_span = fedsc_obs::span("fedsc", "local.affinity").field("points", n_points);
     let graph = match cfg.local {
         LocalBackend::Ssc => {
-            let mut lasso = cfg.lasso.clone();
-            lasso.threads = kernel_threads;
-            let ssc = Ssc {
-                alpha: cfg.ssc_alpha,
-                lasso,
-                normalize: true,
+            let mut ssc = Ssc {
                 candidates: Some(CandidateOptions {
                     min_points: cfg.candidate_threshold,
                     ..CandidateOptions::default()
                 }),
+                ..Ssc::default()
             };
+            ssc.lasso.threads = kernel_threads;
             ssc.sparse_affinity(data)?
         }
         LocalBackend::Tsc { q } => {
@@ -91,8 +88,7 @@ pub fn local_cluster_and_sample<R: Rng + ?Sized>(
     // Steps 2-3: estimate r^(z) and segment into r partitions, both off
     // one spectral solve of the graph.
     let spectral_span = fedsc_obs::span("fedsc", "local.spectral");
-    let (local_labels, r) =
-        spectral_clustering(&graph, cfg.cluster_count, &SpectralOptions::default(), rng)?;
+    let (local_labels, r) = spectral_clustering(&graph, cfg.cluster_count, rng)?;
     drop(spectral_span.field("clusters", r));
 
     // Step 4: per-partition basis estimation and sampling.
@@ -149,6 +145,13 @@ pub fn local_cluster_and_sample<R: Rng + ?Sized>(
     })
 }
 
+/// [`BasisDim::Auto`] keeps the singular values above this fraction of the
+/// largest.
+const AUTO_REL_TOL: f64 = 1e-6;
+
+/// [`BasisDim::Auto`]'s cap on the basis dimension.
+const AUTO_MAX_DIM: usize = 32;
+
 /// Footnote 3: estimate the basis of `span(cluster)` with a truncated SVD.
 /// Under [`BasisDim::Auto`] one SVD both probes the rank and supplies the
 /// basis: its leading `d` left singular vectors are bitwise the ones a
@@ -157,8 +160,8 @@ fn estimate_basis(cluster: &Matrix, policy: BasisDim) -> Result<Matrix> {
     let max_rank = cluster.rows().min(cluster.cols());
     let u = match policy {
         BasisDim::Fixed(d) => truncated_svd(cluster, d.clamp(1, max_rank))?.u,
-        BasisDim::Auto { rel_tol, max_dim } => {
-            let probe = truncated_svd(cluster, max_rank.min(max_dim.max(1)))?;
+        BasisDim::Auto => {
+            let probe = truncated_svd(cluster, max_rank.min(AUTO_MAX_DIM))?;
             let smax = probe.s.first().copied().unwrap_or(0.0);
             let d = if smax <= 0.0 {
                 1
@@ -166,7 +169,7 @@ fn estimate_basis(cluster: &Matrix, policy: BasisDim) -> Result<Matrix> {
                 probe
                     .s
                     .iter()
-                    .take_while(|&&s| s > rel_tol.max(f64::EPSILON) * smax)
+                    .take_while(|&&s| s > AUTO_REL_TOL * smax)
                     .count()
                     .clamp(1, max_rank)
             };
@@ -346,16 +349,14 @@ mod tests {
     fn auto_basis_is_bitwise_the_fixed_basis_at_its_dimension() {
         // One probe SVD serves `Auto`; its leading columns must be exactly
         // what a separate SVD truncated at the chosen dimension returns.
+        // Noise-free rank-4 data put the chosen dimension at 4, below the
+        // probe's 25 columns.
         let mut rng = StdRng::seed_from_u64(31);
         let model = SubspaceModel::random(&mut rng, 40, 4, 1);
-        let ds = model.sample_dataset(&mut rng, &[25], 0.01);
-        let auto = BasisDim::Auto {
-            rel_tol: 0.1,
-            max_dim: 10,
-        };
-        let u_auto = estimate_basis(&ds.data, auto).unwrap();
+        let ds = model.sample_dataset(&mut rng, &[25], 0.0);
+        let u_auto = estimate_basis(&ds.data, BasisDim::Auto).unwrap();
         let d = u_auto.cols();
-        assert!((1..10).contains(&d), "auto dimension {d}");
+        assert_eq!(d, 4, "auto dimension");
         let u_fixed = estimate_basis(&ds.data, BasisDim::Fixed(d)).unwrap();
         assert_eq!(u_fixed.shape(), u_auto.shape());
         assert!(u_auto

@@ -16,8 +16,12 @@
 //!
 //! 1. **Uplink sweep (bottom-up).** Every device runs
 //!    [`device_uplink`]; then tier by tier each aggregator runs
-//!    [`aggregator_uplink`] and finally the root runs [`server_round`],
-//!    which also answers the root's children.
+//!    [`aggregator_uplink`](crate::wire::aggregator_uplink) and finally the
+//!    root runs [`server_round`](crate::wire::server_round), which also
+//!    answers the root's children. The driver knows which children sent
+//!    nothing up (dead devices, lost uplinks, failed subtrees), so a
+//!    parent stops collecting once all the others have reported instead
+//!    of waiting out its deadline.
 //! 2. **Downlink sweep (top-down).** Each answered aggregator runs
 //!    [`aggregator_downlink`]; each answered device finishes with
 //!    [`device_downlink`].
@@ -57,8 +61,8 @@ use crate::config::FedScConfig;
 use crate::local::LocalOutput;
 use crate::round::Merge;
 use crate::wire::{
-    aggregator_downlink, aggregator_uplink, device_downlink, device_uplink, server_round, wire_err,
-    AggregatorNode, RoundPolicy, WireRunOutput, WireTelemetry,
+    aggregator_downlink, aggregator_uplink_with_silent, device_downlink, device_uplink,
+    server_round_with_silent, wire_err, AggregatorNode, RoundPolicy, WireRunOutput, WireTelemetry,
 };
 use fedsc_federated::partition::FederatedDataset;
 use fedsc_linalg::{LinalgError, Result};
@@ -368,11 +372,24 @@ pub fn run_hier_round_with_dead<T: Transport>(
     for t in 0..num_tiers {
         let tier_sw = Stopwatch::start();
         let mut tier_fleet = FleetCollector::new();
+        // Level-`t` nodes that sent nothing up: dead devices, lost
+        // uplinks, failed subtrees. Their parents stop waiting for them.
+        let sent: Vec<bool> = if t == 0 {
+            local_outs.iter().map(Option::is_some).collect()
+        } else {
+            agg_states[t - 1].iter().map(Option::is_some).collect()
+        };
+        let silent = |p: usize| -> Vec<usize> {
+            let children = topology.children_range(t, p);
+            let start = children.start;
+            children.filter(|&c| !sent[c]).map(|c| c - start).collect()
+        };
         if t + 1 == num_tiers {
             let fan_in = widths[t];
-            let excluded = server_round(
+            let excluded = server_round_with_silent(
                 &mut servers[t][0],
                 fan_in,
+                &silent(0),
                 cfg,
                 &policy.tier(t),
                 Some(&mut tier_fleet),
@@ -390,10 +407,11 @@ pub fn run_hier_round_with_dead<T: Transport>(
                     below: policy.tier(t),
                     above: policy.tier(t + 1),
                 };
-                let merge = aggregator_uplink(
+                let merge = aggregator_uplink_with_silent(
                     &mut servers[t][p],
                     &mut child_links[t + 1][p],
                     &node,
+                    &silent(p),
                     cfg,
                     &mut tier_fleet,
                     &telemetry(t + 1, p, parent_of[t + 1][p]),

@@ -30,8 +30,11 @@
 //!   and a child whose downlink is lost is left unanswered. Either way its
 //!   points fall back to cluster 0 and it is reported excluded.
 //! * A parent collects until every child reports or its
-//!   [`RoundPolicy::deadline`] expires. Below its [`RoundPolicy::quorum`]
-//!   an aggregator fails its subtree, and the root fails the round.
+//!   [`RoundPolicy::deadline`] expires; the in-process tree driver also
+//!   stops once every child it has not seen fall silent (dead, uplink
+//!   lost, subtree failed) has reported. Below its
+//!   [`RoundPolicy::quorum`] an aggregator fails its subtree, and the root
+//!   fails the round.
 //! * Every parent clusters whatever its included children sent, an empty
 //!   pool included: an aggregator then forwards no representative, and
 //!   each child is answered with an empty downlink.
@@ -337,6 +340,21 @@ pub fn aggregator_uplink<S: ServerTransport, D: DeviceTransport>(
     fleet: &mut FleetCollector,
     telemetry: &WireTelemetry,
 ) -> Result<Option<Merge>> {
+    aggregator_uplink_with_silent(children, parent, node, &[], cfg, fleet, telemetry)
+}
+
+/// [`aggregator_uplink`] for a driver that knows the children in `silent`
+/// (distinct indices below `node.fan_in`) will never send: collection
+/// ends as soon as every other child has reported.
+pub(crate) fn aggregator_uplink_with_silent<S: ServerTransport, D: DeviceTransport>(
+    children: &mut S,
+    parent: &mut D,
+    node: &AggregatorNode,
+    silent: &[usize],
+    cfg: &FedScConfig,
+    fleet: &mut FleetCollector,
+    telemetry: &WireTelemetry,
+) -> Result<Option<Merge>> {
     let collect_span = fedsc_obs::span("hier", "hier.agg_uplink")
         .field("tier", node.tier)
         .field("node", node.node)
@@ -345,6 +363,7 @@ pub fn aggregator_uplink<S: ServerTransport, D: DeviceTransport>(
     let uplinks = collect_uplinks(
         children,
         node.fan_in,
+        silent,
         node.below.deadline,
         Some(&mut *fleet),
     )?;
@@ -423,8 +442,22 @@ pub fn server_round<S: ServerTransport>(
     policy: &RoundPolicy,
     fleet: Option<&mut FleetCollector>,
 ) -> Result<Vec<usize>> {
+    server_round_with_silent(link, z_count, &[], cfg, policy, fleet)
+}
+
+/// [`server_round`] for a driver that knows the children in `silent`
+/// (distinct indices below `z_count`) will never send: collection ends as
+/// soon as every other child has reported.
+pub(crate) fn server_round_with_silent<S: ServerTransport>(
+    link: &mut S,
+    z_count: usize,
+    silent: &[usize],
+    cfg: &FedScConfig,
+    policy: &RoundPolicy,
+    fleet: Option<&mut FleetCollector>,
+) -> Result<Vec<usize>> {
     let _span = fedsc_obs::span("wire", "wire.server_round").field("devices", z_count);
-    let uplinks = collect_uplinks(link, z_count, policy.deadline, fleet)?;
+    let uplinks = collect_uplinks(link, z_count, silent, policy.deadline, fleet)?;
     let received = uplinks.iter().filter(|m| m.is_some()).count();
     if received < policy.required(z_count) {
         return Err(LinalgError::InvalidArgument(
@@ -451,9 +484,12 @@ pub fn server_round<S: ServerTransport>(
     Ok(excluded)
 }
 
-/// Collects uplinks from `expected` children over `link` until all report
-/// or `deadline` expires. Slot `z` of the returned vector holds child
-/// `z`'s decoded samples, `None` if they never arrived — quorum policy is
+/// Collects uplinks from `expected` children over `link` until every
+/// child outside `silent` (distinct indices below `expected`, the
+/// children known never to send) has reported, or `deadline` expires.
+/// A silent child's uplink that arrives before then is still taken. Slot
+/// `z` of the returned vector holds child `z`'s decoded samples, `None`
+/// if they never arrived — quorum policy is
 /// the *caller's* decision: the root fails the round, an aggregator fails
 /// its subtree. Stray child ids and duplicate deliveries are ignored.
 ///
@@ -466,16 +502,18 @@ pub fn server_round<S: ServerTransport>(
 fn collect_uplinks<S: ServerTransport>(
     link: &mut S,
     expected: usize,
+    silent: &[usize],
     deadline: Duration,
     mut fleet: Option<&mut FleetCollector>,
 ) -> Result<Vec<Option<Matrix>>> {
     let mut payloads: Vec<Option<Matrix>> = (0..expected).map(|_| None).collect();
     let deadline = Deadline::after(deadline);
     let mut received = 0usize;
+    let mut pending = expected.saturating_sub(silent.len());
     // Parent-side view of Phase 1: the window in which the children's
     // local clustering results arrive.
     let collect_span = fedsc_obs::span("fedsc", "phase1.collect").field("devices", expected);
-    while received < expected {
+    while pending > 0 {
         let remaining = deadline.remaining();
         if remaining.is_zero() {
             break;
@@ -507,6 +545,9 @@ fn collect_uplinks<S: ServerTransport>(
                     .ok_or(LinalgError::InvalidArgument("malformed uplink"))?;
                 payloads[z] = Some(msg.samples);
                 received += 1;
+                if !silent.contains(&z) {
+                    pending -= 1;
+                }
             }
             Err(TransportError::Timeout(_)) => break,
             Err(e) => return Err(wire_err(e)),
@@ -837,8 +878,14 @@ mod tests {
         devices[1].send_uplink(&inner).expect("plain uplink");
 
         let mut fleet = FleetCollector::new();
-        let payloads = collect_uplinks(&mut server, 2, Duration::from_secs(5), Some(&mut fleet))
-            .expect("collect the two uplinks");
+        let payloads = collect_uplinks(
+            &mut server,
+            2,
+            &[],
+            Duration::from_secs(5),
+            Some(&mut fleet),
+        )
+        .expect("collect the two uplinks");
         for (z, p) in payloads.iter().enumerate() {
             let m = p.as_ref().unwrap_or_else(|| panic!("uplink {z} missing"));
             assert_eq!(m.col(0), &[1.0, 2.0], "uplink {z} col 0");
@@ -860,7 +907,7 @@ mod tests {
         devices[0]
             .send_uplink(&Bytes::from(bogus))
             .expect("send the corrupt payload");
-        assert!(collect_uplinks(&mut server, 1, Duration::from_secs(5), None).is_err());
+        assert!(collect_uplinks(&mut server, 1, &[], Duration::from_secs(5), None).is_err());
     }
 
     #[test]

@@ -190,6 +190,23 @@ fn tier_zero_accounting_is_byte_exact() {
     );
 }
 
+/// Per-tier quorums over the default collection deadline, or over the
+/// short `deadline` at both tiers when one is given.
+fn quorum_policy(
+    device_quorum: usize,
+    root_quorum: usize,
+    deadline: Option<Duration>,
+) -> HierPolicy {
+    let tier = |quorum| RoundPolicy {
+        quorum: Some(quorum),
+        deadline: deadline.unwrap_or(RoundPolicy::default().deadline),
+        ..RoundPolicy::default()
+    };
+    HierPolicy {
+        tiers: vec![tier(device_quorum), tier(root_quorum)],
+    }
+}
+
 #[test]
 fn failed_subtree_falls_back_without_failing_the_round() {
     let (fed, cfg) = deep_fixture(3, 12);
@@ -197,24 +214,34 @@ fn failed_subtree_falls_back_without_failing_the_round() {
     // aggregator 0's children: it misses quorum and fails its subtree;
     // the root proceeds on 3 of 4 aggregators.
     let topo = HierTopology::new(12, vec![4]).expect("12→4→root tree");
-    let policy = HierPolicy {
-        tiers: vec![
-            RoundPolicy {
-                quorum: Some(1),
-                deadline: Duration::from_millis(300),
-                ..RoundPolicy::default()
-            },
-            RoundPolicy {
-                quorum: Some(3),
-                deadline: Duration::from_millis(300),
-                ..RoundPolicy::default()
-            },
-        ],
-    };
     let dead = [0usize, 1, 2];
-    let hier = run_hier_round_with_dead(&fed, &cfg, &topo, &InMemoryTransport, &policy, &dead)
-        .expect("round should survive one failed subtree");
+    // Under the default 300 s deadline the root must not wait for the
+    // failed aggregator, which the driver knows will never send.
+    let started = std::time::Instant::now();
+    let hier = run_hier_round_with_dead(
+        &fed,
+        &cfg,
+        &topo,
+        &InMemoryTransport,
+        &quorum_policy(1, 3, None),
+        &dead,
+    )
+    .expect("round should survive one failed subtree");
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(10), "round took {elapsed:?}");
+    // Ending the collection early changes nothing a short deadline gives.
+    let short = run_hier_round_with_dead(
+        &fed,
+        &cfg,
+        &topo,
+        &InMemoryTransport,
+        &quorum_policy(1, 3, Some(Duration::from_millis(300))),
+        &dead,
+    )
+    .expect("short-deadline round should survive one failed subtree");
+    assert_eq!(hier.wire.predictions, short.wire.predictions);
     assert_eq!(hier.wire.excluded, dead.to_vec());
+    assert_eq!(short.wire.excluded, dead.to_vec());
     assert_eq!(hier.tiers[0].excluded_children, dead.to_vec());
     // The failed aggregator surfaces as a straggler at the root tier.
     assert_eq!(hier.tiers[1].excluded_children, vec![0]);
@@ -238,22 +265,9 @@ fn failed_subtree_falls_back_without_failing_the_round() {
 fn root_quorum_miss_fails_the_round() {
     let (fed, cfg) = deep_fixture(7, 12);
     let topo = HierTopology::new(12, vec![4]).expect("12→4→root tree");
-    let policy = HierPolicy {
-        tiers: vec![
-            RoundPolicy {
-                quorum: Some(1),
-                deadline: Duration::from_millis(200),
-                ..RoundPolicy::default()
-            },
-            // The root insists on all 4 aggregators; killing one subtree
-            // entirely starves it.
-            RoundPolicy {
-                quorum: Some(4),
-                deadline: Duration::from_millis(200),
-                ..RoundPolicy::default()
-            },
-        ],
-    };
+    // The root insists on all 4 aggregators; killing one subtree entirely
+    // starves it.
+    let policy = quorum_policy(1, 4, None);
     let err = run_hier_round_with_dead(&fed, &cfg, &topo, &InMemoryTransport, &policy, &[0, 1, 2]);
     assert!(
         err.is_err(),
@@ -313,18 +327,18 @@ fn empty_pools_are_answered_at_every_tier() {
     let in_process = FedSc::new(cfg.clone())
         .run(&fed)
         .expect("in-process round over empty devices");
-    // A short deadline keeps a tree that drops the empty subtrees from
-    // waiting out the default one.
-    let policy = HierPolicy::uniform(RoundPolicy {
-        deadline: Duration::from_secs(5),
-        ..RoundPolicy::default()
-    });
     for topology in [
         HierTopology::flat(4),
         HierTopology::new(4, vec![2]).expect("4→2→root tree"),
     ] {
-        let out = run_hier_round(&fed, &cfg, &topology, &InMemoryTransport, &policy)
-            .unwrap_or_else(|e| panic!("{topology:?} rejected the empty pools: {e:?}"));
+        let out = run_hier_round(
+            &fed,
+            &cfg,
+            &topology,
+            &InMemoryTransport,
+            &HierPolicy::default(),
+        )
+        .unwrap_or_else(|e| panic!("{topology:?} rejected the empty pools: {e:?}"));
         assert_eq!(out.wire.predictions, in_process.predictions);
         assert!(out.wire.excluded.is_empty(), "{topology:?}");
     }

@@ -109,12 +109,6 @@ impl SurrogateSpec {
         self.base_class_size = size.max(4);
         self
     }
-
-    /// Overrides the additive noise level.
-    pub fn with_noise(mut self, noise_std: f64) -> Self {
-        self.noise_std = noise_std.max(0.0);
-        self
-    }
 }
 
 /// A generated surrogate dataset.

@@ -5,7 +5,6 @@
 //! `R^20`. The synthetic data is obtained by multiplying random gaussian
 //! coefficients with each basis matrix."
 
-use fedsc_linalg::Matrix;
 use fedsc_subspace::model::{LabeledData, SubspaceModel};
 use rand::Rng;
 
@@ -57,11 +56,6 @@ pub fn generate<R: Rng + ?Sized>(cfg: &SyntheticConfig, rng: &mut R) -> Syntheti
     let counts = vec![cfg.points_per_subspace; cfg.num_subspaces];
     let data = model.sample_dataset(rng, &counts, cfg.noise_std);
     SyntheticDataset { data, model }
-}
-
-/// Convenience accessor used by the benches: the raw matrix.
-pub fn data_matrix(ds: &SyntheticDataset) -> &Matrix {
-    &ds.data.data
 }
 
 #[cfg(test)]

@@ -100,6 +100,11 @@ impl UplinkMessage {
         }
         let n = bytes.get_u64_le() as usize;
         let r = bytes.get_u64_le() as usize;
+        // A 0-row header needs no data after it, so nothing would bound
+        // its sample count. An empty device sends `dim x 0` instead.
+        if n == 0 && r > 0 {
+            return None;
+        }
         let need = n.checked_mul(r)?.checked_mul(8)?;
         if bytes.remaining() != need {
             return None;
@@ -222,6 +227,22 @@ mod tests {
         let mut bytes = msg.encode().to_vec();
         bytes.pop();
         assert!(UplinkMessage::decode(Bytes::from(bytes)).is_none());
+    }
+
+    #[test]
+    fn decode_rejects_zero_rows_claiming_samples() {
+        // A 0-row header needs no data bytes, so the sample count it
+        // declares would otherwise go unchecked.
+        let mut header = BytesMut::new();
+        header.put_u64_le(0);
+        header.put_u64_le(1 << 40);
+        assert!(UplinkMessage::decode(header.freeze()).is_none());
+        // An empty device's `dim x 0` upload still decodes.
+        let empty = UplinkMessage {
+            dim: 20,
+            samples: Matrix::zeros(20, 0),
+        };
+        assert_eq!(UplinkMessage::decode(empty.encode()).unwrap(), empty);
     }
 
     #[test]

@@ -131,7 +131,6 @@ pub fn kfed(fed: &FederatedDataset, cfg: &KFedConfig) -> Result<KFedOutput> {
                 k: cfg.num_clusters.clamp(1, pooled.cols().max(1)),
                 init: KMeansInit::FarthestPoint,
                 restarts: 3,
-                ..Default::default()
             },
             &mut rng,
         )

@@ -60,14 +60,14 @@ pub(crate) static UNCONVERGED: LazyCounter = LazyCounter::new("spectral.unconver
 
 /// `sqrt(f64::EPSILON)` — Simon's semi-orthogonality threshold.
 const SQRT_EPS: f64 = 1.490_116_119_384_765_6e-8;
-/// Default block width; multi-vector operator kernels amortize one data
+/// Block width `b`; multi-vector operator kernels amortize one data
 /// traversal across this many vectors. A narrower block reaches a higher
 /// Krylov degree per restart within the same basis bound, which is what
 /// resolves the near-degenerate tails of real central Laplacians: on the
 /// seeded fig5/fig6 round graphs width 8 could exhaust the restart budget
 /// (`λ25/λ26 = 0.995`), width 4 converged within 15 restarts on every
 /// measured draw and roughly halved the solve (DESIGN.md §13).
-const DEFAULT_BLOCK: usize = 4;
+const BLOCK: usize = 4;
 /// Convergence tolerance on the residual `||A y - θ y||`, relative to
 /// `max(scale, 1)` with `scale` the operator's largest absolute entry.
 const RESIDUAL_TOL: f64 = 1e-6;
@@ -76,12 +76,11 @@ const RESIDUAL_TOL: f64 = 1e-6;
 const DEFAULT_MAX_RESTARTS: usize = 120;
 
 /// Tuning knobs for [`thick_restart_smallest`]. `0` / empty mean
-/// "pick the documented default".
+/// "pick the documented default". The block width `b` is fixed at 4,
+/// clamped to `[1, n]` and widened to the seed count so all seeds form the
+/// first block.
 #[derive(Debug, Clone, Default)]
 pub struct ThickRestartOptions {
-    /// Block width `b` (default 4, clamped to `[1, n]`; widened to the seed
-    /// count so all seeds form the first block).
-    pub block: usize,
     /// Retained basis bound `m_max` (default `k + max(4b, 32)`, raised to at
     /// least `k + b`, rounded up to a block multiple, capped at `n`).
     pub max_basis: usize,
@@ -179,13 +178,8 @@ pub fn thick_restart_smallest<A: SymOp + ?Sized>(
         }
     }
 
-    let b_raw = if opts.block > 0 {
-        opts.block
-    } else {
-        DEFAULT_BLOCK
-    };
     let init_len = init.len();
-    let b_eff = b_raw.max(init_len).clamp(1, n);
+    let b_eff = BLOCK.max(init_len).clamp(1, n);
     let mut m_max = if opts.max_basis > 0 {
         opts.max_basis
     } else {
@@ -854,19 +848,26 @@ mod tests {
     }
 
     #[test]
-    fn explicit_block_options_still_converge() {
-        let a = random_symmetric(50, 99);
-        let dense = eigh(&a).unwrap();
-        for block in [1usize, 3, 16] {
+    fn seed_widened_and_clamped_blocks_still_converge() {
+        // The block leaves its fixed width 4 in two ways: six seeds widen
+        // it to 6, and a 3 x 3 operator clamps it to 3 (the full space).
+        let sine_seeds = |count: usize, n: usize| -> Vec<Vec<f64>> {
+            (0..count)
+                .map(|s| (0..n).map(|i| ((i * (s + 1) + s) as f64).sin()).collect())
+                .collect()
+        };
+        for (n, k, seeds) in [(50, 6, sine_seeds(6, 50)), (3, 2, Vec::new())] {
+            let a = random_symmetric(n, 99);
+            let dense = eigh(&a).unwrap();
             let opts = ThickRestartOptions {
-                block,
+                seeds,
                 ..ThickRestartOptions::default()
             };
-            let out = thick_restart_smallest(&a, 4, &opts).unwrap();
-            for i in 0..4 {
+            let out = thick_restart_smallest(&a, k, &opts).unwrap();
+            for i in 0..k {
                 assert!(
                     (dense.eigenvalues[i] - out.eigenvalues[i]).abs() < 1e-7,
-                    "block {block}, eigenvalue {i}: {} vs {}",
+                    "n {n}, eigenvalue {i}: {} vs {}",
                     dense.eigenvalues[i],
                     out.eigenvalues[i]
                 );

@@ -108,12 +108,6 @@ pub fn norm1(a: &[f64]) -> f64 {
     a.iter().map(|v| v.abs()).sum()
 }
 
-/// `l-inf` norm.
-#[inline]
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0f64, |m, v| m.max(v.abs()))
-}
-
 /// `y += alpha * x`.
 ///
 /// 4-wide unrolled: each lane updates independent elements, so the unroll
@@ -238,7 +232,6 @@ mod tests {
     fn norms_hand_checked() {
         let a = [1.0, -2.0, 2.0];
         assert_eq!(norm1(&a), 5.0);
-        assert_eq!(norm_inf(&a), 2.0);
         assert_eq!(norm2(&a), 3.0);
     }
 

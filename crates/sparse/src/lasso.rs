@@ -53,6 +53,13 @@ const SINGULAR_SCHUR: f64 = 1e-10;
 /// to this relative tolerance.
 const PARALLEL_TOL: f64 = 1e-12;
 
+/// The CD certificate stops once the largest coordinate change in a sweep
+/// falls below this.
+const CD_TOL: f64 = 1e-6;
+
+/// Entries with `|c_j|` below this are dropped from the reported support.
+const SUPPORT_TOL: f64 = 1e-8;
+
 /// Options for the Lasso solver.
 ///
 /// The homotopy solves each problem exactly, so the CD certificate normally
@@ -66,10 +73,6 @@ const PARALLEL_TOL: f64 = 1e-12;
 pub struct LassoOptions {
     /// Maximum coordinate-descent sweeps per solve.
     pub max_iters: usize,
-    /// Stop when the largest coordinate change in a sweep falls below this.
-    pub tol: f64,
-    /// Entries with `|c_j|` below this are dropped from the reported support.
-    pub support_tol: f64,
     /// Worker threads for *batches* of independent solves (one per point in
     /// SSC's self-expression sweep). A single `solve` call is always
     /// sequential; batch drivers such as `Ssc::codes` fan the per-point
@@ -83,8 +86,6 @@ impl Default for LassoOptions {
     fn default() -> Self {
         Self {
             max_iters: 2000,
-            tol: 1e-6,
-            support_tol: 1e-8,
             threads: 1,
         }
     }
@@ -236,7 +237,7 @@ impl<'a> LassoSolver<'a> {
         self.homotopy(thresh, ws);
         self.certify(thresh, ws);
         self.spread_parallel(ws);
-        Ok(SparseVec::from_dense(&ws.c, self.opts.support_tol))
+        Ok(SparseVec::from_dense(&ws.c, SUPPORT_TOL))
     }
 
     /// Follows the solution path of `min 0.5 c^T G c - b^T c + t ||c||_1`
@@ -373,7 +374,7 @@ impl<'a> LassoSolver<'a> {
     }
 
     /// Cyclic CD sweeps over the live atoms from the path solution until
-    /// the largest coordinate change falls below `tol`: after a complete
+    /// the largest coordinate change falls below `CD_TOL`: after a complete
     /// path this is one sweep, a KKT certificate that moves no coefficient
     /// beyond round-off. A path stopped at its step cap keeps sweeping, up
     /// to `max_iters`, from where it stopped.
@@ -402,7 +403,7 @@ impl<'a> LassoSolver<'a> {
                     max_delta = max_delta.max(delta.abs());
                 }
             }
-            if max_delta < self.opts.tol {
+            if max_delta < CD_TOL {
                 break;
             }
         }
@@ -638,7 +639,7 @@ mod tests {
             let c = solver.solve(&b, lambda, usize::MAX).unwrap();
             let viol = solver.kkt_violation(&b, lambda, usize::MAX, &c).unwrap();
             // The coordinate tolerance translates to a KKT residual of
-            // roughly lambda * tol, so scale the acceptance accordingly.
+            // roughly lambda * CD_TOL, so scale the acceptance accordingly.
             assert!(
                 viol < 1e-6 * lambda.max(10.0) * 2.0,
                 "lambda {lambda}: KKT violation {viol}"

@@ -1,6 +1,6 @@
 //! The common interface all subspace-clustering algorithms implement.
 
-use fedsc_clustering::spectral::{spectral_clustering, ClusterCountPolicy, SpectralOptions};
+use fedsc_clustering::spectral::{spectral_clustering, ClusterCountPolicy};
 use fedsc_graph::{AffinityGraph, SparseAffinity};
 use fedsc_linalg::{Matrix, Result};
 use rand::Rng;
@@ -27,7 +27,7 @@ pub trait SubspaceClusterer {
     fn cluster<R: Rng + ?Sized>(&self, data: &Matrix, k: usize, rng: &mut R) -> Result<Vec<usize>> {
         let w = self.sparse_affinity(data)?;
         let count = ClusterCountPolicy::Fixed(k);
-        Ok(spectral_clustering(&w, count, &SpectralOptions::default(), rng)?.0)
+        Ok(spectral_clustering(&w, count, rng)?.0)
     }
 }
 

@@ -28,8 +28,6 @@ pub struct Ensc {
     pub lambda: f64,
     /// Data-fidelity weight `gamma > 0`.
     pub gamma: f64,
-    /// Normalize columns before coding.
-    pub normalize: bool,
     /// Worker threads for the Gram product and the per-point solves. The
     /// coefficients are bitwise identical for every value.
     pub threads: usize,
@@ -40,7 +38,6 @@ impl Default for Ensc {
         Self {
             lambda: 0.95,
             gamma: 50.0,
-            normalize: true,
             threads: 1,
         }
     }
@@ -69,11 +66,7 @@ impl Ensc {
                 "EnSC gamma must be positive and finite",
             ));
         }
-        let x = if self.normalize {
-            normalize_data(data)
-        } else {
-            data.clone()
-        };
+        let x = normalize_data(data);
         let n = x.cols();
         let threads = self.threads.max(1);
         let mut gram = x.gram_threaded(threads);
@@ -202,7 +195,8 @@ mod tests {
     #[test]
     fn lambda_one_reduces_to_lasso() {
         // With lambda = 1 the ridge term vanishes: the codes are the Lasso
-        // `gamma/2 ||x_i - X c||^2 + ||c||_1` over the plain Gram.
+        // `gamma/2 ||x_i - X c||^2 + ||c||_1` over the plain Gram of the
+        // unit-normalized points.
         let x = Matrix::from_rows(&[
             &[1.0, 0.2, -0.3, 0.5, 0.0],
             &[0.1, 1.0, 0.4, -0.2, 0.3],
@@ -212,11 +206,10 @@ mod tests {
         let en = Ensc {
             lambda: 1.0,
             gamma: 30.0,
-            normalize: false,
             threads: 1,
         };
         let codes = en.codes(&x).unwrap();
-        let g = x.gram();
+        let g = normalize_data(&x).gram();
         let lasso = LassoSolver::new(&g, LassoOptions::default());
         for (i, code) in codes.iter().enumerate() {
             let la = lasso.solve(g.col(i), 30.0, i).unwrap().to_dense();
@@ -247,12 +240,12 @@ mod tests {
     fn ridge_spreads_weight_over_correlated_atoms() {
         // Point 3 has two exact copies among the atoms: pure Lasso picks
         // one vertex of the optimal face, the elastic net must split the
-        // weight evenly (the connectivity argument for EnSC).
+        // weight evenly (the connectivity argument for EnSC). The points
+        // are unit vectors, so normalizing leaves them as they are.
         let x = Matrix::from_rows(&[&[1.0, 1.0, 0.0, 1.0], &[0.0, 0.0, 1.0, 0.0]]).unwrap();
         let en = Ensc {
             lambda: 0.5,
             gamma: 10.0,
-            normalize: false,
             threads: 1,
         };
         let c = en.codes(&x).unwrap()[3].to_dense();

@@ -21,8 +21,6 @@ pub struct Nsn {
     /// Maximum dimension of the greedy subspace (typically the expected
     /// subspace dimension).
     pub max_subspace_dim: usize,
-    /// Normalize columns first.
-    pub normalize: bool,
     /// Worker threads for the per-point greedy neighbor searches. Each
     /// point's search carries its own basis workspace, so the graph is
     /// bitwise identical for every value.
@@ -36,7 +34,6 @@ impl Nsn {
         Self {
             num_neighbors,
             max_subspace_dim,
-            normalize: true,
             threads: 1,
         }
     }
@@ -54,11 +51,7 @@ impl SubspaceClusterer for Nsn {
     }
 
     fn sparse_affinity(&self, data: &Matrix) -> Result<SparseAffinity> {
-        let x = if self.normalize {
-            normalize_data(data)
-        } else {
-            data.clone()
-        };
+        let x = normalize_data(data);
         // Each pick adds 0.5 both ways, so entry (i, j) sums to
         // `0.5 * (p_ij + p_ji)` over the 0/1 picks: exactly the
         // symmetrization `AffinityGraph::from_symmetric` applies.
@@ -74,7 +67,7 @@ impl SubspaceClusterer for Nsn {
 
 impl Nsn {
     /// The greedy neighbor set of every column of `x` (assumed already
-    /// normalized if desired) — the selection stage of
+    /// normalized) — the selection stage of
     /// [`SubspaceClusterer::sparse_affinity`], exposed so pipelines can
     /// reuse NSN's search without building the graph.
     ///

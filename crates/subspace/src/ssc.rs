@@ -32,8 +32,6 @@ pub struct Ssc {
     pub alpha: f64,
     /// Lasso solver options.
     pub lasso: LassoOptions,
-    /// Normalize columns to unit norm before coding (paper's convention).
-    pub normalize: bool,
     /// Sketched-candidate screening pipeline (sketch → restricted solves).
     /// Engages only at `min_points` and above; the default threshold is
     /// `usize::MAX`, so every size keeps the exact full-dictionary solves
@@ -48,7 +46,6 @@ impl Default for Ssc {
         Self {
             alpha: 50.0,
             lasso: LassoOptions::default(),
-            normalize: true,
             candidates: Some(CandidateOptions::default()),
         }
     }
@@ -78,11 +75,7 @@ impl Ssc {
     /// The Gram product and the solves record the `ssc.gram` and
     /// `ssc.lasso` spans.
     fn exact_codes(&self, data: &Matrix) -> Result<Vec<SparseVec>> {
-        let x = if self.normalize {
-            normalize_data(data)
-        } else {
-            data.clone()
-        };
+        let x = normalize_data(data);
         let n = x.cols();
         let threads = self.lasso.threads.max(1);
         let gram = {
@@ -113,11 +106,7 @@ impl Ssc {
     /// benches); [`Self::codes`] applies the threshold. Candidate selection
     /// records the `ssc.sketch` span, the restricted solves `ssc.lasso`.
     pub fn candidate_codes(&self, data: &Matrix) -> Result<Vec<SparseVec>> {
-        let x = if self.normalize {
-            normalize_data(data)
-        } else {
-            data.clone()
-        };
+        let x = normalize_data(data);
         let threads = self.lasso.threads.max(1);
         let copts = self.candidates.clone().unwrap_or_default();
         let cands = {

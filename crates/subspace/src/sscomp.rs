@@ -8,47 +8,33 @@ use fedsc_linalg::{Matrix, Result};
 use fedsc_sparse::omp::{omp, OmpOptions};
 use fedsc_sparse::SparseVec;
 
+/// OMP stops once the residual norm falls to this.
+const OMP_TOL: f64 = 1e-6;
+
 /// SSC-OMP configuration.
 #[derive(Debug, Clone)]
 pub struct SscOmp {
-    /// OMP options (support budget `k_max`, residual tolerance).
-    pub omp: OmpOptions,
-    /// Normalize columns before coding.
-    pub normalize: bool,
+    /// Support budget per point; OMP stops earlier once the residual norm
+    /// falls to `1e-6`.
+    pub k_max: usize,
 }
 
 impl Default for SscOmp {
     fn default() -> Self {
-        Self {
-            omp: OmpOptions {
-                k_max: 10,
-                tol: 1e-6,
-            },
-            normalize: true,
-        }
+        Self { k_max: 10 }
     }
 }
 
 impl SscOmp {
-    /// SSC-OMP with a per-point support budget.
-    pub fn with_sparsity(k_max: usize) -> Self {
-        Self {
-            omp: OmpOptions { k_max, tol: 1e-6 },
-            normalize: true,
-        }
-    }
-
     /// Per-point OMP self-expression codes: `codes[i]` is column `i` of
     /// the coefficient matrix `C` (no entry at `i`).
     pub fn codes(&self, data: &Matrix) -> Result<Vec<SparseVec>> {
-        let x = if self.normalize {
-            normalize_data(data)
-        } else {
-            data.clone()
+        let x = normalize_data(data);
+        let opts = OmpOptions {
+            k_max: self.k_max,
+            tol: OMP_TOL,
         };
-        (0..x.cols())
-            .map(|i| omp(&x, x.col(i), i, &self.omp))
-            .collect()
+        (0..x.cols()).map(|i| omp(&x, x.col(i), i, &opts)).collect()
     }
 }
 
@@ -75,7 +61,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let model = SubspaceModel::random(&mut rng, 20, 3, 2);
         let ds = model.sample_dataset(&mut rng, &[10, 10], 0.0);
-        let algo = SscOmp::with_sparsity(3);
+        let algo = SscOmp { k_max: 3 };
         let codes = algo.codes(&ds.data).unwrap();
         for (i, code) in codes.iter().enumerate() {
             let nnz = code.iter().filter(|&(_, v)| v != 0.0).count();
@@ -89,9 +75,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let model = SubspaceModel::random(&mut rng, 30, 3, 3);
         let ds = model.sample_dataset(&mut rng, &[15, 15, 15], 0.0);
-        let labels = SscOmp::with_sparsity(3)
-            .cluster(&ds.data, 3, &mut rng)
-            .unwrap();
+        let labels = SscOmp { k_max: 3 }.cluster(&ds.data, 3, &mut rng).unwrap();
         let acc = clustering_accuracy(&ds.labels, &labels);
         assert!(acc > 90.0, "accuracy {acc}");
     }
@@ -101,7 +85,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let model = SubspaceModel::random(&mut rng, 40, 3, 2);
         let ds = model.sample_dataset(&mut rng, &[12, 12], 0.0);
-        let g = SscOmp::with_sparsity(3).affinity(&ds.data).unwrap();
+        let g = SscOmp { k_max: 3 }.affinity(&ds.data).unwrap();
         let mut cross = 0.0f64;
         for i in 0..24 {
             for j in 0..24 {

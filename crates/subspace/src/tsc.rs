@@ -16,8 +16,6 @@ use fedsc_linalg::{par, vector, Matrix, Result};
 pub struct Tsc {
     /// Number of nearest neighbors `q`.
     pub q: usize,
-    /// Normalize columns before computing spherical distances.
-    pub normalize: bool,
     /// Worker threads for the Gram product and the per-point neighbor
     /// searches. The affinity graph is bitwise identical for every value.
     pub threads: usize,
@@ -26,11 +24,7 @@ pub struct Tsc {
 impl Tsc {
     /// TSC with the given neighbor count.
     pub fn new(q: usize) -> Self {
-        Self {
-            q,
-            normalize: true,
-            threads: 1,
-        }
+        Self { q, threads: 1 }
     }
 
     /// The paper's parameter rules: `q = max(3, ceil(Z / L))` for the
@@ -50,11 +44,7 @@ impl Tsc {
     /// search without building the affinity. The per-point scans fan
     /// out over `self.threads`; results are identical for every value.
     pub fn neighbor_sets(&self, data: &Matrix) -> Vec<Vec<usize>> {
-        let x = if self.normalize {
-            normalize_data(data)
-        } else {
-            data.clone()
-        };
+        let x = normalize_data(data);
         let n = x.cols();
         let gram = x.gram_threaded(self.threads.max(1));
         par::par_map(n, self.threads.max(1), |i| {
@@ -82,11 +72,7 @@ impl SubspaceClusterer for Tsc {
     /// what the server's Phase 2 segments, with no `n x n` dense matrix
     /// beyond the Gram. Bitwise identical for every `self.threads`.
     fn sparse_affinity(&self, data: &Matrix) -> Result<SparseAffinity> {
-        let x = if self.normalize {
-            normalize_data(data)
-        } else {
-            data.clone()
-        };
+        let x = normalize_data(data);
         let n = x.cols();
         // Precompute |cos| similarities once; the kNN constructor consults
         // them O(n^2 log n) times otherwise.

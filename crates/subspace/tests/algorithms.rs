@@ -35,9 +35,7 @@ fn all_five_algorithms_solve_the_easy_instance() {
     run("TSC", Tsc::new(6).cluster(&ds.data, 3, &mut rng).unwrap());
     run(
         "SSC-OMP",
-        SscOmp::with_sparsity(3)
-            .cluster(&ds.data, 3, &mut rng)
-            .unwrap(),
+        SscOmp { k_max: 3 }.cluster(&ds.data, 3, &mut rng).unwrap(),
     );
     run(
         "EnSC",
@@ -137,7 +135,7 @@ fn affinity_graphs_are_symmetric_nonnegative_zero_diagonal() {
     let graphs = [
         Ssc::default().affinity(&ds.data).unwrap(),
         Tsc::new(5).affinity(&ds.data).unwrap(),
-        SscOmp::with_sparsity(3).affinity(&ds.data).unwrap(),
+        SscOmp { k_max: 3 }.affinity(&ds.data).unwrap(),
         Ensc::default().affinity(&ds.data).unwrap(),
         Nsn::new(5, 3).affinity(&ds.data).unwrap(),
     ];

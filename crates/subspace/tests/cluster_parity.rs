@@ -79,7 +79,7 @@ fn check_pool(l: usize, per: usize, seed: u64) {
     let model = SubspaceModel::random(&mut rng, 30, 3, l);
     let ds = model.sample_dataset(&mut rng, &vec![per; l], 0.01);
     let x = &ds.data;
-    let (ssc, tsc, omp) = (Ssc::default(), Tsc::new(5), SscOmp::with_sparsity(3));
+    let (ssc, tsc, omp) = (Ssc::default(), Tsc::new(5), SscOmp { k_max: 3 });
     let (ensc, nsn) = (Ensc::default(), Nsn::new(6, 3));
     let run = |algo: &dyn Fn(&mut StdRng) -> Vec<usize>| algo(&mut StdRng::seed_from_u64(seed));
     let cases: [(&str, AffinityGraph, AffinityGraph, Vec<usize>); 5] = [

@@ -73,9 +73,9 @@ proptest! {
     fn elastic_net_kkt(seed in 0u64..2000, cols in 3usize..8, lambda in 0.3f64..1.0) {
         let mut rng = StdRng::seed_from_u64(seed);
         let x = gaussian_matrix(&mut rng, 5, cols);
-        let en = Ensc { lambda, gamma: 20.0, normalize: false, threads: 1 };
+        let en = Ensc { lambda, gamma: 20.0, threads: 1 };
         let codes = en.codes(&x).unwrap();
-        let viol = kkt_violation(&x, &codes, lambda, 20.0);
+        let viol = kkt_violation(&normalize_data(&x), &codes, lambda, 20.0);
         prop_assert!(viol < 1e-9, "violation {viol:e}");
     }
 }
