@@ -66,7 +66,7 @@ use fedsc_sparse::lasso::{ssc_lambda, LassoOptions, LassoSolver, LassoWorkspace}
 use fedsc_sparse::restricted::solve_candidates;
 use fedsc_subspace::algo::normalize_data;
 use fedsc_subspace::candidates::select_candidates;
-use fedsc_subspace::{CandidateOptions, Ssc, SubspaceClusterer};
+use fedsc_subspace::{ssc, CandidateOptions, Ssc, SubspaceClusterer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -248,7 +248,7 @@ fn main() {
             let solver = LassoSolver::new(&lasso_gram, LassoOptions::default());
             let codes = fedsc_linalg::par::par_map_with(npts, t, LassoWorkspace::new, |ws, i| {
                 let b = lasso_gram.col(i);
-                let lambda = ssc_lambda(b, i, 50.0);
+                let lambda = ssc_lambda(b, i, ssc::ALPHA);
                 solver.solve_in(b, lambda, i, ws).expect("lasso solve")
             });
             std::hint::black_box(codes);
@@ -315,8 +315,7 @@ fn main() {
         let x = normalize_data(data);
         let cands = select_candidates(&x, &opts, t).expect("candidate selection");
         let select_ns = sw.elapsed().as_nanos();
-        let codes =
-            solve_candidates(&x, &cands, Ssc::default().alpha, &lasso).expect("restricted solves");
+        let codes = solve_candidates(&x, &cands, ssc::ALPHA, &lasso).expect("restricted solves");
         std::hint::black_box(fedsc_graph::SparseAffinity::from_codes(&codes));
         (select_ns, sw.elapsed().as_nanos() - select_ns)
     };

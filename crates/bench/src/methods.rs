@@ -40,22 +40,6 @@ impl MethodResult {
     }
 }
 
-/// Runs Fed-SC with the given central backend over a partitioned dataset.
-///
-/// `compute_conn` toggles the induced-graph CONN computation (it is
-/// `O(N^2)` in the total point count, so the big sweeps skip it).
-pub fn run_fed_sc(
-    fed: &FederatedDataset,
-    l: usize,
-    backend: CentralBackend,
-    seed: u64,
-    compute_conn: bool,
-) -> MethodResult {
-    let mut cfg = FedScConfig::new(l, backend);
-    cfg.seed = seed;
-    run_fed_sc_with(fed, cfg, compute_conn)
-}
-
 /// Runs Fed-SC with the paper's upper-bound cluster-count policy
 /// `r^(z) = l_prime` (Remark 1's choice for complex data; also the reliable
 /// choice when local graphs are too weakly separated for the eigengap
@@ -75,6 +59,9 @@ pub fn run_fed_sc_fixed(
 }
 
 /// Runs Fed-SC with a fully custom configuration.
+///
+/// `compute_conn` toggles the induced-graph CONN computation (it is
+/// `O(N^2)` in the total point count, so the big sweeps skip it).
 pub fn run_fed_sc_with(
     fed: &FederatedDataset,
     cfg: FedScConfig,
@@ -180,7 +167,9 @@ mod tests {
     #[test]
     fn fed_sc_runner_produces_metrics() {
         let (fed, l) = small_fed();
-        let r = run_fed_sc(&fed, l, CentralBackend::Ssc, 7, true);
+        let mut cfg = FedScConfig::new(l, CentralBackend::Ssc);
+        cfg.seed = 7;
+        let r = run_fed_sc_with(&fed, cfg, true);
         assert!(r.acc > 80.0, "acc {}", r.acc);
         assert!(r.nmi > 60.0);
         assert!(r.conn_min.is_finite());

@@ -84,7 +84,7 @@ impl Default for SpectralOptions {
 ///   for `None`). The estimate is floored at the graph's connected-component
 ///   count and capped at `cap`. The components bound the natural count from
 ///   below, and under-counting merges subspaces, which nothing downstream
-///   can undo; over-splitting only costs a parent an extra representative.
+///   can undo; over-splitting only costs a device an extra uploaded sample.
 ///
 /// The count is read off the same solve the embedding uses, so each graph
 /// gets one spectral solve. Below the `lanczos_beats_dense(n, pairs)`

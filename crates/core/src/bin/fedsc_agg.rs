@@ -4,27 +4,29 @@
 //! Binds a listener for its children (devices or lower aggregators),
 //! prints `listening <addr>` (flushed), and runs the aggregator role of
 //! `fedsc::wire` as the aggregator at `(--tier, --node)`:
-//! `aggregator_uplink` collects `--children` uplinks under the policy,
-//! merges them (eigengap count capped at `L`) and forwards the
-//! representatives to the parent at `--addr` (as child `--node` on the
-//! parent's fan-in); `aggregator_downlink` awaits the parent's labels and
-//! relays the composed downlink of every included child:
+//! `aggregator_uplink` collects `--children` uplinks under the policy and
+//! forwards the included children's device uplinks, unmerged, to the
+//! parent at `--addr` (as child `--node` on the parent's fan-in);
+//! `aggregator_downlink` awaits the parent's labels for those samples and
+//! sends every included child its slice. The aggregator clusters
+//! nothing, so it needs no dataset or configuration. It prints the
+//! samples it forwarded and the children it included:
 //!
 //! ```text
 //! listening 127.0.0.1:40124
-//! agg 0 reps 3 included 4
-//! uplink_bytes 2464 downlink_bytes 448 envelope_bytes 0
+//! agg 0 forwarded 8 included 4
+//! uplink_bytes 1600 downlink_bytes 320 envelope_bytes 0
 //! ```
 //!
 //! Fleet telemetry: with `--telemetry` the aggregator absorbs its
 //! children's in-band envelopes, estimates its clock offset to the
 //! parent (timed handshake), shifts the whole subtree's spans into the
 //! parent's clock, and forwards them — plus the merged metrics and its
-//! own lane (`100 + --node`) — in-band on its uplink. Offsets compose
-//! transitively, so the root receives root-clock timestamps directly.
+//! own lane (`100 + --node`) — in-band on its uplink, under run id
+//! `--seed`. Offsets compose transitively, so the root receives
+//! root-clock timestamps directly.
 
 use fedsc::cli::{self, Flags};
-use fedsc::demo::{demo_fixture, demo_hier_fixture};
 use fedsc::{aggregator_downlink, aggregator_uplink, AggregatorNode, RoundPolicy, WireTelemetry};
 use fedsc_obs::{FleetCollector, TraceContext};
 use fedsc_transport::{ServerTransport, TcpDevice, TcpOptions, TcpServer};
@@ -40,20 +42,17 @@ struct Args {
     tier: usize,
     parent: u64,
     children: usize,
-    devices: usize,
-    clusters: usize,
     seed: u64,
     quorum: Option<usize>,
     deadline_ms: u64,
-    hier: bool,
     telemetry: bool,
     trace_out: Option<String>,
     metrics_out: Option<String>,
 }
 
 const USAGE: &str = "usage: fedsc-agg --addr HOST:PORT --node N --children Z \
-[--bind 127.0.0.1:0] [--tier 0] [--parent P] [--devices 12] [--clusters 3] \
-[--seed 1] [--quorum N] [--deadline-ms 300000] [--hier] [--telemetry] \
+[--bind 127.0.0.1:0] [--tier 0] [--parent P] [--seed 1] [--quorum N] \
+[--deadline-ms 300000] [--telemetry] \
 [--trace-out trace.json] [--metrics-out metrics.json]";
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
@@ -65,12 +64,9 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         tier: flags.parsed("--tier", 0)?,
         parent: flags.parsed("--parent", 0)?,
         children: flags.required("--children")?,
-        devices: flags.parsed("--devices", 12)?,
-        clusters: flags.parsed("--clusters", 3)?,
         seed: flags.parsed("--seed", 1)?,
         quorum: flags.optional("--quorum")?,
         deadline_ms: flags.parsed("--deadline-ms", 300_000)?,
-        hier: flags.switch("--hier"),
         telemetry: flags.switch("--telemetry"),
         trace_out: flags.optional("--trace-out")?,
         metrics_out: flags.optional("--metrics-out")?,
@@ -84,14 +80,6 @@ fn run(args: &Args) -> Result<(), String> {
     if args.telemetry || args.trace_out.is_some() {
         fedsc_obs::trace::install_ring(1 << 16);
     }
-    // Only the config matters here; regenerating the shared fixture keeps
-    // every process on the same parameters without shared state.
-    let fixture = if args.hier {
-        demo_hier_fixture
-    } else {
-        demo_fixture
-    };
-    let (_fed, cfg) = fixture(args.seed, args.devices, args.clusters);
     let policy = RoundPolicy {
         quorum: args.quorum,
         deadline: Duration::from_millis(args.deadline_ms),
@@ -132,17 +120,17 @@ fn run(args: &Args) -> Result<(), String> {
     };
     let mut up = TcpDevice::new(args.addr, args.node, TcpOptions::default());
     let mut fleet = FleetCollector::new();
-    let merge = aggregator_uplink(&mut server, &mut up, &node, &cfg, &mut fleet, &telemetry)
+    let fanin = aggregator_uplink(&mut server, &mut up, &node, &mut fleet, &telemetry)
         .map_err(|e| format!("{e}"))?
         .ok_or("subtree failed: quorum miss or unreachable parent")?;
-    aggregator_downlink(&mut server, &mut up, &node, &merge).map_err(|e| format!("{e}"))?;
+    aggregator_downlink(&mut server, &mut up, &node, &fanin).map_err(|e| format!("{e}"))?;
     let stats = server.stats();
     drop(server);
     println!(
-        "agg {} reps {} included {}",
+        "agg {} forwarded {} included {}",
         args.node,
-        merge.representative_count(),
-        merge.included.len()
+        fanin.counts.iter().sum::<usize>(),
+        fanin.included.len()
     );
     println!(
         "uplink_bytes {} downlink_bytes {} envelope_bytes {}",

@@ -25,7 +25,7 @@
 //! `--parent` names that parent node in the trace context.
 
 use fedsc::cli::{self, Flags};
-use fedsc::demo::{demo_fixture, demo_hier_fixture};
+use fedsc::demo::demo_fixture;
 use fedsc::{device_round, RoundPolicy, WireTelemetry};
 use fedsc_obs::TraceContext;
 use fedsc_transport::{TcpDevice, TcpOptions};
@@ -40,7 +40,6 @@ struct Args {
     devices: usize,
     clusters: usize,
     seed: u64,
-    hier: bool,
     telemetry: bool,
     trace_out: Option<String>,
     metrics_out: Option<String>,
@@ -48,7 +47,7 @@ struct Args {
 
 const USAGE: &str = "usage: fedsc-device --addr HOST:PORT --device Z \
 [--link-id N] [--parent P] [--devices 12] [--clusters 3] [--seed 1] \
-[--hier] [--telemetry] [--trace-out trace.json] [--metrics-out metrics.json]";
+[--telemetry] [--trace-out trace.json] [--metrics-out metrics.json]";
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let flags = Flags::parse(args, USAGE)?;
@@ -60,7 +59,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         devices: flags.parsed("--devices", 12)?,
         clusters: flags.parsed("--clusters", 3)?,
         seed: flags.parsed("--seed", 1)?,
-        hier: flags.switch("--hier"),
         telemetry: flags.switch("--telemetry"),
         trace_out: flags.optional("--trace-out")?,
         metrics_out: flags.optional("--metrics-out")?,
@@ -77,14 +75,7 @@ fn run(args: &Args) -> Result<(), String> {
     if args.telemetry || args.trace_out.is_some() {
         fedsc_obs::trace::install_ring(1 << 16);
     }
-    // `--hier` selects the aggregation-friendly fixture shared by a
-    // fleet with `fedsc-agg` mid-tiers (see `fedsc::demo`).
-    let fixture = if args.hier {
-        demo_hier_fixture
-    } else {
-        demo_fixture
-    };
-    let (fed, cfg) = fixture(args.seed, args.devices, args.clusters);
+    let (fed, cfg) = demo_fixture(args.seed, args.devices, args.clusters);
     let link_id = args.link_id.unwrap_or(args.device);
     let pid = 1000 + args.device as u64;
     let telemetry = if args.telemetry {

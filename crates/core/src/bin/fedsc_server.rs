@@ -13,10 +13,13 @@
 //! ```
 //!
 //! `excluded -` means every child was answered: none missed the deadline
-//! and no downlink was lost (see `fedsc::wire`). The dataset/config
-//! fixture is regenerated from `--seed` (see `fedsc::demo`), so the server
-//! and its `fedsc-device` peers agree on every parameter without sharing
-//! state.
+//! and no downlink was lost (see `fedsc::wire`). Its `--devices` children
+//! may be `fedsc-agg` processes instead, each forwarding its subtree's
+//! device uplinks; the server then clusters the same pool, the flat
+//! round's, and answers each aggregator with its subtree's labels. The
+//! dataset/config fixture is regenerated from `--seed` (see
+//! `fedsc::demo`), so the server and its `fedsc-device` peers agree on
+//! every parameter without sharing state.
 //!
 //! Observability: `--trace-out <path>` records structured spans for the
 //! round and writes them as Chrome `trace_event` JSON (load in Perfetto or
@@ -33,7 +36,7 @@
 //! nothing).
 
 use fedsc::cli::{self, Flags};
-use fedsc::demo::{demo_fixture, demo_hier_fixture};
+use fedsc::demo::demo_fixture;
 use fedsc::{server_round, RoundPolicy};
 use fedsc_obs::FleetCollector;
 use fedsc_transport::{ServerTransport, TcpOptions, TcpServer};
@@ -49,7 +52,6 @@ struct Args {
     seed: u64,
     quorum: Option<usize>,
     deadline_ms: u64,
-    hier: bool,
     telemetry: bool,
     trace_out: Option<String>,
     metrics_out: Option<String>,
@@ -58,7 +60,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: fedsc-server [--addr 127.0.0.1:0] [--devices 12] \
-[--clusters 3] [--seed 1] [--quorum N] [--deadline-ms 300000] [--hier] [--telemetry] \
+[--clusters 3] [--seed 1] [--quorum N] [--deadline-ms 300000] [--telemetry] \
 [--trace-out trace.json] [--metrics-out metrics.json] \
 [--fleet-trace-out fleet.json] [--fleet-metrics-out fleet-metrics.json]";
 
@@ -71,7 +73,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         seed: flags.parsed("--seed", 1)?,
         quorum: flags.optional("--quorum")?,
         deadline_ms: flags.parsed("--deadline-ms", 300_000)?,
-        hier: flags.switch("--hier"),
         telemetry: flags.switch("--telemetry"),
         trace_out: flags.optional("--trace-out")?,
         metrics_out: flags.optional("--metrics-out")?,
@@ -121,14 +122,7 @@ fn run(args: &Args) -> Result<(), String> {
     }
     // Only the config matters server-side; regenerating the full fixture
     // guarantees it cannot drift from what the device processes use.
-    // `--hier` selects the aggregation-friendly fixture a fleet of
-    // `fedsc-agg` mid-tiers shares (see `fedsc::demo`).
-    let fixture = if args.hier {
-        demo_hier_fixture
-    } else {
-        demo_fixture
-    };
-    let (_fed, cfg) = fixture(args.seed, args.devices, args.clusters);
+    let (_fed, cfg) = demo_fixture(args.seed, args.devices, args.clusters);
     let policy = RoundPolicy {
         quorum: args.quorum,
         deadline: Duration::from_millis(args.deadline_ms),

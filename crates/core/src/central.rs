@@ -22,32 +22,20 @@ pub struct CentralOutput {
     /// clustering (the induced global graph and the CONN diagnostics read
     /// it). No dense copy is made.
     pub graph: SparseAffinity,
-    /// Number of clusters the samples were segmented into; every
-    /// assignment is below it.
-    pub clusters: usize,
 }
 
-/// Clusters the pooled samples, with the cluster count set by `count`.
-///
-/// * `Fixed(L)` — the root and the flat server: segment into `L` groups.
-/// * `Eigengap { max, .. }` — an aggregator, whose subtree may cover only
-///   some of the `L` global clusters: forcing `L` partitions onto fewer
-///   natural groups makes spectral k-means split, and worse, mix
-///   subspaces. The count is read off the affinity Laplacian's spectrum,
-///   floored at the affinity's connected-component count and capped at
-///   `max`.
+/// Clusters the pooled samples into `num_clusters` groups.
 ///
 /// The affinity is built sparse and stays sparse: the SSC backend's
 /// per-point codes (exact solves below `candidate_threshold`, screened
 /// sketched candidates at or above it) go straight into a CSR affinity,
 /// and the TSC backend builds a CSR k-NN graph. Either is segmented by
-/// `fedsc_clustering::spectral_clustering`, which reads the count and the
-/// embedding off one solve: the dense solver on the densified CSR
-/// Laplacian below the `lanczos_beats_dense` cutover, the kernel-seeded
-/// thick-restart block Lanczos on the CSR Laplacian above it (DESIGN.md
-/// §13). No `n x n` graph is formed at any size, and the CSR graph is
-/// returned as [`CentralOutput::graph`]. `num_devices` feeds the TSC `q`
-/// rule; it is ignored by the SSC backend.
+/// `fedsc_clustering::spectral_clustering`: the dense solver on the
+/// densified CSR Laplacian below the `lanczos_beats_dense` cutover, the
+/// kernel-seeded thick-restart block Lanczos on the CSR Laplacian above it
+/// (DESIGN.md §13). No `n x n` graph is formed at any size, and the CSR
+/// graph is returned as [`CentralOutput::graph`]. `num_devices` feeds the
+/// TSC `q` rule; it is ignored by the SSC backend.
 ///
 /// Clusters are numbered by first appearance over the pooled samples, so
 /// two routes that reach the same partition return the same labels even
@@ -55,7 +43,7 @@ pub struct CentralOutput {
 /// affinity has a multi-dimensional zero eigenspace).
 pub fn central_cluster<R: Rng + ?Sized>(
     samples: &Matrix,
-    count: ClusterCountPolicy,
+    num_clusters: usize,
     num_devices: usize,
     backend: CentralBackend,
     candidate_threshold: usize,
@@ -71,20 +59,14 @@ pub fn central_cluster<R: Rng + ?Sized>(
         }
         .sparse_affinity(samples)?,
         CentralBackend::Tsc { q } => {
-            let n = samples.cols();
-            let l_max = match count {
-                ClusterCountPolicy::Fixed(l) => l,
-                ClusterCountPolicy::Eigengap { max, .. } => max.map_or(n, |m| m.min(n)),
-            };
-            let q = q.unwrap_or_else(|| Tsc::fed_sc_q(num_devices, l_max));
+            let q = q.unwrap_or_else(|| Tsc::fed_sc_q(num_devices, num_clusters));
             Tsc::new(q).sparse_affinity(samples)?
         }
     };
-    let (assignments, clusters) = spectral_clustering(&w, count, rng)?;
+    let (assignments, _) = spectral_clustering(&w, ClusterCountPolicy::Fixed(num_clusters), rng)?;
     Ok(CentralOutput {
         assignments: by_first_appearance(assignments),
         graph: w,
-        clusters,
     })
 }
 
@@ -139,15 +121,7 @@ mod tests {
     fn ssc_backend_clusters_semi_random_samples() {
         let mut rng = StdRng::seed_from_u64(1);
         let (samples, truth) = semi_random_samples(&mut rng, 25, 3, 3, 15);
-        let out = central_cluster(
-            &samples,
-            ClusterCountPolicy::Fixed(3),
-            45,
-            CentralBackend::Ssc,
-            2048,
-            &mut rng,
-        )
-        .unwrap();
+        let out = central_cluster(&samples, 3, 45, CentralBackend::Ssc, 2048, &mut rng).unwrap();
         let acc = clustering_accuracy(&truth, &out.assignments);
         assert!(acc > 95.0, "accuracy {acc}");
     }
@@ -158,7 +132,7 @@ mod tests {
         let (samples, truth) = semi_random_samples(&mut rng, 25, 3, 3, 20);
         let out = central_cluster(
             &samples,
-            ClusterCountPolicy::Fixed(3),
+            3,
             60,
             CentralBackend::Tsc { q: None },
             2048,
@@ -175,7 +149,7 @@ mod tests {
         let (samples, truth) = semi_random_samples(&mut rng, 25, 3, 2, 15);
         let out = central_cluster(
             &samples,
-            ClusterCountPolicy::Fixed(2),
+            2,
             30,
             CentralBackend::Tsc { q: Some(5) },
             2048,
@@ -198,7 +172,7 @@ mod tests {
         let mut dense_rng = StdRng::seed_from_u64(77);
         let dense = central_cluster(
             &samples,
-            ClusterCountPolicy::Fixed(3),
+            3,
             45,
             CentralBackend::Ssc,
             usize::MAX,
@@ -206,15 +180,7 @@ mod tests {
         )
         .unwrap();
         let mut cand_rng = StdRng::seed_from_u64(77);
-        let cand = central_cluster(
-            &samples,
-            ClusterCountPolicy::Fixed(3),
-            45,
-            CentralBackend::Ssc,
-            2,
-            &mut cand_rng,
-        )
-        .unwrap();
+        let cand = central_cluster(&samples, 3, 45, CentralBackend::Ssc, 2, &mut cand_rng).unwrap();
         assert_eq!(cand.assignments, dense.assignments);
         let acc = clustering_accuracy(&truth, &cand.assignments);
         assert!(acc > 95.0, "accuracy {acc}");
@@ -238,15 +204,8 @@ mod tests {
         let n = samples.cols();
         let route = |threshold: usize| {
             let mut rng = StdRng::seed_from_u64(55);
-            central_cluster(
-                &samples,
-                ClusterCountPolicy::Fixed(3),
-                45,
-                CentralBackend::Ssc,
-                threshold,
-                &mut rng,
-            )
-            .expect("central clustering at the threshold boundary")
+            central_cluster(&samples, 3, 45, CentralBackend::Ssc, threshold, &mut rng)
+                .expect("central clustering at the threshold boundary")
         };
         let dense = route(n + 1);
         let at = route(n);
@@ -262,15 +221,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let (samples, _) = semi_random_samples(&mut rng, 25, 3, 3, 15);
         for threshold in [2, 2048] {
-            let out = central_cluster(
-                &samples,
-                ClusterCountPolicy::Fixed(3),
-                45,
-                CentralBackend::Ssc,
-                threshold,
-                &mut rng,
-            )
-            .unwrap();
+            let out =
+                central_cluster(&samples, 3, 45, CentralBackend::Ssc, threshold, &mut rng).unwrap();
             let mut next = 0;
             for &label in &out.assignments {
                 assert!(
@@ -293,15 +245,7 @@ mod tests {
         let (samples, truth) = semi_random_samples(&mut rng, 20, 5, 25, 20);
         let n = samples.cols();
         assert!(lanczos_beats_dense(n, 25));
-        let out = central_cluster(
-            &samples,
-            ClusterCountPolicy::Fixed(25),
-            160,
-            CentralBackend::Ssc,
-            2048,
-            &mut rng,
-        )
-        .unwrap();
+        let out = central_cluster(&samples, 25, 160, CentralBackend::Ssc, 2048, &mut rng).unwrap();
         let acc = clustering_accuracy(&truth, &out.assignments);
         assert!(acc >= 99.0, "accuracy {acc}");
         let lap = sparse_normalized_laplacian(&out.graph);
@@ -340,26 +284,42 @@ mod tests {
 
     #[test]
     fn pools_at_the_candidate_threshold_read_their_count() {
-        // An aggregator pool of 60 samples from 3 subspaces, at or above a
-        // candidate threshold of 8: both backends read the count off the
-        // eigengap of the graph they built, SSC's screened one included.
+        // A pool of 60 samples from 3 subspaces, at or above a candidate
+        // threshold of 8: the eigengap count reads 3 off the graph either
+        // backend builds, SSC's screened one included.
         let mut rng = StdRng::seed_from_u64(6);
         let (samples, truth) = semi_random_samples(&mut rng, 25, 3, 3, 20);
         let count = ClusterCountPolicy::Eigengap {
             max: Some(6),
             relative: true,
         };
-        for backend in [CentralBackend::Tsc { q: None }, CentralBackend::Ssc] {
-            let out = central_cluster(&samples, count, 60, backend, 8, &mut rng).unwrap();
-            assert_eq!(out.clusters, 3, "{backend:?}");
-            let acc = clustering_accuracy(&truth, &out.assignments);
-            assert!(acc > 90.0, "{backend:?} accuracy {acc}");
+        let screened = Ssc {
+            candidates: Some(CandidateOptions {
+                min_points: 8,
+                ..CandidateOptions::default()
+            }),
+            ..Ssc::default()
+        };
+        let graphs = [
+            (
+                "TSC",
+                Tsc::new(Tsc::fed_sc_q(60, 6))
+                    .sparse_affinity(&samples)
+                    .unwrap(),
+            ),
+            ("SSC", screened.sparse_affinity(&samples).unwrap()),
+        ];
+        for (name, w) in graphs {
+            let (labels, clusters) = spectral_clustering(&w, count, &mut rng).unwrap();
+            assert_eq!(clusters, 3, "{name}");
+            let acc = clustering_accuracy(&truth, &labels);
+            assert!(acc > 90.0, "{name} accuracy {acc}");
         }
     }
 
     #[test]
-    fn aggregator_eigengap_above_the_cutover_matches_the_dense_oracle() {
-        // Aggregator pools past the cutover: 7 of L = 10 five-dimensional
+    fn eigengap_count_above_the_cutover_matches_the_dense_oracle() {
+        // SSC graphs past the cutover: 7 of L = 10 five-dimensional
         // subspaces in R^20, 70 samples each (n = 490 > 400 and
         // 6 (L + 1) < n). The count comes off the seeded CSR solve, with
         // `sigma_max` from a one-pair solve of `-L`. The oracle reads it off
@@ -380,23 +340,18 @@ mod tests {
             let (samples, truth) = semi_random_samples(&mut rng, 20, 5, 7, 70);
             let n = samples.cols();
             assert!(lanczos_beats_dense(n, l + 1));
-            let out = central_cluster(
-                &samples,
-                count,
-                n,
-                CentralBackend::Ssc,
-                2048,
-                &mut StdRng::seed_from_u64(seed + 100),
-            )
-            .unwrap();
+            let w = Ssc::default().sparse_affinity(&samples).unwrap();
+            let (labels, clusters) =
+                spectral_clustering(&w, count, &mut StdRng::seed_from_u64(seed + 100)).unwrap();
+            let labels = by_first_appearance(labels);
 
-            let lap = sparse_normalized_laplacian(&out.graph).to_dense();
+            let lap = sparse_normalized_laplacian(&w).to_dense();
             let eig = eigh_partial(&lap, l).unwrap();
             let k =
                 relative_eigengap_cluster_count(&eig.eigenvalues, eig.eigenvalues[n - 1], Some(l))
-                    .max(out.graph.connected_components(1e-9))
+                    .max(w.connected_components(1e-9))
                     .clamp(1, l);
-            assert_eq!((out.clusters, k), (7, 7), "seed {seed}");
+            assert_eq!((clusters, k), (7, 7), "seed {seed}");
             let mut emb = Matrix::zeros(k, n);
             for node in 0..n {
                 for c in 0..k {
@@ -409,8 +364,8 @@ mod tests {
                 ..SpectralOptions::default().kmeans
             };
             let oracle = kmeans(&emb, &km, &mut StdRng::seed_from_u64(seed + 100)).labels;
-            assert_eq!(out.assignments, by_first_appearance(oracle), "seed {seed}");
-            let acc = clustering_accuracy(&truth, &out.assignments);
+            assert_eq!(labels, by_first_appearance(oracle), "seed {seed}");
+            let acc = clustering_accuracy(&truth, &labels);
             assert!(acc >= 99.0, "seed {seed}: accuracy {acc}");
         }
     }
@@ -419,15 +374,7 @@ mod tests {
     fn graph_is_returned_for_diagnostics() {
         let mut rng = StdRng::seed_from_u64(4);
         let (samples, _) = semi_random_samples(&mut rng, 10, 2, 2, 5);
-        let out = central_cluster(
-            &samples,
-            ClusterCountPolicy::Fixed(2),
-            10,
-            CentralBackend::Ssc,
-            2048,
-            &mut rng,
-        )
-        .unwrap();
+        let out = central_cluster(&samples, 2, 10, CentralBackend::Ssc, 2048, &mut rng).unwrap();
         assert_eq!(out.graph.len(), 10);
         assert_eq!(out.assignments.len(), 10);
     }

@@ -4,9 +4,10 @@
 //! A command line is `--name value` pairs and bare `--switch`es. The
 //! binary's usage string declares them: a flag followed by a placeholder
 //! or default (`--node N`, `[--devices 12]`) takes a value, a bare one
-//! (`[--hier]`) is a switch. A flag the usage does not name, a flag given
-//! twice and a value flag with no value are errors, each reported with the
-//! usage: a mistyped `--qourum 3` fails instead of running with no quorum.
+//! (`[--telemetry]`) is a switch. A flag the usage does not name, a flag
+//! given twice and a value flag with no value are errors, each reported
+//! with the usage: a mistyped `--qourum 3` fails instead of running with
+//! no quorum.
 
 use fedsc_obs::trace::SpanEvent;
 use std::str::FromStr;
@@ -113,7 +114,7 @@ pub fn write_observability(
 mod tests {
     use super::*;
 
-    const USAGE: &str = "usage: test --devices 12 [--quorum N] [--hier] [--verbose]";
+    const USAGE: &str = "usage: test --devices 12 [--quorum N] [--telemetry] [--verbose]";
 
     fn parse(line: &str) -> Result<Flags, String> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
@@ -122,17 +123,17 @@ mod tests {
 
     #[test]
     fn values_switches_and_defaults() {
-        let f = parse("--devices 4 --hier").unwrap();
+        let f = parse("--devices 4 --telemetry").unwrap();
         assert_eq!(f.parsed("--devices", 12usize), Ok(4));
         assert_eq!(f.parsed("--quorum", 7usize), Ok(7));
         assert_eq!(f.optional::<usize>("--quorum"), Ok(None));
-        assert!(f.switch("--hier"));
+        assert!(f.switch("--telemetry"));
         assert!(!f.switch("--verbose"));
         let f = parse("--verbose --quorum 2").unwrap();
         assert!(f.switch("--verbose"));
         assert_eq!(f.required::<usize>("--quorum"), Ok(2));
         let f = parse("").unwrap();
-        assert!(!f.switch("--hier"));
+        assert!(!f.switch("--telemetry"));
         assert_eq!(f.value("--devices"), None);
     }
 
@@ -141,7 +142,7 @@ mod tests {
         for line in [
             "--qourum 3",
             "--deadline 5000",
-            "--hier extra",
+            "--telemetry extra",
             "usage:",
             "N",
         ] {
@@ -153,7 +154,7 @@ mod tests {
 
     #[test]
     fn repeated_flags_are_rejected() {
-        for line in ["--devices 4 --devices 5", "--hier --hier"] {
+        for line in ["--devices 4 --devices 5", "--telemetry --telemetry"] {
             let err = parse(line).unwrap_err();
             assert!(err.contains("given more than once"), "{line}: {err}");
         }

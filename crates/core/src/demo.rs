@@ -37,31 +37,6 @@ pub fn demo_fixture(seed: u64, devices: usize, clusters: usize) -> (FederatedDat
     (fed, cfg)
 }
 
-/// Deterministically regenerates the hierarchical demo federation:
-/// `clusters` random **rank-1** subspaces (lines) in `R^20`, 48 points
-/// each, 4 uploaded samples per local cluster. Mid-tier aggregators pool
-/// only a handful of children and forward one representative per merged
-/// cluster, so the per-tier SSC needs self-expressiveness to survive on
-/// very few samples — rank-1 subspaces keep it intact all the way up the
-/// tree (two samples on a line already express each other). This is the
-/// fixture the `fedsc-agg` fleet runs share.
-pub fn demo_hier_fixture(
-    seed: u64,
-    devices: usize,
-    clusters: usize,
-) -> (FederatedDataset, FedScConfig) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let model = SubspaceModel::random(&mut rng, AMBIENT_DIM, 1, clusters);
-    let counts = vec![POINTS_PER_CLUSTER; clusters];
-    let ds = model.sample_dataset(&mut rng, &counts, 0.0);
-    let l_prime = clusters.clamp(1, 2);
-    let fed = partition_dataset(&ds, devices, Partition::NonIid { l_prime }, &mut rng);
-    let mut cfg = FedScConfig::new(clusters, CentralBackend::Ssc);
-    cfg.seed = seed;
-    cfg.samples_per_cluster = 4;
-    (fed, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

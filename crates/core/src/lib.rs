@@ -19,10 +19,11 @@
 //!    partitions by their samples' global assignments.
 //!
 //! [`round`] holds the three steps. [`wire`] runs each role — device,
-//! aggregator, root — over a transport, once; the in-process aggregation
-//! tree ([`tree`], whose flat topology is the flat wire round) and the
-//! process binaries drive those roles, and [`FedSc::run`] loops over the
-//! steps directly.
+//! relaying aggregator, root — over a transport, once; the in-process
+//! aggregation tree ([`tree`], whose flat topology is the flat wire round
+//! and whose every topology predicts what the flat round predicts) and
+//! the process binaries drive those roles, and [`FedSc::run`] loops over
+//! the steps directly.
 //!
 //! ## Quick start
 //!
@@ -61,7 +62,7 @@ pub mod wire;
 
 pub use assign::ClusterAssigner;
 pub use config::{BasisDim, CentralBackend, ClusterCountPolicy, FedScConfig, LocalBackend};
-pub use round::{device_step, merge_step, relabel, DeviceStep, Merge, MergeAt, SERVER_RNG_SALT};
+pub use round::{device_step, merge_step, relabel, DeviceStep, Fanin, Merge, SERVER_RNG_SALT};
 pub use scheme::{FedSc, FedScOutput};
 pub use tree::{
     run_hier_round, run_hier_round_with_dead, HierPolicy, HierRunOutput, HierTopology, TierTraffic,

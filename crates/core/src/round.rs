@@ -4,11 +4,13 @@
 //!   optional differential privacy, then the channel model, all on the
 //!   device's `seed + z` rng stream. Its uplink matrix is exactly what the
 //!   server pools.
-//! * [`merge_step`] — Phase 2 on the server or on an aggregator: pool the
-//!   children that reported, in ascending child order, and cluster the
-//!   pool. The returned [`Merge`] answers each child directly (the root),
-//!   or forwards one representative per merged cluster and later composes
-//!   the parent's labels into per-child downlinks (an aggregator).
+//! * [`merge_step`] — Phase 2 at the root: pool the children that
+//!   reported, in ascending child order, and cluster the pool into `L`
+//!   groups. The returned [`Merge`] answers each child. An aggregator
+//!   runs no Phase 2: it pools its children the same way ([`Fanin::pool`])
+//!   and relays, so the root of any tree clusters exactly the flat
+//!   round's pool, and [`Fanin::split`] takes the root's labels back
+//!   down.
 //! * [`relabel`] — Phase 3 on one device: the majority vote that maps each
 //!   local cluster to a global label.
 //!
@@ -18,7 +20,7 @@
 //! transport code. Under the same seeds they therefore agree bit for bit.
 
 use crate::central::central_cluster;
-use crate::config::{ClusterCountPolicy, FedScConfig};
+use crate::config::FedScConfig;
 use crate::local::{local_cluster_and_sample, LocalOutput};
 use fedsc_federated::channel::{transmit_uplink, CommStats, DownlinkMessage};
 use fedsc_federated::privacy::{privatize_samples, PrivacyLedger};
@@ -32,27 +34,6 @@ use rand::SeedableRng;
 /// process — seeds its [`merge_step`] with `seed ^ SERVER_RNG_SALT`, which
 /// is what keeps them bit-identical.
 pub const SERVER_RNG_SALT: u64 = 0x0ce2_74a1;
-
-/// Where a [`merge_step`] runs, which fixes its cluster count and its rng
-/// stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeAt {
-    /// The root, i.e. the flat server: `L` clusters on the
-    /// `seed ^ SERVER_RNG_SALT` stream.
-    Root,
-    /// The aggregator at `tier`, `node` of a tree. Its subtree may cover
-    /// only some of the `L` global clusters, and forcing `L` partitions
-    /// onto fewer natural groups makes spectral k-means split, and worse,
-    /// mix subspaces; so it reads the count off a relative eigengap capped
-    /// at `L`. The root's salt stream is mixed with a per-node offset, so
-    /// sibling aggregators draw independent initializations.
-    Aggregator {
-        /// Tier of the aggregator (0 = the one above the devices).
-        tier: usize,
-        /// Index of the aggregator within its tier.
-        node: usize,
-    },
-}
 
 /// What one device's Phase 1 produced.
 #[derive(Debug, Clone)]
@@ -88,140 +69,105 @@ pub fn device_step(data: &Matrix, z: usize, cfg: &FedScConfig) -> Result<DeviceS
     })
 }
 
-/// Routing state of one merge: who reported, how many samples each sent,
-/// and which merged cluster every pooled sample landed in. Small enough to
-/// keep between a tree's uplink and downlink sweeps.
-#[derive(Debug, Clone)]
-pub struct Merge {
+/// Routing state of one fan-in: the children that reported, in ascending
+/// order, and how many samples each sent. It is all an aggregator keeps
+/// between a tree's uplink and downlink sweeps, since it clusters nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Fanin {
     /// Children that reported, in ascending order.
     pub included: Vec<usize>,
     /// Sample count of each included child, in `included` order.
     pub counts: Vec<usize>,
-    /// Merged-cluster id of every pooled sample, in pool order.
-    pub assignments: Vec<usize>,
-    /// Number of merged clusters.
-    pub clusters: usize,
 }
 
-/// Phase 2 over one fan-in: pools the children that reported (`None` =
-/// excluded) in ascending child order and clusters the pool with the
-/// count and rng stream `at` fixes.
-///
-/// Returns the routing state, the pooled samples and the CSR affinity the
-/// pool was segmented on (moved out of the clustering, not copied; the
-/// in-process round keeps it for the induced global graph and CONN, every
-/// other driver drops it).
-pub fn merge_step(
-    children: Vec<Option<Matrix>>,
-    cfg: &FedScConfig,
-    at: MergeAt,
-) -> Result<(Merge, Matrix, SparseAffinity)> {
-    let (count, seed) = match at {
-        MergeAt::Root => (
-            ClusterCountPolicy::Fixed(cfg.num_clusters),
-            cfg.seed ^ SERVER_RNG_SALT,
-        ),
-        MergeAt::Aggregator { tier, node } => (
-            ClusterCountPolicy::Eigengap {
-                max: Some(cfg.num_clusters),
-                relative: true,
-            },
-            (cfg.seed ^ SERVER_RNG_SALT)
-                ^ 0x9e37_79b9_7f4a_7c15u64
-                    .wrapping_mul((((tier as u64) + 1) << 32) | ((node as u64) + 1)),
-        ),
-    };
-    let mut included = Vec::new();
-    let mut counts = Vec::new();
-    let mut mats = Vec::new();
-    for (c, m) in children.into_iter().enumerate() {
-        if let Some(m) = m {
-            included.push(c);
-            counts.push(m.cols());
-            mats.push(m);
+impl Fanin {
+    /// Pools the children that reported (`None` = excluded) in ascending
+    /// child order. Each child sent a sequence of device uplinks: one for
+    /// a device, its whole subtree's for an aggregator. They come back
+    /// flattened, in pool order.
+    pub fn pool(children: Vec<Option<Vec<Matrix>>>) -> (Fanin, Vec<Matrix>) {
+        let mut fanin = Fanin::default();
+        let mut uplinks = Vec::new();
+        for (c, sent) in children.into_iter().enumerate() {
+            if let Some(sent) = sent {
+                fanin.included.push(c);
+                fanin.counts.push(sent.iter().map(Matrix::cols).sum());
+                uplinks.extend(sent);
+            }
         }
+        (fanin, uplinks)
     }
-    let refs: Vec<&Matrix> = mats.iter().collect();
+
+    /// Splits one label per pooled sample, in pool order, into one
+    /// downlink per included child. A label count that does not match the
+    /// pool is an error: an aggregator's labels come off a socket.
+    pub fn split(&self, labels: &[u32]) -> Result<Vec<(usize, DownlinkMessage)>> {
+        if labels.len() != self.counts.iter().sum::<usize>() {
+            return Err(LinalgError::InvalidArgument(
+                "downlink assignment count mismatch at a parent",
+            ));
+        }
+        let mut offset = 0usize;
+        Ok(self
+            .included
+            .iter()
+            .zip(&self.counts)
+            .map(|(&c, &r)| {
+                let assignments = labels[offset..offset + r].to_vec();
+                offset += r;
+                (c, DownlinkMessage { assignments })
+            })
+            .collect())
+    }
+}
+
+/// What the root's Phase 2 produced: who reported, and the global
+/// cluster of every pooled sample.
+#[derive(Debug, Clone)]
+pub struct Merge {
+    /// The children pooled and their sample counts.
+    pub fanin: Fanin,
+    /// Global cluster of every pooled sample, in pool order.
+    pub assignments: Vec<usize>,
+}
+
+/// Phase 2 at the root: pools the children that reported (`None` =
+/// excluded) with [`Fanin::pool`] and clusters the pool into `L` groups
+/// on the `seed ^ SERVER_RNG_SALT` stream. The TSC `q` rule reads the
+/// number of device uplinks pooled.
+///
+/// Returns the routing state with the assignments, the pooled samples and
+/// the CSR affinity the pool was segmented on (moved out of the
+/// clustering, not copied; the in-process round keeps it for the induced
+/// global graph and CONN, every other driver drops it).
+pub fn merge_step(
+    children: Vec<Option<Vec<Matrix>>>,
+    cfg: &FedScConfig,
+) -> Result<(Merge, Matrix, SparseAffinity)> {
+    let (fanin, uplinks) = Fanin::pool(children);
+    let refs: Vec<&Matrix> = uplinks.iter().collect();
     let pooled = Matrix::hcat(&refs)?;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ SERVER_RNG_SALT);
     let central = central_cluster(
         &pooled,
-        count,
-        included.len(),
+        cfg.num_clusters,
+        uplinks.len(),
         cfg.central,
         cfg.candidate_threshold,
         &mut rng,
     )?;
     let merge = Merge {
-        included,
-        counts,
+        fanin,
         assignments: central.assignments,
-        clusters: central.clusters,
     };
     Ok((merge, pooled, central.graph))
 }
 
 impl Merge {
     /// The root's answer: each included child's slice of the assignments.
-    pub fn downlinks(&self) -> Vec<(usize, DownlinkMessage)> {
-        self.split(|m| m as u32)
-    }
-
-    /// One representative per non-empty merged cluster — its first sample
-    /// in pool order — in first-seen order. This is what an aggregator
-    /// forwards to its parent.
-    pub fn representatives(&self, pooled: &Matrix) -> Matrix {
-        pooled.select_columns(&self.rep_slots().1)
-    }
-
-    /// Number of representatives [`Merge::representatives`] forwards.
-    pub fn representative_count(&self) -> usize {
-        self.rep_slots().1.len()
-    }
-
-    /// Relays the parent's labels for this node's representatives down:
-    /// one downlink per included child, composed as child sample → merged
-    /// cluster → representative → parent label.
-    pub fn compose(&self, parent: &DownlinkMessage) -> Result<Vec<(usize, DownlinkMessage)>> {
-        let (slot, reps) = self.rep_slots();
-        if parent.assignments.len() != reps.len() {
-            return Err(LinalgError::InvalidArgument(
-                "downlink assignment count mismatch at an aggregator",
-            ));
-        }
-        Ok(self.split(|m| parent.assignments[slot[m]]))
-    }
-
-    /// Representative slot of each merged cluster (`usize::MAX` if empty),
-    /// and the pool index of each representative in slot order.
-    fn rep_slots(&self) -> (Vec<usize>, Vec<usize>) {
-        let mut slot = vec![usize::MAX; self.clusters];
-        let mut reps = Vec::with_capacity(self.clusters);
-        for (s, &m) in self.assignments.iter().enumerate() {
-            if slot[m] == usize::MAX {
-                slot[m] = reps.len();
-                reps.push(s);
-            }
-        }
-        (slot, reps)
-    }
-
-    /// Splits the pool back into per-child downlinks, labelling each
-    /// sample's merged cluster with `label`.
-    fn split(&self, label: impl Fn(usize) -> u32) -> Vec<(usize, DownlinkMessage)> {
-        let mut offset = 0usize;
-        self.included
-            .iter()
-            .zip(&self.counts)
-            .map(|(&c, &r)| {
-                let assignments = self.assignments[offset..offset + r]
-                    .iter()
-                    .map(|&m| label(m))
-                    .collect();
-                offset += r;
-                (c, DownlinkMessage { assignments })
-            })
-            .collect()
+    pub fn downlinks(&self) -> Result<Vec<(usize, DownlinkMessage)>> {
+        let labels: Vec<u32> = self.assignments.iter().map(|&m| m as u32).collect();
+        self.fanin.split(&labels)
     }
 }
 

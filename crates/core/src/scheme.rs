@@ -14,7 +14,7 @@
 
 use crate::config::FedScConfig;
 use crate::local::LocalOutput;
-use crate::round::{device_step, merge_step, relabel, MergeAt};
+use crate::round::{device_step, merge_step, relabel};
 use fedsc_federated::channel::{account_downlink, CommStats};
 use fedsc_federated::parallel::{time_phase, PhaseTiming};
 use fedsc_federated::partition::FederatedDataset;
@@ -163,7 +163,7 @@ impl FedSc {
         let mut comm = CommStats::default();
         let mut privacy = PrivacyLedger::default();
         let mut locals: Vec<LocalOutput> = Vec::with_capacity(z_count);
-        let mut uplinks: Vec<Option<Matrix>> = Vec::with_capacity(z_count);
+        let mut uplinks: Vec<Option<Vec<Matrix>>> = Vec::with_capacity(z_count);
         for (step, _) in steps {
             let step = step?;
             comm.merge(&step.comm);
@@ -172,14 +172,14 @@ impl FedSc {
             privacy.max_device_delta = privacy.max_device_delta.max(ledger.max_device_delta);
             privacy.devices += ledger.devices;
             locals.push(step.local);
-            uplinks.push(Some(step.uplink));
+            uplinks.push(Some(vec![step.uplink]));
         }
 
         // Phase 2: central clustering.
-        let pooled: usize = uplinks.iter().flatten().map(Matrix::cols).sum();
+        let pooled: usize = uplinks.iter().flatten().flatten().map(Matrix::cols).sum();
         let (merged, server_time) = time_phase(|| {
             let _span = fedsc_obs::span("fedsc", "phase2.central").field("samples", pooled);
-            merge_step(uplinks, cfg, MergeAt::Root)
+            merge_step(uplinks, cfg)
         });
         let (merge, samples, central_graph) = merged?;
 
@@ -190,7 +190,7 @@ impl FedSc {
         let mut point_sample = vec![usize::MAX; fed.total_points];
         let mut point_cluster = vec![(0usize, 0usize); fed.total_points];
         let mut sample_device = Vec::with_capacity(samples.cols());
-        for ((z, down), out) in merge.downlinks().into_iter().zip(&locals) {
+        for ((z, down), out) in merge.downlinks()?.into_iter().zip(&locals) {
             let base = sample_device.len();
             let mut first = vec![usize::MAX; out.num_local_clusters.max(1)];
             // Walking backwards leaves each cluster's first sample.

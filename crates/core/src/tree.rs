@@ -1,16 +1,18 @@
 //! The aggregation tree: the one in-process transport driver of the
 //! Fed-SC round.
 //!
-//! A flat round has every device talk to a single server, so the root's
-//! uplink traffic and Phase-2 clustering both grow with the device count
-//! `Z`. Over an **aggregation tree** devices upload to first-tier
-//! aggregators, each aggregator clusters its children's samples (Phase 2
-//! on the subtree) and forwards **one representative sample per merged
-//! cluster** to its parent, and the root clusters only the top tier's
-//! representatives. Label broadcasts relay back down with composed relabel
-//! maps, so root-side cost grows with the *cluster* count, not the device
-//! count. The flat round is the degenerate tree, [`HierTopology::flat`]:
-//! no aggregator tier, every device a child of the root.
+//! A flat round has every device talk to a single server. Over an
+//! **aggregation tree** devices upload to first-tier aggregators, and each
+//! aggregator **relays**: it collects its children under its tier's
+//! quorum and forwards their device uplinks unmerged to its parent. The
+//! root clusters the pool once, as the paper's Phase 2 does, and each
+//! aggregator splits its parent's labels back over its children. The tree
+//! spreads connections, deadlines and quorums over tiers; it does not
+//! shrink the root's pool. Because children are contiguous chunks, the
+//! root pools exactly the flat round's matrix, so **tree ≡ flat**: with a
+//! lossless link and every subtree at quorum, every topology predicts
+//! bit for bit what the flat round [`HierTopology::flat`] (no aggregator
+//! tier, every device a child of the root) predicts.
 //!
 //! The driver is **staged and single-threaded**. One round is two sweeps:
 //!
@@ -39,9 +41,10 @@
 //!   child whose uplink or downlink is lost, or whose subtree failed,
 //!   keeps the fallback label 0 and is reported excluded; a quorum miss
 //!   at an aggregator fails its subtree, and at the root fails the round.
-//! * **Flat round ≡ `FedSc::run`.** With a lossless link the flat
+//! * **Tree ≡ flat round ≡ `FedSc::run`.** With a lossless link the flat
 //!   topology is bit-identical to the in-process scheme (tested in
-//!   [`crate::wire`]).
+//!   [`crate::wire`]), and so is every tree whose subtrees all meet quorum
+//!   (tested in `hier_e2e`).
 //! * **Byte-exact per-tier accounting.** [`HierRunOutput`] extends
 //!   [`WireRunOutput`] with one [`TierTraffic`] row per tier, summed from
 //!   the same [`LinkStats`] the endpoints keep.
@@ -59,7 +62,7 @@
 
 use crate::config::FedScConfig;
 use crate::local::LocalOutput;
-use crate::round::Merge;
+use crate::round::Fanin;
 use crate::wire::{
     aggregator_downlink, aggregator_uplink_with_silent, device_downlink, device_uplink,
     server_round_with_silent, wire_err, AggregatorNode, RoundPolicy, WireRunOutput, WireTelemetry,
@@ -213,8 +216,8 @@ pub struct TierTraffic {
     pub excluded_children: Vec<usize>,
     /// Wall time the driver spent working this tier: its children's
     /// compute-and-send stage (tier 0 only), its parents' uplink
-    /// collection and clustering, and its downlink relay. Always
-    /// non-zero on a completed round.
+    /// collection and forwarding (clustering, at the root tier), and its
+    /// downlink relay. Always non-zero on a completed round.
     pub wall_ns: u64,
     /// Serialized telemetry-envelope bytes this tier's parents absorbed
     /// from their children's uplinks — the exact share of `uplink_bytes`
@@ -236,8 +239,9 @@ pub struct HierRunOutput {
 }
 
 impl HierRunOutput {
-    /// Uplink bytes the root took off the wire — the quantity that must
-    /// scale with the cluster count, not the device count.
+    /// Uplink bytes the root took off the wire. On a lossless untraced
+    /// link whose subtrees all met quorum it equals tier 0's: aggregators
+    /// forward their children's payloads unchanged.
     pub fn root_uplink_bytes(&self) -> usize {
         self.tiers.last().map_or(0, |t| t.uplink_bytes)
     }
@@ -366,7 +370,7 @@ pub fn run_hier_round_with_dead<T: Transport>(
     // ---- Uplink sweep, stages 1..: the aggregator tiers, then the root. ----
     // `agg_states[t][p]`: what aggregator `p` of tier `t` keeps for the
     // downlink sweep (None = failed subtree).
-    let mut agg_states: Vec<Vec<Option<(AggregatorNode, Merge)>>> = (0..num_tiers)
+    let mut agg_states: Vec<Vec<Option<(AggregatorNode, Fanin)>>> = (0..num_tiers)
         .map(|t| (0..widths[t + 1]).map(|_| None).collect())
         .collect();
     for t in 0..num_tiers {
@@ -407,27 +411,26 @@ pub fn run_hier_round_with_dead<T: Transport>(
                     below: policy.tier(t),
                     above: policy.tier(t + 1),
                 };
-                let merge = aggregator_uplink_with_silent(
+                let fanin = aggregator_uplink_with_silent(
                     &mut servers[t][p],
                     &mut child_links[t + 1][p],
                     &node,
                     &silent(p),
-                    cfg,
                     &mut tier_fleet,
                     &telemetry(t + 1, p, parent_of[t + 1][p]),
                 )?;
-                agg_states[t][p] = merge.map(|m| (node, m));
+                agg_states[t][p] = fanin.map(|f| (node, f));
             }
         }
         tier_env_bytes[t] = tier_fleet.envelope_bytes;
         tier_wall_ns[t] += tier_sw.elapsed_ns();
     }
 
-    // ---- Downlink sweep: relay composed labels tier by tier. ----
+    // ---- Downlink sweep: split the root's labels tier by tier. ----
     for t in (0..num_tiers - 1).rev() {
         let tier_sw = Stopwatch::start();
         for p in 0..widths[t + 1] {
-            let Some((node, merge)) = agg_states[t][p].take() else {
+            let Some((node, fanin)) = agg_states[t][p].take() else {
                 continue; // failed subtree: children stay unanswered
             };
             if !answered[t + 1][p] {
@@ -438,7 +441,7 @@ pub fn run_hier_round_with_dead<T: Transport>(
                 &mut servers[t][p],
                 &mut child_links[t + 1][p],
                 &node,
-                &merge,
+                &fanin,
             )? {
                 answered[t][start + c] = true;
             }

@@ -11,16 +11,22 @@
 //!   [`UplinkMessage`]; [`device_downlink`] awaits the encoded
 //!   [`DownlinkMessage`] and runs [`relabel`]. [`device_round`] is the two
 //!   halves in sequence.
-//! * **Aggregator.** [`aggregator_uplink`] collects its children, applies
-//!   its quorum, runs [`merge_step`] and forwards one representative per
-//!   merged cluster; [`aggregator_downlink`] receives the parent's labels
-//!   and relays [`Merge::compose`] to every included child.
+//! * **Aggregator.** [`aggregator_uplink`] collects its children and
+//!   applies its quorum, then relays: it forwards its included children's
+//!   device uplinks unmerged, back to back in ascending child order.
+//!   [`aggregator_downlink`] receives the parent's labels and splits them
+//!   over its included children by their sample counts ([`Fanin::split`]).
 //! * **Root.** [`server_round`] collects, runs [`merge_step`] into `L`
 //!   clusters and answers every included child.
 //!
-//! These are the very steps `FedSc::run` loops over, so with a lossless
-//! link the flat round is **bit-identical** to it under the same seeds —
-//! DP and channel noise included (tested).
+//! A payload is a sequence of encoded [`UplinkMessage`]s: a device sends
+//! one, an aggregator its whole subtree's. Children are contiguous chunks
+//! of the devices, so the root of any tree pools exactly the flat round's
+//! matrix in the flat round's order, counts the devices behind it for
+//! TSC's `q` rule, and runs the one clustering. These are the very steps
+//! `FedSc::run` loops over, so with a lossless link every topology whose
+//! subtrees all meet quorum is **bit-identical** to it under the same
+//! seeds — DP and channel noise included (tested).
 //!
 //! One failure rule holds in every driver:
 //!
@@ -35,20 +41,19 @@
 //!   lost, subtree failed) has reported. Below its
 //!   [`RoundPolicy::quorum`] an aggregator fails its subtree, and the root
 //!   fails the round.
-//! * Every parent clusters whatever its included children sent, an empty
-//!   pool included: an aggregator then forwards no representative, and
-//!   each child is answered with an empty downlink.
+//! * The root clusters whatever its included children sent, an empty pool
+//!   included, and answers each child with its slice of the labels (empty
+//!   for a child that sent no sample).
 //! * A [`device_step`] or [`merge_step`] error, a malformed message and
 //!   any other transport failure are errors: fatal to the in-process
 //!   round, as in `FedSc::run`, and to the process that hit them.
 //!
 //! [`UplinkMessage`]: fedsc_federated::channel::UplinkMessage
 //! [`DownlinkMessage`]: fedsc_federated::channel::DownlinkMessage
-//! [`Merge::compose`]: crate::round::Merge::compose
 
 use crate::config::FedScConfig;
 use crate::local::LocalOutput;
-use crate::round::{device_step, merge_step, relabel, Merge, MergeAt};
+use crate::round::{device_step, merge_step, relabel, Fanin};
 use crate::tree::{run_hier_round, HierPolicy, HierTopology};
 use bytes::Bytes;
 use fedsc_federated::channel::{DownlinkMessage, UplinkMessage};
@@ -74,7 +79,7 @@ static WIRE_DEVICE_ROUND_MS: LazyHistogram = LazyHistogram::new(
         1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 30_000, 60_000,
     ],
 );
-/// Aggregator rounds completed (children pooled, representatives sent up).
+/// Aggregator rounds completed (children pooled, their uplinks forwarded).
 static HIER_AGG_ROUNDS: LazyCounter = LazyCounter::new("hier.agg_rounds");
 /// Aggregators that failed their subtree (quorum miss or lost uplink).
 static HIER_SUBTREES_FAILED: LazyCounter = LazyCounter::new("hier.subtrees_failed");
@@ -325,22 +330,22 @@ pub struct AggregatorNode {
 }
 
 /// The aggregator's first half: collect `node.fan_in` children over
-/// `children`, apply the quorum, [`merge_step`] the pool into an
-/// eigengap-estimated count of at most `L`, and forward one
-/// representative per non-empty merged cluster over `parent`.
+/// `children`, apply the quorum, and forward the included children's
+/// device uplinks over `parent`, unmerged and back to back in ascending
+/// child order.
 ///
 /// Returns the routing state [`aggregator_downlink`] needs, or `None`
-/// when the subtree failed: a quorum miss or a lost forward. Every child envelope is absorbed into `fleet`; with
-/// `telemetry.ship` the whole subtree's telemetry rides on the forward.
+/// when the subtree failed: a quorum miss or a lost forward. Every child
+/// envelope is absorbed into `fleet`; with `telemetry.ship` the whole
+/// subtree's telemetry rides on the forward.
 pub fn aggregator_uplink<S: ServerTransport, D: DeviceTransport>(
     children: &mut S,
     parent: &mut D,
     node: &AggregatorNode,
-    cfg: &FedScConfig,
     fleet: &mut FleetCollector,
     telemetry: &WireTelemetry,
-) -> Result<Option<Merge>> {
-    aggregator_uplink_with_silent(children, parent, node, &[], cfg, fleet, telemetry)
+) -> Result<Option<Fanin>> {
+    aggregator_uplink_with_silent(children, parent, node, &[], fleet, telemetry)
 }
 
 /// [`aggregator_uplink`] for a driver that knows the children in `silent`
@@ -351,10 +356,9 @@ pub(crate) fn aggregator_uplink_with_silent<S: ServerTransport, D: DeviceTranspo
     parent: &mut D,
     node: &AggregatorNode,
     silent: &[usize],
-    cfg: &FedScConfig,
     fleet: &mut FleetCollector,
     telemetry: &WireTelemetry,
-) -> Result<Option<Merge>> {
+) -> Result<Option<Fanin>> {
     let collect_span = fedsc_obs::span("hier", "hier.agg_uplink")
         .field("tier", node.tier)
         .field("node", node.node)
@@ -373,48 +377,51 @@ pub(crate) fn aggregator_uplink_with_silent<S: ServerTransport, D: DeviceTranspo
         HIER_SUBTREES_FAILED.inc();
         return Ok(None);
     }
-    let at = MergeAt::Aggregator {
-        tier: node.tier,
-        node: node.node,
-    };
-    let (merge, pooled, _) = merge_step(uplinks, cfg, at)?;
-    let reps = merge.representatives(&pooled);
-    let msg = UplinkMessage {
-        dim: reps.rows(),
-        samples: reps,
-    };
-    let payload = wrap_uplink(msg.encode(), parent, telemetry, collect_span_id, fleet)?;
+    let (fanin, uplinks) = Fanin::pool(uplinks);
+    let mut forward = Vec::new();
+    for samples in uplinks {
+        let msg = UplinkMessage {
+            dim: samples.rows(),
+            samples,
+        };
+        forward.extend_from_slice(msg.encode().as_slice());
+    }
+    let payload = wrap_uplink(
+        Bytes::from(forward),
+        parent,
+        telemetry,
+        collect_span_id,
+        fleet,
+    )?;
     if !send_within_budget(&node.above, || parent.send_uplink(&payload)) {
         HIER_SUBTREES_FAILED.inc();
         return Ok(None);
     }
     HIER_AGG_ROUNDS.inc();
-    Ok(Some(merge))
+    Ok(Some(fanin))
 }
 
 /// The aggregator's second half: receive the parent's labels for the
-/// representatives `merge` forwarded and relay [`Merge::compose`] to every
-/// included child. Returns the children answered; a child whose downlink
-/// was lost is left out.
-///
-/// [`Merge::compose`]: crate::round::Merge::compose
+/// samples `fanin` forwarded and send every included child its slice
+/// ([`Fanin::split`]). Returns the children answered; a child whose
+/// downlink was lost is left out.
 pub fn aggregator_downlink<S: ServerTransport, D: DeviceTransport>(
     children: &mut S,
     parent: &mut D,
     node: &AggregatorNode,
-    merge: &Merge,
+    fanin: &Fanin,
 ) -> Result<Vec<usize>> {
     let _span = fedsc_obs::span("hier", "hier.agg_downlink")
         .field("tier", node.tier)
         .field("node", node.node)
-        .field("children", merge.included.len());
+        .field("children", fanin.included.len());
     let reply = parent
         .recv_downlink(node.above.downlink_wait())
         .map_err(wire_err)?;
     let down =
         DownlinkMessage::decode(reply).ok_or(LinalgError::InvalidArgument("malformed downlink"))?;
-    let mut answered = Vec::with_capacity(merge.included.len());
-    for (c, child_reply) in merge.compose(&down)? {
+    let mut answered = Vec::with_capacity(fanin.included.len());
+    for (c, child_reply) in fanin.split(&down.assignments)? {
         let child_reply = child_reply.encode();
         if send_within_budget(&node.below, || children.send_downlink(c, &child_reply)) {
             answered.push(c);
@@ -465,15 +472,15 @@ pub(crate) fn server_round_with_silent<S: ServerTransport>(
         ));
     }
 
-    let pooled: usize = uplinks.iter().flatten().map(Matrix::cols).sum();
+    let pooled: usize = uplinks.iter().flatten().flatten().map(Matrix::cols).sum();
     let central_span = fedsc_obs::span("fedsc", "phase2.central").field("samples", pooled);
-    let (merge, _, _) = merge_step(uplinks, cfg, MergeAt::Root)?;
+    let (merge, _, _) = merge_step(uplinks, cfg)?;
     drop(central_span);
 
     let _broadcast_span =
-        fedsc_obs::span("fedsc", "phase3.broadcast").field("devices", merge.included.len());
+        fedsc_obs::span("fedsc", "phase3.broadcast").field("devices", merge.fanin.included.len());
     let mut answered = vec![false; z_count];
-    for (z, down) in merge.downlinks() {
+    for (z, down) in merge.downlinks()? {
         let _downlink_span = fedsc_obs::span("wire", "wire.downlink").field("device", z);
         let reply = down.encode();
         answered[z] = send_within_budget(policy, || link.send_downlink(z, &reply));
@@ -488,8 +495,9 @@ pub(crate) fn server_round_with_silent<S: ServerTransport>(
 /// child outside `silent` (distinct indices below `expected`, the
 /// children known never to send) has reported, or `deadline` expires.
 /// A silent child's uplink that arrives before then is still taken. Slot
-/// `z` of the returned vector holds child `z`'s decoded samples, `None`
-/// if they never arrived — quorum policy is
+/// `z` of the returned vector holds child `z`'s decoded device uplinks
+/// (one for a device, its subtree's for an aggregator), `None` if they
+/// never arrived — quorum policy is
 /// the *caller's* decision: the root fails the round, an aggregator fails
 /// its subtree. Stray child ids and duplicate deliveries are ignored.
 ///
@@ -505,8 +513,8 @@ fn collect_uplinks<S: ServerTransport>(
     silent: &[usize],
     deadline: Duration,
     mut fleet: Option<&mut FleetCollector>,
-) -> Result<Vec<Option<Matrix>>> {
-    let mut payloads: Vec<Option<Matrix>> = (0..expected).map(|_| None).collect();
+) -> Result<Vec<Option<Vec<Matrix>>>> {
+    let mut payloads: Vec<Option<Vec<Matrix>>> = (0..expected).map(|_| None).collect();
     let deadline = Deadline::after(deadline);
     let mut received = 0usize;
     let mut pending = expected.saturating_sub(silent.len());
@@ -541,9 +549,9 @@ fn collect_uplinks<S: ServerTransport>(
                 } else {
                     bytes.slice(inner_at..bytes.len())
                 };
-                let msg = UplinkMessage::decode(inner)
+                let msgs = UplinkMessage::decode_all(inner)
                     .ok_or(LinalgError::InvalidArgument("malformed uplink"))?;
-                payloads[z] = Some(msg.samples);
+                payloads[z] = Some(msgs.into_iter().map(|m| m.samples).collect());
                 received += 1;
                 if !silent.contains(&z) {
                     pending -= 1;
@@ -887,7 +895,9 @@ mod tests {
         )
         .expect("collect the two uplinks");
         for (z, p) in payloads.iter().enumerate() {
-            let m = p.as_ref().unwrap_or_else(|| panic!("uplink {z} missing"));
+            let p = p.as_ref().unwrap_or_else(|| panic!("uplink {z} missing"));
+            assert_eq!(p.len(), 1, "uplink {z} holds one message");
+            let m = &p[0];
             assert_eq!(m.col(0), &[1.0, 2.0], "uplink {z} col 0");
             assert_eq!(m.col(1), &[3.0, 4.0], "uplink {z} col 1");
         }

@@ -7,7 +7,9 @@
 //!
 //! * **Bitwise-identical output** — every device's predictions match
 //!   between the two runs; attaching trace contexts, clock syncs, and
-//!   in-band metric envelopes must not perturb the clustering.
+//!   in-band metric envelopes must not perturb the clustering. The
+//!   aggregators relay, so both runs also match the in-process flat round
+//!   `FedSc::run` on the same fixture.
 //! * **Byte-exact accounting** — each parent's uplink total grows by
 //!   exactly its reported `envelope_bytes`, and its downlink total by
 //!   exactly the 16-byte timed-handshake ack surplus per child
@@ -18,7 +20,8 @@
 //!   after clock-offset correction), and the fleet metrics snapshot
 //!   contains work the root never did itself (the devices' local SSC).
 
-use fedsc::demo::demo_hier_fixture;
+use fedsc::demo::demo_fixture;
+use fedsc::FedSc;
 use fedsc_clustering::clustering_accuracy;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -113,16 +116,19 @@ fn counter_in(json: &str, name: &str) -> u64 {
 
 fn run_fleet(telemetry: bool, dir: &Path) -> FleetRun {
     let common = |extra: &mut Vec<String>| {
-        extra.extend(["--clusters".into(), CLUSTERS.to_string()]);
         extra.extend(["--seed".into(), SEED.to_string()]);
-        extra.push("--hier".into());
         if telemetry {
             extra.push("--telemetry".into());
         }
     };
 
     // Root sees the two aggregators as its fan-in of "devices".
-    let mut root_args: Vec<String> = vec!["--devices".into(), AGGS.to_string()];
+    let mut root_args: Vec<String> = vec![
+        "--devices".into(),
+        AGGS.to_string(),
+        "--clusters".into(),
+        CLUSTERS.to_string(),
+    ];
     common(&mut root_args);
     if telemetry {
         for (flag, file) in [
@@ -147,8 +153,6 @@ fn run_fleet(telemetry: bool, dir: &Path) -> FleetRun {
                 "0".into(),
                 "--children".into(),
                 FAN.to_string(),
-                "--devices".into(),
-                DEVICES.to_string(),
             ];
             common(&mut args);
             spawn_listener(AGG_BIN, &args)
@@ -169,6 +173,8 @@ fn run_fleet(telemetry: bool, dir: &Path) -> FleetRun {
                 p.to_string(),
                 "--devices".into(),
                 DEVICES.to_string(),
+                "--clusters".into(),
+                CLUSTERS.to_string(),
             ];
             common(&mut args);
             Command::new(DEVICE_BIN)
@@ -202,7 +208,7 @@ fn run_fleet(telemetry: bool, dir: &Path) -> FleetRun {
     for (p, (child, _)) in aggs.into_iter().enumerate() {
         let summary = finish(child, &format!("agg {p}"));
         assert!(
-            summary.contains(&format!("agg {p} reps ")),
+            summary.contains(&format!("agg {p} forwarded ")),
             "agg {p} summary missing: {summary}"
         );
         agg_uplink.push(field(&summary, "uplink_bytes"));
@@ -243,10 +249,16 @@ fn fleet_round_merges_telemetry_without_perturbing_the_clustering() {
         on.predictions, off.predictions,
         "telemetry perturbed the clustering output"
     );
-    // And the labels are good: the two-tier merge recovers the planted
-    // subspaces on the shared fixture.
-    let (fed, _cfg) = demo_hier_fixture(SEED, DEVICES, CLUSTERS);
+    // The aggregators relay, so the root clusters the flat round's pool:
+    // the fleet predicts exactly what the in-process round does, and
+    // recovers the planted subspaces.
+    let (fed, cfg) = demo_fixture(SEED, DEVICES, CLUSTERS);
     let global = fed.scatter_predictions(&on.predictions);
+    let flat = FedSc::new(cfg).run(&fed).expect("in-process flat round");
+    assert_eq!(
+        global, flat.predictions,
+        "fleet differs from the flat round"
+    );
     let acc = clustering_accuracy(&fed.global_truth(), &global);
     assert!(acc > 90.0, "fleet accuracy {acc}%");
 
@@ -317,8 +329,8 @@ fn fleet_round_merges_telemetry_without_perturbing_the_clustering() {
     let root_metrics =
         std::fs::read_to_string(dir.join("root-metrics.json")).expect("root metrics");
     // The devices' local SSC sweeps arrive in-band; the root's own SSC
-    // runs only over the forwarded representatives, so the merged count
-    // must strictly exceed the root-local one.
+    // runs only over the pooled samples, so the merged count must
+    // strictly exceed the root-local one.
     let (fleet_sweeps, root_sweeps) = (
         counter_in(&fleet_metrics, "lasso.sweeps"),
         counter_in(&root_metrics, "lasso.sweeps"),

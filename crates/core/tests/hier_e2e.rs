@@ -1,15 +1,16 @@
-//! End-to-end tests for the aggregation tree: the degenerate single-tier
-//! topology must match the flat round over a framed link, the multi-tier
-//! tree must cluster correctly over all three transports with byte-exact
-//! per-tier accounting, and per-tier quorum failures must fail whole
-//! subtrees without failing the round.
+//! End-to-end tests for the aggregation tree: every tree whose subtrees
+//! meet quorum must predict what the flat round predicts, the degenerate
+//! single-tier topology must match the flat round over a framed link, the
+//! multi-tier tree must cluster correctly over all three transports with
+//! byte-exact per-tier accounting, and per-tier quorum failures must fail
+//! whole subtrees without failing the round.
 
-use fedsc::demo::demo_hier_fixture;
 use fedsc::{
-    device_step, run_hier_round, run_hier_round_with_dead, run_over_wire, CentralBackend, FedSc,
-    FedScConfig, HierPolicy, HierTopology, RoundPolicy, TierTraffic,
+    device_step, run_hier_round, run_hier_round_with_dead, run_over_wire, CentralBackend,
+    ClusterCountPolicy, FedSc, FedScConfig, HierPolicy, HierTopology, RoundPolicy, TierTraffic,
 };
 use fedsc_clustering::clustering_accuracy;
+use fedsc_data::synthetic::{generate, SyntheticConfig};
 use fedsc_federated::channel::UplinkMessage;
 use fedsc_federated::partition::{partition_dataset, FederatedDataset, Partition};
 use fedsc_linalg::Matrix;
@@ -30,12 +31,11 @@ fn fixture(seed: u64, devices: usize) -> (FederatedDataset, FedScConfig) {
     (fed, cfg)
 }
 
-/// The deep-tree fixture: 3 rank-1 subspaces (lines) in R^20 with four
-/// uploaded samples per local cluster. Middle tiers pool only a handful
-/// of children, so the per-tier SSC needs every subspace represented by
-/// several samples — rank-1 subspaces keep self-expressiveness intact all
-/// the way up the tree (two samples on a line already express each
-/// other), which is the regime hierarchical aggregation is honest in.
+/// The rank-1 fixture: 3 lines in R^20, 48 points each, with four uploaded
+/// samples per local cluster. Samples on a line are exactly parallel
+/// atoms, the Lasso's degenerate case (see
+/// `rank_one_fixture_clusters_exactly_on_every_seed`), and the pool is
+/// large enough that each line is represented many times over.
 fn deep_fixture(seed: u64, devices: usize) -> (FederatedDataset, FedScConfig) {
     let mut rng = StdRng::seed_from_u64(seed);
     let model = SubspaceModel::random(&mut rng, 20, 1, 3);
@@ -44,6 +44,63 @@ fn deep_fixture(seed: u64, devices: usize) -> (FederatedDataset, FedScConfig) {
     let mut cfg = FedScConfig::new(3, CentralBackend::Ssc);
     cfg.samples_per_cluster = 4;
     (fed, cfg)
+}
+
+/// The Section VI-A generator at the `fig6_z160` benchmark workload's
+/// shape: L = 25 five-dimensional subspaces in R^20, 200 points each, over
+/// Z = 160 devices holding L' = 3 of them, with the fixed `r^(z) = L'`
+/// count and one sample per local cluster (the paper's m = 1).
+fn fig6_fixture(seed: u64, central: CentralBackend) -> (FederatedDataset, FedScConfig) {
+    let (l, l_prime, z): (usize, usize, usize) = (25, 3, 160);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let per = 10 * (z * l_prime).div_ceil(l);
+    let syn = generate(&SyntheticConfig::paper(l, per), &mut rng);
+    let fed = partition_dataset(&syn.data, z, Partition::NonIid { l_prime }, &mut rng);
+    let mut cfg = FedScConfig::new(l, central);
+    cfg.cluster_count = ClusterCountPolicy::Fixed(l_prime);
+    cfg.seed = seed;
+    (fed, cfg)
+}
+
+#[test]
+fn every_tree_predicts_what_the_flat_round_predicts() {
+    // Aggregators relay their children's uplinks, so the root of every
+    // tree clusters the flat round's pool, in its order, counting the same
+    // devices for TSC's q rule. At this shape an aggregator's share of the
+    // pool holds too few samples per subspace for SSC, so any clustering
+    // below the root shows here as lost accuracy.
+    for central in [CentralBackend::Ssc, CentralBackend::Tsc { q: None }] {
+        let (fed, cfg) = fig6_fixture(7, central);
+        let run = |aggregators: Vec<usize>| {
+            let topology = HierTopology::new(160, aggregators).expect("valid fig6 tree");
+            run_hier_round(
+                &fed,
+                &cfg,
+                &topology,
+                &InMemoryTransport,
+                &HierPolicy::default(),
+            )
+            .unwrap_or_else(|e| panic!("{central:?} {topology:?} round failed: {e:?}"))
+            .wire
+        };
+        let flat = run(Vec::new());
+        assert!(flat.excluded.is_empty());
+        if central == CentralBackend::Ssc {
+            let acc = clustering_accuracy(&fed.global_truth(), &flat.predictions);
+            assert!(acc >= 99.0, "flat SSC accuracy {acc}");
+        }
+        for aggregators in [vec![4], vec![8], vec![16, 4]] {
+            let tree = run(aggregators.clone());
+            assert!(tree.excluded.is_empty(), "{central:?} {aggregators:?}");
+            assert!(
+                tree.predictions == flat.predictions,
+                "{central:?} {aggregators:?}: tree accuracy {}% against the flat round's {}%",
+                clustering_accuracy(&fed.global_truth(), &tree.predictions),
+                clustering_accuracy(&fed.global_truth(), &flat.predictions)
+            );
+            assert_eq!(tree.uplink_bytes, flat.uplink_bytes, "root ingress");
+        }
+    }
 }
 
 #[test]
@@ -175,14 +232,9 @@ fn tier_zero_accounting_is_byte_exact() {
         .sum();
     assert_eq!(hier.tiers[0].uplink_bytes, expected_up);
     assert_eq!(hier.tiers[0].uplink_messages, 12);
-    // Root ingress carries at most one representative per merged cluster
-    // per aggregator: 3 aggregators × (16-byte header + 3 reps × 20 f64s).
-    let root_cap = 3 * (16 + 8 * 20 * 3);
-    assert!(
-        hier.root_uplink_bytes() <= root_cap,
-        "root uplink {} exceeds the cluster-count cap {root_cap}",
-        hier.root_uplink_bytes()
-    );
+    // Aggregators forward their children's payloads unchanged, so the root
+    // takes exactly the devices' bytes off the wire.
+    assert_eq!(hier.root_uplink_bytes(), expected_up);
     assert_eq!(hier.wire.uplink_bytes, hier.root_uplink_bytes());
     assert_eq!(
         hier.total_uplink_bytes(),
@@ -366,7 +418,8 @@ fn rank_one_fixture_clusters_exactly_on_every_seed() {
     // 8-device / 2-aggregator tree, not just the lucky ones.
     let topo = HierTopology::new(8, vec![2]).expect("8→2→root tree");
     for seed in 1..=16u64 {
-        let (fed, cfg) = demo_hier_fixture(seed, 8, 3);
+        let (fed, mut cfg) = deep_fixture(seed, 8);
+        cfg.seed = seed;
         let truth = fed.global_truth();
         let flat = FedSc::new(cfg.clone())
             .run(&fed)

@@ -10,7 +10,7 @@
 //! * Root coverage in a tree — the root of a two-tier round records the
 //!   same three phase spans inside its `wire.server_round`.
 
-use fedsc::demo::{demo_fixture, demo_hier_fixture};
+use fedsc::demo::demo_fixture;
 use fedsc::{run_hier_round, run_round, HierPolicy, HierTopology, RoundPolicy};
 use fedsc_obs::metrics::snapshot;
 use fedsc_transport::{InMemoryTransport, TcpTransport};
@@ -112,7 +112,7 @@ fn traced_round_covers_all_three_phases_and_every_device() {
 #[test]
 fn traced_tree_root_records_all_three_phases() {
     let _g = guard();
-    let (fed, cfg) = demo_hier_fixture(7, 8, 3);
+    let (fed, cfg) = demo_fixture(7, 8, 3);
     let topology = HierTopology::new(8, vec![2]).expect("8→2→root tree");
 
     fedsc_obs::trace::install_ring(1 << 14);

@@ -116,6 +116,30 @@ impl UplinkMessage {
         let samples = Matrix::from_col_major(n, r, data).ok()?;
         Some(Self { dim: n, samples })
     }
+
+    /// Decodes a payload of one or more encoded messages back to back: a
+    /// device sends one, an aggregator forwards its children's in a row.
+    /// Returns `None` on malformed input, an empty payload included.
+    pub fn decode_all(bytes: Bytes) -> Option<Vec<Self>> {
+        let mut msgs = Vec::new();
+        let mut at = 0usize;
+        while msgs.is_empty() || at < bytes.len() {
+            let header = bytes.as_slice().get(at..at + 16)?;
+            let word = |i: usize| {
+                let mut w = [0u8; 8];
+                w.copy_from_slice(&header[8 * i..8 * i + 8]);
+                u64::from_le_bytes(w) as usize
+            };
+            let len = word(0).checked_mul(word(1))?.checked_mul(8)?;
+            let end = (at + 16).checked_add(len)?;
+            if end > bytes.len() {
+                return None;
+            }
+            msgs.push(Self::decode(bytes.slice(at..end))?);
+            at = end;
+        }
+        Some(msgs)
+    }
 }
 
 /// A downlink message: the global cluster assignments of one device's
@@ -214,6 +238,34 @@ mod tests {
         let bytes = msg.encode();
         let back = UplinkMessage::decode(bytes).unwrap();
         assert_eq!(back, msg);
+    }
+
+    #[test]
+    fn decode_all_splits_messages_back_to_back() {
+        let one = UplinkMessage {
+            dim: 2,
+            samples: sample_matrix(),
+        };
+        let empty = UplinkMessage {
+            dim: 2,
+            samples: Matrix::zeros(2, 0),
+        };
+        let mut payload = one.encode().to_vec();
+        payload.extend_from_slice(empty.encode().as_slice());
+        payload.extend_from_slice(one.encode().as_slice());
+        let back = UplinkMessage::decode_all(Bytes::from(payload.clone())).unwrap();
+        assert_eq!(back, vec![one.clone(), empty, one.clone()]);
+        assert_eq!(
+            UplinkMessage::decode_all(one.encode()).unwrap(),
+            vec![one.clone()]
+        );
+        // Empty and truncated payloads are malformed, and so is a tail too
+        // short for a header.
+        assert!(UplinkMessage::decode_all(Bytes::new()).is_none());
+        payload.pop();
+        assert!(UplinkMessage::decode_all(Bytes::from(payload.clone())).is_none());
+        payload.truncate(one.encode().len() + 16 + 5);
+        assert!(UplinkMessage::decode_all(Bytes::from(payload)).is_none());
     }
 
     #[test]

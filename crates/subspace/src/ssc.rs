@@ -13,6 +13,9 @@ use fedsc_sparse::lasso::{ssc_lambda, LassoOptions, LassoSolver, LassoWorkspace}
 use fedsc_sparse::restricted::solve_candidates;
 use fedsc_sparse::SparseVec;
 
+/// Multiplier in the per-point lambda rule, the paper's `alpha = 50`.
+pub const ALPHA: f64 = 50.0;
+
 /// SSC configuration.
 ///
 /// ```
@@ -28,8 +31,6 @@ use fedsc_sparse::SparseVec;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ssc {
-    /// Multiplier in the per-point lambda rule (paper: 50).
-    pub alpha: f64,
     /// Lasso solver options.
     pub lasso: LassoOptions,
     /// Sketched-candidate screening pipeline (sketch → restricted solves).
@@ -44,7 +45,6 @@ pub struct Ssc {
 impl Default for Ssc {
     fn default() -> Self {
         Self {
-            alpha: 50.0,
             lasso: LassoOptions::default(),
             candidates: Some(CandidateOptions::default()),
         }
@@ -86,7 +86,7 @@ impl Ssc {
         let solver = LassoSolver::new(&gram, self.lasso.clone());
         par::par_map_with(n, threads, LassoWorkspace::new, |ws, i| {
             let b = gram.col(i);
-            let lambda = ssc_lambda(b, i, self.alpha);
+            let lambda = ssc_lambda(b, i, ALPHA);
             solver.solve_in(b, lambda, i, ws)
         })
         .into_iter()
@@ -113,7 +113,7 @@ impl Ssc {
             let _s = span("fedsc", "ssc.sketch");
             select_candidates(&x, &copts, threads)?
         };
-        solve_candidates(&x, &cands, self.alpha, &self.lasso)
+        solve_candidates(&x, &cands, ALPHA, &self.lasso)
     }
 }
 
