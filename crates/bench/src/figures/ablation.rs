@@ -1,5 +1,5 @@
 //! Quality ablations for the Fed-SC design choices DESIGN.md calls out
-//! (complementing the Criterion timing ablations in `benches/`):
+//! (the kernels behind them are timed by the `perf` and `cutover` bins):
 //!
 //! * local cluster-count policy — plain eigengap (paper Eq. (3)),
 //!   regularized relative eigengap, fixed upper bound;

@@ -1,7 +1,8 @@
 //! # fedsc-bench
 //!
 //! Shared harness behind the per-figure/per-table binaries (`fig4`..`fig7`,
-//! `table3`, `table4`) and the Criterion micro/ablation benches.
+//! `table3`, `table4`), the `ablation` and `privacy` harnesses and the
+//! kernel-timing bins (`perf`, `cutover`).
 //!
 //! Every binary prints the same rows/series the paper reports. Absolute
 //! numbers differ from the paper's (different hardware, scaled-down sizes);

@@ -153,20 +153,11 @@ pub fn fleet_chrome_trace_json(spans: &[FleetSpan], process_names: &[(u64, Strin
 }
 
 /// Serializes a metrics snapshot as flat JSON:
-/// `{"counters":{...},"gauges":{...},"histograms":{name:{"buckets":{"le_10":n,…,"inf":n},"count":c,"sum":s}}}`.
+/// `{"counters":{...},"histograms":{name:{"buckets":{"le_10":n,…,"inf":n},"count":c,"sum":s}}}`.
 pub fn metrics_json(snap: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(256);
     out.push_str("{\"counters\":{");
     for (i, (name, value)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_json(name, &mut out);
-        let _ = write!(out, "\":{value}");
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, value)) in snap.gauges.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -613,7 +604,6 @@ mod tests {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("b.count".to_string(), 2);
         snap.counters.insert("a.count".to_string(), 1);
-        snap.gauges.insert("g.depth".to_string(), -3);
         snap.histograms.insert(
             "h.lat".to_string(),
             HistogramSnapshot {
@@ -628,10 +618,6 @@ mod tests {
         assert_eq!(
             doc.get("counters").and_then(|c| c.get("a.count")),
             Some(&Json::Num(1.0))
-        );
-        assert_eq!(
-            doc.get("gauges").and_then(|g| g.get("g.depth")),
-            Some(&Json::Num(-3.0))
         );
         let h = doc
             .get("histograms")

@@ -3,7 +3,7 @@
 //! lanes up an aggregation tree, plus the [`FleetCollector`] each
 //! receiving tier uses to absorb and re-merge them.
 //!
-//! ## Envelope wire format (`FSCE`, version 1)
+//! ## Envelope wire format (`FSCE`, version 2)
 //!
 //! An envelope is an optional *prefix* on an uplink payload. All integers
 //! are little-endian:
@@ -11,14 +11,16 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "FSCE"
-//! 4       2     version (1)
+//! 4       2     version (2)
 //! 6       2     section flags (bit 0 ctx, bit 1 metrics, bit 2 spans)
 //! 8       4     total envelope length = offset of the inner payload
 //! 12      ...   sections, in flag-bit order
 //! ```
 //!
 //! The ctx section is 48 fixed bytes. The metrics section is a
-//! length-prefixed snapshot (string names as `u16` length + UTF-8).
+//! length-prefixed snapshot: the counter table, then the histogram table
+//! (string names as `u16` length + UTF-8). Version 1 had a third table
+//! between the two; a version-1 envelope is rejected.
 //! The spans section is a `u32` count of [`FleetSpan`] records. A
 //! payload that does not start with the magic has no envelope; decoding
 //! never guesses. The 16 high bits of the inner `UplinkMessage` sample
@@ -40,7 +42,7 @@ use std::collections::BTreeMap;
 /// Envelope magic bytes.
 pub const ENVELOPE_MAGIC: [u8; 4] = *b"FSCE";
 /// Envelope wire version.
-pub const ENVELOPE_VERSION: u16 = 1;
+pub const ENVELOPE_VERSION: u16 = 2;
 
 const SECT_CTX: u16 = 1 << 0;
 const SECT_METRICS: u16 = 1 << 1;
@@ -302,11 +304,6 @@ fn encode_metrics(snap: &MetricsSnapshot, out: &mut Vec<u8>) {
         encode_str(name, out);
         out.extend_from_slice(&v.to_le_bytes());
     }
-    out.extend_from_slice(&(snap.gauges.len() as u32).to_le_bytes());
-    for (name, v) in &snap.gauges {
-        encode_str(name, out);
-        out.extend_from_slice(&v.to_le_bytes());
-    }
     out.extend_from_slice(&(snap.histograms.len() as u32).to_le_bytes());
     for (name, h) in &snap.histograms {
         encode_str(name, out);
@@ -356,10 +353,6 @@ impl Cursor<'_> {
         Ok(u64::from_le_bytes(buf))
     }
 
-    fn i64(&mut self) -> Result<i64, &'static str> {
-        Ok(self.u64()? as i64)
-    }
-
     fn string(&mut self) -> Result<String, &'static str> {
         let len = self.u16()? as usize;
         let b = self.take(len)?;
@@ -378,15 +371,6 @@ fn decode_metrics(cur: &mut Cursor<'_>) -> Result<MetricsSnapshot, &'static str>
         let name = cur.string()?;
         let v = cur.u64()?;
         snap.counters.insert(name, v);
-    }
-    let n = cur.u32()? as usize;
-    if n > cap {
-        return Err("gauge count exceeds envelope length");
-    }
-    for _ in 0..n {
-        let name = cur.string()?;
-        let v = cur.i64()?;
-        snap.gauges.insert(name, v);
     }
     let n = cur.u32()? as usize;
     if n > cap {
@@ -549,7 +533,6 @@ mod tests {
     fn demo_metrics() -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("a".to_string(), 3);
-        snap.gauges.insert("g".to_string(), -2);
         snap.histograms.insert(
             "h".to_string(),
             HistogramSnapshot {
@@ -625,6 +608,9 @@ mod tests {
         }
         let mut bad_version = bytes.clone();
         bad_version[4] = 0xFF;
+        assert!(Envelope::strip(&bad_version).is_err());
+        // Version 1 had a third metrics table; its layout no longer decodes.
+        bad_version[4] = 1;
         assert!(Envelope::strip(&bad_version).is_err());
         let mut bad_flags = bytes.clone();
         bad_flags[6] = 0xFF;

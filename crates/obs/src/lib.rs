@@ -1,10 +1,9 @@
 //! # fedsc-obs — observability substrate for the Fed-SC workspace
 //!
 //! Structured tracing (hierarchical spans with static names and typed
-//! key/value fields) plus a metrics registry (counters, gauges,
-//! fixed-bucket histograms), with two exporters: Chrome `trace_event`
-//! JSON (loadable in Perfetto / `chrome://tracing`) and a flat JSON
-//! metrics snapshot.
+//! key/value fields) plus a metrics registry (counters and fixed-bucket
+//! histograms), with two exporters: Chrome `trace_event` JSON (loadable in
+//! Perfetto / `chrome://tracing`) and a flat JSON metrics snapshot.
 //!
 //! ## Design rules
 //!
@@ -48,5 +47,5 @@ pub mod trace;
 
 pub use clock::{now_ns, Stopwatch};
 pub use fleet::{Envelope, FleetCollector, FleetSpan, TraceContext};
-pub use metrics::{LazyCounter, LazyGauge, LazyHistogram, MetricsSnapshot};
+pub use metrics::{LazyCounter, LazyHistogram, MetricsSnapshot};
 pub use trace::{span, FieldValue, Span, SpanEvent};

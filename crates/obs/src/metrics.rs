@@ -1,19 +1,18 @@
-//! Process-global metrics registry: counters, gauges, fixed-bucket
-//! histograms.
+//! Process-global metrics registry: counters and fixed-bucket histograms.
 //!
 //! Metrics are **always on** — a handful of relaxed atomic adds per
 //! instrumented operation — because unlike spans they never read the
 //! clock and never allocate on the hot path. Instrumentation sites
-//! declare a `static` [`LazyCounter`] / [`LazyGauge`] /
-//! [`LazyHistogram`] that registers itself on first use, so recording
-//! is one `OnceLock` read plus one atomic op.
+//! declare a `static` [`LazyCounter`] / [`LazyHistogram`] that registers
+//! itself on first use, so recording is one `OnceLock` read plus one
+//! atomic op.
 //!
 //! The registry key space is flat dotted names (`"transport.bytes_sent"`,
 //! `"pool.tasks"`); [`snapshot`] walks it in sorted (BTree) order so the
 //! exported JSON is deterministic.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Monotone counter.
@@ -45,36 +44,6 @@ impl Counter {
     fn reset(&self) {
         // ORDERING: Relaxed — see `Counter::add`.
         self.value.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Instantaneous signed value.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        // ORDERING: Relaxed — statistical telemetry; see `Counter::add`.
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        // ORDERING: Relaxed — statistical telemetry; see `Counter::add`.
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        // ORDERING: Relaxed — statistical telemetry; see `Counter::add`.
-        self.value.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.set(0);
     }
 }
 
@@ -143,7 +112,6 @@ impl Histogram {
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -179,24 +147,6 @@ pub fn counter(name: &'static str) -> Arc<Counter> {
             let c = Arc::new(Counter::default());
             reg.insert(name, Metric::Counter(Arc::clone(&c)));
             c
-        }
-    }
-}
-
-/// Returns (registering on first use) the gauge named `name`. Kind
-/// collisions yield a detached gauge, as with [`counter`].
-pub fn gauge(name: &'static str) -> Arc<Gauge> {
-    if let Some(Metric::Gauge(g)) = read_registry().get(name) {
-        return Arc::clone(g);
-    }
-    let mut reg = write_registry();
-    match reg.get(name) {
-        Some(Metric::Gauge(g)) => Arc::clone(g),
-        Some(_) => Arc::new(Gauge::default()),
-        None => {
-            let g = Arc::new(Gauge::default());
-            reg.insert(name, Metric::Gauge(Arc::clone(&g)));
-            g
         }
     }
 }
@@ -253,43 +203,6 @@ impl LazyCounter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.handle().get()
-    }
-}
-
-/// A `static`-friendly gauge handle: resolves its registry entry once.
-#[derive(Debug)]
-pub struct LazyGauge {
-    name: &'static str,
-    cell: OnceLock<Arc<Gauge>>,
-}
-
-impl LazyGauge {
-    /// Declares a gauge named `name` (registered on first use).
-    pub const fn new(name: &'static str) -> Self {
-        LazyGauge {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// The underlying gauge.
-    pub fn handle(&self) -> &Gauge {
-        self.cell.get_or_init(|| gauge(self.name))
-    }
-
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        self.handle().set(v);
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.handle().add(delta);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
         self.handle().get()
     }
 }
@@ -372,23 +285,18 @@ impl HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
     /// Histograms by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
-    /// Merges `other` into `self`: counters and gauges add per name,
+    /// Merges `other` into `self`: counters add per name,
     /// histograms merge by union of bounds (see
     /// [`HistogramSnapshot::merge`]). Associative and commutative, so a
     /// root export is independent of the tier merge order.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, v) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, v) in &other.gauges {
-            *self.gauges.entry(name.clone()).or_insert(0) += v;
         }
         for (name, h) in &other.histograms {
             self.histograms.entry(name.clone()).or_default().merge(h);
@@ -403,9 +311,6 @@ pub fn snapshot() -> MetricsSnapshot {
         match metric {
             Metric::Counter(c) => {
                 snap.counters.insert(name.to_string(), c.get());
-            }
-            Metric::Gauge(g) => {
-                snap.gauges.insert(name.to_string(), g.get());
             }
             Metric::Histogram(h) => {
                 snap.histograms.insert(
@@ -436,7 +341,6 @@ pub fn reset() {
     for metric in read_registry().values() {
         match metric {
             Metric::Counter(c) => c.reset(),
-            Metric::Gauge(g) => g.reset(),
             Metric::Histogram(h) => h.reset(),
         }
     }
@@ -458,19 +362,14 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_register_and_accumulate() {
+    fn counters_register_and_accumulate() {
         let _g = guard();
         static C: LazyCounter = LazyCounter::new("test.metrics.counter_a");
-        static G: LazyGauge = LazyGauge::new("test.metrics.gauge_a");
         C.add(2);
         C.inc();
-        G.set(5);
-        G.add(-2);
         assert_eq!(C.get(), 3);
-        assert_eq!(G.get(), 3);
         let snap = snapshot();
         assert_eq!(snap.counters.get("test.metrics.counter_a"), Some(&3));
-        assert_eq!(snap.gauges.get("test.metrics.gauge_a"), Some(&3));
     }
 
     #[test]
@@ -489,13 +388,13 @@ mod tests {
         let _g = guard();
         let c = counter("test.metrics.collide");
         c.add(7);
-        let g = gauge("test.metrics.collide");
-        g.set(99);
+        let h = histogram("test.metrics.collide", &[10]);
+        h.observe(99);
         // The original counter is untouched and still registered.
         assert_eq!(counter("test.metrics.collide").get(), 7);
         let snap = snapshot();
         assert_eq!(snap.counters.get("test.metrics.collide"), Some(&7));
-        assert!(!snap.gauges.contains_key("test.metrics.collide"));
+        assert!(!snap.histograms.contains_key("test.metrics.collide"));
     }
 
     #[test]

@@ -34,7 +34,8 @@ fn check_lasso_cd_kkt(seed: u64, cols: usize, lambda: f64) {
     let b = gram.col(0);
     let c = solver.solve(b, lambda, 0).unwrap();
     let viol = solver.kkt_violation(b, lambda, 0, &c).unwrap();
-    assert!(viol < 1e-4 * lambda.max(1.0), "violation {viol}");
+    // The certificate the homotopy's own proptests in `lasso.rs` hold.
+    assert!(viol <= 1e-9 * lambda, "violation {viol} at lambda {lambda}");
     assert_eq!(c.to_dense()[0], 0.0);
 }
 

@@ -3,8 +3,8 @@
 //!
 //! A line-by-line scan over text with comments and strings blanked out is
 //! blind to token boundaries (`MyHashMap` would match `HashMap`) and cannot
-//! express structural rules like "every `unsafe` block needs a registry
-//! entry" or "this lock is acquired while that one is held". This module
+//! express structural rules like "every `Ordering::*` use needs a
+//! justification" or "this lock is acquired while that one is held". This module
 //! lexes source into a flat token stream with line numbers, plus a
 //! delimiter-matching table, which is all the structure the rules in
 //! [`crate::rules`] need:
@@ -407,11 +407,11 @@ mod tests {
 
     #[test]
     fn strings_and_comments_are_opaque_but_kept() {
-        let toks = lex("let s = \"panic!( .unwrap()\"; // SAFETY: prose\n");
+        let toks = lex("let s = \"panic!( .unwrap()\"; // ORDERING: prose\n");
         assert!(toks.iter().any(|t| t.kind == TokKind::Str));
         assert!(!toks.iter().any(|t| t.is_ident("panic")));
         let c = toks.iter().find(|t| t.kind == TokKind::LineComment);
-        assert!(c.is_some_and(|t| t.text.contains("SAFETY:")));
+        assert!(c.is_some_and(|t| t.text.contains("ORDERING:")));
     }
 
     #[test]

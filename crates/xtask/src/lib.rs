@@ -3,7 +3,8 @@
 //! out to the binary.
 //!
 //! * [`lexer`] — the dependency-free Rust lexer / delimiter matcher.
-//! * [`rules`] — the token-level rule engine (rules 1–9) behind `audit`.
+//! * [`rules`] — the token-level rule engine (rules 1–6, 8 and 9) behind
+//!   `audit`.
 //! * [`report`] — the diagnostic type and the SARIF 2.1.0 report writer
 //!   for `--report-out`.
 

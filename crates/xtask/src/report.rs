@@ -77,10 +77,6 @@ const RULE_HELP: &[(&str, &str)] = &[
         "panic allowlist must match INVARIANT sites exactly",
     ),
     (
-        "unsafe",
-        "unsafe boundary: SAFETY comments and exact registry counts",
-    ),
-    (
         "ordering",
         "atomics: ORDERING justifications and happens-before pairing",
     ),
@@ -176,14 +172,14 @@ mod tests {
         let d = Diagnostic {
             file: "crates/linalg/src/par.rs".to_string(),
             line: 42,
-            rule: "unsafe",
+            rule: "ordering",
             message: "a \"quoted\" message\nwith newline".to_string(),
         };
         assert!(d
             .to_string()
-            .starts_with("crates/linalg/src/par.rs:42: [unsafe] a"));
+            .starts_with("crates/linalg/src/par.rs:42: [ordering] a"));
         let doc = sarif(&[d]);
-        assert!(doc.contains(r#""ruleId":"unsafe""#));
+        assert!(doc.contains(r#""ruleId":"ordering""#));
         assert!(doc.contains(r#""startLine":42"#));
         assert!(doc.contains(r#"\"quoted\""#));
         assert!(doc.contains(r#"\n"#));

@@ -1,17 +1,12 @@
-//! Token-level rule engine behind `cargo xtask audit` (rules 1–9).
+//! Token-level rule engine behind `cargo xtask audit` (rules 1–6, 8 and 9).
 //!
 //! Rules 1–6 (panic freedom, deterministic randomness, sanctioned timing,
 //! must-use results, socket hygiene, spawn confinement) run on the token
 //! stream from [`crate::lexer`], which makes them exact on identifier
 //! boundaries (`MyHashMap` does not match `HashMap`) and immune to
-//! string/comment false positives by construction. Three structural rule
+//! string/comment false positives by construction. Two structural rule
 //! families sit on top:
 //!
-//! 7. **unsafe-boundary** (`[unsafe]`) — every `unsafe` token in non-test
-//!    code must carry a `// SAFETY:` comment on the same line or directly
-//!    above (attributes and statement continuations may intervene), and
-//!    each file's unsafe-site count must exactly match its entry in
-//!    `crates/xtask/unsafe-registry.txt` (reconciled by the driver).
 //! 8. **atomics-ordering** (`[ordering]`) — every `Ordering::Relaxed` /
 //!    `Acquire` / `Release` / `AcqRel` / `SeqCst` use needs an
 //!    `// ORDERING:` justification, and suspicious publish/observe pairs
@@ -22,6 +17,10 @@
 //!    extracted per file (receiver-name granularity, `file.rs:field`
 //!    nodes): an edge `a → b` means `b` was acquired while `a` was held.
 //!    The driver fails on any cycle in the global graph.
+//!
+//! There is no rule 7: `unsafe` is forbidden at compile time in every crate
+//! (`unsafe_code = "forbid"` in the workspace lints, `#![forbid(unsafe_code)]`
+//! in each vendored shim), and the other rules keep their numbers.
 //!
 //! The analysis is deliberately an approximation: lock identity is the
 //! receiver field name qualified by file, guards bound by `let` live to the
@@ -46,9 +45,9 @@ pub enum Profile {
     Relaxed,
 }
 
-/// A per-file count file: `crates/xtask/panic-allowlist.txt` (INVARIANT
-/// sites) or `crates/xtask/unsafe-registry.txt` (unsafe sites). Each line
-/// is `path count`; `#` comments and blank lines are skipped.
+/// The per-file count file `crates/xtask/panic-allowlist.txt` (INVARIANT
+/// sites). Each line is `path count`; `#` comments and blank lines are
+/// skipped.
 #[derive(Debug, Default)]
 pub struct Allowlist {
     entries: BTreeMap<String, usize>,
@@ -178,9 +177,6 @@ pub struct AuditOutcome {
     /// Lines of `// INVARIANT:`-justified panic sites (rule 1), reconciled
     /// against `panic-allowlist.txt` by the driver.
     pub invariant_sites: Vec<usize>,
-    /// Lines of non-test `unsafe` tokens (rule 7), reconciled against
-    /// `unsafe-registry.txt` by the driver.
-    pub unsafe_sites: Vec<usize>,
     /// Lines of non-test `Ordering::*` uses (rule 8).
     pub ordering_sites: Vec<usize>,
     /// Lock-acquisition edges (rule 9), cycle-checked globally by the
@@ -225,7 +221,7 @@ const STORE_CLASS: &[&str] = &[
     "compare_exchange_weak",
 ];
 
-/// How far (in lines) a SAFETY/ORDERING justification comment may sit above
+/// How far (in lines) an ORDERING justification comment may sit above
 /// its site, skipping comments, attributes, blanks, and continuations.
 const JUSTIFY_WALK: usize = 12;
 
@@ -303,20 +299,6 @@ pub fn audit_source(label: &str, text: &str, profile: Profile, allow: &Allowlist
             // Rule 4: must-use solver results (struct decls and entry points).
             "pub" => {
                 check_pub_item(&toks, &partner, i, &lines, &mut out.diagnostics, label);
-            }
-            // Rule 7: unsafe boundaries.
-            "unsafe" => {
-                out.unsafe_sites.push(line);
-                if !comment_on_or_above(&lines, line, "// SAFETY:") {
-                    out.diagnostics.push(Diagnostic {
-                        file: label.to_string(),
-                        line,
-                        rule: "unsafe",
-                        message: "`unsafe` without a `// SAFETY:` comment on or directly above \
-                                  the site; state the proof obligation it discharges"
-                            .to_string(),
-                    });
-                }
             }
             // Rule 8: atomics orderings.
             "Ordering" => {
@@ -403,10 +385,14 @@ pub fn audit_source(label: &str, text: &str, profile: Profile, allow: &Allowlist
                  `fedsc_transport` traits"
             ),
             _ => format!(
-                "`thread::{token}` outside the thread sanctuaries \
-                 (`crates/linalg/src/par.rs`, `transport::tcp`, `core::wire`); fan work out \
+                "`thread::{token}` outside the thread sanctuaries ({}); fan work out \
                  through `fedsc_linalg::par` so its `pool.workers_spawned` accounting and \
-                 thread cap stay truthful"
+                 thread cap stay truthful",
+                SPAWN_SANCTUARY_FILES
+                    .iter()
+                    .map(|f| format!("`{f}`"))
+                    .collect::<Vec<_>>()
+                    .join(", ")
             ),
         };
         out.diagnostics.push(Diagnostic {
@@ -506,51 +492,48 @@ pub fn audit_source(label: &str, text: &str, profile: Profile, allow: &Allowlist
     }
 
     out.invariant_sites.sort_unstable();
-    out.unsafe_sites.sort_unstable();
     out.ordering_sites.sort_unstable();
     out.diagnostics
         .sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
     out
 }
 
-/// Exact two-way reconciliation of a per-file count file (the panic
-/// allowlist or the unsafe registry): every scanned file's count must equal
-/// its entry (0 if absent), and every entry must name a scanned file.
-/// `seen` must contain one entry per scanned file, zeros included. The
-/// count file's own malformed or duplicate lines come first, as
-/// `[allowlist]` findings against `registry_path`.
+/// Exact two-way reconciliation of the panic allowlist: every scanned
+/// file's INVARIANT-site count must equal its entry (0 if absent), and
+/// every entry must name a scanned file. `seen` must contain one entry per
+/// scanned file, zeros included. The count file's own malformed or
+/// duplicate lines come first, as findings against `list_path`. Every
+/// finding is an `[allowlist]` one.
 pub fn reconcile_exact(
-    registry: &Allowlist,
-    registry_path: &str,
-    rule: &'static str,
-    what: &str,
+    list: &Allowlist,
+    list_path: &str,
     seen: &BTreeMap<String, usize>,
 ) -> Vec<Diagnostic> {
-    let mut out: Vec<Diagnostic> = registry
+    let mut out: Vec<Diagnostic> = list
         .malformed
         .iter()
-        .map(|m| Diagnostic::file_level(registry_path.to_string(), "allowlist", m))
+        .map(|m| Diagnostic::file_level(list_path.to_string(), "allowlist", m))
         .collect();
     for (file, &actual) in seen {
-        let allowed = registry.allowed(file);
+        let allowed = list.allowed(file);
         if actual != allowed {
             out.push(Diagnostic::file_level(
                 file.clone(),
-                rule,
+                "allowlist",
                 &format!(
-                    "{actual} {what} site(s) but `{registry_path}` grants {allowed}; \
+                    "{actual} INVARIANT site(s) but `{list_path}` grants {allowed}; \
                      update the entry deliberately"
                 ),
             ));
         }
     }
-    for file in registry.files() {
+    for file in list.files() {
         if !seen.contains_key(file) {
             out.push(Diagnostic::file_level(
                 file.clone(),
-                rule,
+                "allowlist",
                 &format!(
-                    "`{registry_path}` entry names a file that was not scanned (moved or \
+                    "`{list_path}` entry names a file that was not scanned (moved or \
                      deleted?); remove the entry"
                 ),
             ));
@@ -810,7 +793,7 @@ fn invariant_above(lines: &[&str], idx: usize) -> bool {
     false
 }
 
-/// Whether `marker` (e.g. `// SAFETY:`) appears on the site's own line or
+/// Whether `marker` (e.g. `// ORDERING:`) appears on the site's own line or
 /// heads a comment directly above it. The upward walk skips comment lines,
 /// attributes, blanks, and statement continuations, so the justification
 /// may precede `#[inline]`-style attributes or a multi-line expression.
@@ -1286,6 +1269,14 @@ mod tests {
             let src = format!("fn f() {{ let _ = std::thread::{member}(|| {{}}); }}\n");
             let out = strict("crates/federated/src/x.rs", &src);
             assert_eq!(rules_of(&out), vec![("spawn", 1)], "{member}");
+            // The message names exactly the sanctuary files, no more.
+            let msg = &out.diagnostics[0].message;
+            let listed: Vec<&str> = msg
+                .split_once("sanctuaries (")
+                .and_then(|(_, rest)| rest.split_once(')'))
+                .map(|(list, _)| list.split(", ").map(|f| f.trim_matches('`')).collect())
+                .unwrap_or_default();
+            assert_eq!(listed, SPAWN_SANCTUARY_FILES, "{msg}");
             // The relaxed (bench) profile gets no spawn exemption.
             assert!(has_rule(&relaxed("crates/bench/src/x.rs", &src), "spawn"));
             for sanctioned in SPAWN_SANCTUARY_FILES {
@@ -1387,29 +1378,6 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_requires_safety_comment() {
-        let bad = "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
-        let out = strict("crates/linalg/src/x.rs", bad);
-        assert_eq!(rules_of(&out), vec![("unsafe", 2)]);
-        assert_eq!(out.unsafe_sites, vec![2]);
-
-        let good = "fn f(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid\n    unsafe { *p }\n}\n";
-        let out = strict("crates/linalg/src/x.rs", good);
-        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
-        assert_eq!(out.unsafe_sites, vec![3]);
-
-        // Attributes may sit between the comment and an unsafe fn/impl.
-        let attr = "// SAFETY: sound because the pointer is unique\n#[inline]\npub unsafe fn g(p: *mut u8) { *p = 0; }\n";
-        let out = strict("crates/linalg/src/x.rs", attr);
-        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
-
-        // unsafe in tests is not audited.
-        let test_only = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { unsafe { std::hint::unreachable_unchecked() } }\n}\n";
-        let out = strict("crates/linalg/src/x.rs", test_only);
-        assert!(out.unsafe_sites.is_empty());
-    }
-
-    #[test]
     fn ordering_requires_justification() {
         let bad = "fn f(a: &AtomicUsize) -> usize {\n    a.load(Ordering::Relaxed)\n}\n";
         let out = strict("crates/obs/src/x.rs", bad);
@@ -1418,6 +1386,11 @@ mod tests {
 
         let good = "fn f(a: &AtomicUsize) -> usize {\n    // ORDERING: monotonic counter, no data published\n    a.load(Ordering::Relaxed)\n}\n";
         let out = strict("crates/obs/src/x.rs", good);
+        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
+
+        // Attributes may sit between the justification and the site.
+        let attr = "fn f(a: &AtomicUsize) {\n    // ORDERING: monotonic counter, no data published\n    #[allow(unused)]\n    let v = a.load(Ordering::Relaxed);\n}\n";
+        let out = strict("crates/obs/src/x.rs", attr);
         assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
     }
 
@@ -1472,10 +1445,10 @@ mod tests {
         seen.insert("crates/a/src/x.rs".to_string(), 1usize);
         seen.insert("crates/a/src/clean.rs".to_string(), 0usize);
         seen.insert("crates/a/src/new.rs".to_string(), 3usize);
-        let diags = reconcile_exact(&reg, "unsafe-registry.txt", "unsafe", "unsafe", &seen);
-        // x.rs count drifted, gone.rs is stale, new.rs is unregistered.
+        let diags = reconcile_exact(&reg, "panic-allowlist.txt", &seen);
+        // x.rs count drifted, gone.rs is stale, new.rs is unlisted.
         assert_eq!(diags.len(), 3, "{diags:?}");
-        assert!(diags.iter().all(|d| d.rule == "unsafe"));
+        assert!(diags.iter().all(|d| d.rule == "allowlist"));
     }
 
     #[test]
@@ -1484,11 +1457,9 @@ mod tests {
         assert_eq!(a.allowed("crates/a/src/x.rs"), 2);
         assert_eq!(a.allowed("crates/b/src/y.rs"), 1);
         assert_eq!(a.allowed("crates/c/src/z.rs"), 0);
-        assert!(
-            reconcile_exact(&a, "list.txt", "allowlist", "INVARIANT", &BTreeMap::new())
-                .iter()
-                .all(|d| d.file != "list.txt")
-        );
+        assert!(reconcile_exact(&a, "list.txt", &BTreeMap::new())
+            .iter()
+            .all(|d| d.file != "list.txt"));
     }
 
     #[test]
@@ -1498,13 +1469,7 @@ mod tests {
         );
         let mut seen = BTreeMap::new();
         seen.insert("crates/a/src/z.rs".to_string(), 1usize);
-        let diags = reconcile_exact(
-            &reg,
-            "crates/xtask/panic-allowlist.txt",
-            "allowlist",
-            "INVARIANT",
-            &seen,
-        );
+        let diags = reconcile_exact(&reg, "crates/xtask/panic-allowlist.txt", &seen);
         let lines: Vec<String> = diags
             .iter()
             .filter(|d| d.file == "crates/xtask/panic-allowlist.txt")

@@ -97,11 +97,6 @@ golden!(
     "crates/federated/src/fixture.rs"
 );
 golden!(
-    rule7_unsafe_fixture,
-    "rule7_unsafe",
-    "crates/linalg/src/fixture.rs"
-);
-golden!(
     rule8_ordering_fixture,
     "rule8_ordering",
     "crates/obs/src/fixture.rs"
@@ -111,16 +106,3 @@ golden!(
     "rule9_lock",
     "crates/linalg/src/fixture.rs"
 );
-
-/// The rule-7 fixture's justified site still counts toward the registry:
-/// both unsafe tokens are reported as sites, only the bare one diagnosed.
-#[test]
-fn rule7_fixture_counts_both_sites() {
-    let out = audit_source(
-        "crates/linalg/src/fixture.rs",
-        include_str!("fixtures/rule7_unsafe.rs"),
-        Profile::Strict,
-        &Allowlist::default(),
-    );
-    assert_eq!(out.unsafe_sites, vec![2, 7]);
-}

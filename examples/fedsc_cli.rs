@@ -1,18 +1,20 @@
 //! Command-line driver: run Fed-SC on generated data with every knob
-//! exposed as a `key=value` argument, printing a full metrics report.
+//! exposed as a `--flag value` pair, printing a full metrics report.
 //!
 //! ```sh
-//! cargo run --release --example fedsc_cli -- l=10 z=60 lprime=2 per=10 \
-//!     backend=tsc noise=0.0 dp_eps=0 seed=7
+//! cargo run --release --example fedsc_cli -- --l 10 --z 60 --lprime 2 --per 10 \
+//!     --backend tsc --noise 0.0 --dp_eps 0 --seed 7
 //! ```
 //!
-//! Keys (all optional): `l` subspaces, `d` subspace dim, `n` ambient dim,
-//! `z` devices, `lprime` clusters/device, `per` points per cluster-owner,
-//! `backend` = `ssc` | `tsc`, `noise` channel delta, `dp_eps` per-sample DP
-//! epsilon (0 = off), `seed`. An argument that is not `key=value`, an
-//! unknown or repeated key, or a value that does not parse prints the usage
-//! line on stderr and exits with code 2.
+//! Flags (all optional): `--l` subspaces, `--d` subspace dim, `--n` ambient
+//! dim, `--z` devices, `--lprime` clusters/device, `--per` points per
+//! cluster-owner, `--backend` = `ssc` | `tsc`, `--noise` channel delta,
+//! `--dp_eps` per-sample DP epsilon (0 = off), `--seed`. The process
+//! binaries' parser (`fedsc::cli::Flags`) reads them: an unknown or repeated
+//! flag, a flag without its value, or a value that does not parse prints
+//! the usage line on stderr and exits with code 2.
 
+use fedsc::cli::Flags;
 use fedsc::{CentralBackend, ClusterCountPolicy, FedSc, FedScConfig};
 use fedsc_clustering::conn::connectivity;
 use fedsc_clustering::{clustering_accuracy, normalized_mutual_information};
@@ -21,58 +23,43 @@ use fedsc_federated::partition::{partition_dataset, Partition};
 use fedsc_federated::privacy::DpConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::str::FromStr;
 
-const USAGE: &str = "usage: fedsc_cli [l=N] [d=N] [n=N] [z=N] [lprime=N] [per=N] \
-                     [backend=ssc|tsc] [noise=X] [dp_eps=X] [seed=N]";
-const KEYS: &[&str] = &[
-    "l", "d", "n", "z", "lprime", "per", "backend", "noise", "dp_eps", "seed",
-];
+const USAGE: &str = "usage: fedsc_cli [--l 10] [--d 5] [--n 20] [--z 60] [--lprime 2] \
+                     [--per 10] [--backend ssc|tsc] [--noise 0] [--dp_eps 0] [--seed 7]";
 
-/// Prints `msg` and the usage line on stderr and exits with code 2.
+/// Prints `msg` (which ends with the usage line) on stderr and exits with
+/// code 2.
 fn usage_error(msg: &str) -> ! {
-    eprintln!("fedsc_cli: {msg}\n{USAGE}");
+    eprintln!("fedsc_cli: {msg}");
     std::process::exit(2)
 }
 
-/// The value of `key`, parsed, or `default` when the key is absent.
-fn get<T: FromStr>(args: &BTreeMap<String, String>, key: &str, default: T) -> T {
-    match args.get(key) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| usage_error(&format!("bad value for `{key}`: `{v}`"))),
-    }
+/// The value of `name`, parsed, or `default` when the flag is absent.
+fn get<T: FromStr>(flags: &Flags, name: &str, default: T) -> T {
+    flags
+        .parsed(name, default)
+        .unwrap_or_else(|e| usage_error(&e))
 }
 
 fn main() {
-    let mut args = BTreeMap::new();
-    for arg in std::env::args().skip(1) {
-        let Some((k, v)) = arg.split_once('=') else {
-            usage_error(&format!("expected key=value, got `{arg}`"))
-        };
-        if !KEYS.contains(&k) {
-            usage_error(&format!("unknown key `{k}`"));
-        }
-        if args.insert(k.to_string(), v.to_string()).is_some() {
-            usage_error(&format!("repeated key `{k}`"));
-        }
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let flags = Flags::parse(&args, USAGE).unwrap_or_else(|e| usage_error(&e));
 
-    let l = get(&args, "l", 10usize);
-    let d = get(&args, "d", 5usize);
-    let n = get(&args, "n", 20usize);
-    let z = get(&args, "z", 60usize);
-    let l_prime = get(&args, "lprime", 2usize).clamp(1, l);
-    let per = get(&args, "per", 10usize);
-    let seed = get(&args, "seed", 7u64);
-    let noise = get(&args, "noise", 0.0f64);
-    let dp_eps = get(&args, "dp_eps", 0.0f64);
-    let backend = match args.get("backend").map(String::as_str) {
-        None | Some("ssc") => CentralBackend::Ssc,
-        Some("tsc") => CentralBackend::Tsc { q: None },
-        Some(other) => usage_error(&format!("unknown backend `{other}`")),
+    let l = get(&flags, "--l", 10usize);
+    let d = get(&flags, "--d", 5usize);
+    let n = get(&flags, "--n", 20usize);
+    let z = get(&flags, "--z", 60usize);
+    let l_prime = get(&flags, "--lprime", 2usize).clamp(1, l);
+    let per = get(&flags, "--per", 10usize);
+    let seed = get(&flags, "--seed", 7u64);
+    let noise = get(&flags, "--noise", 0.0f64);
+    let dp_eps = get(&flags, "--dp_eps", 0.0f64);
+    let backend = match get(&flags, "--backend", String::from("ssc")).as_str() {
+        "ssc" => CentralBackend::Ssc,
+        "tsc" => CentralBackend::Tsc { q: None },
+        other => usage_error(&format!("unknown backend `{other}`\n{USAGE}")),
     };
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -131,13 +118,11 @@ fn main() {
         fed.devices.len()
     );
     println!("r^(z) = {:?}", {
-        let mut h = HashMap::new();
+        let mut h = BTreeMap::new();
         for &r in &out.local_cluster_counts {
             *h.entry(r).or_insert(0usize) += 1;
         }
-        let mut v: Vec<_> = h.into_iter().collect();
-        v.sort();
-        v
+        h.into_iter().collect::<Vec<_>>()
     });
     if dp_eps > 0.0 {
         println!(

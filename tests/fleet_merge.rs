@@ -59,19 +59,13 @@ fn histogram_snapshot() -> impl Strategy<Value = HistogramSnapshot> {
 fn metrics_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
     (
         collection::vec((0u32..2, 0u64..1_000), NAMES.len()),
-        collection::vec((0u32..2, -500i32..500), NAMES.len()),
         collection::vec((0u32..2, histogram_snapshot()), NAMES.len()),
     )
-        .prop_map(|(cs, gs, hs)| {
+        .prop_map(|(cs, hs)| {
             let mut snap = MetricsSnapshot::default();
             for (i, (on, v)) in cs.into_iter().enumerate() {
                 if on == 1 {
                     snap.counters.insert(NAMES[i].to_string(), v);
-                }
-            }
-            for (i, (on, v)) in gs.into_iter().enumerate() {
-                if on == 1 {
-                    snap.gauges.insert(NAMES[i].to_string(), i64::from(v));
                 }
             }
             for (i, (on, h)) in hs.into_iter().enumerate() {
@@ -124,7 +118,7 @@ proptest! {
         prop_assert_eq!(ab, ba);
     }
 
-    /// Snapshot merge (counters, gauges, histograms together) is
+    /// Snapshot merge (counters and histograms together) is
     /// associative and commutative.
     #[test]
     fn snapshot_merge_is_associative_and_commutative(
@@ -180,13 +174,12 @@ proptest! {
 }
 
 /// Per-process snapshot for simulated device `z`: one shared counter, one
-/// per-device counter, a gauge, and a histogram with device-dependent
+/// per-device counter, and a histogram with device-dependent
 /// bounds (so the fleet merge must union bounds, not just add).
 fn device_snapshot(z: usize) -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::default();
     snap.counters.insert("dev.work".to_string(), 100 + z as u64);
     snap.counters.insert(format!("dev.{z}.sends"), 1);
-    snap.gauges.insert("dev.backlog".to_string(), z as i64 - 3);
     snap.histograms.insert(
         "dev.latency_us".to_string(),
         HistogramSnapshot {
