@@ -604,11 +604,13 @@ fn main() {
             last = Some(std::hint::black_box(run()));
         });
         let out = last.expect("at least one rep ran");
+        // The flat round's one tier row is the server's accounting.
+        let root = &out.tiers[0];
         eprintln!(
             "{kernel:>14} {:>24}  {wdev}dev {t:>12} ns   up {} B  down {} B",
             format!("Z={wdev},N={wire_points}"),
-            out.uplink_bytes,
-            out.downlink_bytes
+            root.uplink_bytes,
+            root.downlink_bytes
         );
         entries.push(Entry {
             kernel,
@@ -619,7 +621,7 @@ fn main() {
             speedup: 1.0,
             extra: format!(
                 ", \"uplink_bytes\": {}, \"downlink_bytes\": {}",
-                out.uplink_bytes, out.downlink_bytes
+                root.uplink_bytes, root.downlink_bytes
             ),
         });
     }

@@ -2,7 +2,7 @@
 //! through a 16-aggregator tier, asserting the tree's contract — **the
 //! tree predicts exactly what the flat round predicts, and the root takes
 //! exactly the devices' bytes off the wire** — plus clean-run accuracy
-//! and the `hier.*` metrics contract.
+//! and the round counters' contract.
 //!
 //! Each fleet is many tiny devices: 8 points each on one of `L = 8`
 //! rank-2 subspaces of R^16, four uploaded samples per local cluster.
@@ -19,7 +19,9 @@
 //! `wire_hier_tier` row per tier with the per-tier traffic breakdown CI
 //! validates.
 
-use fedsc::{run_hier_round, CentralBackend, FedScConfig, HierPolicy, HierRunOutput, HierTopology};
+use fedsc::{
+    run_hier_round, CentralBackend, FedScConfig, HierTopology, RoundPolicy, WireRunOutput,
+};
 use fedsc_clustering::clustering_accuracy;
 use fedsc_federated::partition::{partition_dataset, Partition};
 use fedsc_obs::Stopwatch;
@@ -71,7 +73,7 @@ const POINTS_PER_DEVICE: usize = 8;
 /// Builds the fleet and runs one round over `aggregators` (empty = the
 /// flat round), returning the output, its accuracy and the wall time of
 /// the round itself (dataset generation excluded).
-fn run_fleet(devices: usize, aggregators: &[usize]) -> (HierRunOutput, f64, u128) {
+fn run_fleet(devices: usize, aggregators: &[usize]) -> (WireRunOutput, f64, u128) {
     let mut rng = StdRng::seed_from_u64(97);
     let model = SubspaceModel::random(&mut rng, DIM, 2, CLUSTERS);
     let per = devices * POINTS_PER_DEVICE / CLUSTERS;
@@ -86,11 +88,12 @@ fn run_fleet(devices: usize, aggregators: &[usize]) -> (HierRunOutput, f64, u128
         &cfg,
         &topo,
         &InMemoryTransport,
-        &HierPolicy::default(),
+        &RoundPolicy::default(),
+        &[],
     )
     .expect("clean hierarchical round");
     let elapsed = sw.elapsed().as_nanos();
-    let acc = clustering_accuracy(&fed.global_truth(), &out.wire.predictions);
+    let acc = clustering_accuracy(&fed.global_truth(), &out.predictions);
     (out, acc, elapsed)
 }
 
@@ -104,38 +107,37 @@ fn main() {
         .collect::<Vec<_>>()
         .join("-");
     let mut entries: Vec<Entry> = Vec::new();
-    let mut outputs: Vec<(usize, HierRunOutput)> = Vec::new();
+    let mut outputs: Vec<(usize, WireRunOutput)> = Vec::new();
     for z in [z_small, z_large] {
         let (out, acc, ns) = run_fleet(z, &aggs);
         let (flat, _, flat_ns) = run_fleet(z, &[]);
+        let root_up = out.tiers.last().expect("the root tier").uplink_bytes;
         eprintln!(
             "wire_hier Z={z:>6} aggs={aggs_label}  {:>12} ns (flat {:>12} ns)  acc {acc:.2}%  root_up {} B  tier0_up {} B",
             ns,
             flat_ns,
-            out.root_uplink_bytes(),
+            root_up,
             out.tiers[0].uplink_bytes
         );
         assert!(
-            out.wire.excluded.is_empty(),
+            out.excluded.is_empty(),
             "clean fleet Z={z} excluded {:?}",
-            out.wire.excluded
+            out.excluded
         );
         assert!(acc > 90.0, "fleet Z={z} accuracy {acc}");
         // The tree's contract: aggregators relay, so the root clusters the
         // flat round's pool and takes exactly the devices' payload bytes
         // off the wire.
         assert!(
-            out.wire.predictions == flat.wire.predictions,
+            out.predictions == flat.predictions,
             "Z={z}: the tree's predictions differ from the flat round's"
         );
         assert_eq!(
-            out.root_uplink_bytes(),
-            out.tiers[0].uplink_bytes,
+            root_up, out.tiers[0].uplink_bytes,
             "Z={z}: root ingress is not tier 0's"
         );
         assert_eq!(
-            out.root_uplink_bytes(),
-            flat.wire.uplink_bytes,
+            root_up, flat.tiers[0].uplink_bytes,
             "Z={z}: root ingress is not the flat round's"
         );
         entries.push(Entry {
@@ -145,7 +147,7 @@ fn main() {
             extra: format!(
                 ", \"devices\": {z}, \"aggregators\": \"{aggs_label}\", \"accuracy\": {acc:.2}, \
                  \"root_uplink_bytes\": {}, \"total_uplink_bytes\": {}, \"total_downlink_bytes\": {}",
-                out.root_uplink_bytes(),
+                root_up,
                 out.total_uplink_bytes(),
                 out.total_downlink_bytes()
             ),
@@ -198,7 +200,7 @@ fn main() {
     let (traced, _, _) = run_fleet(z_small, &aggs);
     let events = fedsc_obs::trace::uninstall();
     assert_eq!(
-        traced.wire.predictions, small.wire.predictions,
+        traced.predictions, small.predictions,
         "telemetry perturbed the fleet's clustering"
     );
     for (t, (tr, un)) in traced.tiers.iter().zip(small.tiers.iter()).enumerate() {
@@ -222,15 +224,14 @@ fn main() {
     let trace_path = workspace_root().join("trace_hier_smoke.json");
     std::fs::write(&trace_path, &trace).expect("write merged trace JSON");
 
-    // Metrics contract: the hierarchical counters must have been exported
-    // (CI's bench-smoke job checks the same keys in the written JSON).
+    // Metrics contract: every tier's round counter must have been
+    // exported (CI's bench-smoke job checks the same keys in the written
+    // JSON). Byte totals are the per-tier rows above.
     let snap = fedsc_obs::metrics::snapshot();
     for key in [
-        "hier.device_rounds",
+        "wire.device_rounds",
         "hier.agg_rounds",
-        "hier.root_rounds",
-        "hier.uplink_bytes",
-        "hier.downlink_bytes",
+        "wire.server_rounds",
     ] {
         assert!(
             snap.counters.get(key).copied().unwrap_or(0) > 0,

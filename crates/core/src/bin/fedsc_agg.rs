@@ -80,11 +80,6 @@ fn run(args: &Args) -> Result<(), String> {
     if args.telemetry || args.trace_out.is_some() {
         fedsc_obs::trace::install_ring(1 << 16);
     }
-    let policy = RoundPolicy {
-        quorum: args.quorum,
-        deadline: Duration::from_millis(args.deadline_ms),
-        ..RoundPolicy::default()
-    };
     let pid = 100 + args.node as u64;
 
     let mut server = TcpServer::bind(args.bind, TcpOptions::default())
@@ -98,8 +93,11 @@ fn run(args: &Args) -> Result<(), String> {
         tier: args.tier,
         node: args.node,
         fan_in: args.children,
-        below: policy.clone(),
-        above: policy,
+        policy: RoundPolicy {
+            quorum: args.quorum,
+            deadline: Duration::from_millis(args.deadline_ms),
+            ..RoundPolicy::default()
+        },
     };
     let telemetry = if args.telemetry {
         WireTelemetry {
@@ -120,7 +118,7 @@ fn run(args: &Args) -> Result<(), String> {
     };
     let mut up = TcpDevice::new(args.addr, args.node, TcpOptions::default());
     let mut fleet = FleetCollector::new();
-    let fanin = aggregator_uplink(&mut server, &mut up, &node, &mut fleet, &telemetry)
+    let fanin = aggregator_uplink(&mut server, &mut up, &node, &[], &mut fleet, &telemetry)
         .map_err(|e| format!("{e}"))?
         .ok_or("subtree failed: quorum miss or unreachable parent")?;
     aggregator_downlink(&mut server, &mut up, &node, &fanin).map_err(|e| format!("{e}"))?;

@@ -138,8 +138,15 @@ fn run(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("stdout flush failed: {e}"))?;
 
     let mut fleet = FleetCollector::new();
-    let excluded = server_round(&mut server, args.devices, &cfg, &policy, Some(&mut fleet))
-        .map_err(|e| format!("{e}"))?;
+    let excluded = server_round(
+        &mut server,
+        args.devices,
+        &[],
+        &cfg,
+        &policy,
+        Some(&mut fleet),
+    )
+    .map_err(|e| format!("{e}"))?;
     let stats = server.stats();
     drop(server); // closes links so excluded devices stop waiting
     if excluded.is_empty() {

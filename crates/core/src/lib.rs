@@ -19,11 +19,14 @@
 //!    partitions by their samples' global assignments.
 //!
 //! [`round`] holds the three steps. [`wire`] runs each role — device,
-//! relaying aggregator, root — over a transport, once; the in-process
-//! aggregation tree ([`tree`], whose flat topology is the flat wire round
-//! and whose every topology predicts what the flat round predicts) and
-//! the process binaries drive those roles, and [`FedSc::run`] loops over
-//! the steps directly.
+//! relaying aggregator, root — over a transport, once, with one entry
+//! point per half. Two kinds of driver call those roles: the in-process
+//! aggregation tree ([`run_hier_round`], whose flat topology is
+//! [`run_round`] and whose every topology predicts what the flat round
+//! predicts) under one [`RoundPolicy`], returning one [`WireRunOutput`]
+//! with a [`TierTraffic`] row per tier; and the process binaries. The
+//! roles alone count rounds. [`FedSc::run`] loops over the steps
+//! directly.
 //!
 //! ## Quick start
 //!
@@ -49,7 +52,6 @@
 
 #![warn(missing_docs)]
 
-pub mod assign;
 pub mod central;
 pub mod cli;
 pub mod config;
@@ -60,15 +62,11 @@ pub mod scheme;
 pub mod tree;
 pub mod wire;
 
-pub use assign::ClusterAssigner;
 pub use config::{BasisDim, CentralBackend, ClusterCountPolicy, FedScConfig, LocalBackend};
 pub use round::{device_step, merge_step, relabel, DeviceStep, Fanin, Merge, SERVER_RNG_SALT};
 pub use scheme::{FedSc, FedScOutput};
-pub use tree::{
-    run_hier_round, run_hier_round_with_dead, HierPolicy, HierRunOutput, HierTopology, TierTraffic,
-};
+pub use tree::{run_hier_round, HierTopology, TierTraffic, WireRunOutput};
 pub use wire::{
     aggregator_downlink, aggregator_uplink, device_downlink, device_round, device_uplink,
-    run_over_wire, run_round, server_round, AggregatorNode, RoundPolicy, WireRunOutput,
-    WireTelemetry,
+    run_over_wire, run_round, server_round, AggregatorNode, RoundPolicy, WireTelemetry,
 };

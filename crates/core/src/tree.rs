@@ -3,7 +3,7 @@
 //!
 //! A flat round has every device talk to a single server. Over an
 //! **aggregation tree** devices upload to first-tier aggregators, and each
-//! aggregator **relays**: it collects its children under its tier's
+//! aggregator **relays**: it collects its children under the round's
 //! quorum and forwards their device uplinks unmerged to its parent. The
 //! root clusters the pool once, as the paper's Phase 2 does, and each
 //! aggregator splits its parent's labels back over its children. The tree
@@ -18,12 +18,12 @@
 //!
 //! 1. **Uplink sweep (bottom-up).** Every device runs
 //!    [`device_uplink`]; then tier by tier each aggregator runs
-//!    [`aggregator_uplink`](crate::wire::aggregator_uplink) and finally the
-//!    root runs [`server_round`](crate::wire::server_round), which also
-//!    answers the root's children. The driver knows which children sent
-//!    nothing up (dead devices, lost uplinks, failed subtrees), so a
-//!    parent stops collecting once all the others have reported instead
-//!    of waiting out its deadline.
+//!    [`aggregator_uplink`] and finally the root runs [`server_round`],
+//!    which also answers the root's children. The driver knows which
+//!    children sent nothing up (dead devices, lost uplinks, failed
+//!    subtrees) and passes them as `silent`, so a parent stops collecting
+//!    once all the others have reported instead of waiting out its
+//!    deadline.
 //! 2. **Downlink sweep (top-down).** Each answered aggregator runs
 //!    [`aggregator_downlink`]; each answered device finishes with
 //!    [`device_downlink`].
@@ -41,15 +41,19 @@
 //!   child whose uplink or downlink is lost, or whose subtree failed,
 //!   keeps the fallback label 0 and is reported excluded; a quorum miss
 //!   at an aggregator fails its subtree, and at the root fails the round.
+//!   The round counters (`wire.*`, `hier.agg_rounds`,
+//!   `hier.subtrees_failed`) are the roles' own; the driver counts
+//!   nothing twice.
 //! * **Tree ≡ flat round ≡ `FedSc::run`.** With a lossless link the flat
 //!   topology is bit-identical to the in-process scheme (tested in
 //!   [`crate::wire`]), and so is every tree whose subtrees all meet quorum
 //!   (tested in `hier_e2e`).
-//! * **Byte-exact per-tier accounting.** [`HierRunOutput`] extends
-//!   [`WireRunOutput`] with one [`TierTraffic`] row per tier, summed from
-//!   the same [`LinkStats`] the endpoints keep.
-//! * **Per-tier straggler policy.** Each link tier runs under its own
-//!   [`RoundPolicy`] ([`HierPolicy`]).
+//! * **Byte-exact per-tier accounting.** [`WireRunOutput`] holds one
+//!   [`TierTraffic`] row per tier, summed from the same [`LinkStats`] the
+//!   endpoints keep; the last row is the root's.
+//! * **One policy.** Every node runs under the one [`RoundPolicy`]; a
+//!   process fleet sets each process's own with its `--quorum` and
+//!   `--deadline-ms` flags.
 //!
 //! Levels are numbered bottom-up: level 0 holds the `Z` leaf devices,
 //! levels `1..=A` the aggregator tiers, and the implicit top level the
@@ -64,25 +68,14 @@ use crate::config::FedScConfig;
 use crate::local::LocalOutput;
 use crate::round::Fanin;
 use crate::wire::{
-    aggregator_downlink, aggregator_uplink_with_silent, device_downlink, device_uplink,
-    server_round_with_silent, wire_err, AggregatorNode, RoundPolicy, WireRunOutput, WireTelemetry,
+    aggregator_downlink, aggregator_uplink, device_downlink, device_uplink, server_round, wire_err,
+    AggregatorNode, RoundPolicy, WireTelemetry,
 };
 use fedsc_federated::partition::FederatedDataset;
 use fedsc_linalg::{LinalgError, Result};
-use fedsc_obs::{FleetCollector, LazyCounter, Stopwatch, TraceContext};
+use fedsc_obs::{FleetCollector, Stopwatch, TraceContext};
 use fedsc_transport::{LinkStats, ServerTransport, Transport};
 use std::ops::Range;
-
-/// Devices that completed their round (uplink sent, downlink applied).
-static HIER_DEVICE_ROUNDS: LazyCounter = LazyCounter::new("hier.device_rounds");
-/// Root rounds completed.
-static HIER_ROOT_ROUNDS: LazyCounter = LazyCounter::new("hier.root_rounds");
-/// Children left unanswered, summed over every tier.
-static HIER_STRAGGLERS: LazyCounter = LazyCounter::new("hier.stragglers_excluded");
-/// Uplink bytes observed by parents, summed over every tier.
-static HIER_UPLINK_BYTES: LazyCounter = LazyCounter::new("hier.uplink_bytes");
-/// Downlink bytes sent by parents, summed over every tier.
-static HIER_DOWNLINK_BYTES: LazyCounter = LazyCounter::new("hier.downlink_bytes");
 
 /// The shape of the aggregation tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,40 +156,11 @@ impl HierTopology {
     }
 }
 
-/// Per-tier straggler and reliability policy: `tiers[t]` governs link
-/// tier `t` (bottom-up); the last entry repeats for any deeper tier, so a
-/// single-entry policy is uniform across the whole tree.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HierPolicy {
-    /// Bottom-up per-tier policies. May be empty: every tier then runs
-    /// under `RoundPolicy::default()`.
-    pub tiers: Vec<RoundPolicy>,
-}
-
-impl HierPolicy {
-    /// The same policy at every tier.
-    pub fn uniform(policy: RoundPolicy) -> Self {
-        HierPolicy {
-            tiers: vec![policy],
-        }
-    }
-
-    /// The policy governing link tier `t` (last entry repeats; defaults
-    /// when no entry was given at all).
-    pub fn tier(&self, t: usize) -> RoundPolicy {
-        self.tiers
-            .get(t)
-            .or(self.tiers.last())
-            .cloned()
-            .unwrap_or_default()
-    }
-}
-
 /// Wire accounting for one link tier, summed over every parent endpoint
 /// at that tier — byte-exact against the transport's own [`LinkStats`]
 /// (the lossless in-memory link counts payload bytes; framed links count
 /// framing and handshake too).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TierTraffic {
     /// Parent nodes at this tier (aggregators, or 1 for the root tier).
     pub parents: usize,
@@ -225,27 +189,22 @@ pub struct TierTraffic {
     pub envelope_bytes: usize,
 }
 
-/// Result of a hierarchical run: the flat [`WireRunOutput`] view (the
-/// `uplink_bytes`/`downlink_bytes` fields are the **root's** accounting)
-/// plus the per-tier breakdown, bottom-up.
+/// Result of a round over a transport: one tree or the flat round.
 #[derive(Debug, Clone)]
-pub struct HierRunOutput {
-    /// Flat-round view: predictions in global-point order, root-tier
-    /// byte accounting, and the devices that fell back to cluster 0.
-    pub wire: WireRunOutput,
+pub struct WireRunOutput {
+    /// Predicted global cluster per point, in global-point order. Points
+    /// on excluded devices fall back to cluster 0.
+    pub predictions: Vec<usize>,
+    /// Devices that were never answered (a lost uplink or downlink, or a
+    /// failed subtree above them); empty on a clean run.
+    pub excluded: Vec<usize>,
     /// Per-tier traffic, `tiers[0]` = device→first-parent links,
-    /// `tiers.last()` = top-tier→root links (the same tier when flat).
+    /// `tiers.last()` = top-tier→root links, the root's own accounting
+    /// (the same tier when flat).
     pub tiers: Vec<TierTraffic>,
 }
 
-impl HierRunOutput {
-    /// Uplink bytes the root took off the wire. On a lossless untraced
-    /// link whose subtrees all met quorum it equals tier 0's: aggregators
-    /// forward their children's payloads unchanged.
-    pub fn root_uplink_bytes(&self) -> usize {
-        self.tiers.last().map_or(0, |t| t.uplink_bytes)
-    }
-
+impl WireRunOutput {
     /// Uplink bytes summed over every tier (total tree ingress).
     pub fn total_uplink_bytes(&self) -> usize {
         self.tiers.iter().map(|t| t.uplink_bytes).sum()
@@ -257,30 +216,19 @@ impl HierRunOutput {
     }
 }
 
-/// Runs one Fed-SC round over `transport` with the given tree shape and
-/// per-tier policy. See the module docs for the staged execution model.
+/// Runs one Fed-SC round over `transport` with the given tree shape,
+/// every node under `policy`. The devices in `dead` never speak — the
+/// deterministic straggler model the quorum tests drive (a dead device
+/// neither computes nor sends, exactly like a crashed client). See the
+/// module docs for the staged execution model.
 pub fn run_hier_round<T: Transport>(
     fed: &FederatedDataset,
     cfg: &FedScConfig,
     topology: &HierTopology,
     transport: &T,
-    policy: &HierPolicy,
-) -> Result<HierRunOutput> {
-    run_hier_round_with_dead(fed, cfg, topology, transport, policy, &[])
-}
-
-/// [`run_hier_round`] with the devices in `dead_devices` never speaking —
-/// the deterministic straggler model the quorum tests and the perf
-/// harness drive (a dead device neither computes nor sends, exactly like
-/// a crashed client).
-pub fn run_hier_round_with_dead<T: Transport>(
-    fed: &FederatedDataset,
-    cfg: &FedScConfig,
-    topology: &HierTopology,
-    transport: &T,
-    policy: &HierPolicy,
-    dead_devices: &[usize],
-) -> Result<HierRunOutput> {
+    policy: &RoundPolicy,
+    dead: &[usize],
+) -> Result<WireRunOutput> {
     let z_count = fed.devices.len();
     topology.validate()?;
     if topology.devices != z_count {
@@ -349,11 +297,10 @@ pub fn run_hier_round_with_dead<T: Transport>(
         .collect();
 
     // ---- Uplink sweep, stage 0: every live device computes and sends. ----
-    let device_policy = policy.tier(0);
     let mut local_outs: Vec<Option<LocalOutput>> = (0..z_count).map(|_| None).collect();
     let stage0_sw = Stopwatch::start();
     for (z, out) in local_outs.iter_mut().enumerate() {
-        if dead_devices.contains(&z) {
+        if dead.contains(&z) {
             continue;
         }
         *out = device_uplink(
@@ -361,7 +308,7 @@ pub fn run_hier_round_with_dead<T: Transport>(
             z,
             cfg,
             &mut child_links[0][z],
-            &device_policy,
+            policy,
             &telemetry(0, z, parent_of[0][z]),
         )?;
     }
@@ -390,28 +337,26 @@ pub fn run_hier_round_with_dead<T: Transport>(
         };
         if t + 1 == num_tiers {
             let fan_in = widths[t];
-            let excluded = server_round_with_silent(
+            let excluded = server_round(
                 &mut servers[t][0],
                 fan_in,
                 &silent(0),
                 cfg,
-                &policy.tier(t),
+                policy,
                 Some(&mut tier_fleet),
             )?;
             for (c, done) in answered[t].iter_mut().enumerate() {
                 *done = !excluded.contains(&c);
             }
-            HIER_ROOT_ROUNDS.inc();
         } else {
             for p in 0..widths[t + 1] {
                 let node = AggregatorNode {
                     tier: t,
                     node: p,
                     fan_in: topology.children_range(t, p).len(),
-                    below: policy.tier(t),
-                    above: policy.tier(t + 1),
+                    policy: policy.clone(),
                 };
-                let fanin = aggregator_uplink_with_silent(
+                let fanin = aggregator_uplink(
                     &mut servers[t][p],
                     &mut child_links[t + 1][p],
                     &node,
@@ -455,10 +400,7 @@ pub fn run_hier_round_with_dead<T: Transport>(
     for z in 0..z_count {
         gathered.push(match local_outs[z].take() {
             Some(local) if answered[0][z] => {
-                let labels =
-                    device_downlink(&local, z, cfg, &mut child_links[0][z], &device_policy)?;
-                HIER_DEVICE_ROUNDS.inc();
-                labels
+                device_downlink(&local, z, cfg, &mut child_links[0][z], policy)?
             }
             // Fallback for points the round never clustered.
             _ => vec![0usize; fed.devices[z].data.cols()],
@@ -474,9 +416,6 @@ pub fn run_hier_round_with_dead<T: Transport>(
             stats.merge(&s.stats());
         }
         let excluded_children: Vec<usize> = (0..widths[t]).filter(|&c| !answered[t][c]).collect();
-        HIER_UPLINK_BYTES.add(stats.bytes_received as u64);
-        HIER_DOWNLINK_BYTES.add(stats.bytes_sent as u64);
-        HIER_STRAGGLERS.add(excluded_children.len() as u64);
         tiers.push(TierTraffic {
             parents: widths[t + 1],
             children: widths[t],
@@ -490,15 +429,9 @@ pub fn run_hier_round_with_dead<T: Transport>(
         });
     }
 
-    let root = tiers.last().cloned().unwrap_or_default();
-    Ok(HierRunOutput {
-        wire: WireRunOutput {
-            predictions: fed.scatter_predictions(&gathered),
-            uplink_bytes: root.uplink_bytes,
-            downlink_bytes: root.downlink_bytes,
-            excluded: tiers[0].excluded_children.clone(),
-            envelope_bytes: root.envelope_bytes,
-        },
+    Ok(WireRunOutput {
+        predictions: fed.scatter_predictions(&gathered),
+        excluded: tiers[0].excluded_children.clone(),
         tiers,
     })
 }
@@ -540,20 +473,5 @@ mod tests {
             HierTopology::new(4, vec![4, 2]).is_ok(),
             "equal width is fine"
         );
-    }
-
-    #[test]
-    fn policy_last_entry_repeats() {
-        let strict = RoundPolicy {
-            quorum: Some(1),
-            ..RoundPolicy::default()
-        };
-        let p = HierPolicy {
-            tiers: vec![RoundPolicy::default(), strict.clone()],
-        };
-        assert_eq!(p.tier(0), RoundPolicy::default());
-        assert_eq!(p.tier(1), strict);
-        assert_eq!(p.tier(5), strict, "last entry repeats upward");
-        assert_eq!(HierPolicy::default().tier(2), RoundPolicy::default());
     }
 }

@@ -36,9 +36,10 @@
 //!   and a child whose downlink is lost is left unanswered. Either way its
 //!   points fall back to cluster 0 and it is reported excluded.
 //! * A parent collects until every child reports or its
-//!   [`RoundPolicy::deadline`] expires; the in-process tree driver also
-//!   stops once every child it has not seen fall silent (dead, uplink
-//!   lost, subtree failed) has reported. Below its
+//!   [`RoundPolicy::deadline`] expires, or, when the caller names the
+//!   children it knows fell silent (the in-process tree driver: dead,
+//!   uplink lost, subtree failed; the binaries name none), once every
+//!   other child has reported. Below its
 //!   [`RoundPolicy::quorum`] an aggregator fails its subtree, and the root
 //!   fails the round.
 //! * The root clusters whatever its included children sent, an empty pool
@@ -54,7 +55,7 @@
 use crate::config::FedScConfig;
 use crate::local::LocalOutput;
 use crate::round::{device_step, merge_step, relabel, Fanin};
-use crate::tree::{run_hier_round, HierPolicy, HierTopology};
+use crate::tree::{run_hier_round, HierTopology, WireRunOutput};
 use bytes::Bytes;
 use fedsc_federated::channel::{DownlinkMessage, UplinkMessage};
 use fedsc_federated::partition::FederatedDataset;
@@ -104,7 +105,7 @@ pub struct WireTelemetry {
     pub pid: u64,
 }
 
-/// Straggler and reliability policy for one link tier.
+/// Straggler and reliability policy of every node in a round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundPolicy {
     /// Minimum children whose uplinks must arrive for the parent to
@@ -143,29 +144,6 @@ impl RoundPolicy {
     pub fn required(&self, z_count: usize) -> usize {
         self.quorum.unwrap_or(z_count).min(z_count).max(1)
     }
-}
-
-/// Result of a wire-level run.
-#[derive(Debug, Clone)]
-pub struct WireRunOutput {
-    /// Predicted global cluster per point, in global-point order. Points
-    /// on excluded devices fall back to cluster 0.
-    pub predictions: Vec<usize>,
-    /// Total bytes that crossed the uplink as observed by the root — the
-    /// lossless in-memory link counts payload bytes, framed links (TCP,
-    /// fault-injecting) count framing and handshake overhead too.
-    pub uplink_bytes: usize,
-    /// Total bytes that crossed the root's downlink (same accounting
-    /// basis).
-    pub downlink_bytes: usize,
-    /// Devices that were never answered (a lost uplink or downlink, or a
-    /// failed subtree above them); empty on a clean run.
-    pub excluded: Vec<usize>,
-    /// Serialized telemetry-envelope bytes the root absorbed from
-    /// uplink payloads — the exact overhead tracing added to
-    /// `uplink_bytes` (0 when telemetry is off, so
-    /// `uplink_bytes - envelope_bytes` is invariant under tracing).
-    pub envelope_bytes: usize,
 }
 
 /// Maps a link failure into the workspace error type, preserving the
@@ -311,8 +289,7 @@ fn wrap_uplink<D: DeviceTransport>(
     }
 }
 
-/// Where an aggregator sits in the tree and the policies of the two link
-/// tiers it joins.
+/// Where an aggregator sits in the tree and the policy it runs under.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AggregatorNode {
     /// Link tier of its children (0 = devices below it).
@@ -321,37 +298,24 @@ pub struct AggregatorNode {
     pub node: usize,
     /// Number of children it collects from.
     pub fan_in: usize,
-    /// Policy of its children's tier: collection deadline, quorum, and
-    /// the retry budget of the downlinks it relays.
-    pub below: RoundPolicy,
-    /// Policy of its own uplink's tier: the retry budget of the forward
-    /// and how long it waits for its parent's labels.
-    pub above: RoundPolicy,
+    /// Its collection deadline and quorum, the retry budget of its
+    /// forward and of the downlinks it relays, and how long it waits for
+    /// its parent's labels.
+    pub policy: RoundPolicy,
 }
 
 /// The aggregator's first half: collect `node.fan_in` children over
 /// `children`, apply the quorum, and forward the included children's
 /// device uplinks over `parent`, unmerged and back to back in ascending
-/// child order.
+/// child order. Collection ends early once every child outside `silent`
+/// (distinct indices below `node.fan_in`, the children the caller knows
+/// will never send) has reported.
 ///
 /// Returns the routing state [`aggregator_downlink`] needs, or `None`
 /// when the subtree failed: a quorum miss or a lost forward. Every child
 /// envelope is absorbed into `fleet`; with `telemetry.ship` the whole
 /// subtree's telemetry rides on the forward.
 pub fn aggregator_uplink<S: ServerTransport, D: DeviceTransport>(
-    children: &mut S,
-    parent: &mut D,
-    node: &AggregatorNode,
-    fleet: &mut FleetCollector,
-    telemetry: &WireTelemetry,
-) -> Result<Option<Fanin>> {
-    aggregator_uplink_with_silent(children, parent, node, &[], fleet, telemetry)
-}
-
-/// [`aggregator_uplink`] for a driver that knows the children in `silent`
-/// (distinct indices below `node.fan_in`) will never send: collection
-/// ends as soon as every other child has reported.
-pub(crate) fn aggregator_uplink_with_silent<S: ServerTransport, D: DeviceTransport>(
     children: &mut S,
     parent: &mut D,
     node: &AggregatorNode,
@@ -368,12 +332,12 @@ pub(crate) fn aggregator_uplink_with_silent<S: ServerTransport, D: DeviceTranspo
         children,
         node.fan_in,
         silent,
-        node.below.deadline,
+        node.policy.deadline,
         Some(&mut *fleet),
     )?;
     let received = uplinks.iter().filter(|m| m.is_some()).count();
     drop(collect_span.field("received", received));
-    if received < node.below.required(node.fan_in) {
+    if received < node.policy.required(node.fan_in) {
         HIER_SUBTREES_FAILED.inc();
         return Ok(None);
     }
@@ -393,7 +357,7 @@ pub(crate) fn aggregator_uplink_with_silent<S: ServerTransport, D: DeviceTranspo
         collect_span_id,
         fleet,
     )?;
-    if !send_within_budget(&node.above, || parent.send_uplink(&payload)) {
+    if !send_within_budget(&node.policy, || parent.send_uplink(&payload)) {
         HIER_SUBTREES_FAILED.inc();
         return Ok(None);
     }
@@ -416,14 +380,14 @@ pub fn aggregator_downlink<S: ServerTransport, D: DeviceTransport>(
         .field("node", node.node)
         .field("children", fanin.included.len());
     let reply = parent
-        .recv_downlink(node.above.downlink_wait())
+        .recv_downlink(node.policy.downlink_wait())
         .map_err(wire_err)?;
     let down =
         DownlinkMessage::decode(reply).ok_or(LinalgError::InvalidArgument("malformed downlink"))?;
     let mut answered = Vec::with_capacity(fanin.included.len());
     for (c, child_reply) in fanin.split(&down.assignments)? {
         let child_reply = child_reply.encode();
-        if send_within_budget(&node.below, || children.send_downlink(c, &child_reply)) {
+        if send_within_budget(&node.policy, || children.send_downlink(c, &child_reply)) {
             answered.push(c);
         }
     }
@@ -431,8 +395,9 @@ pub fn aggregator_downlink<S: ServerTransport, D: DeviceTransport>(
 }
 
 /// The root: collect uplinks over `link` until all `z_count` children
-/// report or the policy deadline expires, [`merge_step`] into `L`
-/// clusters, answer each included child. Returns the children left
+/// report (every child outside `silent`, the distinct indices below
+/// `z_count` the caller knows will never send) or the policy deadline
+/// expires, [`merge_step`] into `L` clusters, answer each included child. Returns the children left
 /// unanswered — missing at the deadline, or whose downlink was lost —
 /// empty on a clean run.
 ///
@@ -443,19 +408,6 @@ pub fn aggregator_downlink<S: ServerTransport, D: DeviceTransport>(
 ///
 /// Fails if fewer than [`RoundPolicy::quorum`] children report in time.
 pub fn server_round<S: ServerTransport>(
-    link: &mut S,
-    z_count: usize,
-    cfg: &FedScConfig,
-    policy: &RoundPolicy,
-    fleet: Option<&mut FleetCollector>,
-) -> Result<Vec<usize>> {
-    server_round_with_silent(link, z_count, &[], cfg, policy, fleet)
-}
-
-/// [`server_round`] for a driver that knows the children in `silent`
-/// (distinct indices below `z_count`) will never send: collection ends as
-/// soon as every other child has reported.
-pub(crate) fn server_round_with_silent<S: ServerTransport>(
     link: &mut S,
     z_count: usize,
     silent: &[usize],
@@ -574,8 +526,7 @@ pub fn run_round<T: Transport>(
     policy: &RoundPolicy,
 ) -> Result<WireRunOutput> {
     let topology = HierTopology::flat(fed.devices.len());
-    let policy = HierPolicy::uniform(policy.clone());
-    Ok(run_hier_round(fed, cfg, &topology, transport, &policy)?.wire)
+    run_hier_round(fed, cfg, &topology, transport, policy, &[])
 }
 
 /// Runs the flat round over the lossless in-memory transport with the
@@ -692,30 +643,21 @@ mod tests {
     fn wire_byte_counts_match_payload_sizes() {
         let (fed, cfg) = fixture(2);
         let z_count = fed.devices.len();
-        let flat = run_hier_round(
-            &fed,
-            &cfg,
-            &HierTopology::flat(z_count),
-            &InMemoryTransport,
-            &HierPolicy::default(),
-        )
-        .expect("lossless flat round on the seed-2 fixture");
+        let flat = run_over_wire(&fed, &cfg).expect("lossless flat round on the seed-2 fixture");
         let in_process = FedSc::new(cfg)
             .run(&fed)
             .expect("in-process FedSc run on the seed-2 fixture");
         let samples = in_process.samples.cols();
-        let wire = &flat.wire;
-        // Uplink: per device 16-byte header + 8 bytes per entry.
-        assert_eq!(wire.uplink_bytes, 16 * z_count + 8 * 20 * samples);
-        // Downlink: per device 8-byte header + 4 bytes per sample.
-        assert_eq!(wire.downlink_bytes, 8 * z_count + 4 * samples);
         // The flat round is one tier whose parent is the root: its row is
         // the root's accounting, one message per device each way.
         assert_eq!(flat.tiers.len(), 1);
-        assert_eq!(flat.tiers[0].uplink_bytes, wire.uplink_bytes);
-        assert_eq!(flat.tiers[0].downlink_bytes, wire.downlink_bytes);
-        assert_eq!(flat.tiers[0].uplink_messages, z_count as u64);
-        assert_eq!(flat.tiers[0].downlink_messages, z_count as u64);
+        let root = &flat.tiers[0];
+        // Uplink: per device 16-byte header + 8 bytes per entry.
+        assert_eq!(root.uplink_bytes, 16 * z_count + 8 * 20 * samples);
+        // Downlink: per device 8-byte header + 4 bytes per sample.
+        assert_eq!(root.downlink_bytes, 8 * z_count + 4 * samples);
+        assert_eq!(root.uplink_messages, z_count as u64);
+        assert_eq!(root.downlink_messages, z_count as u64);
     }
 
     #[test]
@@ -754,7 +696,7 @@ mod tests {
         // Framed accounting on the faulty link is at least the payload
         // accounting of the clean one (32-byte header per frame, plus
         // duplicates).
-        assert!(faulty.uplink_bytes > clean.uplink_bytes);
+        assert!(faulty.tiers[0].uplink_bytes > clean.tiers[0].uplink_bytes);
     }
 
     #[test]
@@ -772,8 +714,8 @@ mod tests {
         assert!(tcp.excluded.is_empty());
         // TCP accounting includes handshakes and framing: strictly more
         // bytes than the payload-only in-memory accounting.
-        assert!(tcp.uplink_bytes > clean.uplink_bytes);
-        assert!(tcp.downlink_bytes > clean.downlink_bytes);
+        assert!(tcp.tiers[0].uplink_bytes > clean.tiers[0].uplink_bytes);
+        assert!(tcp.tiers[0].downlink_bytes > clean.tiers[0].downlink_bytes);
     }
 
     #[test]
@@ -819,7 +761,7 @@ mod tests {
                     }),
                 ));
             }
-            excluded = server_round(&mut server_link, z_count, &cfg, &policy, None)
+            excluded = server_round(&mut server_link, z_count, &[], &cfg, &policy, None)
                 .expect("server round should proceed at quorum Z-1 with one straggler");
             drop(server_link);
             for (z, h) in handles {
@@ -855,7 +797,7 @@ mod tests {
             deadline: Duration::from_millis(50),
             ..RoundPolicy::default()
         };
-        assert!(server_round(&mut server_link, z_count, &cfg, &policy, None).is_err());
+        assert!(server_round(&mut server_link, z_count, &[], &cfg, &policy, None).is_err());
     }
 
     #[test]
@@ -924,7 +866,10 @@ mod tests {
     fn ctx_envelopes_add_declared_bytes_without_perturbing_predictions() {
         let (fed, cfg) = fixture(10);
         let clean = run_over_wire(&fed, &cfg).expect("untraced reference round (seed-10 fixture)");
-        assert_eq!(clean.envelope_bytes, 0, "telemetry off ships no envelopes");
+        assert_eq!(
+            clean.tiers[0].envelope_bytes, 0,
+            "telemetry off ships no envelopes"
+        );
 
         let z_count = fed.devices.len();
         let (mut server_link, mut device_links) = InMemoryTransport
@@ -954,15 +899,22 @@ mod tests {
                     }),
                 ));
             }
-            let excluded = server_round(&mut server_link, z_count, &cfg, &policy, Some(&mut fleet))
-                .expect("ctx round server side");
+            let excluded = server_round(
+                &mut server_link,
+                z_count,
+                &[],
+                &cfg,
+                &policy,
+                Some(&mut fleet),
+            )
+            .expect("ctx round server side");
             assert!(excluded.is_empty());
             // The envelope overhead is exactly accounted: observed uplink
             // bytes are the untraced payload plus the absorbed envelopes.
             let stats = server_link.stats();
             assert_eq!(
                 stats.bytes_received,
-                clean.uplink_bytes + fleet.envelope_bytes
+                clean.tiers[0].uplink_bytes + fleet.envelope_bytes
             );
             drop(server_link);
             for (z, h) in handles {
@@ -1032,7 +984,14 @@ mod tests {
                     }),
                 ));
             }
-            server_out = Some(server_round(&mut server_link, z_count, cfg, policy, None));
+            server_out = Some(server_round(
+                &mut server_link,
+                z_count,
+                &[],
+                cfg,
+                policy,
+                None,
+            ));
             // Closing the server links unblocks devices a failed round
             // never answered.
             drop(server_link);

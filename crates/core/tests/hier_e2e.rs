@@ -2,12 +2,12 @@
 //! meet quorum must predict what the flat round predicts, the degenerate
 //! single-tier topology must match the flat round over a framed link, the
 //! multi-tier tree must cluster correctly over all three transports with
-//! byte-exact per-tier accounting, and per-tier quorum failures must fail
-//! whole subtrees without failing the round.
+//! byte-exact per-tier accounting, and a quorum miss at an aggregator must
+//! fail its whole subtree without failing the round.
 
 use fedsc::{
-    device_step, run_hier_round, run_hier_round_with_dead, run_over_wire, CentralBackend,
-    ClusterCountPolicy, FedSc, FedScConfig, HierPolicy, HierTopology, RoundPolicy, TierTraffic,
+    device_step, run_hier_round, run_over_wire, CentralBackend, ClusterCountPolicy, FedSc,
+    FedScConfig, HierTopology, RoundPolicy, TierTraffic,
 };
 use fedsc_clustering::clustering_accuracy;
 use fedsc_data::synthetic::{generate, SyntheticConfig};
@@ -78,10 +78,10 @@ fn every_tree_predicts_what_the_flat_round_predicts() {
                 &cfg,
                 &topology,
                 &InMemoryTransport,
-                &HierPolicy::default(),
+                &RoundPolicy::default(),
+                &[],
             )
             .unwrap_or_else(|e| panic!("{central:?} {topology:?} round failed: {e:?}"))
-            .wire
         };
         let flat = run(Vec::new());
         assert!(flat.excluded.is_empty());
@@ -98,7 +98,11 @@ fn every_tree_predicts_what_the_flat_round_predicts() {
                 clustering_accuracy(&fed.global_truth(), &tree.predictions),
                 clustering_accuracy(&fed.global_truth(), &flat.predictions)
             );
-            assert_eq!(tree.uplink_bytes, flat.uplink_bytes, "root ingress");
+            assert_eq!(
+                tree.tiers.last().map(|root| root.uplink_bytes),
+                Some(flat.tiers[0].uplink_bytes),
+                "root ingress"
+            );
         }
     }
 }
@@ -118,13 +122,14 @@ fn flat_topology_over_clean_faulty_link_matches_predictions() {
         &cfg,
         &HierTopology::flat(12),
         &transport,
-        &HierPolicy::default(),
+        &RoundPolicy::default(),
+        &[],
     )
     .expect("single-tier round over the clean framed link");
-    assert_eq!(hier.wire.predictions, flat.predictions);
-    assert!(hier.wire.excluded.is_empty());
+    assert_eq!(hier.predictions, flat.predictions);
+    assert!(hier.excluded.is_empty());
     assert!(
-        hier.wire.uplink_bytes > flat.uplink_bytes,
+        hier.tiers[0].uplink_bytes > flat.tiers[0].uplink_bytes,
         "framed accounting must exceed payload accounting"
     );
 }
@@ -138,12 +143,13 @@ fn two_tier_tree_clusters_correctly() {
         &cfg,
         &topo,
         &InMemoryTransport,
-        &HierPolicy::default(),
+        &RoundPolicy::default(),
+        &[],
     )
     .expect("two-tier round (seed-3 fixture)");
-    let acc = clustering_accuracy(&fed.global_truth(), &hier.wire.predictions);
+    let acc = clustering_accuracy(&fed.global_truth(), &hier.predictions);
     assert!(acc > 90.0, "accuracy {acc}");
-    assert!(hier.wire.excluded.is_empty());
+    assert!(hier.excluded.is_empty());
     assert_eq!(hier.tiers.len(), 2);
     // Determinism: the staged driver is single-threaded and fully seeded.
     let again = run_hier_round(
@@ -151,10 +157,11 @@ fn two_tier_tree_clusters_correctly() {
         &cfg,
         &topo,
         &InMemoryTransport,
-        &HierPolicy::default(),
+        &RoundPolicy::default(),
+        &[],
     )
     .expect("repeat two-tier round (seed-3 fixture)");
-    assert_eq!(again.wire.predictions, hier.wire.predictions);
+    assert_eq!(again.predictions, hier.predictions);
     // Every tier spent real (but run-specific) wall time; the rest of the
     // accounting is deterministic.
     let normalize = |tiers: &[TierTraffic]| -> Vec<TierTraffic> {
@@ -180,22 +187,24 @@ fn three_tier_tree_clusters_correctly_over_tcp() {
         &cfg,
         &HierTopology::new(12, vec![6, 2]).expect("12→6→2→root tree"),
         &InMemoryTransport,
-        &HierPolicy::default(),
+        &RoundPolicy::default(),
+        &[],
     )
     .expect("three-tier in-memory round (seed-4 fixture)");
-    let acc = clustering_accuracy(&fed.global_truth(), &reference.wire.predictions);
+    let acc = clustering_accuracy(&fed.global_truth(), &reference.predictions);
     assert!(acc > 90.0, "accuracy {acc}");
     let tcp = run_hier_round(
         &fed,
         &cfg,
         &HierTopology::new(12, vec![6, 2]).expect("12→6→2→root tree"),
         &TcpTransport::loopback(),
-        &HierPolicy::default(),
+        &RoundPolicy::default(),
+        &[],
     )
     .expect("three-tier TCP loopback round (seed-4 fixture)");
     // The transport carries opaque bytes: real sockets cannot perturb the
     // clustering, only the (framed) byte accounting.
-    assert_eq!(tcp.wire.predictions, reference.wire.predictions);
+    assert_eq!(tcp.predictions, reference.predictions);
     for (t, (mem_tier, tcp_tier)) in reference.tiers.iter().zip(tcp.tiers.iter()).enumerate() {
         assert!(
             tcp_tier.uplink_bytes > mem_tier.uplink_bytes,
@@ -213,7 +222,8 @@ fn tier_zero_accounting_is_byte_exact() {
         &cfg,
         &topo,
         &InMemoryTransport,
-        &HierPolicy::default(),
+        &RoundPolicy::default(),
+        &[],
     )
     .expect("two-tier round (seed-2 fixture)");
     // The in-memory link counts payload bytes only, and every device's
@@ -234,66 +244,42 @@ fn tier_zero_accounting_is_byte_exact() {
     assert_eq!(hier.tiers[0].uplink_messages, 12);
     // Aggregators forward their children's payloads unchanged, so the root
     // takes exactly the devices' bytes off the wire.
-    assert_eq!(hier.root_uplink_bytes(), expected_up);
-    assert_eq!(hier.wire.uplink_bytes, hier.root_uplink_bytes());
+    assert_eq!(hier.tiers[1].uplink_bytes, expected_up);
     assert_eq!(
         hier.total_uplink_bytes(),
         hier.tiers.iter().map(|t| t.uplink_bytes).sum::<usize>()
     );
 }
 
-/// Per-tier quorums over the default collection deadline, or over the
-/// short `deadline` at both tiers when one is given.
-fn quorum_policy(
-    device_quorum: usize,
-    root_quorum: usize,
-    deadline: Option<Duration>,
-) -> HierPolicy {
-    let tier = |quorum| RoundPolicy {
-        quorum: Some(quorum),
-        deadline: deadline.unwrap_or(RoundPolicy::default().deadline),
-        ..RoundPolicy::default()
-    };
-    HierPolicy {
-        tiers: vec![tier(device_quorum), tier(root_quorum)],
-    }
-}
-
 #[test]
 fn failed_subtree_falls_back_without_failing_the_round() {
     let (fed, cfg) = deep_fixture(3, 12);
     // 12 devices → 4 aggregators of 3 children each. Kill all of
-    // aggregator 0's children: it misses quorum and fails its subtree;
-    // the root proceeds on 3 of 4 aggregators.
+    // aggregator 0's children: at quorum 1 it gets 0 of 3, misses quorum
+    // and fails its subtree; the root proceeds on 3 of 4 aggregators.
     let topo = HierTopology::new(12, vec![4]).expect("12→4→root tree");
     let dead = [0usize, 1, 2];
+    let policy = RoundPolicy {
+        quorum: Some(1),
+        ..RoundPolicy::default()
+    };
     // Under the default 300 s deadline the root must not wait for the
     // failed aggregator, which the driver knows will never send.
     let started = std::time::Instant::now();
-    let hier = run_hier_round_with_dead(
-        &fed,
-        &cfg,
-        &topo,
-        &InMemoryTransport,
-        &quorum_policy(1, 3, None),
-        &dead,
-    )
-    .expect("round should survive one failed subtree");
+    let hier = run_hier_round(&fed, &cfg, &topo, &InMemoryTransport, &policy, &dead)
+        .expect("round should survive one failed subtree");
     let elapsed = started.elapsed();
     assert!(elapsed < Duration::from_secs(10), "round took {elapsed:?}");
     // Ending the collection early changes nothing a short deadline gives.
-    let short = run_hier_round_with_dead(
-        &fed,
-        &cfg,
-        &topo,
-        &InMemoryTransport,
-        &quorum_policy(1, 3, Some(Duration::from_millis(300))),
-        &dead,
-    )
-    .expect("short-deadline round should survive one failed subtree");
-    assert_eq!(hier.wire.predictions, short.wire.predictions);
-    assert_eq!(hier.wire.excluded, dead.to_vec());
-    assert_eq!(short.wire.excluded, dead.to_vec());
+    let short_policy = RoundPolicy {
+        deadline: Duration::from_millis(300),
+        ..policy
+    };
+    let short = run_hier_round(&fed, &cfg, &topo, &InMemoryTransport, &short_policy, &dead)
+        .expect("short-deadline round should survive one failed subtree");
+    assert_eq!(hier.predictions, short.predictions);
+    assert_eq!(hier.excluded, dead.to_vec());
+    assert_eq!(short.excluded, dead.to_vec());
     assert_eq!(hier.tiers[0].excluded_children, dead.to_vec());
     // The failed aggregator surfaces as a straggler at the root tier.
     assert_eq!(hier.tiers[1].excluded_children, vec![0]);
@@ -301,14 +287,14 @@ fn failed_subtree_falls_back_without_failing_the_round() {
         for i in 0..fed.devices[z].data.cols() {
             // Fallback labels for the points the round never clustered.
             let g = fed.global_index[z][i];
-            assert_eq!(hier.wire.predictions[g], 0, "device {z} point {i}");
+            assert_eq!(hier.predictions[g], 0, "device {z} point {i}");
         }
     }
     // The healthy devices still cluster correctly.
     let truth = fed.global_truth();
     let healthy: Vec<usize> = (3..12).flat_map(|z| fed.global_index[z].clone()).collect();
     let t: Vec<usize> = healthy.iter().map(|&g| truth[g]).collect();
-    let p: Vec<usize> = healthy.iter().map(|&g| hier.wire.predictions[g]).collect();
+    let p: Vec<usize> = healthy.iter().map(|&g| hier.predictions[g]).collect();
     let acc = clustering_accuracy(&t, &p);
     assert!(acc > 90.0, "healthy-device accuracy {acc}");
 }
@@ -317,10 +303,17 @@ fn failed_subtree_falls_back_without_failing_the_round() {
 fn root_quorum_miss_fails_the_round() {
     let (fed, cfg) = deep_fixture(7, 12);
     let topo = HierTopology::new(12, vec![4]).expect("12→4→root tree");
-    // The root insists on all 4 aggregators; killing one subtree entirely
-    // starves it.
-    let policy = quorum_policy(1, 4, None);
-    let err = run_hier_round_with_dead(&fed, &cfg, &topo, &InMemoryTransport, &policy, &[0, 1, 2]);
+    // With no quorum every healthy aggregator needs its 3 children and the
+    // root needs all 4 aggregators; killing one subtree entirely starves
+    // it.
+    let err = run_hier_round(
+        &fed,
+        &cfg,
+        &topo,
+        &InMemoryTransport,
+        &RoundPolicy::default(),
+        &[0, 1, 2],
+    );
     assert!(
         err.is_err(),
         "root quorum 4/4 with a dead subtree must fail"
@@ -336,10 +329,11 @@ fn single_aggregator_chain_and_single_device_degenerate_trees_run() {
         &cfg,
         &HierTopology::new(12, vec![1]).expect("12→1→root chain"),
         &InMemoryTransport,
-        &HierPolicy::default(),
+        &RoundPolicy::default(),
+        &[],
     )
     .expect("single-aggregator chain round");
-    let acc = clustering_accuracy(&fed.global_truth(), &chain.wire.predictions);
+    let acc = clustering_accuracy(&fed.global_truth(), &chain.predictions);
     assert!(acc > 90.0, "chain accuracy {acc}");
 
     // One device straight to the root.
@@ -353,11 +347,12 @@ fn single_aggregator_chain_and_single_device_degenerate_trees_run() {
         &cfg1,
         &HierTopology::flat(1),
         &InMemoryTransport,
-        &HierPolicy::default(),
+        &RoundPolicy::default(),
+        &[],
     )
     .expect("single-device degenerate round");
-    assert_eq!(solo.wire.predictions.len(), 80);
-    assert!(solo.wire.excluded.is_empty());
+    assert_eq!(solo.predictions.len(), 80);
+    assert!(solo.excluded.is_empty());
 }
 
 #[test]
@@ -388,11 +383,12 @@ fn empty_pools_are_answered_at_every_tier() {
             &cfg,
             &topology,
             &InMemoryTransport,
-            &HierPolicy::default(),
+            &RoundPolicy::default(),
+            &[],
         )
         .unwrap_or_else(|e| panic!("{topology:?} rejected the empty pools: {e:?}"));
-        assert_eq!(out.wire.predictions, in_process.predictions);
-        assert!(out.wire.excluded.is_empty(), "{topology:?}");
+        assert_eq!(out.predictions, in_process.predictions);
+        assert!(out.excluded.is_empty(), "{topology:?}");
     }
 }
 
@@ -404,7 +400,8 @@ fn topology_mismatch_is_rejected() {
         &cfg,
         &HierTopology::flat(8), // dataset has 12 devices
         &InMemoryTransport,
-        &HierPolicy::default(),
+        &RoundPolicy::default(),
+        &[],
     );
     assert!(err.is_err(), "device-count mismatch must be rejected");
 }
@@ -430,10 +427,11 @@ fn rank_one_fixture_clusters_exactly_on_every_seed() {
             &cfg,
             &topo,
             &InMemoryTransport,
-            &HierPolicy::default(),
+            &RoundPolicy::default(),
+            &[],
         )
         .expect("two-tier round on the rank-1 fixture");
-        let tree_acc = clustering_accuracy(&truth, &tree.wire.predictions);
+        let tree_acc = clustering_accuracy(&truth, &tree.predictions);
         assert!(
             flat_acc >= 99.0 && tree_acc >= 99.0,
             "seed {seed}: flat {flat_acc}%, tree {tree_acc}%"

@@ -3,6 +3,8 @@
 //! * TCP loopback byte accounting — the global `transport.tcp.*` counters
 //!   must agree with the wire-true `WireRunOutput` byte totals, i.e. the
 //!   metrics are the same numbers the protocol itself reports.
+//! * Tree round counters — each round event is counted once, by the role
+//!   that did the work, under one name.
 //! * Trace coverage — a traced round must emit spans for all three Fed-SC
 //!   phases plus a `wire.device_uplink` and a `wire.device_downlink` span
 //!   per device, and the exported Chrome trace must pass the
@@ -11,7 +13,7 @@
 //!   same three phase spans inside its `wire.server_round`.
 
 use fedsc::demo::demo_fixture;
-use fedsc::{run_hier_round, run_round, HierPolicy, HierTopology, RoundPolicy};
+use fedsc::{run_hier_round, run_round, HierTopology, RoundPolicy};
 use fedsc_obs::metrics::snapshot;
 use fedsc_transport::{InMemoryTransport, TcpTransport};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -50,7 +52,7 @@ fn tcp_loopback_byte_counters_match_wire_true_accounting() {
 
     let sent = counter("transport.tcp.bytes_sent") - before.0;
     let received = counter("transport.tcp.bytes_received") - before.1;
-    let wire_true = (out.uplink_bytes + out.downlink_bytes) as u64;
+    let wire_true = (out.tiers[0].uplink_bytes + out.tiers[0].downlink_bytes) as u64;
     // Loopback loses nothing: every byte one side put on the socket was
     // read by the other, and both equal the server-observed totals
     // (handshake and framing overhead included on both sides).
@@ -121,11 +123,12 @@ fn traced_tree_root_records_all_three_phases() {
         &cfg,
         &topology,
         &InMemoryTransport,
-        &HierPolicy::default(),
+        &RoundPolicy::default(),
+        &[],
     )
     .expect("traced two-tier round");
     let events = fedsc_obs::trace::uninstall();
-    assert!(out.wire.excluded.is_empty(), "clean run excluded devices");
+    assert!(out.excluded.is_empty(), "clean run excluded devices");
 
     // The root is the flat server: one `wire.server_round`, and each
     // phase span recorded directly inside it, as in the flat round.
@@ -148,5 +151,48 @@ fn traced_tree_root_records_all_three_phases() {
     for half in ["hier.agg_uplink", "hier.agg_downlink"] {
         let n = events.iter().filter(|e| e.name == half).count();
         assert_eq!(n, 2, "expected one {half} span per aggregator");
+    }
+}
+
+#[test]
+fn tree_round_counts_each_event_once() {
+    let _g = guard();
+    let (fed, cfg) = demo_fixture(7, 8, 3);
+    let topology = HierTopology::new(8, vec![2]).expect("8→2→root tree");
+    let names = [
+        "wire.device_rounds",
+        "hier.agg_rounds",
+        "wire.server_rounds",
+        "hier.subtrees_failed",
+    ];
+    let before = names.map(counter);
+    let out = run_hier_round(
+        &fed,
+        &cfg,
+        &topology,
+        &InMemoryTransport,
+        &RoundPolicy::default(),
+        &[],
+    )
+    .expect("two-tier round");
+    assert!(out.excluded.is_empty(), "clean run excluded devices");
+    let moved: Vec<u64> = names
+        .iter()
+        .zip(before)
+        .map(|(name, b)| counter(name) - b)
+        .collect();
+    // 8 devices, 2 aggregators, 1 root, no failed subtree.
+    assert_eq!(moved, vec![8, 2, 1, 0], "deltas of {names:?}");
+    // The driver keeps no counters of its own: the tree-only names for
+    // device and root rounds, stragglers and bytes are never registered.
+    let counters = snapshot().counters;
+    for retired in [
+        "hier.device_rounds",
+        "hier.root_rounds",
+        "hier.stragglers_excluded",
+        "hier.uplink_bytes",
+        "hier.downlink_bytes",
+    ] {
+        assert!(!counters.contains_key(retired), "{retired} registered");
     }
 }

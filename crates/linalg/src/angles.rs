@@ -19,14 +19,6 @@ pub fn principal_angle_cosines(u_k: &Matrix, u_l: &Matrix) -> Result<Vec<f64>> {
     Ok(svd.s.iter().map(|&s| s.clamp(0.0, 1.0)).collect())
 }
 
-/// Principal angles in radians (ascending, since cosines are descending).
-pub fn principal_angles(u_k: &Matrix, u_l: &Matrix) -> Result<Vec<f64>> {
-    Ok(principal_angle_cosines(u_k, u_l)?
-        .iter()
-        .map(|c| c.acos())
-        .collect())
-}
-
 /// The paper's affinity between subspaces (Definition 5):
 /// `||U_k^T U_l||_F`, the root-sum-square of principal-angle cosines.
 ///
@@ -98,8 +90,6 @@ mod tests {
         let u2 = Matrix::from_columns(&[&[s, s, 0.0]]).unwrap();
         let cos = principal_angle_cosines(&u1, &u2).unwrap();
         assert!((cos[0] - s).abs() < 1e-12);
-        let ang = principal_angles(&u1, &u2).unwrap();
-        assert!((ang[0] - std::f64::consts::FRAC_PI_4).abs() < 1e-12);
     }
 
     #[test]

@@ -57,21 +57,48 @@ fn push_field_value(v: &FieldValue, out: &mut String) {
     }
 }
 
-/// Emits the span-identity args (`span_id`, and for parented spans
-/// `parent_span`/`parent_pid`, the latter resolved to `own_pid` when the
-/// parent is local). No-op for id 0 (pre-identity or synthetic events).
-fn push_identity_args(id: u64, parent: u64, parent_pid: u64, own_pid: u64, out: &mut String) {
-    if id == 0 {
-        return;
+/// Emits one complete (`"ph":"X"`) event. `args` holds the span-identity
+/// keys (`span_id`, and for parented spans `parent_span`/`parent_pid`;
+/// none for id 0, a pre-identity or synthetic event) followed by
+/// `fields`, and is left out when both are empty.
+fn push_x_event(s: &FleetSpan, fields: &[(&str, FieldValue)], out: &mut String) {
+    out.push_str("{\"name\":\"");
+    escape_json(&s.name, out);
+    out.push_str("\",\"cat\":\"");
+    escape_json(&s.cat, out);
+    out.push_str("\",\"ph\":\"X\",\"ts\":");
+    push_us(s.start_ns, out);
+    out.push_str(",\"dur\":");
+    push_us(s.dur_ns, out);
+    let _ = write!(out, ",\"pid\":{},\"tid\":{}", s.pid, s.tid);
+    if s.id != 0 || !fields.is_empty() {
+        out.push_str(",\"args\":{");
+        if s.id != 0 {
+            let _ = write!(out, "\"span_id\":{}", s.id);
+            if s.parent != 0 {
+                let _ = write!(
+                    out,
+                    ",\"parent_span\":{},\"parent_pid\":{}",
+                    s.parent, s.parent_pid
+                );
+            }
+        }
+        for (j, (key, value)) in fields.iter().enumerate() {
+            if j > 0 || s.id != 0 {
+                out.push(',');
+            }
+            out.push('"');
+            escape_json(key, out);
+            out.push_str("\":");
+            push_field_value(value, out);
+        }
+        out.push('}');
     }
-    let _ = write!(out, "\"span_id\":{id}");
-    if parent != 0 {
-        let ppid = if parent_pid == 0 { own_pid } else { parent_pid };
-        let _ = write!(out, ",\"parent_span\":{parent},\"parent_pid\":{ppid}");
-    }
+    out.push('}');
 }
 
-/// Serializes span events as a Chrome `trace_event` JSON document.
+/// Serializes span events as a Chrome `trace_event` JSON document, in
+/// lane 1 with a local parent resolved to it ([`FleetSpan::from_event`]).
 pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
     let mut out = String::with_capacity(64 + events.len() * 96);
     out.push_str("{\"traceEvents\":[");
@@ -79,30 +106,7 @@ pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"name\":\"");
-        escape_json(ev.name, &mut out);
-        out.push_str("\",\"cat\":\"");
-        escape_json(ev.cat, &mut out);
-        out.push_str("\",\"ph\":\"X\",\"ts\":");
-        push_us(ev.start_ns, &mut out);
-        out.push_str(",\"dur\":");
-        push_us(ev.dur_ns, &mut out);
-        let _ = write!(out, ",\"pid\":1,\"tid\":{}", ev.tid);
-        if !ev.fields.is_empty() || ev.id != 0 {
-            out.push_str(",\"args\":{");
-            push_identity_args(ev.id, ev.parent, ev.parent_pid, 1, &mut out);
-            for (j, (key, value)) in ev.fields.iter().enumerate() {
-                if j > 0 || ev.id != 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                escape_json(key, &mut out);
-                out.push_str("\":");
-                push_field_value(value, &mut out);
-            }
-            out.push('}');
-        }
-        out.push('}');
+        push_x_event(&FleetSpan::from_event(ev, 1), &ev.fields, &mut out);
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
@@ -132,21 +136,7 @@ pub fn fleet_chrome_trace_json(spans: &[FleetSpan], process_names: &[(u64, Strin
             out.push(',');
         }
         first = false;
-        out.push_str("{\"name\":\"");
-        escape_json(&s.name, &mut out);
-        out.push_str("\",\"cat\":\"");
-        escape_json(&s.cat, &mut out);
-        out.push_str("\",\"ph\":\"X\",\"ts\":");
-        push_us(s.start_ns, &mut out);
-        out.push_str(",\"dur\":");
-        push_us(s.dur_ns, &mut out);
-        let _ = write!(out, ",\"pid\":{},\"tid\":{}", s.pid, s.tid);
-        if s.id != 0 {
-            out.push_str(",\"args\":{");
-            push_identity_args(s.id, s.parent, s.parent_pid, s.pid, &mut out);
-            out.push('}');
-        }
-        out.push('}');
+        push_x_event(s, &[], &mut out);
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
@@ -688,6 +678,23 @@ mod tests {
         );
         let (events, edges) = validate_cross_process(&text).expect("valid");
         assert_eq!((events, edges), (2, 1));
+    }
+
+    #[test]
+    fn local_and_fleet_exports_write_the_same_event() {
+        // A field-less local span and its lane-1 fleet form are one event:
+        // both exporters go through the one writer.
+        for (id, parent, parent_pid) in [(0, 0, 0), (5, 0, 0), (5, 3, 0), (5, 3, 1000)] {
+            let ev = SpanEvent {
+                id,
+                parent,
+                parent_pid,
+                fields: Vec::new(),
+                ..demo_event()
+            };
+            let fleet = fleet_chrome_trace_json(&[FleetSpan::from_event(&ev, 1)], &[]);
+            assert_eq!(chrome_trace_json(&[ev]), fleet);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::algo::{normalize_data, SubspaceClusterer};
 use crate::neighbors::ranked_neighbors;
 use fedsc_graph::SparseAffinity;
-use fedsc_linalg::{par, vector, Matrix, Result};
+use fedsc_linalg::{par, Matrix, Result};
 
 /// TSC configuration.
 #[derive(Debug, Clone)]
@@ -89,11 +89,6 @@ impl SubspaceClusterer for Tsc {
     }
 }
 
-/// Spherical distance helper exposed for tests: `acos(|cos|)` in `[0, pi/2]`.
-pub fn spherical_distance(a: &[f64], b: &[f64]) -> f64 {
-    vector::abs_cosine(a, b).acos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,15 +140,6 @@ mod tests {
         let labels = Tsc::new(5).cluster(&ds.data, 3, &mut rng).unwrap();
         let acc = clustering_accuracy(&ds.labels, &labels);
         assert!(acc > 90.0, "accuracy {acc}");
-    }
-
-    #[test]
-    fn spherical_distance_extremes() {
-        assert!(spherical_distance(&[1.0, 0.0], &[2.0, 0.0]) < 1e-9);
-        let d = spherical_distance(&[1.0, 0.0], &[0.0, 1.0]);
-        assert!((d - std::f64::consts::FRAC_PI_2).abs() < 1e-9);
-        // Antipodal points are spherically identical (|cos| symmetry).
-        assert!(spherical_distance(&[1.0, 0.0], &[-1.0, 0.0]) < 1e-9);
     }
 
     #[test]

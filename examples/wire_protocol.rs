@@ -43,17 +43,19 @@ fn main() {
         "identical output: {}",
         in_process.predictions == wire.predictions
     );
+    // The flat round has one link tier; its row is the root's accounting.
+    let mem = &wire.tiers[0];
     println!(
         "bytes on the wire: {} up / {} down ({} devices, one round)",
-        wire.uplink_bytes,
-        wire.downlink_bytes,
+        mem.uplink_bytes,
+        mem.downlink_bytes,
         fed.devices.len()
     );
     let raw_bytes = 8 * ds.data.data.rows() * ds.data.len();
     println!(
         "vs shipping raw data: {} bytes ({}x saving)",
         raw_bytes,
-        raw_bytes / wire.uplink_bytes.max(1)
+        raw_bytes / mem.uplink_bytes.max(1)
     );
 
     // The same round over real TCP sockets on 127.0.0.1 — framed, CRC'd,
@@ -61,12 +63,13 @@ fn main() {
     // so they run strictly heavier than the payload-only channel counts.
     let policy = RoundPolicy::default();
     let tcp = run_round(&fed, &cfg, &TcpTransport::loopback(), &policy).expect("tcp round");
+    let framed = &tcp.tiers[0];
     println!(
         "tcp loopback: identical output: {}, {} up / {} down (framing overhead {} B)",
         tcp.predictions == in_process.predictions,
-        tcp.uplink_bytes,
-        tcp.downlink_bytes,
-        (tcp.uplink_bytes + tcp.downlink_bytes) - (wire.uplink_bytes + wire.downlink_bytes)
+        framed.uplink_bytes,
+        framed.downlink_bytes,
+        (framed.uplink_bytes + framed.downlink_bytes) - (mem.uplink_bytes + mem.downlink_bytes)
     );
 
     // A hostile link: seeded drops, duplicates, truncations and bit flips.
