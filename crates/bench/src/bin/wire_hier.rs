@@ -120,9 +120,9 @@ fn main() {
             out.tiers[0].uplink_bytes
         );
         assert!(
-            out.excluded.is_empty(),
+            out.excluded().is_empty(),
             "clean fleet Z={z} excluded {:?}",
-            out.excluded
+            out.excluded()
         );
         assert!(acc > 90.0, "fleet Z={z} accuracy {acc}");
         // The tree's contract: aggregators relay, so the root clusters the

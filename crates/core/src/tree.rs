@@ -195,9 +195,6 @@ pub struct WireRunOutput {
     /// Predicted global cluster per point, in global-point order. Points
     /// on excluded devices fall back to cluster 0.
     pub predictions: Vec<usize>,
-    /// Devices that were never answered (a lost uplink or downlink, or a
-    /// failed subtree above them); empty on a clean run.
-    pub excluded: Vec<usize>,
     /// Per-tier traffic, `tiers[0]` = device→first-parent links,
     /// `tiers.last()` = top-tier→root links, the root's own accounting
     /// (the same tier when flat).
@@ -205,6 +202,13 @@ pub struct WireRunOutput {
 }
 
 impl WireRunOutput {
+    /// Devices that were never answered (a lost uplink or downlink, or a
+    /// failed subtree above them); empty on a clean run. This is the
+    /// device tier's `excluded_children` row.
+    pub fn excluded(&self) -> &[usize] {
+        self.tiers.first().map_or(&[], |t| &t.excluded_children)
+    }
+
     /// Uplink bytes summed over every tier (total tree ingress).
     pub fn total_uplink_bytes(&self) -> usize {
         self.tiers.iter().map(|t| t.uplink_bytes).sum()
@@ -431,7 +435,6 @@ pub fn run_hier_round<T: Transport>(
 
     Ok(WireRunOutput {
         predictions: fed.scatter_predictions(&gathered),
-        excluded: tiers[0].excluded_children.clone(),
         tiers,
     })
 }

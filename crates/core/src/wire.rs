@@ -60,7 +60,7 @@ use bytes::Bytes;
 use fedsc_federated::channel::{DownlinkMessage, UplinkMessage};
 use fedsc_federated::partition::FederatedDataset;
 use fedsc_linalg::{LinalgError, Matrix, Result};
-use fedsc_obs::{Envelope, FleetCollector, LazyCounter, LazyHistogram, Stopwatch, TraceContext};
+use fedsc_obs::{Envelope, FleetCollector, LazyCounter, TraceContext};
 use fedsc_transport::{
     with_retry, Deadline, DeviceTransport, InMemoryTransport, ServerTransport, Transport,
     TransportError,
@@ -73,13 +73,6 @@ static WIRE_DEVICE_ROUNDS: LazyCounter = LazyCounter::new("wire.device_rounds");
 static WIRE_SERVER_ROUNDS: LazyCounter = LazyCounter::new("wire.server_rounds");
 /// Children the root left unanswered, across all server rounds.
 static WIRE_STRAGGLERS: LazyCounter = LazyCounter::new("wire.stragglers_excluded");
-/// Wall time of each completed [`device_round`], in milliseconds.
-static WIRE_DEVICE_ROUND_MS: LazyHistogram = LazyHistogram::new(
-    "wire.device_round_ms",
-    &[
-        1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 30_000, 60_000,
-    ],
-);
 /// Aggregator rounds completed (children pooled, their uplinks forwarded).
 static HIER_AGG_ROUNDS: LazyCounter = LazyCounter::new("hier.agg_rounds");
 /// Aggregators that failed their subtree (quorum miss or lost uplink).
@@ -244,13 +237,10 @@ pub fn device_round<D: DeviceTransport>(
     policy: &RoundPolicy,
     telemetry: &WireTelemetry,
 ) -> Result<Vec<usize>> {
-    let sw = Stopwatch::start();
     let local = device_uplink(data, z, cfg, link, policy, telemetry)?.ok_or(
         LinalgError::InvalidArgument("uplink lost despite the retry budget"),
     )?;
-    let labels = device_downlink(&local, z, cfg, link, policy)?;
-    WIRE_DEVICE_ROUND_MS.observe(sw.elapsed_ns() / 1_000_000);
-    Ok(labels)
+    device_downlink(&local, z, cfg, link, policy)
 }
 
 /// Prefixes an encoded uplink with the round's telemetry envelope. With
@@ -565,7 +555,7 @@ mod tests {
         // Same seeds, lossless channel: the two execution shapes must agree
         // bit for bit.
         assert_eq!(wire.predictions, in_process.predictions);
-        assert!(wire.excluded.is_empty());
+        assert!(wire.excluded().is_empty());
     }
 
     /// Runs `cfg` in process and over the wire; both must agree exactly,
@@ -692,7 +682,7 @@ mod tests {
         // Retries and duplicates are invisible to the clustering: the
         // payload bytes that survive are the payload bytes that were sent.
         assert_eq!(faulty.predictions, clean.predictions);
-        assert!(faulty.excluded.is_empty());
+        assert!(faulty.excluded().is_empty());
         // Framed accounting on the faulty link is at least the payload
         // accounting of the clean one (32-byte header per frame, plus
         // duplicates).
@@ -711,7 +701,7 @@ mod tests {
         )
         .expect("TCP loopback round (seed-4 fixture)");
         assert_eq!(tcp.predictions, clean.predictions);
-        assert!(tcp.excluded.is_empty());
+        assert!(tcp.excluded().is_empty());
         // TCP accounting includes handshakes and framing: strictly more
         // bytes than the payload-only in-memory accounting.
         assert!(tcp.tiers[0].uplink_bytes > clean.tiers[0].uplink_bytes);

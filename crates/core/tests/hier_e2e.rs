@@ -84,14 +84,14 @@ fn every_tree_predicts_what_the_flat_round_predicts() {
             .unwrap_or_else(|e| panic!("{central:?} {topology:?} round failed: {e:?}"))
         };
         let flat = run(Vec::new());
-        assert!(flat.excluded.is_empty());
+        assert!(flat.excluded().is_empty());
         if central == CentralBackend::Ssc {
             let acc = clustering_accuracy(&fed.global_truth(), &flat.predictions);
             assert!(acc >= 99.0, "flat SSC accuracy {acc}");
         }
         for aggregators in [vec![4], vec![8], vec![16, 4]] {
             let tree = run(aggregators.clone());
-            assert!(tree.excluded.is_empty(), "{central:?} {aggregators:?}");
+            assert!(tree.excluded().is_empty(), "{central:?} {aggregators:?}");
             assert!(
                 tree.predictions == flat.predictions,
                 "{central:?} {aggregators:?}: tree accuracy {}% against the flat round's {}%",
@@ -127,7 +127,7 @@ fn flat_topology_over_clean_faulty_link_matches_predictions() {
     )
     .expect("single-tier round over the clean framed link");
     assert_eq!(hier.predictions, flat.predictions);
-    assert!(hier.excluded.is_empty());
+    assert!(hier.excluded().is_empty());
     assert!(
         hier.tiers[0].uplink_bytes > flat.tiers[0].uplink_bytes,
         "framed accounting must exceed payload accounting"
@@ -149,7 +149,7 @@ fn two_tier_tree_clusters_correctly() {
     .expect("two-tier round (seed-3 fixture)");
     let acc = clustering_accuracy(&fed.global_truth(), &hier.predictions);
     assert!(acc > 90.0, "accuracy {acc}");
-    assert!(hier.excluded.is_empty());
+    assert!(hier.excluded().is_empty());
     assert_eq!(hier.tiers.len(), 2);
     // Determinism: the staged driver is single-threaded and fully seeded.
     let again = run_hier_round(
@@ -278,9 +278,8 @@ fn failed_subtree_falls_back_without_failing_the_round() {
     let short = run_hier_round(&fed, &cfg, &topo, &InMemoryTransport, &short_policy, &dead)
         .expect("short-deadline round should survive one failed subtree");
     assert_eq!(hier.predictions, short.predictions);
-    assert_eq!(hier.excluded, dead.to_vec());
-    assert_eq!(short.excluded, dead.to_vec());
-    assert_eq!(hier.tiers[0].excluded_children, dead.to_vec());
+    assert_eq!(hier.excluded(), dead);
+    assert_eq!(short.excluded(), dead);
     // The failed aggregator surfaces as a straggler at the root tier.
     assert_eq!(hier.tiers[1].excluded_children, vec![0]);
     for &z in &dead {
@@ -352,7 +351,7 @@ fn single_aggregator_chain_and_single_device_degenerate_trees_run() {
     )
     .expect("single-device degenerate round");
     assert_eq!(solo.predictions.len(), 80);
-    assert!(solo.excluded.is_empty());
+    assert!(solo.excluded().is_empty());
 }
 
 #[test]
@@ -388,7 +387,7 @@ fn empty_pools_are_answered_at_every_tier() {
         )
         .unwrap_or_else(|e| panic!("{topology:?} rejected the empty pools: {e:?}"));
         assert_eq!(out.predictions, in_process.predictions);
-        assert!(out.excluded.is_empty(), "{topology:?}");
+        assert!(out.excluded().is_empty(), "{topology:?}");
     }
 }
 

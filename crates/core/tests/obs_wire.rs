@@ -48,7 +48,7 @@ fn tcp_loopback_byte_counters_match_wire_true_accounting() {
         &RoundPolicy::default(),
     )
     .expect("tcp loopback round");
-    assert!(out.excluded.is_empty(), "clean run excluded devices");
+    assert!(out.excluded().is_empty(), "clean run excluded devices");
 
     let sent = counter("transport.tcp.bytes_sent") - before.0;
     let received = counter("transport.tcp.bytes_received") - before.1;
@@ -71,7 +71,7 @@ fn traced_round_covers_all_three_phases_and_every_device() {
     let out = run_round(&fed, &cfg, &InMemoryTransport, &RoundPolicy::default())
         .expect("in-memory round");
     let events = fedsc_obs::trace::uninstall();
-    assert!(out.excluded.is_empty(), "clean run excluded devices");
+    assert!(out.excluded().is_empty(), "clean run excluded devices");
 
     // Server-side phase spans: Phase 1 collection window, Phase 2 central
     // clustering, Phase 3 label broadcast.
@@ -128,7 +128,7 @@ fn traced_tree_root_records_all_three_phases() {
     )
     .expect("traced two-tier round");
     let events = fedsc_obs::trace::uninstall();
-    assert!(out.excluded.is_empty(), "clean run excluded devices");
+    assert!(out.excluded().is_empty(), "clean run excluded devices");
 
     // The root is the flat server: one `wire.server_round`, and each
     // phase span recorded directly inside it, as in the flat round.
@@ -175,7 +175,7 @@ fn tree_round_counts_each_event_once() {
         &[],
     )
     .expect("two-tier round");
-    assert!(out.excluded.is_empty(), "clean run excluded devices");
+    assert!(out.excluded().is_empty(), "clean run excluded devices");
     let moved: Vec<u64> = names
         .iter()
         .zip(before)

@@ -17,7 +17,7 @@ const BLOCK_J: usize = 64;
 /// Inner-dimension panel width for `matmul`: a panel of `self` columns is
 /// streamed once per output block.
 const BLOCK_K: usize = 128;
-/// Column-tile width for the pairwise-dot kernels (`syrk`, `tr_matmul`).
+/// Column-tile width for the pairwise-dot kernels (`gram`, `tr_matmul`).
 const BLOCK_TILE: usize = 32;
 /// Row-panel height for the pairwise-dot kernels: a `BLOCK_TILE x
 /// BLOCK_ROWS` tile of each operand (~64 KiB the pair) stays cache-resident
@@ -311,25 +311,14 @@ impl Matrix {
         Ok(y)
     }
 
-    /// Gram matrix `self^T * self` (symmetric, computed on the upper triangle
-    /// and mirrored). Delegates to the blocked [`Matrix::syrk`].
+    /// Gram matrix `self^T * self`: a symmetric rank-k update computed
+    /// as a sum of row-panel contributions `G += A_p^T A_p` instead of one
+    /// long dot product per column pair.
     pub fn gram(&self) -> Matrix {
         self.gram_threaded(1)
     }
 
-    /// [`Matrix::gram`] fanned out over at most `threads` workers.
-    pub fn gram_threaded(&self, threads: usize) -> Matrix {
-        self.syrk_threaded(threads)
-    }
-
-    /// Symmetric rank-k update `self^T * self` (syrk): the Gram matrix
-    /// computed as a sum of row-panel outer contributions
-    /// `G += A_p^T A_p` instead of one long dot product per column pair.
-    pub fn syrk(&self) -> Matrix {
-        self.syrk_threaded(1)
-    }
-
-    /// Cache-blocked [`Matrix::syrk`] on at most `threads` workers.
+    /// Cache-blocked [`Matrix::gram`] on at most `threads` workers.
     ///
     /// Only the upper triangle is computed (tiles `ib <= jb` of column
     /// pairs, accumulated row panel by row panel so both column segments
@@ -339,7 +328,7 @@ impl Matrix {
     /// entry's panel accumulation depends only on its `(i, j)` position and
     /// the tile bounds — never on the thread count — so results are
     /// bit-identical across `threads`.
-    pub fn syrk_threaded(&self, threads: usize) -> Matrix {
+    pub fn gram_threaded(&self, threads: usize) -> Matrix {
         let (d, n) = (self.rows, self.cols);
         let mut g = Matrix::zeros(n, n);
         if n == 0 {
@@ -457,7 +446,7 @@ impl Matrix {
 
     /// Cache-blocked `self^T * rhs` on at most `threads` workers.
     ///
-    /// Same tiling as [`Matrix::syrk_threaded`] without the triangular
+    /// Same tiling as [`Matrix::gram_threaded`] without the triangular
     /// structure: `out(i, j) = <self[:, i], rhs[:, j]>` accumulated over row
     /// panels so a tile of `self` columns is reused across a block of `rhs`
     /// columns, four output rows at a time through the register-blocked

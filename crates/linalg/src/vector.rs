@@ -46,7 +46,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// Four simultaneous dot products against one shared right-hand side:
 /// `[<a0, b>, <a1, b>, <a2, b>, <a3, b>]`.
 ///
-/// The pairwise-dot matrix kernels (`syrk`, `tr_matmul`) call this on four
+/// The pairwise-dot matrix kernels (`gram`, `tr_matmul`) call this on four
 /// consecutive output rows so every load of `b` is reused four times —
 /// the classic register-blocking trick, worth ~2x on Gram products where
 /// the panel of `b` is the bandwidth bottleneck. Each stream accumulates
@@ -168,17 +168,6 @@ pub fn dist2_sq(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// Absolute cosine similarity `|<a, b>| / (|a| |b|)`; zero when either norm
-/// vanishes. This is the spherical-distance kernel TSC thresholds.
-pub fn abs_cosine(a: &[f64], b: &[f64]) -> f64 {
-    let na = norm2(a);
-    let nb = norm2(b);
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    (dot(a, b) / (na * nb)).abs().min(1.0)
-}
-
 /// Soft-threshold operator `sign(v) * max(|v| - t, 0)` — the proximal map of
 /// the `l1` norm, used by every Lasso-style solver in the workspace.
 #[inline]
@@ -251,13 +240,6 @@ mod tests {
         assert!((norm2(&x) - 1.0).abs() < 1e-12);
         let mut z = [0.0, 0.0];
         assert_eq!(normalize(&mut z, 1e-12), 0.0);
-    }
-
-    #[test]
-    fn abs_cosine_bounds_and_orthogonality() {
-        assert_eq!(abs_cosine(&[1.0, 0.0], &[0.0, 1.0]), 0.0);
-        assert!((abs_cosine(&[1.0, 1.0], &[-2.0, -2.0]) - 1.0).abs() < 1e-12);
-        assert_eq!(abs_cosine(&[0.0, 0.0], &[1.0, 0.0]), 0.0);
     }
 
     #[test]

@@ -159,14 +159,11 @@ proptest! {
     }
 
     #[test]
-    fn blocked_gram_and_syrk_match_naive(a in matrix(0..7, 0..7)) {
+    fn blocked_gram_matches_naive(a in matrix(0..7, 0..7)) {
         let naive = naive_matmul(&a.transpose(), &a);
         let g = a.gram();
-        let s = a.syrk();
         prop_assert!(max_abs_diff(&g, &naive) < 1e-12);
-        prop_assert!(max_abs_diff(&s, &naive) < 1e-12);
-        // gram IS syrk, and both are exactly symmetric by construction.
-        prop_assert_eq!(g.as_slice(), s.as_slice());
+        // Exactly symmetric by construction (upper triangle, mirrored).
         for i in 0..g.rows() {
             for j in 0..i {
                 prop_assert_eq!(g[(i, j)], g[(j, i)]);

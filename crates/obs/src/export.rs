@@ -142,8 +142,7 @@ pub fn fleet_chrome_trace_json(spans: &[FleetSpan], process_names: &[(u64, Strin
     out
 }
 
-/// Serializes a metrics snapshot as flat JSON:
-/// `{"counters":{...},"histograms":{name:{"buckets":{"le_10":n,…,"inf":n},"count":c,"sum":s}}}`.
+/// Serializes a metrics snapshot as flat JSON: `{"counters":{name:value,…}}`.
 pub fn metrics_json(snap: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(256);
     out.push_str("{\"counters\":{");
@@ -154,30 +153,6 @@ pub fn metrics_json(snap: &MetricsSnapshot) -> String {
         out.push('"');
         escape_json(name, &mut out);
         let _ = write!(out, "\":{value}");
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_json(name, &mut out);
-        out.push_str("\":{\"buckets\":{");
-        let mut first = true;
-        for (bound, count) in h.bounds.iter().zip(&h.buckets) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"le_{bound}\":{count}");
-        }
-        if let Some(overflow) = h.buckets.last() {
-            if !first {
-                out.push(',');
-            }
-            let _ = write!(out, "\"inf\":{overflow}");
-        }
-        let _ = write!(out, "}},\"count\":{},\"sum\":{}}}", h.count, h.sum);
     }
     out.push_str("}}");
     out
@@ -541,7 +516,6 @@ pub fn validate_cross_process(text: &str) -> Result<(usize, usize), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HistogramSnapshot;
 
     fn demo_event() -> SpanEvent {
         SpanEvent {
@@ -594,33 +568,19 @@ mod tests {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("b.count".to_string(), 2);
         snap.counters.insert("a.count".to_string(), 1);
-        snap.histograms.insert(
-            "h.lat".to_string(),
-            HistogramSnapshot {
-                bounds: vec![10, 100],
-                buckets: vec![1, 2, 3],
-                count: 6,
-                sum: 420,
-            },
-        );
         let text = metrics_json(&snap);
         let doc = parse_json(&text).expect("parses");
+        // Counters are the one metric kind: the document has no other key.
+        match &doc {
+            Json::Obj(pairs) => {
+                let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(keys, ["counters"]);
+            }
+            other => panic!("metrics export is not an object: {other:?}"),
+        }
         assert_eq!(
             doc.get("counters").and_then(|c| c.get("a.count")),
             Some(&Json::Num(1.0))
-        );
-        let h = doc
-            .get("histograms")
-            .and_then(|h| h.get("h.lat"))
-            .expect("histogram");
-        assert_eq!(h.get("count"), Some(&Json::Num(6.0)));
-        assert_eq!(
-            h.get("buckets").and_then(|b| b.get("le_10")),
-            Some(&Json::Num(1.0))
-        );
-        assert_eq!(
-            h.get("buckets").and_then(|b| b.get("inf")),
-            Some(&Json::Num(3.0))
         );
         // BTree ordering: "a.count" serialized before "b.count".
         assert!(text.find("a.count") < text.find("b.count"));

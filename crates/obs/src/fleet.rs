@@ -3,7 +3,7 @@
 //! lanes up an aggregation tree, plus the [`FleetCollector`] each
 //! receiving tier uses to absorb and re-merge them.
 //!
-//! ## Envelope wire format (`FSCE`, version 2)
+//! ## Envelope wire format (`FSCE`, version 3)
 //!
 //! An envelope is an optional *prefix* on an uplink payload. All integers
 //! are little-endian:
@@ -11,16 +11,16 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "FSCE"
-//! 4       2     version (2)
+//! 4       2     version (3)
 //! 6       2     section flags (bit 0 ctx, bit 1 metrics, bit 2 spans)
 //! 8       4     total envelope length = offset of the inner payload
 //! 12      ...   sections, in flag-bit order
 //! ```
 //!
-//! The ctx section is 48 fixed bytes. The metrics section is a
-//! length-prefixed snapshot: the counter table, then the histogram table
-//! (string names as `u16` length + UTF-8). Version 1 had a third table
-//! between the two; a version-1 envelope is rejected.
+//! The ctx section is 48 fixed bytes. The metrics section is the
+//! counter table: a `u32` count of (name, `u64` value) pairs, names as
+//! `u16` length + UTF-8. Versions 1 and 2 carried further metric tables
+//! after it; an envelope of either version is rejected.
 //! The spans section is a `u32` count of [`FleetSpan`] records. A
 //! payload that does not start with the magic has no envelope; decoding
 //! never guesses. The 16 high bits of the inner `UplinkMessage` sample
@@ -35,14 +35,14 @@
 //! offset to its parent's clock, so offsets compose transitively up the
 //! tree and the root receives root-clock times directly.
 
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use crate::trace::SpanEvent;
 use std::collections::BTreeMap;
 
 /// Envelope magic bytes.
 pub const ENVELOPE_MAGIC: [u8; 4] = *b"FSCE";
 /// Envelope wire version.
-pub const ENVELOPE_VERSION: u16 = 2;
+pub const ENVELOPE_VERSION: u16 = 3;
 
 const SECT_CTX: u16 = 1 << 0;
 const SECT_METRICS: u16 = 1 << 1;
@@ -304,20 +304,6 @@ fn encode_metrics(snap: &MetricsSnapshot, out: &mut Vec<u8>) {
         encode_str(name, out);
         out.extend_from_slice(&v.to_le_bytes());
     }
-    out.extend_from_slice(&(snap.histograms.len() as u32).to_le_bytes());
-    for (name, h) in &snap.histograms {
-        encode_str(name, out);
-        out.extend_from_slice(&(h.bounds.len() as u32).to_le_bytes());
-        for b in &h.bounds {
-            out.extend_from_slice(&b.to_le_bytes());
-        }
-        out.extend_from_slice(&(h.buckets.len() as u32).to_le_bytes());
-        for b in &h.buckets {
-            out.extend_from_slice(&b.to_le_bytes());
-        }
-        out.extend_from_slice(&h.count.to_le_bytes());
-        out.extend_from_slice(&h.sum.to_le_bytes());
-    }
 }
 
 struct Cursor<'a> {
@@ -362,7 +348,7 @@ impl Cursor<'_> {
 
 fn decode_metrics(cur: &mut Cursor<'_>) -> Result<MetricsSnapshot, &'static str> {
     let mut snap = MetricsSnapshot::default();
-    let cap = cur.bytes.len(); // every entry consumes ≥ 2 bytes; bounds the loops
+    let cap = cur.bytes.len(); // every entry consumes ≥ 2 bytes; bounds the loop
     let n = cur.u32()? as usize;
     if n > cap {
         return Err("counter count exceeds envelope length");
@@ -371,40 +357,6 @@ fn decode_metrics(cur: &mut Cursor<'_>) -> Result<MetricsSnapshot, &'static str>
         let name = cur.string()?;
         let v = cur.u64()?;
         snap.counters.insert(name, v);
-    }
-    let n = cur.u32()? as usize;
-    if n > cap {
-        return Err("histogram count exceeds envelope length");
-    }
-    for _ in 0..n {
-        let name = cur.string()?;
-        let nb = cur.u32()? as usize;
-        if nb > cap {
-            return Err("histogram bound count exceeds envelope length");
-        }
-        let mut bounds = Vec::with_capacity(nb);
-        for _ in 0..nb {
-            bounds.push(cur.u64()?);
-        }
-        let nk = cur.u32()? as usize;
-        if nk > cap {
-            return Err("histogram bucket count exceeds envelope length");
-        }
-        let mut buckets = Vec::with_capacity(nk);
-        for _ in 0..nk {
-            buckets.push(cur.u64()?);
-        }
-        let count = cur.u64()?;
-        let sum = cur.u64()?;
-        snap.histograms.insert(
-            name,
-            HistogramSnapshot {
-                bounds,
-                buckets,
-                count,
-                sum,
-            },
-        );
     }
     Ok(snap)
 }
@@ -533,15 +485,6 @@ mod tests {
     fn demo_metrics() -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("a".to_string(), 3);
-        snap.histograms.insert(
-            "h".to_string(),
-            HistogramSnapshot {
-                bounds: vec![10, 100],
-                buckets: vec![1, 2, 3],
-                count: 6,
-                sum: 99,
-            },
-        );
         snap
     }
 
@@ -609,9 +552,12 @@ mod tests {
         let mut bad_version = bytes.clone();
         bad_version[4] = 0xFF;
         assert!(Envelope::strip(&bad_version).is_err());
-        // Version 1 had a third metrics table; its layout no longer decodes.
-        bad_version[4] = 1;
-        assert!(Envelope::strip(&bad_version).is_err());
+        // Versions 1 and 2 carried more metric tables than the counter
+        // table; neither layout decodes.
+        for old in [1, 2] {
+            bad_version[4] = old;
+            assert!(Envelope::strip(&bad_version).is_err(), "version {old}");
+        }
         let mut bad_flags = bytes.clone();
         bad_flags[6] = 0xFF;
         assert!(Envelope::strip(&bad_flags).is_err());

@@ -1,9 +1,10 @@
 //! # fedsc-obs — observability substrate for the Fed-SC workspace
 //!
 //! Structured tracing (hierarchical spans with static names and typed
-//! key/value fields) plus a metrics registry (counters and fixed-bucket
-//! histograms), with two exporters: Chrome `trace_event` JSON (loadable in
-//! Perfetto / `chrome://tracing`) and a flat JSON metrics snapshot.
+//! key/value fields) plus a metrics registry of counters (time lives in
+//! spans, counts in counters), with two exporters: Chrome `trace_event`
+//! JSON (loadable in Perfetto / `chrome://tracing`) and a flat JSON
+//! metrics snapshot.
 //!
 //! ## Design rules
 //!
@@ -47,5 +48,5 @@ pub mod trace;
 
 pub use clock::{now_ns, Stopwatch};
 pub use fleet::{Envelope, FleetCollector, FleetSpan, TraceContext};
-pub use metrics::{LazyCounter, LazyHistogram, MetricsSnapshot};
+pub use metrics::{LazyCounter, MetricsSnapshot};
 pub use trace::{span, FieldValue, Span, SpanEvent};

@@ -14,7 +14,7 @@
 
 use bytes::Bytes;
 use fed_sc::obs::fleet::{Envelope, FleetCollector, TraceContext};
-use fed_sc::obs::metrics::{HistogramSnapshot, MetricsSnapshot};
+use fed_sc::obs::metrics::MetricsSnapshot;
 use fedsc_transport::{
     DeviceTransport, FaultConfig, FaultyInMemoryTransport, ServerTransport, Transport,
 };
@@ -30,51 +30,18 @@ const NAMES: [&str; 4] = [
     "hier.agg_rounds",
 ];
 
-/// Histogram snapshots whose bounds are drawn from a tiny value pool, so
-/// cross-snapshot merges exercise both coinciding and disjoint bounds.
-fn histogram_snapshot() -> impl Strategy<Value = HistogramSnapshot> {
-    (
-        collection::vec(1u64..8, 0usize..4),
-        collection::vec(0u64..1_000, 5usize),
-        0u64..1_000,
-        0u64..100_000,
-    )
-        .prop_map(|(mut bounds, mut buckets, count, sum)| {
-            bounds.sort_unstable();
-            bounds.dedup();
-            // Shape invariant of a live histogram: one bucket per bound
-            // plus the trailing overflow bucket.
-            buckets.truncate(bounds.len() + 1);
-            HistogramSnapshot {
-                bounds,
-                buckets,
-                count,
-                sum,
-            }
-        })
-}
-
 /// Whole-registry snapshots with per-name presence masks, so merged key
 /// sets genuinely differ between operands.
 fn metrics_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
-    (
-        collection::vec((0u32..2, 0u64..1_000), NAMES.len()),
-        collection::vec((0u32..2, histogram_snapshot()), NAMES.len()),
-    )
-        .prop_map(|(cs, hs)| {
-            let mut snap = MetricsSnapshot::default();
-            for (i, (on, v)) in cs.into_iter().enumerate() {
-                if on == 1 {
-                    snap.counters.insert(NAMES[i].to_string(), v);
-                }
-            }
-            for (i, (on, h)) in hs.into_iter().enumerate() {
-                if on == 1 {
-                    snap.histograms.insert(NAMES[i].to_string(), h);
-                }
-            }
-            snap
-        })
+    collection::vec((0u32..2, 0u64..1_000), NAMES.len()).prop_map(|cs| {
+        let counters = cs
+            .into_iter()
+            .enumerate()
+            .filter(|(_, (on, _))| *on == 1)
+            .map(|(i, (_, v))| (NAMES[i].to_string(), v))
+            .collect();
+        MetricsSnapshot { counters }
+    })
 }
 
 fn merged(a: &MetricsSnapshot, b: &MetricsSnapshot) -> MetricsSnapshot {
@@ -86,40 +53,9 @@ fn merged(a: &MetricsSnapshot, b: &MetricsSnapshot) -> MetricsSnapshot {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Union-of-bounds histogram merge is associative: a tier merging
-    /// (a ⊕ b) then c equals one merging a then (b ⊕ c).
-    #[test]
-    fn histogram_merge_is_associative(
-        a in histogram_snapshot(),
-        b in histogram_snapshot(),
-        c in histogram_snapshot(),
-    ) {
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        prop_assert_eq!(left, right);
-    }
-
-    /// Histogram merge is commutative — sibling arrival order at an
-    /// aggregator cannot change the merged buckets.
-    #[test]
-    fn histogram_merge_is_commutative(
-        a in histogram_snapshot(),
-        b in histogram_snapshot(),
-    ) {
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(ab, ba);
-    }
-
-    /// Snapshot merge (counters and histograms together) is
-    /// associative and commutative.
+    /// Snapshot merge is associative and commutative: a tier merging
+    /// (a ⊕ b) then c equals one merging a then (b ⊕ c), and sibling
+    /// arrival order at an aggregator cannot change the sums.
     #[test]
     fn snapshot_merge_is_associative_and_commutative(
         a in metrics_snapshot(),
@@ -173,22 +109,13 @@ proptest! {
     }
 }
 
-/// Per-process snapshot for simulated device `z`: one shared counter, one
-/// per-device counter, and a histogram with device-dependent
-/// bounds (so the fleet merge must union bounds, not just add).
+/// Per-process snapshot for simulated device `z`: one shared counter
+/// (the fleet merge must add it) and one per-device counter (the merge
+/// must insert it).
 fn device_snapshot(z: usize) -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::default();
     snap.counters.insert("dev.work".to_string(), 100 + z as u64);
     snap.counters.insert(format!("dev.{z}.sends"), 1);
-    snap.histograms.insert(
-        "dev.latency_us".to_string(),
-        HistogramSnapshot {
-            bounds: vec![(z as u64 % 3) + 1, 10],
-            buckets: vec![z as u64, 2, 1],
-            count: z as u64 + 3,
-            sum: 10 * z as u64,
-        },
-    );
     snap
 }
 

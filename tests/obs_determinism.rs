@@ -83,7 +83,7 @@ fn traced_wire_round_is_identical_and_byte_exact() {
     let traced = traced.expect("traced wire round");
     assert!(!events.is_empty(), "traced wire round recorded no spans");
     assert_eq!(plain.predictions, traced.predictions);
-    assert_eq!(plain.excluded, traced.excluded);
+    assert_eq!(plain.excluded(), traced.excluded());
     // The flat round's one tier is the root's accounting.
     let (plain, traced) = (&plain.tiers[0], &traced.tiers[0]);
     assert_eq!(plain.envelope_bytes, 0, "untraced uplinks must ship bare");
