@@ -110,7 +110,7 @@ pub fn spectral_clustering<R: Rng + ?Sized>(
     if n == 0 {
         return Ok((vec![], 0));
     }
-    let span = fedsc_obs::span("fedsc", "spectral").field("n", n as u64);
+    let span = fedsc_obs::span("fedsc", "spectral").field("n", n);
     let (cap, pairs) = match count {
         ClusterCountPolicy::Fixed(r) => (r.clamp(1, n), r.clamp(1, n)),
         ClusterCountPolicy::Eigengap { max, .. } => {
@@ -151,7 +151,7 @@ pub fn spectral_clustering<R: Rng + ?Sized>(
             estimate.max(w.connected_components(1e-9)).clamp(1, cap)
         }
     };
-    let _span = span.field("k", k as u64);
+    let _span = span.field("k", k);
     let labels = embed_and_cluster(&eig, n, k, rng)?;
     Ok((labels, k))
 }

@@ -22,13 +22,14 @@
 //! children's in-band envelopes, estimates its clock offset to the
 //! parent (timed handshake), shifts the whole subtree's spans into the
 //! parent's clock, and forwards them — plus the merged metrics and its
-//! own lane (`100 + --node`) — in-band on its uplink, under run id
-//! `--seed`. Offsets compose transitively, so the root receives
-//! root-clock timestamps directly.
+//! own lane (`100 + --node`, see `fedsc::cli::lane`; so `--node` must be
+//! below 900) — in-band on its uplink, with a trace context linking the
+//! parent's handling span to its collection span. Offsets compose
+//! transitively, so the root receives root-clock timestamps directly.
 
-use fedsc::cli::{self, Flags};
+use fedsc::cli::{self, lane, Flags};
 use fedsc::{aggregator_downlink, aggregator_uplink, AggregatorNode, RoundPolicy, WireTelemetry};
-use fedsc_obs::{FleetCollector, TraceContext};
+use fedsc_obs::FleetCollector;
 use fedsc_transport::{ServerTransport, TcpDevice, TcpOptions, TcpServer};
 use std::io::Write;
 use std::net::SocketAddr;
@@ -39,10 +40,9 @@ struct Args {
     addr: SocketAddr,
     bind: SocketAddr,
     node: usize,
+    pid: u64,
     tier: usize,
-    parent: u64,
     children: usize,
-    seed: u64,
     quorum: Option<usize>,
     deadline_ms: u64,
     telemetry: bool,
@@ -51,20 +51,20 @@ struct Args {
 }
 
 const USAGE: &str = "usage: fedsc-agg --addr HOST:PORT --node N --children Z \
-[--bind 127.0.0.1:0] [--tier 0] [--parent P] [--seed 1] [--quorum N] \
+[--bind 127.0.0.1:0] [--tier 0] [--quorum N] \
 [--deadline-ms 300000] [--telemetry] \
 [--trace-out trace.json] [--metrics-out metrics.json]";
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let flags = Flags::parse(args, USAGE)?;
+    let node = flags.required("--node")?;
     Ok(Args {
         addr: flags.required("--addr")?,
         bind: flags.parsed("--bind", SocketAddr::from(([127, 0, 0, 1], 0)))?,
-        node: flags.required("--node")?,
+        node,
+        pid: lane::aggregator(node)?,
         tier: flags.parsed("--tier", 0)?,
-        parent: flags.parsed("--parent", 0)?,
         children: flags.required("--children")?,
-        seed: flags.parsed("--seed", 1)?,
         quorum: flags.optional("--quorum")?,
         deadline_ms: flags.parsed("--deadline-ms", 300_000)?,
         telemetry: flags.switch("--telemetry"),
@@ -80,7 +80,6 @@ fn run(args: &Args) -> Result<(), String> {
     if args.telemetry || args.trace_out.is_some() {
         fedsc_obs::trace::install_ring(1 << 16);
     }
-    let pid = 100 + args.node as u64;
 
     let mut server = TcpServer::bind(args.bind, TcpOptions::default())
         .map_err(|e| format!("bind failed: {e}"))?;
@@ -100,21 +99,9 @@ fn run(args: &Args) -> Result<(), String> {
         },
     };
     let telemetry = if args.telemetry {
-        WireTelemetry {
-            ctx: Some(TraceContext {
-                run_id: args.seed,
-                round: 0,
-                tier: (args.tier + 1) as u32,
-                node: args.node as u64,
-                parent: args.parent,
-                pid,
-                parent_span: 0,
-            }),
-            ship: true,
-            pid,
-        }
+        WireTelemetry::Ship { pid: args.pid }
     } else {
-        WireTelemetry::default()
+        WireTelemetry::Off
     };
     let mut up = TcpDevice::new(args.addr, args.node, TcpOptions::default());
     let mut fleet = FleetCollector::new();

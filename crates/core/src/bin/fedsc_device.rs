@@ -19,15 +19,15 @@
 //! Fleet telemetry: with `--telemetry` the device estimates its clock
 //! offset to the server (timed handshake), then ships its completed
 //! spans and metrics snapshot **in-band** on the uplink, shifted into
-//! the server's clock, under process lane `1000 + --device`. `--link-id`
-//! is this endpoint's child index on the link it dials (defaults to
-//! `--device`; they differ when dialing a `fedsc-agg` mid-tier), and
-//! `--parent` names that parent node in the trace context.
+//! the server's clock, under process lane `1000 + --device`
+//! (`fedsc::cli::lane`), with a trace context linking the parent's
+//! handling span to the device's local-output span. `--link-id` is this
+//! endpoint's child index on the link it dials (defaults to `--device`;
+//! they differ when dialing a `fedsc-agg` mid-tier).
 
-use fedsc::cli::{self, Flags};
+use fedsc::cli::{self, lane, Flags};
 use fedsc::demo::demo_fixture;
 use fedsc::{device_round, RoundPolicy, WireTelemetry};
-use fedsc_obs::TraceContext;
 use fedsc_transport::{TcpDevice, TcpOptions};
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -36,7 +36,6 @@ struct Args {
     addr: SocketAddr,
     device: usize,
     link_id: Option<usize>,
-    parent: u64,
     devices: usize,
     clusters: usize,
     seed: u64,
@@ -46,7 +45,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: fedsc-device --addr HOST:PORT --device Z \
-[--link-id N] [--parent P] [--devices 12] [--clusters 3] [--seed 1] \
+[--link-id N] [--devices 12] [--clusters 3] [--seed 1] \
 [--telemetry] [--trace-out trace.json] [--metrics-out metrics.json]";
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
@@ -55,7 +54,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         addr: flags.required("--addr")?,
         device: flags.required("--device")?,
         link_id: flags.optional("--link-id")?,
-        parent: flags.parsed("--parent", 0)?,
         devices: flags.parsed("--devices", 12)?,
         clusters: flags.parsed("--clusters", 3)?,
         seed: flags.parsed("--seed", 1)?,
@@ -77,23 +75,12 @@ fn run(args: &Args) -> Result<(), String> {
     }
     let (fed, cfg) = demo_fixture(args.seed, args.devices, args.clusters);
     let link_id = args.link_id.unwrap_or(args.device);
-    let pid = 1000 + args.device as u64;
     let telemetry = if args.telemetry {
-        WireTelemetry {
-            ctx: Some(TraceContext {
-                run_id: args.seed,
-                round: 0,
-                tier: 0,
-                node: link_id as u64,
-                parent: args.parent,
-                pid,
-                parent_span: 0,
-            }),
-            ship: true,
-            pid,
+        WireTelemetry::Ship {
+            pid: lane::device(args.device),
         }
     } else {
-        WireTelemetry::default()
+        WireTelemetry::Off
     };
     let mut link = TcpDevice::new(args.addr, link_id, TcpOptions::default());
     let predictions = device_round(

@@ -26,16 +26,16 @@
 //! `chrome://tracing`); `--metrics-out <path>` writes the flat
 //! `fedsc_obs` metrics snapshot (wire/transport counters) as JSON.
 //!
-//! Fleet telemetry: with `--telemetry` the server absorbs the in-band
-//! envelopes its children attached (`--telemetry` on `fedsc-device` /
-//! `fedsc-agg`). `--fleet-trace-out <path>` writes ONE merged Chrome
-//! trace with a `pid` lane per process, all timestamps in this root's
-//! clock; `--fleet-metrics-out <path>` writes the fleet-wide merged
-//! metrics snapshot. `envelope_bytes` in the summary is the exact uplink
+//! Fleet telemetry: the server always absorbs the in-band envelopes its
+//! children attach (`--telemetry` on `fedsc-device` / `fedsc-agg`).
+//! `--fleet-trace-out <path>` writes ONE merged Chrome trace with a `pid`
+//! lane per process (`fedsc::cli::lane`), this root's own spans in lane 1
+//! included, all timestamps in this root's clock; `--fleet-metrics-out
+//! <path>` writes the fleet-wide merged metrics snapshot. `envelope_bytes` in the summary is the exact uplink
 //! payload overhead the telemetry added (always 0 when children ship
 //! nothing).
 
-use fedsc::cli::{self, Flags};
+use fedsc::cli::{self, lane, Flags};
 use fedsc::demo::demo_fixture;
 use fedsc::{server_round, RoundPolicy};
 use fedsc_obs::FleetCollector;
@@ -52,7 +52,6 @@ struct Args {
     seed: u64,
     quorum: Option<usize>,
     deadline_ms: u64,
-    telemetry: bool,
     trace_out: Option<String>,
     metrics_out: Option<String>,
     fleet_trace_out: Option<String>,
@@ -60,7 +59,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: fedsc-server [--addr 127.0.0.1:0] [--devices 12] \
-[--clusters 3] [--seed 1] [--quorum N] [--deadline-ms 300000] [--telemetry] \
+[--clusters 3] [--seed 1] [--quorum N] [--deadline-ms 300000] \
 [--trace-out trace.json] [--metrics-out metrics.json] \
 [--fleet-trace-out fleet.json] [--fleet-metrics-out fleet-metrics.json]";
 
@@ -73,22 +72,11 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         seed: flags.parsed("--seed", 1)?,
         quorum: flags.optional("--quorum")?,
         deadline_ms: flags.parsed("--deadline-ms", 300_000)?,
-        telemetry: flags.switch("--telemetry"),
         trace_out: flags.optional("--trace-out")?,
         metrics_out: flags.optional("--metrics-out")?,
         fleet_trace_out: flags.optional("--fleet-trace-out")?,
         fleet_metrics_out: flags.optional("--fleet-metrics-out")?,
     })
-}
-
-/// Human-readable lane name for the fleet trace's process metadata.
-fn lane_name(pid: u64) -> String {
-    match pid {
-        1 => "root".to_string(),
-        p if p >= 1000 => format!("device-{}", p - 1000),
-        p if p >= 100 => format!("agg-{}", p - 100),
-        p => format!("proc-{p}"),
-    }
 }
 
 /// Exports local and fleet-merged observability to the requested paths.
@@ -99,10 +87,10 @@ fn write_observability(args: &Args, mut fleet: FleetCollector) -> Result<(), Str
     }
     // The root's own lane and registry join the absorbed subtree before
     // the merged exports; timestamps are already in this clock.
-    fleet.add_local_events(&events, 1);
+    fleet.add_local_events(&events, lane::ROOT);
     fleet.merge_metrics(&fedsc_obs::metrics::snapshot());
     if let Some(path) = &args.fleet_trace_out {
-        let names: Vec<(u64, String)> = fleet.pids().iter().map(|&p| (p, lane_name(p))).collect();
+        let names: Vec<(u64, String)> = fleet.pids().iter().map(|&p| (p, lane::name(p))).collect();
         let trace = fedsc_obs::export::fleet_chrome_trace_json(&fleet.spans, &names);
         std::fs::write(path, trace).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
@@ -117,7 +105,7 @@ fn run(args: &Args) -> Result<(), String> {
     if args.devices == 0 {
         return Err("--devices must be positive".into());
     }
-    if args.telemetry || args.trace_out.is_some() {
+    if args.trace_out.is_some() || args.fleet_trace_out.is_some() {
         fedsc_obs::trace::install_ring(1 << 16);
     }
     // Only the config matters server-side; regenerating the full fixture

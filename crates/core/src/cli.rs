@@ -1,5 +1,5 @@
-//! Command-line flags and observability exports shared by the process
-//! binaries (`fedsc-server`, `fedsc-agg`, `fedsc-device`).
+//! Command-line flags, process lanes and observability exports shared by
+//! the process binaries (`fedsc-server`, `fedsc-agg`, `fedsc-device`).
 //!
 //! A command line is `--name value` pairs and bare `--switch`es. The
 //! binary's usage string declares them: a flag followed by a placeholder
@@ -90,6 +90,45 @@ impl Flags {
     }
 }
 
+/// Process lanes: the Chrome `pid` each process records its spans under
+/// in a fleet trace. The root is lane 1, aggregator `n` lane `100 + n`
+/// and device `z` lane `1000 + z`; the in-process tree records every
+/// role in the root's lane.
+pub mod lane {
+    /// The root's lane.
+    pub const ROOT: u64 = 1;
+    const AGGREGATORS: u64 = 100;
+    const DEVICES: u64 = 1000;
+
+    /// Aggregator `node`'s lane. A node index of 900 or more would land
+    /// in the device lanes, so it is an error.
+    pub fn aggregator(node: usize) -> Result<u64, String> {
+        if (node as u64) < DEVICES - AGGREGATORS {
+            Ok(AGGREGATORS + node as u64)
+        } else {
+            Err(format!(
+                "--node {node} must be below {}: its lane would be a device's",
+                DEVICES - AGGREGATORS
+            ))
+        }
+    }
+
+    /// Device `z`'s lane.
+    pub fn device(z: usize) -> u64 {
+        DEVICES + z as u64
+    }
+
+    /// The lane's process name in a merged trace.
+    pub fn name(pid: u64) -> String {
+        match pid {
+            ROOT => "root".to_string(),
+            p if p >= DEVICES => format!("device-{}", p - DEVICES),
+            p if p >= AGGREGATORS => format!("agg-{}", p - AGGREGATORS),
+            p => format!("proc-{p}"),
+        }
+    }
+}
+
 /// Stops tracing and writes this process's spans to `trace_out` (Chrome
 /// `trace_event` JSON) and its metrics snapshot to `metrics_out` (flat
 /// JSON), each when requested. Returns the spans, for a caller that also
@@ -157,6 +196,22 @@ mod tests {
         for line in ["--devices 4 --devices 5", "--telemetry --telemetry"] {
             let err = parse(line).unwrap_err();
             assert!(err.contains("given more than once"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn lanes_are_disjoint_and_named_by_role() {
+        assert_eq!(lane::name(lane::ROOT), "root");
+        assert_eq!(lane::aggregator(0), Ok(100));
+        assert_eq!(lane::name(100), "agg-0");
+        assert_eq!(lane::aggregator(899), Ok(999));
+        assert_eq!(lane::name(999), "agg-899");
+        assert_eq!(lane::device(0), 1000);
+        assert_eq!(lane::name(lane::device(7)), "device-7");
+        // Node 900 would take device 0's lane and its name.
+        for node in [900, 901, usize::MAX] {
+            let err = lane::aggregator(node).unwrap_err();
+            assert!(err.contains("must be below 900"), "{node}: {err}");
         }
     }
 

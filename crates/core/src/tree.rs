@@ -64,6 +64,7 @@
 //! children owns `[C*p/P, C*(p+1)/P)`. Widths must be non-increasing so
 //! every parent owns at least one child.
 
+use crate::cli::lane;
 use crate::config::FedScConfig;
 use crate::local::LocalOutput;
 use crate::round::Fanin;
@@ -73,7 +74,7 @@ use crate::wire::{
 };
 use fedsc_federated::partition::FederatedDataset;
 use fedsc_linalg::{LinalgError, Result};
-use fedsc_obs::{FleetCollector, Stopwatch, TraceContext};
+use fedsc_obs::{FleetCollector, Stopwatch};
 use fedsc_transport::{LinkStats, ServerTransport, Transport};
 use std::ops::Range;
 
@@ -245,34 +246,15 @@ pub fn run_hier_round<T: Transport>(
     let _span = fedsc_obs::span("hier", "hier.run")
         .field("devices", z_count)
         .field("tiers", num_tiers);
-    // With tracing on, every uplink carries its causal context in-band;
-    // spans and metrics stay in the shared ring and registry. Tracing off
-    // attaches nothing, keeping the payloads byte-identical.
-    let traced = fedsc_obs::trace::is_enabled();
-    let telemetry = |tier: usize, node: usize, parent: usize| WireTelemetry {
-        ctx: traced.then_some(TraceContext {
-            run_id: cfg.seed,
-            round: 0,
-            tier: tier as u32,
-            node: node as u64,
-            parent: parent as u64,
-            pid: 1,
-            parent_span: 0,
-        }),
-        ..WireTelemetry::default()
+    // With tracing on, every uplink links to its sender's span in-band;
+    // spans and metrics stay in the shared ring and registry, all in the
+    // root's lane. Tracing off attaches nothing, keeping the payloads
+    // byte-identical.
+    let telemetry = if fedsc_obs::trace::is_enabled() {
+        WireTelemetry::Link { pid: lane::ROOT }
+    } else {
+        WireTelemetry::Off
     };
-    // Parent index of every node below the root, per level.
-    let parent_of: Vec<Vec<usize>> = (0..num_tiers)
-        .map(|t| {
-            let mut v = vec![0usize; widths[t]];
-            for p in 0..widths[t + 1] {
-                for c in topology.children_range(t, p) {
-                    v[c] = p;
-                }
-            }
-            v
-        })
-        .collect();
     let mut tier_wall_ns = vec![0u64; num_tiers];
     let mut tier_env_bytes = vec![0usize; num_tiers];
 
@@ -313,7 +295,7 @@ pub fn run_hier_round<T: Transport>(
             cfg,
             &mut child_links[0][z],
             policy,
-            &telemetry(0, z, parent_of[0][z]),
+            &telemetry,
         )?;
     }
     tier_wall_ns[0] += stage0_sw.elapsed_ns();
@@ -366,7 +348,7 @@ pub fn run_hier_round<T: Transport>(
                     &node,
                     &silent(p),
                     &mut tier_fleet,
-                    &telemetry(t + 1, p, parent_of[t + 1][p]),
+                    &telemetry,
                 )?;
                 agg_states[t][p] = fanin.map(|f| (node, f));
             }

@@ -79,23 +79,28 @@ static HIER_AGG_ROUNDS: LazyCounter = LazyCounter::new("hier.agg_rounds");
 static HIER_SUBTREES_FAILED: LazyCounter = LazyCounter::new("hier.subtrees_failed");
 
 /// Telemetry posture of one sending round: what (if anything) rides
-/// in-band on the uplink. The default attaches nothing, keeping the
-/// payload byte-identical to an untraced round.
-#[derive(Debug, Clone, Default)]
-pub struct WireTelemetry {
-    /// Causal context stamped onto the uplink envelope. Its
-    /// `parent_span` is overwritten with the id of the sender's completed
-    /// local-output (device) or collection (aggregator) span, so the
-    /// receiver's handling span records a parent that actually ships.
-    pub ctx: Option<TraceContext>,
-    /// Also ship this process's completed spans and a metrics snapshot
-    /// in-band, shifted into the parent's clock via
-    /// [`DeviceTransport::clock_sync`]. Real-process mode only —
-    /// in-process drivers share one ring and registry, and shipping
-    /// would double-count both.
-    pub ship: bool,
-    /// Process lane (Chrome `pid`) for shipped spans.
-    pub pid: u64,
+/// in-band on the uplink, and the sender's process lane (Chrome `pid`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireTelemetry {
+    /// Attach nothing, keeping the payload byte-identical to an untraced
+    /// round.
+    Off,
+    /// Stamp a [`TraceContext`]: lane `pid` and the id of the sender's
+    /// completed local-output (device) or collection (aggregator) span,
+    /// which the receiver's handling span records as its parent.
+    Link {
+        /// The sender's lane.
+        pid: u64,
+    },
+    /// Link, and also ship this process's completed spans (under lane
+    /// `pid`) and a metrics snapshot, shifted into the parent's clock via
+    /// [`DeviceTransport::clock_sync`]. Real-process mode only:
+    /// in-process drivers share one ring and registry, and shipping would
+    /// double-count both.
+    Ship {
+        /// The sender's lane.
+        pid: u64,
+    },
 }
 
 /// Straggler and reliability policy of every node in a round.
@@ -171,11 +176,11 @@ fn send_within_budget(
 /// or `None` when the uplink was lost despite the retry budget (the
 /// device is then a straggler its parent's quorum accounts for).
 ///
-/// `telemetry` sets what rides in-band on the uplink: the default posture
-/// attaches nothing; otherwise the payload is prefixed with an
-/// [`Envelope`] carrying the round's [`TraceContext`] and — in
-/// real-process mode — the device's completed spans (shifted into the
-/// parent's clock) and metrics snapshot.
+/// `telemetry` sets what rides in-band on the uplink: `Off` attaches
+/// nothing; otherwise the payload is prefixed with an [`Envelope`]
+/// carrying a [`TraceContext`] that links to the device's
+/// `wire.local_output` span and — with `Ship` — the device's completed
+/// spans (shifted into the parent's clock) and metrics snapshot.
 ///
 /// Deterministic given `(cfg.seed, z)` — the transport carries opaque
 /// bytes and cannot perturb the clustering.
@@ -244,11 +249,12 @@ pub fn device_round<D: DeviceTransport>(
 }
 
 /// Prefixes an encoded uplink with the round's telemetry envelope. With
-/// the default (empty) posture the payload is returned untouched; with
-/// `ship` set, the link's clock offset is estimated first, and `fleet` —
-/// whatever the sender absorbed from its own children, plus this
-/// process's completed spans and metrics — ships shifted into the
-/// receiver's clock, so offsets compose transitively up a tree.
+/// [`WireTelemetry::Off`] the payload is returned untouched; with `Ship`,
+/// the link's clock offset is estimated first, and `fleet` — whatever the
+/// sender absorbed from its own children, plus this process's completed
+/// spans and metrics — ships shifted into the receiver's clock, so
+/// offsets compose transitively up a tree. `parent_span` is the sender's
+/// span the receiver links to.
 fn wrap_uplink<D: DeviceTransport>(
     inner: Bytes,
     link: &mut D,
@@ -256,27 +262,21 @@ fn wrap_uplink<D: DeviceTransport>(
     parent_span: u64,
     fleet: &mut FleetCollector,
 ) -> Result<Bytes> {
-    let ctx = telemetry.ctx.map(|mut c| {
-        c.parent_span = parent_span;
-        c
-    });
-    let env = if telemetry.ship {
-        let offset = link.clock_sync().map_err(wire_err)?;
-        fleet.add_local_events(&fedsc_obs::trace::drain(), telemetry.pid);
-        fleet.merge_metrics(&fedsc_obs::metrics::snapshot());
-        fleet.shift(offset);
-        fleet.to_envelope(ctx)
-    } else {
-        Envelope {
-            ctx,
+    let env = match *telemetry {
+        WireTelemetry::Off => return Ok(inner),
+        WireTelemetry::Link { pid } => Envelope {
+            ctx: Some(TraceContext { pid, parent_span }),
             ..Envelope::default()
+        },
+        WireTelemetry::Ship { pid } => {
+            let offset = link.clock_sync().map_err(wire_err)?;
+            fleet.add_local_events(&fedsc_obs::trace::drain(), pid);
+            fleet.merge_metrics(&fedsc_obs::metrics::snapshot());
+            fleet.shift(offset);
+            fleet.to_envelope(Some(TraceContext { pid, parent_span }))
         }
     };
-    if env.is_empty() {
-        Ok(inner)
-    } else {
-        Ok(Bytes::from(env.wrap(inner.as_slice())))
-    }
+    Ok(Bytes::from(env.wrap(inner.as_slice())))
 }
 
 /// Where an aggregator sits in the tree and the policy it runs under.
@@ -303,8 +303,8 @@ pub struct AggregatorNode {
 ///
 /// Returns the routing state [`aggregator_downlink`] needs, or `None`
 /// when the subtree failed: a quorum miss or a lost forward. Every child
-/// envelope is absorbed into `fleet`; with `telemetry.ship` the whole
-/// subtree's telemetry rides on the forward.
+/// envelope is absorbed into `fleet`; with [`WireTelemetry::Ship`] the
+/// whole subtree's telemetry rides on the forward.
 pub fn aggregator_uplink<S: ServerTransport, D: DeviceTransport>(
     children: &mut S,
     parent: &mut D,
@@ -391,8 +391,8 @@ pub fn aggregator_downlink<S: ServerTransport, D: DeviceTransport>(
 /// unanswered — missing at the deadline, or whose downlink was lost —
 /// empty on a clean run.
 ///
-/// With a `fleet` collector, every uplink envelope's context, spans, and
-/// metrics land in it (and its `envelope_bytes` tallies the exact payload
+/// With a `fleet` collector, every uplink envelope's spans and metrics
+/// land in it (and its `envelope_bytes` tallies the exact payload
 /// overhead), ready to export at the root; `None` strips and discards
 /// envelopes.
 ///
@@ -446,7 +446,7 @@ pub fn server_round<S: ServerTransport>(
 /// Each payload's optional [`Envelope`] prefix is stripped before the
 /// uplink decoder sees it, the per-uplink span records the sender's span
 /// as its remote parent, and — when a `fleet` collector is given — the
-/// envelope's spans, metrics, and context are absorbed. A payload carrying
+/// envelope's spans and metrics are absorbed. A payload carrying
 /// the envelope magic but failing to decode is an error (never fed to the
 /// inner decoder); a payload without the magic passes through untouched.
 fn collect_uplinks<S: ServerTransport>(
@@ -528,6 +528,7 @@ pub fn run_over_wire(fed: &FederatedDataset, cfg: &FedScConfig) -> Result<WireRu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::lane;
     use crate::config::{CentralBackend, FedScConfig};
     use crate::scheme::FedSc;
     use fedsc_federated::partition::{partition_dataset, Partition};
@@ -611,7 +612,7 @@ mod tests {
             &cfg,
             link,
             &policy,
-            &WireTelemetry::default(),
+            &WireTelemetry::Off,
         )
         .expect("device step on the seed-1 fixture")
         .expect("the lossless link delivers the uplink");
@@ -740,14 +741,7 @@ mod tests {
                 handles.push((
                     z,
                     scope.spawn(move || {
-                        device_round(
-                            &device.data,
-                            z,
-                            cfg,
-                            &mut link,
-                            policy,
-                            &WireTelemetry::default(),
-                        )
+                        device_round(&device.data, z, cfg, &mut link, policy, &WireTelemetry::Off)
                     }),
                 ));
             }
@@ -801,15 +795,11 @@ mod tests {
             samples: Matrix::from_columns(&cols).expect("2x2 sample matrix"),
         };
         let inner = msg.encode();
-        let ctx = TraceContext {
-            run_id: 9,
-            node: 0,
-            pid: 1000,
-            parent_span: 77,
-            ..TraceContext::default()
-        };
         let env = Envelope {
-            ctx: Some(ctx),
+            ctx: Some(TraceContext {
+                pid: lane::device(0),
+                parent_span: 77,
+            }),
             ..Envelope::default()
         };
         devices[0]
@@ -833,7 +823,6 @@ mod tests {
             assert_eq!(m.col(0), &[1.0, 2.0], "uplink {z} col 0");
             assert_eq!(m.col(1), &[3.0, 4.0], "uplink {z} col 1");
         }
-        assert_eq!(fleet.contexts, vec![ctx]);
         assert_eq!(fleet.envelope_bytes, env.encoded_len());
     }
 
@@ -876,15 +865,7 @@ mod tests {
                 handles.push((
                     z,
                     scope.spawn(move || {
-                        let telemetry = WireTelemetry {
-                            ctx: Some(TraceContext {
-                                run_id: cfg.seed,
-                                node: z as u64,
-                                pid: 1,
-                                ..TraceContext::default()
-                            }),
-                            ..WireTelemetry::default()
-                        };
+                        let telemetry = WireTelemetry::Link { pid: lane::ROOT };
                         device_round(&device.data, z, cfg, &mut link, policy, &telemetry)
                     }),
                 ));
@@ -921,8 +902,8 @@ mod tests {
             ..Envelope::default()
         }
         .encoded_len();
+        assert_eq!(per_ctx, 28);
         assert_eq!(fleet.envelope_bytes, per_ctx * z_count);
-        assert_eq!(fleet.contexts.len(), z_count);
         let gathered: Vec<Vec<usize>> = gathered
             .into_iter()
             .map(|v| v.expect("every device reported"))
@@ -963,14 +944,7 @@ mod tests {
                 handles.push((
                     z,
                     scope.spawn(move || {
-                        device_round(
-                            &device.data,
-                            z,
-                            cfg,
-                            &mut link,
-                            policy,
-                            &WireTelemetry::default(),
-                        )
+                        device_round(&device.data, z, cfg, &mut link, policy, &WireTelemetry::Off)
                     }),
                 ));
             }

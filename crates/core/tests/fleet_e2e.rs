@@ -15,7 +15,8 @@
 //!   exactly the 16-byte timed-handshake ack surplus per child
 //!   connection. Nothing else moves.
 //! * **One merged trace at the root** — the fleet trace carries a `pid`
-//!   lane per process, passes the cross-process causality validator
+//!   lane per process (the root's own included, though the root has no
+//!   telemetry switch), passes the cross-process causality validator
 //!   (every remote parent resolves, no child starts before its parent
 //!   after clock-offset correction), and the fleet metrics snapshot
 //!   contains work the root never did itself (the devices' local SSC).
@@ -23,6 +24,7 @@
 use fedsc::demo::demo_fixture;
 use fedsc::FedSc;
 use fedsc_clustering::clustering_accuracy;
+use fedsc_obs::export::{parse_json, Json};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -115,21 +117,22 @@ fn counter_in(json: &str, name: &str) -> u64 {
 }
 
 fn run_fleet(telemetry: bool, dir: &Path) -> FleetRun {
-    let common = |extra: &mut Vec<String>| {
-        extra.extend(["--seed".into(), SEED.to_string()]);
+    let telemetry_flag = |args: &mut Vec<String>| {
         if telemetry {
-            extra.push("--telemetry".into());
+            args.push("--telemetry".into());
         }
     };
 
-    // Root sees the two aggregators as its fan-in of "devices".
+    // Root sees the two aggregators as its fan-in of "devices". It has no
+    // telemetry switch: asking for a fleet trace records its own lane.
     let mut root_args: Vec<String> = vec![
         "--devices".into(),
         AGGS.to_string(),
         "--clusters".into(),
         CLUSTERS.to_string(),
+        "--seed".into(),
+        SEED.to_string(),
     ];
-    common(&mut root_args);
     if telemetry {
         for (flag, file) in [
             ("--fleet-trace-out", "fleet-trace.json"),
@@ -154,7 +157,7 @@ fn run_fleet(telemetry: bool, dir: &Path) -> FleetRun {
                 "--children".into(),
                 FAN.to_string(),
             ];
-            common(&mut args);
+            telemetry_flag(&mut args);
             spawn_listener(AGG_BIN, &args)
         })
         .collect();
@@ -169,14 +172,14 @@ fn run_fleet(telemetry: bool, dir: &Path) -> FleetRun {
                 z.to_string(),
                 "--link-id".into(),
                 (z % FAN).to_string(),
-                "--parent".into(),
-                p.to_string(),
                 "--devices".into(),
                 DEVICES.to_string(),
                 "--clusters".into(),
                 CLUSTERS.to_string(),
+                "--seed".into(),
+                SEED.to_string(),
             ];
-            common(&mut args);
+            telemetry_flag(&mut args);
             Command::new(DEVICE_BIN)
                 .args(&args)
                 .stdout(Stdio::piped())
@@ -302,6 +305,18 @@ fn fleet_round_merges_telemetry_without_perturbing_the_clustering() {
         edges >= DEVICES + AGGS,
         "expected at least {} causal edges, got {edges}",
         DEVICES + AGGS
+    );
+    // The root records its own round in lane 1 without a telemetry switch.
+    let doc = parse_json(&trace).expect("fleet trace parses");
+    let Some(Json::Arr(trace_events)) = doc.get("traceEvents") else {
+        panic!("fleet trace has no traceEvents array");
+    };
+    assert!(
+        trace_events.iter().any(|e| {
+            e.get("name") == Some(&Json::Str("wire.server_round".to_string()))
+                && e.get("pid") == Some(&Json::Num(1.0))
+        }),
+        "no pid-1 wire.server_round event in the merged trace"
     );
     for lane in ["root", "agg-0", "agg-1"] {
         assert!(

@@ -11,11 +11,15 @@
 //!   `xtask validate-trace` validator.
 //! * Root coverage in a tree — the root of a two-tier round records the
 //!   same three phase spans inside its `wire.server_round`.
+//! * Parent links — every receiver's `wire.uplink` span records the
+//!   sender's lane and the span id its trace context carried.
 
+use fedsc::cli::lane;
 use fedsc::demo::demo_fixture;
 use fedsc::{run_hier_round, run_round, HierTopology, RoundPolicy};
 use fedsc_obs::metrics::snapshot;
 use fedsc_transport::{InMemoryTransport, TcpTransport};
+use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Serializes tests in this binary: the metrics registry and the trace
@@ -152,6 +156,47 @@ fn traced_tree_root_records_all_three_phases() {
         let n = events.iter().filter(|e| e.name == half).count();
         assert_eq!(n, 2, "expected one {half} span per aggregator");
     }
+}
+
+#[test]
+fn uplink_spans_link_to_the_senders_shipped_span() {
+    let _g = guard();
+    let (fed, cfg) = demo_fixture(7, 8, 3);
+    let topology = HierTopology::new(8, vec![2]).expect("8→2→root tree");
+
+    fedsc_obs::trace::install_ring(1 << 14);
+    let out = run_hier_round(
+        &fed,
+        &cfg,
+        &topology,
+        &InMemoryTransport,
+        &RoundPolicy::default(),
+        &[],
+    )
+    .expect("traced two-tier round");
+    let events = fedsc_obs::trace::uninstall();
+    assert!(out.excluded().is_empty(), "clean run excluded devices");
+
+    // A device's context carries its `wire.local_output` span, an
+    // aggregator's its `hier.agg_uplink` span; in process every sender is
+    // in the root's lane.
+    let shipped: BTreeSet<u64> = events
+        .iter()
+        .filter(|e| e.name == "wire.local_output" || e.name == "hier.agg_uplink")
+        .map(|e| e.id)
+        .collect();
+    let links: Vec<(u64, u64)> = events
+        .iter()
+        .filter(|e| e.name == "wire.uplink")
+        .map(|e| (e.parent_pid, e.parent))
+        .collect();
+    assert_eq!(links.len(), 8 + 2, "one uplink per device and aggregator");
+    assert!(
+        links.iter().all(|&(pid, _)| pid == lane::ROOT),
+        "uplink parents outside the root's lane: {links:?}"
+    );
+    let parents: BTreeSet<u64> = links.iter().map(|&(_, id)| id).collect();
+    assert_eq!(parents, shipped, "each uplink links to its sender's span");
 }
 
 #[test]

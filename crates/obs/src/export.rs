@@ -9,7 +9,7 @@
 
 use crate::fleet::FleetSpan;
 use crate::metrics::MetricsSnapshot;
-use crate::trace::{FieldValue, SpanEvent};
+use crate::trace::SpanEvent;
 use std::fmt::Write as _;
 
 /// Escapes a string into a JSON string body (no surrounding quotes).
@@ -34,34 +34,11 @@ fn push_us(ns: u64, out: &mut String) {
     let _ = write!(out, "{}.{:03}", ns / 1000, ns % 1000);
 }
 
-fn push_field_value(v: &FieldValue, out: &mut String) {
-    match v {
-        FieldValue::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        FieldValue::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        FieldValue::F64(x) if x.is_finite() => {
-            let _ = write!(out, "{x}");
-        }
-        FieldValue::F64(_) => out.push_str("null"),
-        FieldValue::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        FieldValue::Str(s) => {
-            out.push('"');
-            escape_json(s, out);
-            out.push('"');
-        }
-    }
-}
-
 /// Emits one complete (`"ph":"X"`) event. `args` holds the span-identity
 /// keys (`span_id`, and for parented spans `parent_span`/`parent_pid`;
-/// none for id 0, a pre-identity or synthetic event) followed by
-/// `fields`, and is left out when both are empty.
-fn push_x_event(s: &FleetSpan, fields: &[(&str, FieldValue)], out: &mut String) {
+/// none for id 0, a pre-identity or synthetic event) followed by the
+/// count `fields`, and is left out when both are empty.
+fn push_x_event(s: &FleetSpan, fields: &[(&str, u64)], out: &mut String) {
     out.push_str("{\"name\":\"");
     escape_json(&s.name, out);
     out.push_str("\",\"cat\":\"");
@@ -89,8 +66,7 @@ fn push_x_event(s: &FleetSpan, fields: &[(&str, FieldValue)], out: &mut String) 
             }
             out.push('"');
             escape_json(key, out);
-            out.push_str("\":");
-            push_field_value(value, out);
+            let _ = write!(out, "\":{value}");
         }
         out.push('}');
     }
@@ -409,7 +385,8 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 /// Validates that `text` is well-formed Chrome `trace_event` JSON: a root
 /// object with a `traceEvents` array whose entries each carry a string
 /// `name`, string `ph`, and numeric `ts` (plus numeric `dur` for `"X"`
-/// complete events). Returns the event count.
+/// complete events, whose `args`, when present, are all counts:
+/// non-negative integers). Returns the event count.
 pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
     let doc = parse_json(text)?;
     let events = match doc.get("traceEvents") {
@@ -438,6 +415,17 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
             match obj.get("dur") {
                 Some(Json::Num(d)) if d.is_finite() && *d >= 0.0 => {}
                 _ => return Err(format!("traceEvents[{i}] is `X` without a finite `dur`")),
+            }
+            let args = match obj.get("args") {
+                None => &[][..],
+                Some(Json::Obj(args)) => &args[..],
+                Some(_) => return Err(format!("traceEvents[{i}] has non-object `args`")),
+            };
+            for (key, value) in args {
+                match value {
+                    Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => {}
+                    _ => return Err(format!("traceEvents[{i}] arg `{key}` is not a count")),
+                }
             }
         }
     }
@@ -527,12 +515,7 @@ mod tests {
             parent_pid: 0,
             start_ns: 1_234_567,
             dur_ns: 89_012,
-            fields: vec![
-                ("device", FieldValue::U64(3)),
-                ("backend", FieldValue::Str("ssc")),
-                ("ok", FieldValue::Bool(true)),
-                ("rho", FieldValue::F64(0.5)),
-            ],
+            fields: vec![("device", 3), ("samples", 40)],
         }
     }
 
@@ -543,24 +526,54 @@ mod tests {
         // Microsecond conversion: 1_234_567 ns = 1234.567 us.
         assert!(text.contains("\"ts\":1234.567"), "{text}");
         assert!(text.contains("\"dur\":89.012"), "{text}");
-        assert!(
-            text.contains("\"args\":{\"device\":3,\"backend\":\"ssc\",\"ok\":true,\"rho\":0.5}")
+        assert!(text.contains("\"args\":{\"device\":3,\"samples\":40}"));
+    }
+
+    #[test]
+    fn count_fields_export_exactly() {
+        // The whole document, pinned: identity args first, then the counts
+        // in recording order, as trace readers expect them.
+        let ev = SpanEvent {
+            id: 5,
+            parent: 3,
+            ..demo_event()
+        };
+        assert_eq!(
+            chrome_trace_json(&[ev]),
+            "{\"traceEvents\":[{\"name\":\"local.ssc\",\"cat\":\"phase\",\"ph\":\"X\",\
+             \"ts\":1234.567,\"dur\":89.012,\"pid\":1,\"tid\":2,\"args\":{\"span_id\":5,\
+             \"parent_span\":3,\"parent_pid\":1,\"device\":3,\"samples\":40}}],\
+             \"displayTimeUnit\":\"ms\"}"
         );
+    }
+
+    #[test]
+    fn validator_rejects_args_that_are_not_counts() {
+        let event = |args: &str| {
+            format!(
+                "{{\"traceEvents\":[{{\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"dur\":1,\"args\":{args}}}]}}"
+            )
+        };
+        assert_eq!(validate_chrome_trace(&event("{\"n\":3}")), Ok(1));
+        for (args, why) in [
+            ("{\"rho\":0.5}", "float"),
+            ("{\"n\":-1}", "negative"),
+            ("{\"ok\":true}", "bool"),
+            ("{\"backend\":\"ssc\"}", "string"),
+            ("{\"bad\":null}", "null"),
+            ("[1]", "args not an object"),
+        ] {
+            assert!(validate_chrome_trace(&event(args)).is_err(), "{why}");
+        }
+        // Metadata events keep their string names.
+        let names = fleet_chrome_trace_json(&[], &[(1, "root".to_string())]);
+        assert_eq!(validate_chrome_trace(&names), Ok(1));
     }
 
     #[test]
     fn empty_trace_is_valid() {
         let text = chrome_trace_json(&[]);
         assert_eq!(validate_chrome_trace(&text), Ok(0));
-    }
-
-    #[test]
-    fn nonfinite_field_values_become_null() {
-        let mut ev = demo_event();
-        ev.fields = vec![("bad", FieldValue::F64(f64::NAN))];
-        let text = chrome_trace_json(&[ev]);
-        assert!(text.contains("\"bad\":null"), "{text}");
-        assert_eq!(validate_chrome_trace(&text), Ok(1));
     }
 
     #[test]

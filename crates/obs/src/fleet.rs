@@ -3,7 +3,7 @@
 //! lanes up an aggregation tree, plus the [`FleetCollector`] each
 //! receiving tier uses to absorb and re-merge them.
 //!
-//! ## Envelope wire format (`FSCE`, version 3)
+//! ## Envelope wire format (`FSCE`, version 4)
 //!
 //! An envelope is an optional *prefix* on an uplink payload. All integers
 //! are little-endian:
@@ -11,16 +11,18 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "FSCE"
-//! 4       2     version (3)
+//! 4       2     version (4)
 //! 6       2     section flags (bit 0 ctx, bit 1 metrics, bit 2 spans)
 //! 8       4     total envelope length = offset of the inner payload
 //! 12      ...   sections, in flag-bit order
 //! ```
 //!
-//! The ctx section is 48 fixed bytes. The metrics section is the
-//! counter table: a `u32` count of (name, `u64` value) pairs, names as
-//! `u16` length + UTF-8. Versions 1 and 2 carried further metric tables
-//! after it; an envelope of either version is rejected.
+//! The ctx section is 16 fixed bytes: the sender's lane and span id
+//! (`u64` each), so a ctx-only envelope is 28 bytes. The metrics section
+//! is the counter table: a `u32` count of (name, `u64` value) pairs,
+//! names as `u16` length + UTF-8. Versions 1 to 3 carried a 48-byte ctx,
+//! and versions 1 and 2 further metric tables; an envelope of any of
+//! them is rejected.
 //! The spans section is a `u32` count of [`FleetSpan`] records. A
 //! payload that does not start with the magic has no envelope; decoding
 //! never guesses. The 16 high bits of the inner `UplinkMessage` sample
@@ -42,32 +44,23 @@ use std::collections::BTreeMap;
 /// Envelope magic bytes.
 pub const ENVELOPE_MAGIC: [u8; 4] = *b"FSCE";
 /// Envelope wire version.
-pub const ENVELOPE_VERSION: u16 = 3;
+pub const ENVELOPE_VERSION: u16 = 4;
 
 const SECT_CTX: u16 = 1 << 0;
 const SECT_METRICS: u16 = 1 << 1;
 const SECT_SPANS: u16 = 1 << 2;
 const HEADER_LEN: usize = 12;
-const CTX_LEN: usize = 48;
+const CTX_LEN: usize = 16;
 
-/// Compact causal context carried with an uplink: who is sending, within
-/// which round/tier, and which open span on the sender's side is the
-/// causal parent of the receiver's handling span.
+/// Causal context carried with an uplink: the one parent link of the
+/// receiver's handling span, the span on the sender's side that the
+/// receiver records via [`crate::Span::remote_parent`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceContext {
-    /// Run identifier (the protocol seed serves in the demo binaries).
-    pub run_id: u64,
-    /// Protocol round number.
-    pub round: u32,
-    /// Link tier the message travels on (0 = device→first parent).
-    pub tier: u32,
-    /// Sender's node index within its level.
-    pub node: u64,
-    /// Receiver's node index within its level.
-    pub parent: u64,
     /// Sender's process lane (Chrome `pid`).
     pub pid: u64,
-    /// Sender's open span id (0 if the sender was untraced).
+    /// Id of the sender's completed span that the receiver's handling
+    /// span links to (0 if the sender was untraced).
     pub parent_span: u64,
 }
 
@@ -164,11 +157,6 @@ impl Envelope {
         out.extend_from_slice(&flags.to_le_bytes());
         out.extend_from_slice(&0u32.to_le_bytes()); // total length, patched below
         if let Some(ctx) = &self.ctx {
-            out.extend_from_slice(&ctx.run_id.to_le_bytes());
-            out.extend_from_slice(&ctx.round.to_le_bytes());
-            out.extend_from_slice(&ctx.tier.to_le_bytes());
-            out.extend_from_slice(&ctx.node.to_le_bytes());
-            out.extend_from_slice(&ctx.parent.to_le_bytes());
             out.extend_from_slice(&ctx.pid.to_le_bytes());
             out.extend_from_slice(&ctx.parent_span.to_le_bytes());
         }
@@ -246,11 +234,6 @@ impl Envelope {
         let mut env = Envelope::default();
         if flags & SECT_CTX != 0 {
             env.ctx = Some(TraceContext {
-                run_id: cur.u64()?,
-                round: cur.u32()?,
-                tier: cur.u32()?,
-                node: cur.u64()?,
-                parent: cur.u64()?,
                 pid: cur.u64()?,
                 parent_span: cur.u64()?,
             });
@@ -370,8 +353,6 @@ pub struct FleetCollector {
     pub spans: Vec<FleetSpan>,
     /// Merged metrics over the subtree.
     pub metrics: MetricsSnapshot,
-    /// Every trace context seen (one per absorbed enveloped uplink).
-    pub contexts: Vec<TraceContext>,
     /// Total serialized envelope bytes absorbed — the exact payload
     /// overhead telemetry added on this node's ingress.
     pub envelope_bytes: usize,
@@ -387,9 +368,6 @@ impl FleetCollector {
     /// `env_bytes` bytes of uplink payload.
     pub fn absorb(&mut self, env: &Envelope, env_bytes: usize) {
         self.envelope_bytes += env_bytes;
-        if let Some(ctx) = env.ctx {
-            self.contexts.push(ctx);
-        }
         if let Some(m) = &env.metrics {
             self.metrics.merge(m);
         }
@@ -458,11 +436,6 @@ mod tests {
 
     fn demo_ctx() -> TraceContext {
         TraceContext {
-            run_id: 7,
-            round: 1,
-            tier: 2,
-            node: 3,
-            parent: 0,
             pid: 1003,
             parent_span: 42,
         }
@@ -552,9 +525,9 @@ mod tests {
         let mut bad_version = bytes.clone();
         bad_version[4] = 0xFF;
         assert!(Envelope::strip(&bad_version).is_err());
-        // Versions 1 and 2 carried more metric tables than the counter
-        // table; neither layout decodes.
-        for old in [1, 2] {
+        // Versions 1 to 3 carried a 48-byte ctx (and 1 and 2 more metric
+        // tables than the counter table); none of those layouts decodes.
+        for old in [1, 2, 3] {
             bad_version[4] = old;
             assert!(Envelope::strip(&bad_version).is_err(), "version {old}");
         }
@@ -576,7 +549,6 @@ mod tests {
         fleet.absorb(&child, child_bytes);
         assert_eq!(fleet.envelope_bytes, 2 * child_bytes);
         assert_eq!(fleet.metrics.counters.get("a"), Some(&6));
-        assert_eq!(fleet.contexts.len(), 2);
 
         let ev = SpanEvent {
             cat: "wire",

@@ -1,7 +1,7 @@
 //! # fedsc-obs — observability substrate for the Fed-SC workspace
 //!
-//! Structured tracing (hierarchical spans with static names and typed
-//! key/value fields) plus a metrics registry of counters (time lives in
+//! Structured tracing (hierarchical spans with static names and count
+//! fields) plus a metrics registry of counters (time lives in
 //! spans, counts in counters), with two exporters: Chrome `trace_event`
 //! JSON (loadable in Perfetto / `chrome://tracing`) and a flat JSON
 //! metrics snapshot.
@@ -30,12 +30,13 @@
 //! ```
 //! fedsc_obs::trace::install_ring(4096);
 //! {
-//!     let _span = fedsc_obs::span("fedsc", "local.affinity").field("device", 3u64);
+//!     let _span = fedsc_obs::span("fedsc", "local.affinity").field("device", 3);
 //!     fedsc_obs::metrics::counter("demo.items").add(10);
 //! }
 //! let events = fedsc_obs::trace::uninstall();
 //! let trace = fedsc_obs::export::chrome_trace_json(&events);
 //! assert!(fedsc_obs::export::validate_chrome_trace(&trace).is_ok());
+//! assert!(trace.contains("\"device\":3"));
 //! let snap = fedsc_obs::metrics::snapshot();
 //! assert_eq!(snap.counters.get("demo.items"), Some(&10));
 //! ```
@@ -49,4 +50,4 @@ pub mod trace;
 pub use clock::{now_ns, Stopwatch};
 pub use fleet::{Envelope, FleetCollector, FleetSpan, TraceContext};
 pub use metrics::{LazyCounter, MetricsSnapshot};
-pub use trace::{span, FieldValue, Span, SpanEvent};
+pub use trace::{span, Span, SpanEvent};

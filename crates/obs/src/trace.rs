@@ -15,59 +15,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// A typed span field value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FieldValue {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating point.
-    F64(f64),
-    /// Boolean.
-    Bool(bool),
-    /// Static string (field values never allocate).
-    Str(&'static str),
-}
-
-impl From<u64> for FieldValue {
-    fn from(v: u64) -> Self {
-        FieldValue::U64(v)
-    }
-}
-impl From<usize> for FieldValue {
-    fn from(v: usize) -> Self {
-        FieldValue::U64(v as u64)
-    }
-}
-impl From<u32> for FieldValue {
-    fn from(v: u32) -> Self {
-        FieldValue::U64(u64::from(v))
-    }
-}
-impl From<i64> for FieldValue {
-    fn from(v: i64) -> Self {
-        FieldValue::I64(v)
-    }
-}
-impl From<f64> for FieldValue {
-    fn from(v: f64) -> Self {
-        FieldValue::F64(v)
-    }
-}
-impl From<bool> for FieldValue {
-    fn from(v: bool) -> Self {
-        FieldValue::Bool(v)
-    }
-}
-impl From<&'static str> for FieldValue {
-    fn from(v: &'static str) -> Self {
-        FieldValue::Str(v)
-    }
-}
-
 /// One completed span, as stored in the ring and fed to the exporters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Category (`"phase"`, `"wire"`, `"pool"`, …).
     pub cat: &'static str,
@@ -90,8 +39,8 @@ pub struct SpanEvent {
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Typed key/value annotations attached via [`Span::field`].
-    pub fields: Vec<(&'static str, FieldValue)>,
+    /// Count annotations attached via [`Span::field`].
+    pub fields: Vec<(&'static str, u64)>,
 }
 
 /// Fixed-capacity ring of completed spans. Claiming a slot is one
@@ -252,7 +201,7 @@ struct SpanInner {
     parent: u64,
     parent_pid: u64,
     start_ns: u64,
-    fields: Vec<(&'static str, FieldValue)>,
+    fields: Vec<(&'static str, u64)>,
 }
 
 /// RAII span guard: records one [`SpanEvent`] on drop. Inert (all
@@ -263,10 +212,10 @@ pub struct Span {
 }
 
 impl Span {
-    /// Attaches a typed key/value field (builder style; no-op when inert).
-    pub fn field(mut self, key: &'static str, value: impl Into<FieldValue>) -> Self {
+    /// Attaches a count field (builder style; no-op when inert).
+    pub fn field(mut self, key: &'static str, count: usize) -> Self {
         if let Some(inner) = &mut self.inner {
-            inner.fields.push((key, value.into()));
+            inner.fields.push((key, count as u64));
         }
         self
     }
@@ -373,7 +322,7 @@ mod tests {
     fn disabled_spans_are_inert() {
         let _g = guard();
         let _ = uninstall();
-        let s = span("t", "noop").field("k", 1u64);
+        let s = span("t", "noop").field("k", 1);
         drop(s);
         assert!(drain().is_empty());
     }
@@ -383,15 +332,16 @@ mod tests {
         let _g = guard();
         install_ring(16);
         {
-            let _outer = span("t", "outer").field("device", 3usize);
-            let _inner = span("t", "inner").field("ok", true);
+            let _outer = span("t", "outer").field("device", 3);
+            let _inner = span("t", "inner").field("received", 2);
         }
         let events = uninstall();
         assert_eq!(events.len(), 2);
         // Sorted by start time: outer opened first.
         assert_eq!(events[0].name, "outer");
-        assert_eq!(events[0].fields, vec![("device", FieldValue::U64(3))]);
+        assert_eq!(events[0].fields, vec![("device", 3)]);
         assert_eq!(events[1].name, "inner");
+        assert_eq!(events[1].fields, vec![("received", 2)]);
         // The inner span closes before the outer: proper nesting by time.
         let (o, i) = (&events[0], &events[1]);
         assert!(i.start_ns >= o.start_ns);
